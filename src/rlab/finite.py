@@ -60,19 +60,16 @@ class TruncatedDivisorSum:
         return int(total) if total.denominator == 1 else total
 
     def eval_range(self, nmax: int):
-        """Values on 1..nmax via divisor scatter; int64 array when integral."""
+        """Values on 1..nmax via divisor scatter: an integer array when
+        integral (Python ints once they pass int64), else a Fraction list."""
+        m = min(self.range, nmax)
         if all(isinstance(v, int) or v.denominator == 1 for v in self.fprime):
             w = np.zeros(nmax + 1, dtype=np.int64)
-            for d in range(1, min(self.range, nmax) + 1):
-                w[d] = int(self.fprime[d - 1])
+            w[1: m + 1] = [int(v) for v in self.fprime[:m]]
             return kernels.divisor_scatter_int(w)[1:]
-        out = [Fraction(0)] * nmax
-        for d in range(1, min(self.range, nmax) + 1):
-            v = self.fprime[d - 1]
-            if v:
-                for m in range(d, nmax + 1, d):
-                    out[m - 1] += v
-        return out
+        w = np.array([Fraction(0)] * (nmax + 1), dtype=object)
+        w[1: m + 1] = [Fraction(v) for v in self.fprime[:m]]
+        return kernels.divisor_scatter_int(w)[1:].tolist()
 
 
 @dataclass

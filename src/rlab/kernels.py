@@ -1,38 +1,20 @@
-"""Hot numeric kernels: numba-jitted inner loops with pure-numpy fallbacks.
+"""Numeric kernels: sieves, Ramanujan-sum tables and the exact integer kernels.
 
-The backend is chosen once at import time.  Set RLAB_BACKEND=numpy to force
-the fallback path even when numba is installed (RLAB_BACKEND=numba is the
-default whenever numba imports).  All integer kernels accumulate in int64 and
-are exact at desk scale (x <= 1e7, |values| bounded as documented per call
-site); both backends therefore return bit-identical integers.
+Each kernel is one numpy function.  The four integer kernels (Moebius
+transform, divisor scatter, weighted periodic sum, shifted correlation) first
+bound their result; while the bound stays below 2**63 they run in int64, and
+otherwise the same body runs on an object array of Python ints, so no result
+ever wraps.  The two transforms also take object arrays as they stand, which
+is how the Fraction paths in transforms, shift and finite use them.
 """
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-_requested = os.environ.get("RLAB_BACKEND", "").strip().lower()
+BACKEND = "numpy"
 
-if _requested in ("", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-if not HAVE_NUMBA:
-    def njit(*args, **kwargs):  # no-op decorator, keeps signatures identical
-        def wrap(func):
-            return func
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+_INT64_LIMIT = 1 << 63
 
 
 # ---------------------------------------------------------------------------
@@ -150,201 +132,103 @@ def csum_block(qmax: int, nmax: int, mu: np.ndarray | None = None) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# cross-correlation of periodic integer tables (orthogonality oracle)
+# int64 headroom: every integer kernel's partial sums are bounded by
+# length * prod(max|a|) over its inputs
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _cross_sum_nb(cq: np.ndarray, cl: np.ndarray, n: int, x: int) -> int:
-    q = cq.shape[0]
-    l = cl.shape[0]
-    total = np.int64(0)
-    for a in range(1, x + 1):
-        total += cq[(n + a) % q] * cl[a % l]
-    return total
+def _amax(a: np.ndarray) -> int:
+    """max |a| as a Python int (0 for an empty array)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _cross_sum_np(cq: np.ndarray, cl: np.ndarray, n: int, x: int) -> int:
-    q = cq.shape[0]
-    l = cl.shape[0]
-    total = 0
-    step = 1 << 20
-    for start in range(1, x + 1, step):
-        a = np.arange(start, min(start + step, x + 1), dtype=np.int64)
-        total += int(np.dot(cq[(n + a) % q], cl[a % l]))
-    return total
-
-
-def cross_sum_direct(cq: np.ndarray, cl: np.ndarray, n: int, x: int) -> int:
-    """sum_{a<=x} c_q(n+a)*c_l(a) given one-period tables indexed by residue."""
-    if HAVE_NUMBA:
-        return int(_cross_sum_nb(cq, cl, n, x))
-    return _cross_sum_np(cq, cl, n, x)
+def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
+    """True when no array is an object array and length * prod(max|a|) < 2**63."""
+    bound = length
+    for a in arrays:
+        if a.dtype == object:
+            return False
+        bound *= _amax(a)
+    return bound < _INT64_LIMIT
 
 
 # ---------------------------------------------------------------------------
 # weighted periodic sums: sum_{n<=x} w(n) * c_tab[n mod q]
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _weighted_periodic_int_nb(w: np.ndarray, tab: np.ndarray, x: int) -> int:
-    q = tab.shape[0]
-    total = np.int64(0)
-    for n in range(1, x + 1):
-        total += w[n - 1] * tab[n % q]
-    return total
-
-
-def _weighted_periodic_int_np(w: np.ndarray, tab: np.ndarray, x: int) -> int:
-    q = tab.shape[0]
-    total = 0
-    step = 1 << 20
-    for start in range(1, x + 1, step):
-        n = np.arange(start, min(start + step, x + 1), dtype=np.int64)
-        total += int(np.dot(w[start - 1: start - 1 + n.shape[0]], tab[n % q]))
-    return total
-
-
 def weighted_periodic_int(w: np.ndarray, tab: np.ndarray, x: int) -> int:
-    """Exact sum_{n<=x} w[n-1] * tab[n mod len(tab)] over int64 inputs."""
-    if HAVE_NUMBA:
-        return int(_weighted_periodic_int_nb(w, tab, x))
-    return _weighted_periodic_int_np(w, tab, x)
+    """Exact sum_{n<=x} w[n-1] * tab[n mod len(tab)].
 
-
-@njit(cache=True)
-def _weighted_periodic_float_nb(w: np.ndarray, tab: np.ndarray, x: int) -> float:
-    # Kahan-compensated accumulation
+    w[:x] is folded into its residue classes mod q = len(tab) and dotted with
+    tab once.  Python ints take over when max|w| * max|tab| * x reaches 2**63.
+    """
     q = tab.shape[0]
-    total = 0.0
-    c = 0.0
-    for n in range(1, x + 1):
-        y = w[n - 1] * tab[n % q] - c
-        t = total + y
-        c = (t - total) - y
-        total = t
-    return total
-
-
-def _weighted_periodic_float_np(w: np.ndarray, tab: np.ndarray, x: int) -> float:
-    q = tab.shape[0]
-    n = np.arange(1, x + 1, dtype=np.int64)
-    return float(np.dot(w[:x], tab[n % q].astype(np.float64)))
+    w = w[:x]
+    if not _int64_fits(x, w, tab):
+        w, tab = w.astype(object), tab.astype(object)
+    full = x - x % q
+    fold = w[:full].reshape(-1, q).sum(axis=0)
+    fold[: x - full] += w[full:]
+    # w[i] is the term n = i + 1, so class i mod q meets tab[(i + 1) mod q]
+    return int(np.dot(fold, np.roll(tab, -1)))
 
 
 def weighted_periodic_float(w: np.ndarray, tab: np.ndarray, x: int) -> float:
-    if HAVE_NUMBA:
-        return float(_weighted_periodic_float_nb(w, tab, x))
-    return _weighted_periodic_float_np(w, tab, x)
+    """sum_{n<=x} w[n-1] * tab[n mod len(tab)] as one float64 dot product."""
+    q = tab.shape[0]
+    n = np.arange(1, x + 1, dtype=np.int64)
+    return float(np.dot(w[:x], tab[n % q].astype(np.float64)))
 
 
 # ---------------------------------------------------------------------------
 # shifted convolution C(N, a) = sum_{n<=N} f(n) g(n+a)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _correlate_int_nb(f: np.ndarray, g: np.ndarray, amax: int) -> np.ndarray:
-    n_len = f.shape[0]
-    out = np.zeros(amax, dtype=np.int64)
-    for a in range(1, amax + 1):
-        s = np.int64(0)
-        for i in range(n_len):
-            s += f[i] * g[i + a]
-        out[a - 1] = s
-    return out
-
-
-def _correlate_int_np(f: np.ndarray, g: np.ndarray, amax: int) -> np.ndarray:
-    n_len = f.shape[0]
-    out = np.zeros(amax, dtype=np.int64)
-    # chunk over the shift to bound the strided matrix size
-    step = max(1, (1 << 22) // max(n_len, 1))
-    for start in range(1, amax + 1, step):
-        stop = min(start + step, amax + 1)
-        idx = np.arange(start, stop)[:, None] + np.arange(n_len)[None, :]
-        out[start - 1: stop - 1] = (g[idx] * f[None, :]).sum(axis=1)
-    return out
-
-
 def correlate_int(f: np.ndarray, g: np.ndarray, amax: int) -> np.ndarray:
-    """C(a) = sum_i f[i]*g[i+a] for a = 1..amax; f is g-aligned from index 0."""
-    if HAVE_NUMBA:
-        return _correlate_int_nb(f, g, amax)
-    return _correlate_int_np(f, g, amax)
+    """C(a) = sum_i f[i]*g[i+a] for a = 1..amax; f is g-aligned from index 0.
+
+    g needs len(f) + amax entries.  Python ints take over when
+    max|f| * max|g| * len(f) reaches 2**63.
+    """
+    n = f.shape[0]
+    g = g[1: n + amax]
+    if not _int64_fits(n, f, g):
+        f, g = f.astype(object), g.astype(object)
+    return np.correlate(g, f, "valid")
 
 
 # ---------------------------------------------------------------------------
-# Mobius transform of an integer sequence: C'(d) = sum_{t|d} C(t) mu(d/t)
+# Dirichlet transforms of a sequence indexed 1..n (slot 0 copied unchanged):
+# int64 arrays, or object arrays of Python ints or Fractions
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _mobius_transform_nb(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    dmax = c.shape[0] - 1
-    out = np.zeros(dmax + 1, dtype=np.int64)
-    for t in range(1, dmax + 1):
-        ct = c[t]
-        if ct == 0:
-            continue
-        k = 1
-        while t * k <= dmax:
-            m = mu[k]
-            if m:
-                out[t * k] += ct * m
-            k += 1
-    return out
+def mobius_transform_int(c: np.ndarray) -> np.ndarray:
+    """Eratosthenes transform out[d] = sum_{t|d} c[t] mu(d/t).
 
-
-def _mobius_transform_np(c: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    dmax = c.shape[0] - 1
-    out = np.zeros(dmax + 1, dtype=np.int64)
-    for t in range(1, dmax + 1):
-        ct = int(c[t])
-        if ct == 0:
-            continue
-        k = dmax // t
-        out[t:: t] += ct * mu[1: k + 1]
-    return out
-
-
-def mobius_transform_int(c: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
-    """Eratosthenes transform of an int64 sequence indexed 1..dmax (slot 0 unused)."""
-    if mu is None:
-        mu = mobius_sieve(c.shape[0] - 1)
-    if HAVE_NUMBA:
-        return _mobius_transform_nb(c, mu)
-    return _mobius_transform_np(c, mu)
-
-
-# ---------------------------------------------------------------------------
-# divisor-sum scatter: out[m] += w[d] for every multiple m of d
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _divisor_scatter_nb(w: np.ndarray) -> np.ndarray:
-    nmax = w.shape[0] - 1
-    out = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, nmax + 1):
-        wd = w[d]
-        if wd == 0:
-            continue
-        m = d
-        while m <= nmax:
-            out[m] += wd
-            m += d
-    return out
-
-
-def _divisor_scatter_np(w: np.ndarray) -> np.ndarray:
-    nmax = w.shape[0] - 1
-    out = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, nmax + 1):
-        wd = int(w[d])
-        if wd:
-            out[d:: d] += wd
+    One slice difference per prime p applies the Euler factor (1 - p^-s).
+    int64 input moves to Python ints when max|c| * len(c) reaches 2**63.
+    """
+    n = c.shape[0] - 1
+    out = c.astype(np.int64 if _int64_fits(n + 1, c) else object)
+    for p in prime_sieve(n).tolist():
+        # numpy buffers the overlapping right-hand slice, so it holds pre-p values
+        out[p:: p] -= out[1: n // p + 1]
     return out
 
 
 def divisor_scatter_int(w: np.ndarray) -> np.ndarray:
-    """out[m] = sum_{d|m} w[d] for m = 1..len(w)-1 (inverse of mobius_transform_int)."""
-    if HAVE_NUMBA:
-        return _divisor_scatter_nb(w)
-    return _divisor_scatter_np(w)
+    """out[m] = sum_{d|m} w[d] (inverse of mobius_transform_int).
+
+    Per prime p, a prefix sum along every chain m/p^k -> m applies the factor
+    1/(1 - p^-s).  It runs in p-adic blocks [lo, lo*p): each block adds
+    sources below lo, which the earlier blocks have finished.  int64 input
+    moves to Python ints when max|w| * len(w) reaches 2**63.
+    """
+    n = w.shape[0] - 1
+    out = w.astype(np.int64 if _int64_fits(n + 1, w) else object)
+    for p in prime_sieve(n).tolist():
+        lo = p
+        while lo <= n:
+            hi = min(lo * p, n + 1)
+            out[lo: hi: p] += out[lo // p: (hi - 1) // p + 1]
+            lo *= p
+    return out

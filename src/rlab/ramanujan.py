@@ -79,7 +79,7 @@ class RamanujanSumTable:
 
     def __getitem__(self, qn):
         q, n = qn
-        return int(self.values[q, n % q if n >= q else n])
+        return int(self.values[q, n % q])   # c_q has period q, for any sign of n
 
 
 def divisibility_indicator_check(q: int, n: int) -> bool:
@@ -107,15 +107,13 @@ def cross_sum(q: int, l: int, n: int, x: int) -> int:
     """Exact sum_{a<=x} c_q(n+a) c_l(a) by summing one lcm(q,l)-period block.
 
     The integrand has period P = lcm(q, l) in a, so the total is
-    (x // P) * (full-period sum) + (partial-period prefix).  Falls back to
-    the direct kernel when the period exceeds the range.
+    (x // P) * (full-period sum) + (partial-period prefix).  Only the first
+    min(P, x) products are formed; when P > x they are the whole sum.
     """
     p = lcm(q, l)
     cq = csum_period(q)
     cl = csum_period(l)
-    if p > x:
-        return kernels.cross_sum_direct(cq, cl, n, x)
-    a = np.arange(1, p + 1, dtype=np.int64)
+    a = np.arange(1, min(p, x) + 1, dtype=np.int64)
     prods = cq[(n + a) % q] * cl[a % l]
     block = int(prods.sum())
     rem = x % p

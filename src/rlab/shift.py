@@ -76,21 +76,13 @@ class Correlation:
         if self._transform is not None and len(self._transform) - 1 >= depth:
             return self._transform
         if self.is_integer:
-            c = np.zeros(depth + 1, dtype=np.int64)
+            c = np.zeros(depth + 1, dtype=self.values.dtype)
             c[1:] = self.values[:depth]
             self._transform = kernels.mobius_transform_int(c)
         else:
-            mu_arr = kernels.mobius_sieve(depth)
-            out = [Fraction(0)] * (depth + 1)
-            for t in range(1, depth + 1):
-                ct = Fraction(self.values[t - 1])
-                if not ct:
-                    continue
-                for k in range(1, depth // t + 1):
-                    m = int(mu_arr[k])
-                    if m:
-                        out[t * k] += m * ct
-            self._transform = out
+            c = np.array([Fraction(0)] + [Fraction(v) for v in self.values[:depth]],
+                         dtype=object)
+            self._transform = kernels.mobius_transform_int(c).tolist()
         return self._transform
 
 
@@ -272,7 +264,7 @@ def carmichael_vs_cc(cut: CutCorrelation, l: int, xgrid,
 def _tail_divisor_array(cut: CutCorrelation, xmax: int, split: int) -> np.ndarray:
     """T(m) = sum_{d|m, d>split} C'(N,d) for m = 1..xmax (integer path)."""
     tr = cut.base.transform(xmax)
-    w = np.zeros(xmax + 1, dtype=np.int64)
+    w = np.zeros(xmax + 1, dtype=tr.dtype)
     w[split + 1:] = tr[split + 1: xmax + 1]
     return kernels.divisor_scatter_int(w)
 

@@ -52,20 +52,13 @@ def eratosthenes(f, bound: int) -> EratosthenesTransform:
         vals[1:] = f.int_range(bound)
         out = kernels.mobius_transform_int(vals)
         return EratosthenesTransform(f, bound, [int(v) for v in out[1:]])
-    mu = kernels.mobius_sieve(bound)
     fv = [f(n) for n in range(1, bound + 1)] if not isinstance(f, ArithmeticFunction) \
         else list(f.eval_range(bound))
-    out = [Fraction(0)] * (bound + 1)
-    for t in range(1, bound + 1):
-        ft = fv[t - 1]
-        if not ft:
-            continue
-        for k in range(1, bound // t + 1):
-            m = int(mu[k])
-            if m:
-                out[t * k] += m * ft
+    # exact values become Fractions; nonzero floats stay inexact
+    c = np.array([Fraction(0)] + [v if isinstance(v, float) and v else Fraction(
+        int(v) if isinstance(v, np.integer) else v) for v in fv], dtype=object)
     vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-            for v in out[1:]]
+            for v in kernels.mobius_transform_int(c)[1:]]
     return EratosthenesTransform(f, bound, vals)
 
 
@@ -220,8 +213,8 @@ def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
     """Per-x averages (1/(phi(q) x)) sum_{n<=x} f(n) c_q(n).
 
     Exact accumulation whenever f is exact (folded to float only in the
-    report); float Kahan accumulation otherwise.  "Converged" additionally
-    requires the grid to span at least two decades.
+    report); one float64 dot product per grid point otherwise.  "Converged"
+    additionally requires the grid to span at least two decades.
     """
     xs = check_grid(xgrid)
     fq = phi(q)

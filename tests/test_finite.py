@@ -50,12 +50,18 @@ def test_pointwise_agreement(rng):
 def test_eval_range_matches_pointwise(rng):
     t = TruncatedDivisorSum(8, rand_table(rng, 8))
     vals = t.eval_range(100)
+    assert isinstance(vals, list) and all(type(v) is Fraction for v in vals)
     for n in range(1, 101):
         assert Fraction(vals[n - 1]) == Fraction(t.eval(n))
     ti = TruncatedDivisorSum(5, [2, 0, -1, 3, 1])
     vi = ti.eval_range(100)
     for n in range(1, 101):
         assert int(vi[n - 1]) == ti.eval(n)
+
+
+def test_eval_range_past_int64():
+    vals = TruncatedDivisorSum(2, [2 ** 62, 2 ** 62]).eval_range(4)
+    assert [int(v) for v in vals] == [2 ** 62, 2 ** 63, 2 ** 62, 2 ** 63]
 
 
 def test_range_normalization():

@@ -1,13 +1,27 @@
-"""Backend duality: the jitted kernels and the numpy fallbacks must agree
-bit-for-bit on integer work, and the sieves must match brute force."""
+"""Kernels against brute force: the sieves, the Ramanujan-sum tables and the
+exact integer kernels, the last as property tests over their definitions."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlab import kernels
+
+
+def mu_brute(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
 
 
 def test_prime_sieve():
@@ -19,18 +33,6 @@ def test_prime_sieve():
 
 def test_mobius_sieve_brute():
     mu = kernels.mobius_sieve(500)
-
-    def mu_brute(n):
-        out, d = 1, 2
-        while d * d <= n:
-            if n % d == 0:
-                n //= d
-                if n % d == 0:
-                    return 0
-                out = -out
-            d += 1
-        return -out if n > 1 else out
-
     for n in range(1, 501):
         assert mu[n] == mu_brute(n)
 
@@ -80,44 +82,89 @@ def test_csum_block_periodicity_and_phi_column():
             assert tab[q, n] == tab[q, n % q]
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend unavailable")
-def test_jit_and_numpy_twins_agree():
-    rng = np.random.default_rng(7)
-    cq = rng.integers(-20, 20, size=12)
-    cl = rng.integers(-20, 20, size=9)
-    for n in (0, 3, 17):
-        for x in (1, 97, 5000):
-            assert kernels._cross_sum_nb(cq, cl, n, x) == \
-                kernels._cross_sum_np(cq, cl, n, x)
+# ---------------------------------------------------------------------------
+# integer kernels against their definitions, on int64 input, on magnitudes
+# near 2**62 (where the int64 headroom guard moves to Python ints) and, for
+# the two transforms, on Fraction object arrays
+# ---------------------------------------------------------------------------
 
-    w = rng.integers(-50, 50, size=5000)
-    tab = rng.integers(-10, 10, size=7)
-    for x in (1, 999, 5000):
-        assert kernels._weighted_periodic_int_nb(w, tab, x) == \
-            kernels._weighted_periodic_int_np(w, tab, x)
-
-    f = rng.integers(-9, 9, size=64)
-    g = rng.integers(-9, 9, size=64 + 300)
-    assert np.array_equal(kernels._correlate_int_nb(f, g, 300),
-                          kernels._correlate_int_np(f, g, 300))
-
-    c = rng.integers(-99, 99, size=801)
-    c[0] = 0
-    mu = kernels.mobius_sieve(800)
-    assert np.array_equal(kernels._mobius_transform_nb(c, mu),
-                          kernels._mobius_transform_np(c, mu))
-    assert np.array_equal(kernels._divisor_scatter_nb(c),
-                          kernels._divisor_scatter_np(c))
+NEAR_2_62 = st.one_of(st.integers(2 ** 62 - 1024, 2 ** 62),
+                      st.integers(-(2 ** 62), -(2 ** 62) + 1024))
+VALUES = {
+    "int64": st.integers(-10 ** 6, 10 ** 6),
+    "near 2**62": NEAR_2_62,
+    "fraction": st.fractions(min_value=-50, max_value=50, max_denominator=12),
+}
+INT_KINDS = ["int64", "near 2**62"]
+KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend unavailable")
-def test_float_twins_close():
-    rng = np.random.default_rng(11)
-    w = rng.normal(size=20000)
-    tab = rng.normal(size=13)
-    a = kernels._weighted_periodic_float_nb(w, tab, 20000)
-    b = kernels._weighted_periodic_float_np(w, tab, 20000)
-    assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+def _seq(kind, vals):
+    """1-based kernel input: slot 0 holds a zero of the element type."""
+    if kind == "fraction":
+        return np.array([Fraction(0)] + vals, dtype=object)
+    return np.array([0] + vals, dtype=np.int64)
+
+
+def _py(v):
+    return v if isinstance(v, Fraction) else int(v)
+
+
+@pytest.mark.parametrize("kind", list(VALUES))
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_mobius_transform_matches_definition(kind, data):
+    vals = data.draw(st.lists(VALUES[kind], max_size=60))
+    out = kernels.mobius_transform_int(_seq(kind, vals))
+    for d in range(1, len(vals) + 1):
+        want = sum(vals[t - 1] * mu_brute(d // t) for t in range(1, d + 1) if d % t == 0)
+        assert _py(out[d]) == want
+    if kind == "int64":
+        assert out.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", list(VALUES))
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_divisor_scatter_matches_definition_and_inverts(kind, data):
+    vals = data.draw(st.lists(VALUES[kind], max_size=60))
+    c = _seq(kind, vals)
+    out = kernels.divisor_scatter_int(c)
+    for m in range(1, len(vals) + 1):
+        assert _py(out[m]) == sum(vals[d - 1] for d in range(1, m + 1) if m % d == 0)
+    back = kernels.mobius_transform_int(out)
+    assert [_py(v) for v in back[1:]] == vals
+    if kind == "int64":
+        assert out.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", INT_KINDS)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_correlate_matches_double_sum(kind, data):
+    n = data.draw(st.integers(1, 30))
+    amax = data.draw(st.integers(1, 30))
+    f = data.draw(st.lists(VALUES[kind], min_size=n, max_size=n))
+    g = data.draw(st.lists(VALUES[kind], min_size=n + amax, max_size=n + amax))
+    out = kernels.correlate_int(np.array(f, dtype=np.int64), np.array(g, dtype=np.int64), amax)
+    assert len(out) == amax
+    for a in range(1, amax + 1):
+        assert _py(out[a - 1]) == sum(f[i] * g[i + a] for i in range(n))
+    if kind == "int64":
+        assert out.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", INT_KINDS)
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_weighted_periodic_matches_direct_sum(kind, data):
+    w = data.draw(st.lists(VALUES[kind], max_size=80))
+    tab = data.draw(st.lists(VALUES[kind], min_size=1, max_size=12))
+    x = data.draw(st.integers(0, len(w)))
+    q = len(tab)
+    got = kernels.weighted_periodic_int(np.array(w, dtype=np.int64),
+                                        np.array(tab, dtype=np.int64), x)
+    assert got == sum(w[n - 1] * tab[n % q] for n in range(1, x + 1))
 
 
 def test_transform_scatter_roundtrip():

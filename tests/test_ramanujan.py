@@ -122,9 +122,11 @@ def test_delange_bound():
 
 
 def test_cross_sum_periodic_equals_direct():
+    # the last three have lcm(q, l) > x, so no full period is summed
     for q, l, n, x in ((2, 3, 1, 10 ** 4), (5, 5, 5, 10 ** 4), (6, 4, 2, 9999),
-                       (1, 1, 7, 500), (12, 18, 3, 12345)):
-        direct = kernels.cross_sum_direct(csum_period(q), csum_period(l), n, x)
+                       (1, 1, 7, 500), (12, 18, 3, 12345), (12, 18, 3, 5),
+                       (7, 11, 2, 76), (30, 1, 4, 1)):
+        direct = sum(csum(q, n + a) * csum(l, a) for a in range(1, x + 1))
         assert cross_sum(q, l, n, x) == direct
 
 
@@ -182,3 +184,9 @@ def test_table_invariants():
     for q in range(1, 31):
         assert tab.values[q, 0] == ph[q]
         assert tab[q, q + 5] == tab[q, (q + 5) % q]
+    # negative n reduces mod q (c_q is even and q-periodic), not from the row end
+    small = RamanujanSumTable.build(10, 10)
+    assert small[6, -3] == csum(6, -3) == -2
+    for q in range(1, 11):
+        for n in range(-25, 0):
+            assert small[q, n] == csum(q, n)

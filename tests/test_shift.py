@@ -43,6 +43,14 @@ def test_mobius_against_one():
     assert c.value(1) == sum(mu(n) for n in range(1, 11)) == -1
 
 
+def test_correlate_past_int64():
+    # 2**40 * 2**40 * 2 terms overflows int64; the kernel switches to Python ints
+    f = ArithmeticFunction.table([2 ** 40] * 3)
+    c = correlate(f, f, 3, 1)
+    assert c.value(1) == 2 ** 81
+    assert c.transform(1)[1] == 2 ** 81
+
+
 def test_cache_matches_recomputation(rng):
     q = rng.randint(1, 8)
     f = ArithmeticFunction.from_tds(TruncatedDivisorSum(q, rand_table(rng, q)))
@@ -175,10 +183,10 @@ def test_l_estimate_zero_for_tail_free():
         assert est.exact == [Fraction(0), Fraction(0)]
 
 
-def _tail_instance():
-    # C(4, a) = 1_{a = 1 mod 3}: transform carries mass past N = 4
-    f = ArithmeticFunction.table([0, 1], after="zero")
-    g = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, 1]))
+def _tail_instance(scale=1):
+    # C(4, a) = scale**2 * 1_{a = 1 mod 3}: transform carries mass past N = 4
+    f = ArithmeticFunction.table([0, scale], after="zero")
+    g = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, scale]))
     return cut_correlation(f, g, 4, 64)
 
 
@@ -199,6 +207,14 @@ def test_l_estimate_direct_oracle():
         brute = sum(csum(q, m) * sum(int(tr[d]) for d in divisors(m) if d > 4)
                     for m in range(1, x + 1))
         assert est.exact[-1] == Fraction(brute, phi(q) * x)
+
+
+def test_l_estimate_past_int64():
+    # the scaled instance's correlation, transform and divisor tail pass 2**63
+    small, big = _tail_instance(), _tail_instance(2 ** 40)
+    for q in (1, 2, 3):
+        want = [v * 2 ** 80 for v in l_estimate(small, q, [500, 1000]).exact]
+        assert l_estimate(big, q, [500, 1000]).exact == want
 
 
 def test_l_estimate_limits():

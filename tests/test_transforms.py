@@ -30,8 +30,16 @@ def test_eratosthenes_roundtrip(rng):
     n = 500
     f = ArithmeticFunction.table(rand_table(rng, n))
     tr = eratosthenes(f, n)
+    # integral values come back as ints, the rest as Fractions
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in tr.values)
     for m in range(1, n + 1):
         assert sum(tr.values[d - 1] for d in divisors(m)) == f(m)
+
+
+def test_eratosthenes_past_int64():
+    f = ArithmeticFunction.table([-2 ** 62, 2 ** 62])
+    assert eratosthenes(f, 2).values == [-2 ** 62, 2 ** 63]
 
 
 def test_eratosthenes_domain_error():
@@ -114,6 +122,14 @@ def test_carmichael_constant_function():
     for q in range(2, 11):
         est = carmichael_estimate(one, q, [1000, 10000, 100000])
         assert abs(est.final) < 0.01
+
+
+def test_carmichael_past_int64():
+    # partial sums 3 * 2**61 * x pass 2**63 at x = 2
+    f = ArithmeticFunction.table([3 * 2 ** 61] * 4)
+    est = carmichael_estimate(f, 1, [1, 2, 4])
+    assert est.exact == [Fraction(3 * 2 ** 61)] * 3
+    assert all(e > 0 for e in est.estimates)
 
 
 def test_carmichael_square_indicator():
