@@ -324,8 +324,9 @@ class ArithmeticFunction:
         return self.tds.eval(n)
 
     def eval_range(self, nmax: int):
-        """Values on 1..nmax: int64/float64 numpy array, or a Python list
-        when the table holds non-integer rationals."""
+        """Values on 1..nmax: an integer numpy array (int64, or Python ints
+        past 2**63), a float64 array, or a Python list when the table holds
+        non-integer rationals."""
         if self.kind == "builtin":
             return _builtin_range(self.name, nmax)[1:]
         if self.kind == "table":
@@ -333,20 +334,18 @@ class ArithmeticFunction:
                 raise IndexError(
                     f"table of length {len(self.values)} has no value at n={len(self.values) + 1}")
             vals = self.values[:nmax]
-            pad = nmax - len(vals)
             if self.is_integer:
-                arr = np.zeros(nmax, dtype=np.int64)
-                arr[: len(vals)] = [int(v) for v in vals]
+                head = kernels.int_array(vals)
+                arr = np.zeros(nmax, dtype=head.dtype)
+                arr[: len(vals)] = head
                 return arr
-            return [Fraction(v) for v in vals] + [Fraction(0)] * pad
+            return [Fraction(v) for v in vals] + [Fraction(0)] * (nmax - len(vals))
         return self.tds.eval_range(nmax)
 
     def int_range(self, nmax: int) -> np.ndarray:
-        """Values on 1..nmax as int64; caller guarantees is_integer."""
-        arr = self.eval_range(nmax)
-        if isinstance(arr, np.ndarray) and arr.dtype == np.int64:
-            return arr
-        return np.array([int(v) for v in arr], dtype=np.int64)
+        """Values on 1..nmax as an integer array (int64 below 2**63, Python
+        ints past it); caller guarantees is_integer."""
+        return kernels.int_array(self.eval_range(nmax))
 
 
 def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction,

@@ -14,7 +14,7 @@ from .arith import ArithmeticFunction, function_from_spec
 from .emit import Table, emit, format_cell
 from .expansions import (ZeroCloudElement, dk_expansion, evaluate_partial,
                          standard_finite_expansion, wintner_delange_reconstruct)
-from .experiments import (ConfigError, ExperimentConfig, ResourceCapError,
+from .experiments import (ConfigError, ExperimentConfig,
                           UnknownExperimentError, experiment_names,
                           run_experiment)
 from .finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
@@ -426,13 +426,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, UnknownExperimentError, ResourceCapError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, IndexError, UnknownExperimentError,
+            FileNotFoundError) as exc:
+        # bad input is a usage error (2); a failed check is the handler's 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

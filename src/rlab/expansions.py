@@ -13,10 +13,10 @@ from math import comb, factorial, log
 
 import numpy as np
 
-from .arith import ArithmeticFunction, divisors, mu, phi
+from .arith import divisors, phi
 from .finite import FiniteExpansion, fre_to_tds
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_dot, exact_sum
+from .rational import exact_dot, exact_sum, scale
 from .ramanujan import csum, cross_sum
 from .transforms import CoefficientSeq, eratosthenes, wintner_scaled_table
 from . import kernels
@@ -124,20 +124,13 @@ class Reconstruction:
         return abs(float(self.gap))
 
 
-def _fprime_of(f, cut: int) -> list:
-    if isinstance(f, ArithmeticFunction) and f.kind == "tds":
-        fpv = list(f.tds.fprime) + [Fraction(0)] * max(0, cut - f.tds.range)
-        return fpv[:cut]
-    return eratosthenes(f, cut).values
-
-
 def wintner_delange_table(f, cut: int):
     """Scaled coefficient table (numerators, den) for reconstruction at cut.
 
     The table does not depend on the evaluation point; hoist it when
     reconstructing at many points.
     """
-    return wintner_scaled_table(_fprime_of(f, cut), cut)
+    return wintner_scaled_table(eratosthenes(f, cut), cut)
 
 
 def wintner_delange_reconstruct(f, n: int, cut: int, table=None) -> Reconstruction:
@@ -164,18 +157,16 @@ def wintner_delange_reconstruct(f, n: int, cut: int, table=None) -> Reconstructi
 
 def lucht_evaluate(fhat, a: int, cut: int):
     """(lhs, rhs): sum_{q<=cut} fhat(q) c_q(a)  versus
-    sum_{d|a} d sum_{K<=cut/d} fhat(dK) mu(K).  Equal at every finite cut."""
+    sum_{d|a} d sum_{K<=cut/d} fhat(dK) mu[K].  Equal at every finite cut.
+
+    Both sides run on the coefficients' scaled numerators; the inner sums of
+    the right-hand side are one Moebius transform over multiples."""
     seq = fhat if isinstance(fhat, CoefficientSeq) else CoefficientSeq.from_list(fhat)
-    lhs = exact_sum(Fraction(seq.get(q)) * csum(q, a) for q in range(1, cut + 1))
-    rhs_terms = []
-    for d in divisors(a):
-        if d > cut:
-            break
-        inner = exact_sum(Fraction(seq.get(d * k)) * mu(k)
-                          for k in range(1, cut // d + 1))
-        rhs_terms.append(d * inner)
-    rhs = exact_sum(rhs_terms)
-    return lhs, rhs
+    nums, den = scale([Fraction(seq.get(q)) for q in range(1, cut + 1)])
+    lhs = sum(n * csum(q, a) for q, n in enumerate(nums, start=1) if n)
+    inner = kernels.mobius_multiples(kernels.int_array([0] + nums))
+    rhs = sum(d * int(inner[d]) for d in divisors(a) if d <= cut)
+    return Fraction(lhs, den), Fraction(rhs, den)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +243,7 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
     """Coefficients fhat(l, n) = sum_{d<=n, l|d} fprime(d)/d and their exact
     reconstruction at the point n.  Works for every arithmetic function; the
     price is the n-dependence of the coefficients."""
-    if isinstance(f, ArithmeticFunction) and f.kind == "tds":
-        fpv = list(f.tds.fprime) + [Fraction(0)] * max(0, n - f.tds.range)
-        fpv = fpv[:n]
-    else:
-        fpv = eratosthenes(f, n).values
-    nums, den = wintner_scaled_table(fpv, n)
+    nums, den = wintner_scaled_table(eratosthenes(f, n), n)
     row = kernels.csum_row(n, n)
     total = sum(nums[l - 1] * int(row[l]) for l in range(1, n + 1))
     coeffs = [Fraction(v, den) for v in nums]

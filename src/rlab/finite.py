@@ -2,8 +2,13 @@
 
 The two representations are dual: coefficients come from the transform via
 fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
-fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu(K).  Both directions are exact and
+fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
 roundtrip exactly; evaluation of either side agrees pointwise everywhere.
+
+Both directions and `TruncatedDivisorSum.eval_range` put the sequence over one
+denominator (`rational.scale`) and work on the integer numerators: the
+Wintner table sums them over multiples for fhat, `kernels.mobius_multiples`
+transforms them for fprime and `kernels.divisor_scatter_int` for the values.
 """
 
 from dataclasses import dataclass, field
@@ -11,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import mu, divisors
-from .rational import exact_sum
+from .arith import divisors
+from .rational import scale
+from .transforms import decay_tail_bound, eratosthenes, wintner_table
 from . import kernels
 
 
@@ -62,14 +68,12 @@ class TruncatedDivisorSum:
     def eval_range(self, nmax: int):
         """Values on 1..nmax via divisor scatter: an integer array when
         integral (Python ints once they pass int64), else a Fraction list."""
-        m = min(self.range, nmax)
-        if all(isinstance(v, int) or v.denominator == 1 for v in self.fprime):
-            w = np.zeros(nmax + 1, dtype=np.int64)
-            w[1: m + 1] = [int(v) for v in self.fprime[:m]]
-            return kernels.divisor_scatter_int(w)[1:]
-        w = np.array([Fraction(0)] * (nmax + 1), dtype=object)
-        w[1: m + 1] = [Fraction(v) for v in self.fprime[:m]]
-        return kernels.divisor_scatter_int(w)[1:].tolist()
+        nums, den = scale(self.fprime)
+        head = kernels.int_array([0] + nums[:nmax])
+        w = np.zeros(nmax + 1, dtype=head.dtype)
+        w[: head.shape[0]] = head
+        out = kernels.divisor_scatter_int(w)[1:]
+        return out if den == 1 else [Fraction(int(v), den) for v in out]
 
 
 @dataclass
@@ -104,31 +108,19 @@ class FiniteExpansion:
 
 def tds_to_fre(t: TruncatedDivisorSum) -> FiniteExpansion:
     """Finite Ramanujan coefficients of a truncated divisor sum (exact)."""
-    q_max = t.range
-    fhat = []
-    for q in range(1, q_max + 1):
-        fhat.append(exact_sum(Fraction(t.fprime[d - 1], d)
-                              for d in range(q, q_max + 1, q)))
-    return FiniteExpansion(q_max, fhat)
+    return FiniteExpansion(t.range, wintner_table(t.fprime, t.range))
 
 
 def fre_to_tds(e: FiniteExpansion) -> TruncatedDivisorSum:
     """Truncated Eratosthenes transform of a finite expansion (exact inverse)."""
-    q_max = e.range
-    fprime = []
-    for d in range(1, q_max + 1):
-        s = Fraction(0)
-        for k in range(1, q_max // d + 1):
-            m = mu(k)
-            if m:
-                s += m * e.fhat[d * k - 1]
-        fprime.append(d * s)
-    return TruncatedDivisorSum(q_max, fprime)
+    nums, den = scale(e.fhat)
+    inner = kernels.mobius_multiples(kernels.int_array([0] + nums))
+    return TruncatedDivisorSum(e.range, [Fraction(d * int(inner[d]), den)
+                                         for d in range(1, e.range + 1)])
 
 
 def truncate(f, q: int) -> TruncatedDivisorSum:
     """Q-truncated counterpart of an arithmetic function: keep fprime(1..Q)."""
-    from .transforms import eratosthenes
     return TruncatedDivisorSum(q, eratosthenes(f, q).values)
 
 
@@ -149,7 +141,6 @@ def high_coefficient_check(f, q_range: int) -> HighCoefficientReport:
     The only multiple of such q below Q is q itself, so the identity is exact
     for every arithmetic function; any violation reported here is a fault.
     """
-    from .transforms import eratosthenes
     fprime = eratosthenes(f, q_range).values
     t = TruncatedDivisorSum(q_range, fprime)
     e = tds_to_fre(t)
@@ -178,7 +169,6 @@ def low_coefficient_report(f, q_range: int, q0: int, decay_hint=None,
     gap is bounded by the tail beyond Q; verdict "consistent" means every gap
     sits inside that bound.  Without a hint only raw rows are reported.
     """
-    from .transforms import decay_tail_bound, eratosthenes
     if deep_cut is None:
         deep_cut = 4 * q_range
     fhat_q = tds_to_fre(TruncatedDivisorSum(q_range, eratosthenes(f, q_range).values))

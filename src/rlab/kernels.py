@@ -1,11 +1,19 @@
 """Numeric kernels: sieves, Ramanujan-sum tables and the exact integer kernels.
 
-Each kernel is one numpy function.  The four integer kernels (Moebius
-transform, divisor scatter, weighted periodic sum, shifted correlation) first
-bound their result; while the bound stays below 2**63 they run in int64, and
-otherwise the same body runs on an object array of Python ints, so no result
-ever wraps.  The two transforms also take object arrays as they stand, which
-is how the Fraction paths in transforms, shift and finite use them.
+Each kernel is one numpy function.  The five integer kernels (Moebius
+transforms over divisors and over multiples, divisor scatter, weighted
+periodic sum, shifted correlation) first bound their result; while the bound
+stays below 2**63 they run in int64, and otherwise the same body runs on an
+object array of Python ints, so no result ever wraps.  The three transforms
+also take object arrays as they stand.
+
+Exact rational sequences reach the integer kernels as scaled numerators
+(`rational.scale`, then `int_array`): `fre_to_tds` and the values of a
+t.d.s. in finite, the right-hand side of Lucht's identity in expansions, the
+correlations, Carmichael averages and L(q) estimates in shift, and the
+Carmichael sums in transforms.  The Moebius transforms of `eratosthenes` on
+rational tables and of `Correlation.transform` on rational correlations run
+on object arrays of Fractions.
 """
 
 from functools import lru_cache
@@ -141,6 +149,16 @@ def _amax(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def int_array(values) -> np.ndarray:
+    """Integers as an int64 array when every |v| < 2**63, else as an object
+    array of Python ints.  Integer numpy arrays pass through as they stand."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values
+    vals = [int(v) for v in values]
+    big = bool(vals) and max(max(vals), -min(vals)) >= _INT64_LIMIT
+    return np.array(vals, dtype=object if big else np.int64)
+
+
 def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
     """True when no array is an object array and length * prod(max|a|) < 2**63."""
     bound = length
@@ -212,6 +230,21 @@ def mobius_transform_int(c: np.ndarray) -> np.ndarray:
     for p in prime_sieve(n).tolist():
         # numpy buffers the overlapping right-hand slice, so it holds pre-p values
         out[p:: p] -= out[1: n // p + 1]
+    return out
+
+
+def mobius_multiples(c: np.ndarray) -> np.ndarray:
+    """Moebius transform over multiples out[d] = sum_{dK<=n} mu(K) c[dK].
+
+    The transpose of mobius_transform_int: one slice difference per prime p
+    applies (1 - T_p), where T_p reads the value at d*p.  int64 input moves to
+    Python ints when max|c| * len(c) reaches 2**63.
+    """
+    n = c.shape[0] - 1
+    out = c.astype(np.int64 if _int64_fits(n + 1, c) else object)
+    for p in prime_sieve(n).tolist():
+        # numpy buffers the overlapping right-hand slice, so it holds pre-p values
+        out[1: n // p + 1] -= out[p:: p]
     return out
 
 

@@ -2,14 +2,33 @@
 
 Fraction already guarantees the invariants we need (reduced form, positive
 denominator, arbitrary precision), so this module only adds the pieces the
-rest of the package leans on: fast exact summation over a common denominator,
-and the "p/q" string serialization used by every CSV/JSON surface.
+rest of the package leans on: one shared denominator for a rational sequence,
+exact summation on top of it, and the "p/q" string serialization used by
+every CSV/JSON surface.
 """
 
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 Rational = Fraction
+
+
+def scale(values) -> tuple:
+    """(nums, den): exact rationals as Python-int numerators over their least
+    common denominator, so nums[i] / den == values[i] for every i.
+
+    This is the one place a rational sequence is put over one denominator:
+    the integer kernels then run on nums, and callers divide by den once at
+    the end.  An integer numpy array is already over 1 and is returned as it
+    stands.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return values, 1
+    pairs = [(int(v.numerator), int(v.denominator)) for v in values]
+    den = lcm(*{d for _, d in pairs})
+    return [n * (den // d) for n, d in pairs], den
 
 
 def exact_sum(terms) -> Fraction:
@@ -20,16 +39,8 @@ def exact_sum(terms) -> Fraction:
     Accumulating integer numerators over lcm(denominators) and reducing once
     is linear in the bignum size.
     """
-    pairs = [(int(t.numerator), int(t.denominator)) for t in terms]
-    if not pairs:
-        return Fraction(0)
-    den = 1
-    for _, d in pairs:
-        den = lcm(den, d)
-    total = 0
-    for n, d in pairs:
-        total += n * (den // d)
-    return Fraction(total, den)
+    nums, den = scale(terms)
+    return Fraction(sum(nums), den)
 
 
 def exact_dot(fracs, ints) -> Fraction:

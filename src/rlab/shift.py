@@ -17,9 +17,9 @@ import numpy as np
 from .arith import ArithmeticFunction, divisors, phi
 from .finite import TruncatedDivisorSum, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_dot, exact_sum
+from .rational import exact_dot, exact_sum, scale
 from .ramanujan import csum, csum_period, csum_prefix_sum
-from .transforms import eratosthenes
+from .transforms import eratosthenes, wintner_table
 from . import kernels
 
 DEPTH_CAP = 10 ** 6     # transform depth never exceeds this without a flag
@@ -87,24 +87,18 @@ class Correlation:
 
 
 def correlate(f, g, length: int, amax: int, fair=None) -> Correlation:
-    """Exact C(N, a) for 1 <= a <= amax; integer kernel when both exact-integer."""
+    """Exact C(N, a) for 1 <= a <= amax: the correlation kernel runs on the
+    scaled numerators of f and g, and the values are an integer array when
+    both denominators are 1, else Fractions over their product."""
     if length < 1 or amax < 1:
         raise ValueError("N >= 1 and amax >= 1 required")
     if fair is None:
         fair = True   # point-independent specs only; override for shift-dependent families
-    if f.is_integer and g.is_integer:
-        fv = f.int_range(length)
-        gv = g.int_range(length + amax)
-        vals = kernels.correlate_int(fv, gv, amax)
-        return Correlation(f, g, length, amax, vals, fair)
-    fv = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
-          for v in f.eval_range(length)]
-    gv = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
-          for v in g.eval_range(length + amax)]
-    vals = []
-    for a in range(1, amax + 1):
-        vals.append(exact_sum(fv[n - 1] * gv[n + a - 1]
-                              for n in range(1, length + 1) if fv[n - 1]))
+    fv, fden = scale(f.eval_range(length))
+    gv, gden = scale(g.eval_range(length + amax))
+    vals = kernels.correlate_int(kernels.int_array(fv), kernels.int_array(gv), amax)
+    if fden * gden != 1:
+        vals = [Fraction(int(v), fden * gden) for v in vals]
     return Correlation(f, g, length, amax, vals, fair)
 
 
@@ -162,19 +156,10 @@ class ShiftCoefficients:
         return self.entries[q - 1]
 
 
-def _tr_val(tr, d) -> Fraction:
-    v = tr[d]
-    return Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
-
-
 def qrc(cut: CutCorrelation, q_cut: int) -> ShiftCoefficients:
     """Exact truncated shift coefficients of the cut correlation."""
     tr = cut.base.transform(q_cut)
-    entries = []
-    for q in range(1, q_cut + 1):
-        entries.append(exact_sum(_tr_val(tr, d) / d
-                                 for d in range(q, q_cut + 1, q)))
-    return ShiftCoefficients(cut.length, q_cut, entries)
+    return ShiftCoefficients(cut.length, q_cut, wintner_table(tr[1: q_cut + 1], q_cut))
 
 
 def shift_expansion_check(cut: CutCorrelation, a: int):
@@ -185,11 +170,10 @@ def shift_expansion_check(cut: CutCorrelation, a: int):
     """
     n = cut.length
     coeffs = qrc(cut, n)
-    tr = cut.base.transform(max(a, n))
+    tail = divisor_tail(cut, a)     # deepens the cache to a before reading C(N, a)
     lhs = Fraction(cut.base.value(a))
     main = exact_dot((coeffs.get(q) for q in range(1, n + 1)),
                      (csum(q, a) for q in range(1, n + 1)))
-    tail = exact_sum(_tr_val(tr, d) for d in divisors(a) if d > n)
     rhs = main + tail
     return lhs, rhs, lhs == rhs
 
@@ -198,7 +182,7 @@ def divisor_tail(cut: CutCorrelation, a: int) -> Fraction:
     """sum_{d|a, d>N} C'(N, d), exact."""
     n = cut.length
     tr = cut.base.transform(max(a, n))
-    return exact_sum(_tr_val(tr, d) for d in divisors(a) if d > n)
+    return exact_sum(tr[d] for d in divisors(a) if d > n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +204,12 @@ def cc_coefficients(cut: CutCorrelation, lmax: int | None = None) -> list:
     if lmax is None:
         lmax = n
     ghat = cut.ghat()
-    f = cut.base.f
-    fv = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
-          for v in f.eval_range(n)]
+    nums, den = scale(cut.base.f.eval_range(n))
     out = []
     for l in range(1, lmax + 1):
-        gl = ghat[l - 1] if l <= n else Fraction(0)
-        if gl == 0:
-            out.append(Fraction(0))
-            continue
-        s = exact_dot(fv, (csum(l, m) for m in range(1, n + 1)))
-        out.append(gl * s / phi(l))
+        gl = ghat[l - 1] if l <= n else 0
+        s = gl and sum(int(v) * csum(l, m) for m, v in enumerate(nums, start=1) if v)
+        out.append(gl * Fraction(s, den) / phi(l))
     return out
 
 
@@ -242,67 +221,44 @@ def carmichael_vs_cc(cut: CutCorrelation, l: int, xgrid,
     cut.base.ensure_depth(xs[-1])
     fl = phi(l)
     tab = csum_period(l)
-    if cut.base.is_integer:
-        ests, exact = [], []
-        for x in xs:
-            s = kernels.weighted_periodic_int(cut.base.values, tab, x)
-            exact.append(Fraction(s, fl * x))
-            ests.append(float(exact[-1]))
-        return build_estimate(xs, ests, tol, target=float(target), exact=exact)
-    ests = []
-    for x in xs:
-        s = exact_dot((Fraction(v) for v in cut.base.values[:x]),
-                      (int(tab[a % l]) for a in range(1, x + 1)))
-        ests.append(float(s / (fl * x)))
-    return build_estimate(xs, ests, tol, target=float(target))
+    nums, den = scale(cut.base.values)
+    vals = kernels.int_array(nums)
+    exact = [Fraction(kernels.weighted_periodic_int(vals, tab, x), fl * x * den)
+             for x in xs]
+    return build_estimate(xs, [float(e) for e in exact], tol,
+                          target=float(target), exact=exact)
 
 
 # ---------------------------------------------------------------------------
 # the correction limits L(q)
 # ---------------------------------------------------------------------------
 
-def _tail_divisor_array(cut: CutCorrelation, xmax: int, split: int) -> np.ndarray:
-    """T(m) = sum_{d|m, d>split} C'(N,d) for m = 1..xmax (integer path)."""
-    tr = cut.base.transform(xmax)
-    w = np.zeros(xmax + 1, dtype=tr.dtype)
-    w[split + 1:] = tr[split + 1: xmax + 1]
-    return kernels.divisor_scatter_int(w)
+def _tail_divisor_array(cut: CutCorrelation, xmax: int, split: int):
+    """(T, den): den * T(m) = den * sum_{d|m, d>split} C'(N,d) for m = 0..xmax,
+    an integer array over the transform's shared denominator."""
+    nums, den = scale(cut.base.transform(xmax)[split + 1: xmax + 1])
+    nums = kernels.int_array(nums)
+    w = np.zeros(xmax + 1, dtype=nums.dtype)
+    w[split + 1:] = nums
+    return kernels.divisor_scatter_int(w), den
 
 
 def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
                tol: float = 1e-2) -> LimitEstimate:
     """Estimate L(q) = (1/phi(q)) lim (1/x) sum_{m<=x} c_q(m) T(m), where
     T(m) collects the transform values past the split (default N) on divisors
-    of m.  Exact integer per-x sums; estimates vanish for q > N in the limit.
+    of m.  Exact per-x sums on the scaled tail; estimates vanish for q > N in
+    the limit.
     """
     xs = check_grid(xgrid)
-    n = cut.length
     if split is None:
-        split = n
-    xmax = xs[-1]
-    if not cut.base.is_integer:
-        # rational path: direct divisor tail per m (small grids only)
-        tr = cut.base.transform(xmax)
-        fl = phi(q)
-        tab = csum_period(q)
-        ests = []
-        for x in xs:
-            total = Fraction(0)
-            for m in range(1, x + 1):
-                t = exact_sum(_tr_val(tr, d) for d in divisors(m) if d > split)
-                if t:
-                    total += int(tab[m % q]) * t
-            ests.append(float(total / (fl * x)))
-        return build_estimate(xs, ests, tol)
-    td = _tail_divisor_array(cut, xmax, split)
+        split = cut.length
+    td, den = _tail_divisor_array(cut, xs[-1], split)
     tab = csum_period(q)
     fl = phi(q)
-    exact, ests = [], []
-    for x in xs:
-        s = kernels.weighted_periodic_int(td[1:], tab, x)
-        exact.append(Fraction(s, fl * x))
-        ests.append(float(exact[-1]))
-    return build_estimate(xs, ests, tol, exact=exact)
+    exact = [Fraction(kernels.weighted_periodic_int(td[1:], tab, x), fl * x * den)
+             for x in xs]
+    return build_estimate(xs, [float(e) for e in exact], tol, exact=exact)
 
 
 def is_tail_free(cut: CutCorrelation, depth: int) -> bool:
@@ -352,9 +308,7 @@ def weak_reef_check(cut: CutCorrelation, a: int, lgrid) -> WeakReefReport:
     for i, x in enumerate(xs):
         rhs = tail
         for q in range(1, n + 1):
-            lx = l_ests[q].exact[i] if l_ests[q].exact is not None \
-                else Fraction(l_ests[q].estimates[i])
-            rhs += (cc[q - 1] - lx) * c_row[q - 1]
+            rhs += (cc[q - 1] - l_ests[q].exact[i]) * c_row[q - 1]
         rows.append((x, rhs, lhs - rhs))
     exact_reef = tail_free and all(r[2] == 0 for r in rows)
     return WeakReefReport(a, lhs, rows, tail, tail_free, exact_reef)
@@ -388,7 +342,7 @@ def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageRe
     rhs = Fraction(0)
     for q in range(1, n + 1):
         est = l_estimate(cut, q, xs)
-        lq = est.exact[-1] if est.exact is not None else Fraction(est.estimates[-1])
+        lq = est.exact[-1]
         w = csum_prefix_sum(q, a_cut)
         rows.append((q, cc[q - 1], lq, w))
         rhs += (cc[q - 1] - lq) * w

@@ -1,21 +1,22 @@
 """Eratosthenes transform, Wintner and Carmichael coefficients, condition checks.
 
-Identity-grade computations stay in exact rationals (with integer fast paths);
-limit estimates destined for tolerance verdicts may accumulate in floats with
-compensated summation.  Convergence is never asserted: every verdict is
-"at-cut", tied to the evaluation grid that produced it.
+Identity-grade computations stay exact: a rational sequence is put over one
+denominator (`rational.scale`) and its integer numerators run through the
+integer kernels, so the Wintner tables and the Carmichael sums divide by that
+denominator once.  Limit estimates destined for tolerance verdicts may
+accumulate in float64 dot products.  Convergence is never asserted: every
+verdict is "at-cut", tied to the evaluation grid that produced it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 import random
 
 import numpy as np
 
 from .arith import ArithmeticFunction, phi
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_dot, exact_sum
+from .rational import exact_sum, scale
 from .ramanujan import csum_multiple_sum, csum_period
 from . import kernels
 
@@ -48,9 +49,7 @@ def eratosthenes(f, bound: int) -> EratosthenesTransform:
         vals += [0] * (bound - len(vals))
         return EratosthenesTransform(f, bound, vals)
     if isinstance(f, ArithmeticFunction) and f.is_integer:
-        vals = np.zeros(bound + 1, dtype=np.int64)
-        vals[1:] = f.int_range(bound)
-        out = kernels.mobius_transform_int(vals)
+        out = kernels.mobius_transform_int(np.insert(f.int_range(bound), 0, 0))
         return EratosthenesTransform(f, bound, [int(v) for v in out[1:]])
     fv = [f(n) for n in range(1, bound + 1)] if not isinstance(f, ArithmeticFunction) \
         else list(f.eval_range(bound))
@@ -123,14 +122,8 @@ def wintner_scaled_table(fprime, cut: int):
     integers until a single final reduction.
     """
     vals = _fprime_values(fprime, cut)
-    terms = [Fraction(v, d) for d, v in enumerate(vals, start=1)]
-    pairs = [(int(t.numerator), int(t.denominator)) for t in terms]
-    den = 1
-    for _, d in pairs:
-        den = lcm(den, d)
-    scaled = [n * (den // d) for n, d in pairs]
-    nums = [sum(scaled[q - 1:: q]) for q in range(1, cut + 1)]
-    return nums, den
+    scaled, den = scale([Fraction(v, d) for d, v in enumerate(vals, start=1)])
+    return [sum(scaled[q - 1:: q]) for q in range(1, cut + 1)], den
 
 
 def wintner_table(fprime, cut: int) -> list:
@@ -183,30 +176,22 @@ def wintner_cm_shortcut(fprime, q: int, cut: int):
 def _csum_weighted_sums(f, q: int, xs: list):
     """Exact S(x) = sum_{n<=x} f(n) c_q(n) per grid point; Fractions list.
 
-    Integer-valued f goes through the int64 kernel; an exact t.d.s. is summed
-    by divisor (sum_d fprime(d) * sum_{m<=x/d} c_q(dm), each inner sum an
-    exact integer), which sidesteps per-n rational accumulation entirely.
+    The values of f go over one denominator and their numerators through the
+    weighted-periodic kernel.  A rational t.d.s. is summed by divisor instead
+    (sum_d fprime(d) * sum_{m<=x/d} c_q(dm), each inner sum an exact integer),
+    which scales its Q values of fprime rather than x values of f.  None for
+    float f.
     """
-    xmax = xs[-1]
-    tab = csum_period(q)
-    if isinstance(f, ArithmeticFunction) and f.is_integer:
-        w = f.int_range(xmax)
-        return [Fraction(kernels.weighted_periodic_int(w, tab, x)) for x in xs]
-    if isinstance(f, ArithmeticFunction) and f.kind == "tds" and f.is_exact:
-        t = f.tds
-        out = []
-        for x in xs:
-            ts = [csum_multiple_sum(q, d, x) for d in range(1, t.range + 1)]
-            out.append(exact_dot(map(Fraction, t.fprime), ts))
-        return out
-    if isinstance(f, ArithmeticFunction) and f.is_exact:
-        vals = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
-                for v in f.eval_range(xmax)]
-        out = []
-        for x in xs:
-            out.append(exact_dot(vals[:x], (int(tab[n % q]) for n in range(1, x + 1))))
-        return out
-    return None   # float path handled by caller
+    if not (isinstance(f, ArithmeticFunction) and f.is_exact):
+        return None   # float path handled by caller
+    if f.kind == "tds" and not f.is_integer:
+        nums, den = scale(f.tds.fprime)
+        return [Fraction(sum(n * csum_multiple_sum(q, d, x)
+                             for d, n in enumerate(nums, start=1) if n), den)
+                for x in xs]
+    nums, den = scale(f.eval_range(xs[-1]))
+    w, tab = kernels.int_array(nums), csum_period(q)
+    return [Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]
 
 
 def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
@@ -537,11 +522,8 @@ class TailSearchReport:
 def _win_partials_above(fprime_vals: list, q_cut: int, depth: int) -> bool:
     """True iff every partial sum_{d<=depth, q|d} fprime(d)/d vanishes for
     q in (q_cut, depth]."""
-    for q in range(q_cut + 1, depth + 1):
-        if exact_sum(Fraction(fprime_vals[d - 1], d)
-                     for d in range(q, depth + 1, q)) != 0:
-            return False
-    return True
+    nums, _ = wintner_scaled_table(fprime_vals, depth)
+    return not any(nums[q_cut:])
 
 
 def vanishing_tail_search(family: str, q_cut: int, depth: int,

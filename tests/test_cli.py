@@ -68,8 +68,14 @@ def test_carmichael_command(fn_file, capsys):
 
 
 def test_carmichael_bad_grid(fn_file, capsys):
+    # a non-increasing grid is bad input: usage error, not a failed check
     path = fn_file({"kind": "builtin", "name": "one"})
-    assert main(["carmichael", "--f", path, "--q", "1", "--grid", "1e3,1e2"]) == 1
+    assert main(["carmichael", "--f", path, "--q", "1", "--grid", "1e3,1e2"]) == 2
+
+
+def test_csum_bad_modulus_is_usage_error(capsys):
+    assert main(["csum", "--q", "0", "--n", "3"]) == 2
+    assert "modulus" in capsys.readouterr().err
 
 
 def test_check_command(fn_file, capsys):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rlab.arith import ArithmeticFunction, divisors, mu
 from rlab.expansions import (RamanujanExpansion, ZeroCloudElement,
@@ -15,7 +16,7 @@ from rlab.expansions import (RamanujanExpansion, ZeroCloudElement,
 from rlab.finite import TruncatedDivisorSum
 from rlab.ramanujan import csum
 from rlab.transforms import CoefficientSeq
-from conftest import rand_table
+from conftest import PROPERTY, RATIONALS, rand_table
 
 
 def test_evaluate_partial_zero_and_finite():
@@ -116,6 +117,16 @@ def test_lucht_randomized(rng):
         cut = rng.randint(1, support)
         lhs, rhs = lucht_evaluate(fhat, a, cut)
         assert lhs == rhs
+
+
+@PROPERTY
+@given(fhat=st.lists(RATIONALS, min_size=1, max_size=64), a=st.integers(1, 64),
+       data=st.data())
+def test_lucht_identity_property(fhat, a, data):
+    cut = data.draw(st.integers(0, len(fhat)))
+    lhs, rhs = lucht_evaluate(fhat, a, cut)
+    assert lhs == rhs == sum((fhat[q - 1] * csum(q, a) for q in range(1, cut + 1)),
+                             Fraction(0))
 
 
 def test_invert_pure_hand_cases():

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from rlab.arith import ArithmeticFunction
+from rlab.arith import ArithmeticFunction, mu
 from rlab.finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                          high_coefficient_check, low_coefficient_report,
                          tds_to_fre, truncate)
-from conftest import rand_table
+from conftest import PROPERTY, RATIONALS, rand_table
 
 
 def test_hand_examples():
@@ -36,6 +37,29 @@ def test_roundtrip_randomized(rng):
         assert fre_to_tds(e) == t
         e2 = tds_to_fre(fre_to_tds(e))
         assert e2.fhat == e.fhat
+
+
+@PROPERTY
+@given(fprime=st.lists(RATIONALS, min_size=1, max_size=64))
+def test_tds_fre_tds_roundtrip(fprime):
+    q = len(fprime)
+    t = TruncatedDivisorSum(q, fprime)
+    e = tds_to_fre(t)
+    for k in range(1, q + 1):
+        assert e.fhat[k - 1] == sum((fprime[d - 1] / d for d in range(k, q + 1, k)),
+                                    Fraction(0))
+    assert fre_to_tds(e) == t
+
+
+@PROPERTY
+@given(fhat=st.lists(RATIONALS, min_size=1, max_size=64))
+def test_fre_tds_fre_roundtrip(fhat):
+    q = len(fhat)
+    t = fre_to_tds(FiniteExpansion(q, fhat))
+    for d in range(1, q + 1):
+        assert t.fprime[d - 1] == d * sum((fhat[d * k - 1] * mu(k)
+                                           for k in range(1, q // d + 1)), Fraction(0))
+    assert tds_to_fre(t).fhat == fhat
 
 
 def test_pointwise_agreement(rng):

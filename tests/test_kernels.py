@@ -138,6 +138,29 @@ def test_divisor_scatter_matches_definition_and_inverts(kind, data):
         assert out.dtype == np.int64
 
 
+@pytest.mark.parametrize("kind", list(VALUES))
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_mobius_multiples_matches_definition(kind, data):
+    vals = data.draw(st.lists(VALUES[kind], max_size=60))
+    n = len(vals)
+    out = kernels.mobius_multiples(_seq(kind, vals))
+    for d in range(1, n + 1):
+        want = sum(vals[d * k - 1] * mu_brute(k) for k in range(1, n // d + 1))
+        assert _py(out[d]) == want
+    if kind == "int64":
+        assert out.dtype == np.int64
+
+
+@KERNEL_SETTINGS
+@given(vals=st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), NEAR_2_62,
+                               st.integers(2 ** 63, 2 ** 70)), max_size=20))
+def test_int_array_is_int64_exactly_below_2_63(vals):
+    arr = kernels.int_array(vals)
+    assert [int(v) for v in arr] == vals
+    assert (arr.dtype == np.int64) == all(abs(v) < 2 ** 63 for v in vals)
+
+
 @pytest.mark.parametrize("kind", INT_KINDS)
 @KERNEL_SETTINGS
 @given(data=st.data())

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.finite import TruncatedDivisorSum, truncate
@@ -11,7 +12,7 @@ from rlab.shift import (FairnessError, cc_coefficients, carmichael_vs_cc,
                         correlate, cut_correlation, divisor_tail, is_tail_free,
                         l_estimate, qrc, shift_expansion_check, short_average,
                         weak_reef_check)
-from conftest import rand_table
+from conftest import PROPERTY, RATIONALS, rand_table
 
 
 def even_indicator():
@@ -49,6 +50,14 @@ def test_correlate_past_int64():
     c = correlate(f, f, 3, 1)
     assert c.value(1) == 2 ** 81
     assert c.transform(1)[1] == 2 ** 81
+
+
+def test_correlate_tds_past_int64():
+    # F(n) = 2**62 (n odd) or 2**63 (n even): the values alone pass int64
+    f = ArithmeticFunction.from_tds(TruncatedDivisorSum(2, [2 ** 62, 2 ** 62]))
+    c = correlate(f, f, 4, 3)
+    assert [c.value(a) for a in (1, 2, 3)] == [brute_correlation(f, f, 4, a)
+                                               for a in (1, 2, 3)]
 
 
 def test_cache_matches_recomputation(rng):
@@ -131,6 +140,21 @@ def test_split_identity_randomized(rng):
             assert equal, (n_len, a)
 
 
+def _rational_tds(values):
+    return ArithmeticFunction.from_tds(TruncatedDivisorSum(len(values), values))
+
+
+@PROPERTY
+@given(f=st.lists(RATIONALS, min_size=1, max_size=6),
+       g=st.lists(RATIONALS, min_size=1, max_size=6),
+       n_len=st.integers(1, 12), a=st.integers(1, 48))
+def test_split_identity_property(f, g, n_len, a):
+    cut = cut_correlation(_rational_tds(f), _rational_tds(g), n_len, 48)
+    lhs, rhs, equal = shift_expansion_check(cut, a)
+    assert equal
+    assert lhs == brute_correlation(cut.base.f, cut.base.g, n_len, a)
+
+
 def test_cc_even_indicator_hand_value():
     f = even_indicator()
     cut = cut_correlation(f, f, 10, 10)
@@ -207,6 +231,65 @@ def test_l_estimate_direct_oracle():
         brute = sum(csum(q, m) * sum(int(tr[d]) for d in divisors(m) if d > 4)
                     for m in range(1, x + 1))
         assert est.exact[-1] == Fraction(brute, phi(q) * x)
+
+
+def _brute_transform(cut, depth):
+    """C'(N, d) for d = 1..depth from brute-force correlation values."""
+    n = cut.length
+    c = {t: brute_correlation(cut.base.f, cut.base.g, n, t) for t in range(1, depth + 1)}
+    return {d: sum(c[t] * mu(d // t) for t in divisors(d)) for d in range(1, depth + 1)}
+
+
+def _brute_l(tr, q, x, split):
+    """sum_{m<=x} c_q(m) sum_{d|m, d>split} C'(N,d) / (phi(q) x)."""
+    total = sum(csum(q, m) * sum(tr[d] for d in divisors(m) if d > split)
+                for m in range(1, x + 1))
+    return total / Fraction(phi(q) * x)
+
+
+def _rational_tail_instance():
+    # the tail instance over rationals: C(4, a) = 1/6 * 1_{a = 1 mod 3}
+    f = ArithmeticFunction.table([0, Fraction(1, 2)], after="zero")
+    g = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, Fraction(1, 3)]))
+    return cut_correlation(f, g, 4, 64)
+
+
+@PROPERTY
+@given(f=st.lists(RATIONALS, min_size=1, max_size=5),
+       g=st.lists(RATIONALS, min_size=1, max_size=5),
+       n_len=st.integers(2, 6), q=st.integers(1, 7))
+def test_l_estimate_rational_is_exact(f, g, n_len, q):
+    cut = cut_correlation(_rational_tds(f), _rational_tds(g), n_len, n_len)
+    tr = _brute_transform(cut, 40)
+    est = l_estimate(cut, q, [20, 40])
+    assert est.exact == [_brute_l(tr, q, 20, n_len), _brute_l(tr, q, 40, n_len)]
+
+
+def test_weak_reef_rational_residuals_are_exact():
+    cut = _rational_tail_instance()
+    n, a, grid = cut.length, 7, [30, 60]
+    tr = _brute_transform(cut, 60)
+    ghat = cut.ghat()
+    fv = [Fraction(cut.base.f(m)) for m in range(1, n + 1)]
+    cc = [ghat[l - 1] / phi(l) * sum(fv[m - 1] * csum(l, m) for m in range(1, n + 1))
+          for l in range(1, n + 1)]
+    tail = sum(tr[d] for d in divisors(a) if d > n)
+    rep = weak_reef_check(cut, a, grid)
+    assert rep.tail == tail and rep.lhs == brute_correlation(cut.base.f, cut.base.g, n, a)
+    for (x, rhs, residual) in rep.rows:
+        want = tail + sum((cc[q - 1] - _brute_l(tr, q, x, n)) * csum(q, a)
+                          for q in range(1, n + 1))
+        assert isinstance(residual, Fraction) and rhs == want
+        assert residual == rep.lhs - want
+    assert rep.rows[0][2] == Fraction(-1, 360)   # L at x = 30 is not yet its limit
+
+
+def test_carmichael_vs_cc_rational_is_exact():
+    cut = _rational_tail_instance()
+    est = carmichael_vs_cc(cut, 2, [30, 60])
+    for x, got in zip([30, 60], est.exact):
+        assert got == sum(cut.base.value(a) * csum(2, a)
+                          for a in range(1, x + 1)) / Fraction(phi(2) * x)
 
 
 def test_l_estimate_past_int64():

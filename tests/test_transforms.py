@@ -42,6 +42,12 @@ def test_eratosthenes_past_int64():
     assert eratosthenes(f, 2).values == [-2 ** 62, 2 ** 63]
 
 
+def test_eratosthenes_table_past_int64():
+    # the table value itself is past int64, before any kernel runs
+    f = ArithmeticFunction.table([2 ** 64, 1])
+    assert eratosthenes(f, 2).values == [2 ** 64, 1 - 2 ** 64]
+
+
 def test_eratosthenes_domain_error():
     f = ArithmeticFunction.table([1, 2, 3], after="error")
     with pytest.raises(IndexError):
@@ -130,6 +136,14 @@ def test_carmichael_past_int64():
     est = carmichael_estimate(f, 1, [1, 2, 4])
     assert est.exact == [Fraction(3 * 2 ** 61)] * 3
     assert all(e > 0 for e in est.estimates)
+
+
+def test_carmichael_tds_past_int64():
+    # F(n) = 2**62 (n odd) or 2**63 (n even)
+    f = ArithmeticFunction.from_tds(TruncatedDivisorSum(2, [2 ** 62, 2 ** 62]))
+    est = carmichael_estimate(f, 1, [1, 2, 4])
+    assert est.exact == [Fraction(2 ** 62), Fraction(3 * 2 ** 62, 2),
+                         Fraction(3 * 2 ** 62, 2)]
 
 
 def test_carmichael_square_indicator():
