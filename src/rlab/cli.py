@@ -270,17 +270,18 @@ def _cmd_experiment(args) -> int:
             raw = json.load(fh)
         if "name" not in raw:
             raise ConfigError("experiment config needs a 'name'")
+        if "tol" in raw:
+            raise ConfigError("experiment tolerances are per experiment: "
+                              "set params.tol, not a top-level 'tol'")
         cfg = ExperimentConfig(name=raw["name"], params=raw.get("params", {}),
                                seed=raw.get("seed", args.seed),
-                               tol=raw.get("tol", args.tol),
                                out=raw.get("out", args.out),
                                fmt=raw.get("format", args.format),
                                cap_x=raw.get("cap_x", args.cap_x),
                                cap_d=raw.get("cap_d", args.cap_d))
     elif args.name:
-        cfg = ExperimentConfig(name=args.name, seed=args.seed, tol=args.tol,
-                               out=args.out, fmt=args.format,
-                               cap_x=args.cap_x, cap_d=args.cap_d)
+        cfg = ExperimentConfig(name=args.name, seed=args.seed, out=args.out,
+                               fmt=args.format, cap_x=args.cap_x, cap_d=args.cap_d)
     else:
         raise ConfigError("experiment run needs --config or --name")
     record = run_experiment(cfg)
@@ -308,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file or directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="convergence tolerance of `carmichael`; experiments "
+                        "take theirs from params.tol")
     p.add_argument("--cap-x", type=int, default=10 ** 7, dest="cap_x")
     p.add_argument("--cap-d", type=int, default=10 ** 6, dest="cap_d")
     sub = p.add_subparsers(dest="cmd", required=True)

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from . import kernels
 from .arith import ArithmeticFunction, divisors, omega
 from .emit import Table, emit
 from .expansions import (divisor_power_coefficient, dk_local_series,
@@ -25,8 +26,10 @@ from .finite import (TruncatedDivisorSum, fre_to_tds, high_coefficient_check,
                      low_coefficient_report, tds_to_fre)
 from .ramanujan import (RamanujanSumTable, abs_csum_over_q_partial, csum,
                         csum_trig_row, orthogonality_estimate)
-from .shift import (carmichael_vs_cc, cut_correlation, divisor_tail, qrc,
-                    shift_expansion_check, short_average, weak_reef_check)
+from .rational import scale
+from .shift import (carmichael_vs_cc, cut_correlation, divisor_tail,
+                    is_tail_free, qrc, shift_expansion_check, short_average,
+                    weak_reef_check)
 from .transforms import (carmichael_estimate, condition_check, cw_formula_check,
                          nonneg_carmichael_bound, vanishing_tail_search,
                          wintner_coefficient)
@@ -49,7 +52,6 @@ class ExperimentConfig:
     name: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    tol: float = 1e-3
     out: str | None = None
     fmt: str = "csv"
     cap_x: int = 10 ** 7
@@ -57,7 +59,7 @@ class ExperimentConfig:
 
     def canonical(self) -> str:
         blob = {"name": self.name, "params": self.params, "seed": self.seed,
-                "tol": self.tol, "cap_x": self.cap_x, "cap_d": self.cap_d}
+                "cap_x": self.cap_x, "cap_d": self.cap_d}
         return json.dumps(blob, sort_keys=True, default=str)
 
     def digest(self) -> str:
@@ -83,8 +85,8 @@ class RunRecord:
 
     @property
     def passed(self) -> bool:
-        return all(o["status"] in ("pass", "satisfied-at-cut") or
-                   o["status"].startswith("at-cut") for o in self.outcomes)
+        return all(o["status"] == "pass" or o["status"].startswith("at-cut")
+                   for o in self.outcomes)
 
 
 def _ok(check: str, good: bool, detail: str = "") -> dict:
@@ -283,11 +285,12 @@ def _standard_fre(cfg):
     bad = 0
     for _ in range(trials):
         f = ArithmeticFunction.table(_rand_table(rng, nmax), after="zero")
-        n = rng.randint(1, nmax)
-        s = standard_finite_expansion(f, n)
-        if s.reconstruction != Fraction(f(n)):
+        points = {rng.randint(1, nmax) for _ in range(12)} | {1, nmax}
+        if any(standard_finite_expansion(f, n).reconstruction != Fraction(f(n))
+               for n in points):
             bad += 1
-    return [_ok("exact-reconstruction", bad == 0, f"{bad}/{trials} failed")], {}
+    return [_ok("exact-reconstruction", bad == 0,
+                f"{bad}/{trials} tables failed at 12 random points and 1, {nmax}")], {}
 
 
 @experiment("prop2-roundtrip")
@@ -296,6 +299,12 @@ def _prop2(cfg):
     qmax = cfg.get("qmax", 64)
     nmax = cfg.get("nmax", 512)
     rng = random.Random(cfg.seed)
+    # pointwise oracle on scaled numerators, independent of t.eval / e.eval:
+    # tds(n) = sum_{d|n} fprime(d) and fre(n) = sum_q fhat(q) c_q(n), each one
+    # matrix product, compared by cross-multiplying the two denominators
+    n = np.arange(1, nmax + 1)
+    divides = (n[None, :] % np.arange(1, qmax + 1)[:, None] == 0).astype(np.int64)
+    ctab = kernels.csum_block(qmax, nmax)[1:, 1:]
     bad_round = bad_point = 0
     for _ in range(trials):
         q = rng.randint(1, qmax)
@@ -303,16 +312,20 @@ def _prop2(cfg):
         e = tds_to_fre(t)
         if fre_to_tds(e) != t or tds_to_fre(fre_to_tds(e)).fhat != e.fhat:
             bad_round += 1
-        n = rng.randint(1, nmax)
-        if t.eval(n) != e.eval(n):
+        tn, tden = scale(t.fprime)
+        en, eden = scale(e.fhat)
+        tds_vals = np.array(tn, dtype=object) @ divides[:q]
+        fre_vals = np.array(en, dtype=object) @ ctab[:q]
+        if np.any(tds_vals * eden != fre_vals * tden):
             bad_point += 1
     return [_ok("roundtrip-exact", bad_round == 0, f"{bad_round} failures"),
-            _ok("pointwise-sampled", bad_point == 0, f"{bad_point} failures")], {}
+            _ok("pointwise-every-n", bad_point == 0,
+                f"{bad_point} instances fail at some n <= {nmax}")], {}
 
 
 @experiment("property-H")
 def _prop_h(cfg):
-    trials = cfg.get("trials", 30)
+    trials = cfg.get("trials", 40)
     qmax = cfg.get("qmax", 128)
     rng = random.Random(cfg.seed)
     bad = 0
@@ -340,7 +353,7 @@ def _prop_l(cfg):
 
 @experiment("theorem4-roundtrip")
 def _thm4(cfg):
-    trials = cfg.get("trials", 40)
+    trials = cfg.get("trials", 60)
     support = cfg.get("support", 64)
     rng = random.Random(cfg.seed)
     bad = 0
@@ -355,7 +368,7 @@ def _thm4(cfg):
 
 @experiment("lucht-identity")
 def _lucht(cfg):
-    trials = cfg.get("trials", 40)
+    trials = cfg.get("trials", 60)
     support = cfg.get("support", 128)
     amax = cfg.get("amax", 64)
     rng = random.Random(cfg.seed)
@@ -428,11 +441,12 @@ def _cw(cfg):
             ratios = [r.ratio for r in rep.rows if r.ratio is not None]
             for r in rep.rows:
                 t.add(name, q, r.x, r.ratio if r.ratio is not None else "skipped")
-            growing = (len(ratios) >= 3 and
-                       all(b > a for a, b in zip(ratios, ratios[1:])) and
-                       ratios[-1] > 2 * ratios[0])
+            # no ratio at all is no evidence of boundedness either
+            growing = not ratios or (
+                all(b > a for a, b in zip(ratios, ratios[1:])) and
+                ratios[-1] > 2 * ratios[0])
             out.append(_ok(f"bounded-{name}-q{q}", not growing,
-                           f"max ratio {rep.max_ratio:.3g}"))
+                           f"max ratio {rep.max_ratio:.3g} over {len(ratios)} ratios"))
     return out, {"ratios": t}
 
 
@@ -451,7 +465,7 @@ def _conj1(cfg):
     q_lo = cfg.get("q_lo", 2)
     q_hi = cfg.get("q_hi", 8)
     depth = cfg.get("depth", 32)
-    trials = cfg.get("trials", 25)
+    trials = cfg.get("trials", 40)
     out = []
     t = Table(["family", "q_cut", "depth", "nullspace_dim", "candidates", "faults"])
     for q_cut in range(q_lo, q_hi + 1):
@@ -487,7 +501,8 @@ def _rand_int_tds(rng: random.Random, q: int) -> ArithmeticFunction:
 
 @experiment("identity12")
 def _identity12(cfg):
-    trials = cfg.get("trials", 10)
+    trials = cfg.get("trials", 12)
+    amax = 256
     rng = random.Random(cfg.seed)
     bad = []
     for i in range(trials):
@@ -495,15 +510,13 @@ def _identity12(cfg):
         qf, qg = rng.randint(1, 16), rng.randint(1, 16)
         f = ArithmeticFunction.from_tds(TruncatedDivisorSum(qf, _rand_table(rng, qf)))
         g = ArithmeticFunction.from_tds(TruncatedDivisorSum(qg, _rand_table(rng, qg)))
-        amax = 256
         cut = cut_correlation(f, g, n, amax)
-        shifts = {rng.randint(1, amax) for _ in range(6)}
-        shifts.update(a for a in (2 * n, 3 * n) if a <= amax)   # force d | a, d > N
-        for a in shifts:
-            lhs, rhs, equal = shift_expansion_check(cut, a)
-            if not equal:
-                bad.append((i, a))
-    return [_ok("split-identity-exact", not bad, f"failures: {bad[:3]}")], {}
+        a = next((a for a in range(1, amax + 1)
+                  if not shift_expansion_check(cut, a)[2]), None)
+        if a is not None:
+            bad.append((i, a))
+    return [_ok("split-identity-exact", not bad,
+                f"first failing (instance, a <= {amax}): {bad[:3]}")], {}
 
 
 @experiment("cc")
@@ -535,7 +548,7 @@ def _reef(cfg):
     out = []
     # tail-free: even indicator against itself, even length
     f = _even_indicator()
-    cut = cut_correlation(f, f, 10, 10)
+    cut = cut_correlation(f, f, 10, 12)
     rep = weak_reef_check(cut, 6, lgrid)
     out.append(_ok("tail-free-exact", rep.tail_free and rep.exact_reef,
                    f"tail_free={rep.tail_free}, residuals={rep.residuals}"))
@@ -546,12 +559,13 @@ def _reef(cfg):
     cut2 = cut_correlation(f2, g2, n, 64)
     coeffs = qrc(cut2, n)
     bad = []
-    for a in (5, 10, 20, 25):
+    for a in (5, 7, 10, 20, 25, 50):
         lhs = Fraction(cut2.base.value(a))
         main = sum(coeffs.get(q) * csum(q, a) for q in range(1, n + 1))
         tail = divisor_tail(cut2, a)
         if lhs - main != tail or (a == 5 and tail == 0):
             bad.append(a)
+    out.append(_ok("transform-mass-past-N", not is_tail_free(cut2, 64)))
     out.append(_ok("deviation-equals-tail", not bad, f"failing a: {bad}"))
     return out, {}
 
@@ -596,7 +610,7 @@ def _short_avg(cfg):
 @experiment("concordance-thm8")
 def _thm8(cfg):
     cut = cfg.get("cut", 10 ** 4)
-    grid = cfg.get("grid", [10 ** 4, 10 ** 5, 10 ** 6])
+    grid = cfg.get("grid", [10 ** 6 // 4, 10 ** 6 // 2, 10 ** 6])
     cfg.check_caps(x=max(grid), d=cut)
     out = []
     t = Table(["function", "q", "carmichael", "wintner_partial", "gap"])
@@ -604,13 +618,19 @@ def _thm8(cfg):
     sd = condition_check("SD", f.tds.fprime, cut)
     out.append(_at_cut("slow-decay-inverse-square", sd.verdict))
     worst = 0.0
-    for q in range(1, 6):
+    past_tail = []
+    for q in range(1, 11):
         est = carmichael_estimate(f, q, grid)
-        win, _ = wintner_coefficient(f.tds.fprime, q, cut)
+        # |fprime(d)| = d^-2 bounds the Wintner tail past the cut
+        win, tail = wintner_coefficient(f.tds.fprime, q, cut, decay_hint=(1.0, 2.0))
         gap = abs(est.final - float(win))
         worst = max(worst, gap)
+        if not gap < 1e-3 + tail:
+            past_tail.append(q)
         t.add("inverse-square", q, est.final, float(win), gap)
-    out.append(_ok("concordance-inverse-square", worst < 1e-2, f"worst {worst:.3g}"))
+    out.append(_ok("concordance-inverse-square", worst < 1e-3, f"worst {worst:.3g}"))
+    out.append(_ok("concordance-within-tail-bound", not past_tail,
+                   f"q past 1e-3 + tail: {past_tail}"))
     # slow decay without summability: fprime(d) = 1/log(d+1)
     log_grid = cfg.get("log_grid", [10 ** 3, 10 ** 4, 10 ** 5])
     xmax = log_grid[-1]

@@ -70,17 +70,18 @@ class Correlation:
         return self
 
     def transform(self, depth: int):
-        """C'(N, d) = sum_{t|d} C(N, t) mu(d/t) for d = 1..depth (1-based
-        entry d at index d; index 0 unused)."""
+        """C'(N, d) = sum_{t|d} C(N, t) mu(d/t) for d = 1..amax once the cache
+        reaches depth (1-based entry d at index d; index 0 unused).  Built once
+        over the whole cached depth and kept until ensure_depth deepens it."""
         self.ensure_depth(depth)
-        if self._transform is not None and len(self._transform) - 1 >= depth:
+        if self._transform is not None:
             return self._transform
         if self.is_integer:
-            c = np.zeros(depth + 1, dtype=self.values.dtype)
-            c[1:] = self.values[:depth]
+            c = np.zeros(self.amax + 1, dtype=self.values.dtype)
+            c[1:] = self.values
             self._transform = kernels.mobius_transform_int(c)
         else:
-            c = np.array([Fraction(0)] + [Fraction(v) for v in self.values[:depth]],
+            c = np.array([Fraction(0)] + [Fraction(v) for v in self.values],
                          dtype=object)
             self._transform = kernels.mobius_transform_int(c).tolist()
         return self._transform

@@ -1,35 +1,37 @@
 """Acceptance suite: every exit criterion at its stated scale and tolerance.
 
-Each test prints one pass/fail line (run with -s to watch them stream).  All
-identity-grade checks are exact; tolerance checks pin the documented bounds.
+Criteria 01-19 are registry experiments run at their default params, so
+`rlab experiment run --name <name>` is the same check as the criterion.  Each
+test prints one pass/fail line plus the record's outcome lines (run with -s to
+watch them stream).
 """
 
-import math
-import random
-from fractions import Fraction
-
-import numpy as np
-import pytest
-
-from rlab import kernels
-from rlab.arith import ArithmeticFunction, divisors, omega
-from rlab.expansions import (dk_local_series, divisor_power_coefficient,
-                             invert_pure_coefficients, lucht_evaluate,
-                             standard_finite_expansion,
-                             wintner_delange_reconstruct, wintner_delange_table)
-from rlab.finite import TruncatedDivisorSum, fre_to_tds, tds_to_fre
-from rlab.ramanujan import (RamanujanSumTable, abs_csum_over_q_partial, csum,
-                            csum_trig_row, orthogonality_estimate)
-from rlab.shift import (carmichael_vs_cc, cut_correlation, divisor_tail,
-                        is_tail_free, qrc, shift_expansion_check,
-                        weak_reef_check)
-from rlab.transforms import (carmichael_estimate, cw_formula_check,
-                             nonneg_carmichael_bound, vanishing_tail_search,
-                             wintner_coefficient)
 from rlab.experiments import ExperimentConfig, run_experiment
-from conftest import rand_table
 
 SEED = 20170919
+
+# criterion number -> (test name, experiment name)
+CRITERIA = {
+    1: ("triple_agreement", "lemma1-grid"),
+    2: ("indicator_identities", "eq2-grid"),
+    3: ("delange_bound", "delange-bound"),
+    4: ("divergence_trend", "prop1-divergence"),
+    5: ("orthogonality", "orthogonality"),
+    6: ("reconstruction", "wintner-delange"),
+    7: ("coefficient_concordance", "concordance-thm8"),
+    8: ("standard_finite_expansion", "standard-fre"),
+    9: ("duality_roundtrip", "prop2-roundtrip"),
+    10: ("high_coefficients", "property-H"),
+    11: ("pure_inversion_roundtrip", "theorem4-roundtrip"),
+    12: ("lucht_identity", "lucht-identity"),
+    13: ("divisor_coefficients", "dK-coefficients"),
+    14: ("split_identity", "identity12"),
+    15: ("cc_vs_numerical", "cc"),
+    16: ("reef_exactness", "reef"),
+    17: ("cw_ratio_bounded", "cw-formula"),
+    18: ("nonneg_mean_dominance", "lemma2"),
+    19: ("vanishing_tail_search", "conjecture1"),
+}
 
 
 def report(num, name, ok, detail=""):
@@ -38,314 +40,20 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num}: {name} {detail}"
 
 
-@pytest.fixture(scope="module")
-def table512():
-    return RamanujanSumTable.build(512, 512)
+def _criterion(num, name):
+    def test():
+        rec = run_experiment(ExperimentConfig(name, seed=SEED))
+        lines = [f"{o['check']}: {o['status']}"
+                 + (f" ({o['detail']})" if o["detail"] else "")
+                 for o in rec.outcomes]
+        report(num, name, rec.passed, "; ".join(lines))
+    return test
 
 
-def test_c01_triple_agreement(table512):
-    qmax = nmax = 512
-    bad = 0
-    worst = 0.0
-    for q in range(1, qmax + 1):
-        row = table512.values[q, : nmax + 1]
-        closed = np.array([csum(q, n) for n in range(nmax + 1)])
-        if not np.array_equal(row, closed):
-            bad += 1
-        err = float(np.max(np.abs(csum_trig_row(q, nmax) - row)))
-        worst = max(worst, err)
-    report(1, "triple-formula agreement q,n <= 512", bad == 0 and worst < 1e-6,
-           f"max trig err {worst:.2e}")
-
-
-def test_c02_indicator_identities(table512):
-    qmax = nmax = 512
-    n = np.arange(nmax + 1)
-    bad = 0
-    for q in range(1, qmax + 1):
-        total = np.zeros(nmax + 1, dtype=np.int64)
-        for d in divisors(q):
-            total += table512.values[d, n % d]
-        if not np.array_equal(total, np.where(n % q == 0, q, 0)):
-            bad += 1
-    report(2, "divisor-sum indicator identity q,n <= 512", bad == 0)
-
-
-def test_c03_delange_bound():
-    tab = RamanujanSumTable.build(300, 300)
-    n = np.arange(301)
-    bad = 0
-    for d in range(1, 301):
-        lhs = np.zeros(301, dtype=np.int64)
-        for l in divisors(d):
-            lhs += np.abs(tab.values[l, n % l])
-        if np.any(lhs[1:] > n[1:] * 2 ** omega(d)):
-            bad += 1
-    report(3, "divisor bound on |c| sums, d,n <= 300", bad == 0)
-
-
-def test_c04_divergence_trend():
-    worst = float("inf")
-    for n in range(1, 11):
-        lo, hi = abs_csum_over_q_partial(n, [10 ** 3, 10 ** 5])
-        worst = min(worst, hi - lo)
-    report(4, "weighted |c| partials grow by > 0.3 per n <= 10", worst > 0.3,
-           f"min growth {worst:.3f}")
-
-
-def test_c05_orthogonality():
-    x = 10 ** 6
-    grid = [x // 4, x // 2, x]
-    worst = 0.0
-    for q in range(1, 21):
-        for l in range(1, 21):
-            for n in range(1, 11):
-                est = orthogonality_estimate(q, l, n, grid)
-                worst = max(worst, abs(est.final - est.target))
-    report(5, "orthogonality at x = 1e6, q,l <= 20, n <= 10", worst < 1e-2,
-           f"worst gap {worst:.2e}")
-
-
-def _inverse_square(cut):
-    return ArithmeticFunction.from_tds(
-        TruncatedDivisorSum(cut, [Fraction(1, d * d) for d in range(1, cut + 1)]))
-
-
-def test_c06_reconstruction():
-    cut = 10 ** 4
-    f = _inverse_square(cut)
-    table = wintner_delange_table(f, cut)
-    worst = 0.0
-    for n in range(1, 51):
-        worst = max(worst, wintner_delange_reconstruct(f, n, cut, table=table).abs_gap)
-    report(6, "pointwise reconstruction at cut 1e4, n <= 50", worst < 1e-6,
-           f"max |gap| {worst:.2e}")
-
-
-def test_c07_coefficient_concordance():
-    cut = 10 ** 4
-    f = _inverse_square(cut)
-    x = 10 ** 6
-    worst = 0.0
-    for q in range(1, 11):
-        est = carmichael_estimate(f, q, [x // 4, x // 2, x])
-        win, tail = wintner_coefficient(f.tds.fprime, q, cut, decay_hint=(1.0, 2.0))
-        gap = abs(est.final - float(win))
-        assert gap < 1e-3 + tail, (q, gap, tail)
-        worst = max(worst, gap)
-    report(7, "average-vs-series concordance q <= 10 at x = 1e6", worst < 1e-3,
-           f"worst gap {worst:.2e}")
-
-
-def test_c08_standard_finite_expansion():
-    rng = random.Random(SEED)
-    bad = 0
-    for trial in range(100):
-        length = 200
-        f = ArithmeticFunction.table(rand_table(rng, length), after="zero")
-        points = {rng.randint(1, length) for _ in range(12)} | {1, length}
-        for n in points:
-            s = standard_finite_expansion(f, n)
-            if s.reconstruction != Fraction(f(n)):
-                bad += 1
-    report(8, "point-adapted finite expansion exact, 100 tables, n <= 200",
-           bad == 0, f"{bad} mismatches")
-
-
-def test_c09_duality_roundtrip():
-    rng = random.Random(SEED)
-    tab = kernels.csum_block(64, 512)
-    small_divs = [[] for _ in range(513)]
-    for d in range(1, 65):
-        for m in range(d, 513, d):
-            small_divs[m].append(d)
-    bad_round = bad_point = 0
-    for _ in range(500):
-        q = rng.randint(1, 64)
-        t = TruncatedDivisorSum(q, rand_table(rng, q))
-        e = tds_to_fre(t)
-        if fre_to_tds(e) != t:
-            bad_round += 1
-        for n in range(1, 513):
-            tds_val = sum((t.fprime[d - 1] for d in small_divs[n] if d <= q),
-                          Fraction(0))
-            fre_val = sum((e.fhat[qq - 1] * int(tab[qq, n % qq])
-                           for qq in range(1, q + 1)), Fraction(0))
-            if tds_val != fre_val:
-                bad_point += 1
-                break
-    report(9, "duality roundtrip + pointwise, 500 instances, n <= 512",
-           bad_round == 0 and bad_point == 0,
-           f"{bad_round} roundtrip, {bad_point} pointwise failures")
-
-
-def test_c10_high_coefficients():
-    from rlab.finite import high_coefficient_check
-    rng = random.Random(SEED)
-    bad = 0
-    for _ in range(40):
-        q = rng.randint(2, 128)
-        f = ArithmeticFunction.table(rand_table(rng, q), after="zero")
-        if not high_coefficient_check(f, q).ok:
-            bad += 1
-    report(10, "high coefficients equal fprime(q)/q, Q <= 128", bad == 0)
-
-
-def test_c11_pure_inversion_roundtrip():
-    rng = random.Random(SEED)
-    bad = 0
-    for _ in range(60):
-        q = rng.randint(1, 64)
-        if not invert_pure_coefficients(rand_table(rng, q)).win_check:
-            bad += 1
-    report(11, "pure-coefficient inversion roundtrip, support <= 64", bad == 0)
-
-
-def test_c12_lucht_identity():
-    rng = random.Random(SEED)
-    bad = 0
-    for _ in range(60):
-        support = rng.randint(1, 128)
-        fhat = rand_table(rng, support)
-        a = rng.randint(1, 64)
-        cut = rng.randint(1, support)
-        lhs, rhs = lucht_evaluate(fhat, a, cut)
-        if lhs != rhs:
-            bad += 1
-    report(12, "resummation identity exact, support <= 128, a <= 64", bad == 0)
-
-
-def test_c13_divisor_coefficients():
-    worst_k1 = 0.0
-    for n in range(2, 101):
-        got = divisor_power_coefficient(n, 1).value
-        want = -math.log(n) / n
-        worst_k1 = max(worst_k1, abs(got - want) / abs(want))
-    worst_series = 0.0
-    for k in range(1, 5):
-        for p in (2, 3, 5, 7, 11, 13):
-            for l in range(1, 5):
-                closed = float(dk_local_series(p, l, k))
-                partial = sum(math.comb(k + lam - 1, k - 1) * float(p) ** (l - lam)
-                              for lam in range(l, l + 1000))
-                worst_series = max(worst_series, abs(closed - partial) / partial)
-    report(13, "K-divisor coefficients: K=1 closed form + local series",
-           worst_k1 < 1e-12 and worst_series < 1e-10,
-           f"rel errs {worst_k1:.1e}, {worst_series:.1e}")
-
-
-def test_c14_split_identity():
-    rng = random.Random(SEED)
-    bad = 0
-    for _ in range(12):
-        n_len = rng.randint(8, 64)
-        qf, qg = rng.randint(1, 16), rng.randint(1, 16)
-        f = ArithmeticFunction.from_tds(TruncatedDivisorSum(qf, rand_table(rng, qf)))
-        g = ArithmeticFunction.from_tds(TruncatedDivisorSum(qg, rand_table(rng, qg)))
-        cut = cut_correlation(f, g, n_len, 256)
-        for a in range(1, 257):
-            lhs, rhs, equal = shift_expansion_check(cut, a)
-            if not equal:
-                bad += 1
-                break
-    report(14, "shift split identity exact, 12 instances, a <= 256", bad == 0)
-
-
-def _even_indicator():
-    return ArithmeticFunction.from_tds(TruncatedDivisorSum(2, [0, 1]))
-
-
-def _random_int_tds(rng, q):
-    vals = [rng.randint(-3, 3) for _ in range(q)]
-    if not any(vals):
-        vals[0] = 1
-    return ArithmeticFunction.from_tds(TruncatedDivisorSum(q, vals))
-
-
-def test_c15_cc_vs_numerical():
-    rng = random.Random(SEED)
-    x = 10 ** 5
-    grid = [x // 4, x // 2, x]
-    instances = [(_even_indicator(), _even_indicator(), 10)]
-    for _ in range(2):
-        instances.append((_random_int_tds(rng, rng.randint(2, 8)),
-                          _random_int_tds(rng, rng.randint(2, 8)),
-                          rng.randint(8, 16)))
-    worst_rel = 0.0
-    for f, g, n_len in instances:
-        cut = cut_correlation(f, g, n_len, n_len)
-        for l in (1, 2, 3):
-            est = carmichael_vs_cc(cut, l, grid)
-            gap = abs(est.final - est.target)
-            assert gap < 1e-2 * n_len, (n_len, l, gap)
-            worst_rel = max(worst_rel, gap / n_len)
-    report(15, "shift-coefficient formula vs average at x = 1e5",
-           worst_rel < 1e-2, f"worst gap/N {worst_rel:.2e}")
-
-
-def test_c16_reef_exactness():
-    f = _even_indicator()
-    cut = cut_correlation(f, f, 10, 12)
-    rep = weak_reef_check(cut, 6, [10 ** 3, 10 ** 4])
-    ok_free = rep.tail_free and rep.exact_reef
-    # constructed instance with transform mass past N
-    f2 = ArithmeticFunction.table([0, 1], after="zero")
-    g2 = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, 1]))
-    cut2 = cut_correlation(f2, g2, 4, 64)
-    coeffs = qrc(cut2, 4)
-    ok_tail = not is_tail_free(cut2, 64)
-    saw_nonzero_tail = False
-    for a in (5, 7, 10, 25, 50):
-        lhs = Fraction(cut2.base.value(a))
-        main = sum(coeffs.get(q) * csum(q, a) for q in range(1, 5))
-        tail = divisor_tail(cut2, a)
-        saw_nonzero_tail = saw_nonzero_tail or tail != 0
-        if lhs - main != tail:
-            ok_tail = False
-    report(16, "explicit formula exact when tail-free; deviation = tail otherwise",
-           ok_free and ok_tail and saw_nonzero_tail)
-
-
-def test_c17_cw_ratio_bounded():
-    grid = [10 ** 3, 2 * 10 ** 3, 10 ** 4, 2 * 10 ** 4, 10 ** 5, 2 * 10 ** 5]
-    ok = True
-    bound = 0.0
-    for name in ("one", "d_2", "id"):
-        f = ArithmeticFunction.builtin(name)
-        for q in range(1, 6):
-            rep = cw_formula_check(f, q, grid)
-            ratios = [r.ratio for r in rep.rows if r.ratio is not None]
-            bound = max(bound, rep.max_ratio)
-            growing = (all(b > a for a, b in zip(ratios, ratios[1:]))
-                       and ratios[-1] > 2 * ratios[0])
-            ok = ok and not growing
-    report(17, "approximate-formula ratio bounded, q <= 5, three builtins",
-           ok, f"recorded bound {bound:.3g}")
-
-
-def test_c18_nonneg_mean_dominance():
-    f = ArithmeticFunction.builtin("indicator-squares")
-    rep = nonneg_carmichael_bound(f, [10 ** 4, 10 ** 5, 10 ** 6], qmax=10)
-    report(18, "nonnegative mean dominance exact at every grid point", rep.ok,
-           f"{len(rep.rows)} inequalities")
-
-
-def test_c19_vanishing_tail_search():
-    ok = True
-    detail = []
-    for q_cut in range(2, 9):
-        rep = vanishing_tail_search("free", q_cut, 32)
-        if rep.nullspace_dim != 0 or rep.candidates:
-            ok = False
-            detail.append(f"free q={q_cut}: dim {rep.nullspace_dim}, "
-                          f"candidates {rep.candidates}")
-    for family in ("completely-multiplicative", "nonnegative"):
-        rep = vanishing_tail_search(family, 2, 32, trials=40, seed=SEED)
-        if rep.faults:
-            ok = False
-            detail.append(f"{family} faults: {rep.faults}")
-    report(19, "vanishing-tail search: trivial nullspace, no counterexamples",
-           ok, "; ".join(detail) if detail else "")
+for _num, (_label, _name) in CRITERIA.items():
+    _test = _criterion(_num, _name)
+    _test.__name__ = f"test_c{_num:02d}_{_label}"
+    globals()[_test.__name__] = _test
 
 
 def test_c20_determinism():

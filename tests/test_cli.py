@@ -183,6 +183,14 @@ def test_experiment_config_file(tmp_path, capsys):
     assert main(["experiment", "run", "--config", str(cfg)]) == 0
 
 
+def test_experiment_config_top_level_tol_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "lucht-identity", "tol": 1e-9,
+                               "params": {"trials": 2}}))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 2
+    assert "params.tol" in capsys.readouterr().err
+
+
 def test_experiment_artifacts(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "prop1-divergence",

@@ -1,12 +1,16 @@
-"""Experiment harness: registry coverage, determinism, error categories."""
+"""Experiment harness: registry coverage, oracle independence, error categories."""
+
+from fractions import Fraction
 
 import pytest
 
+from rlab import experiments, shift
 from rlab.emit import Table, emit, format_cell
 from rlab.experiments import (ConfigError, ExperimentConfig, ResourceCapError,
                               UnknownExperimentError, experiment_names,
                               run_experiment)
-from fractions import Fraction
+from rlab.finite import FiniteExpansion
+from rlab.shift import ShiftCoefficients
 
 REQUIRED = [
     "lemma1-grid", "eq2-grid", "delange-bound", "orthogonality",
@@ -60,22 +64,35 @@ def test_identity12_seed7_all_pass():
     assert rec.passed
 
 
-def test_determinism_exact_suites():
-    for name, params in (("standard-fre", {"trials": 15}),
-                         ("prop2-roundtrip", {"trials": 20}),
-                         ("conjecture1", {"q_hi": 3, "trials": 8}),
-                         ("identity12", {"trials": 2})):
-        a = run_experiment(ExperimentConfig(name=name, seed=42, params=params))
-        b = run_experiment(ExperimentConfig(name=name, seed=42, params=params))
-        assert a.outcomes == b.outcomes
-        assert a.config_hash == b.config_hash
+def test_prop2_pointwise_oracle_is_independent(monkeypatch):
+    real = experiments.tds_to_fre
+
+    def perturbed(t):
+        e = real(t)
+        fhat = list(e.fhat)
+        fhat[-1] += Fraction(1, 7)
+        return FiniteExpansion(e.range, fhat)
+
+    monkeypatch.setattr(experiments, "tds_to_fre", perturbed)
+    rec = run_experiment(ExperimentConfig(
+        name="prop2-roundtrip", seed=3, params={"trials": 5, "nmax": 64}))
+    status = {o["check"]: o["status"] for o in rec.outcomes}
+    assert status["pointwise-every-n"] == "fail"
 
 
-def test_determinism_float_suite():
-    cfg = dict(name="prop1-divergence", params={"nmax": 3})
-    a = run_experiment(ExperimentConfig(**cfg))
-    b = run_experiment(ExperimentConfig(**cfg))
-    assert a.outcomes == b.outcomes
+def test_identity12_detects_perturbed_qrc(monkeypatch):
+    real = shift.qrc
+
+    def perturbed(cut, q_cut):
+        c = real(cut, q_cut)
+        entries = list(c.entries)
+        entries[0] += Fraction(1, 7)
+        return ShiftCoefficients(c.length, c.q_cut, entries)
+
+    monkeypatch.setattr(shift, "qrc", perturbed)
+    rec = run_experiment(ExperimentConfig(
+        name="identity12", seed=3, params={"trials": 1}))
+    assert [o["status"] for o in rec.outcomes] == ["fail"]
 
 
 def test_emit_formats(tmp_path):
