@@ -2,10 +2,13 @@
 
 Factorization is deterministic trial division against a sieved prime list
 (covers n <= 1e12, since the cofactor left after dividing out primes <= 1e6
-is prime), with Pollard rho above that.  Arithmetic functions are modeled by
-a closed builtin registry plus user tables and truncated divisor sums; values
-are ints, Fractions, or floats (floats only for the von Mangoldt function,
-which is excluded from exact-identity work).
+is prime), with Pollard rho above that.  `factor` is memoised: one bounded
+`lru_cache` keeps the 4096 most recently factored values, so callers such as
+`mu`, `phi` and the closed form of c_q(n) factor each modulus once; the
+shared `FactoredInteger` results are frozen.  Arithmetic functions are
+modeled by a closed builtin registry plus user tables and truncated divisor
+sums; values are ints, Fractions, or floats (floats only for the von
+Mangoldt function, which is excluded from exact-identity work).
 """
 
 from dataclasses import dataclass
@@ -76,8 +79,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return d
 
 
+@lru_cache(maxsize=4096, typed=True)
 def factor(n: int) -> FactoredInteger:
-    """Deterministic factorization of n >= 1."""
+    """Deterministic factorization of n >= 1 (memoised)."""
     if n < 1:
         raise ValueError(f"factor requires n >= 1, got {n}")
     m = n

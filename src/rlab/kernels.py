@@ -10,10 +10,10 @@ also take object arrays as they stand.
 Exact rational sequences reach the integer kernels as scaled numerators
 (`rational.scale`, then `int_array`): `fre_to_tds` and the values of a
 t.d.s. in finite, the right-hand side of Lucht's identity in expansions, the
-correlations, Carmichael averages and L(q) estimates in shift, and the
-Carmichael sums in transforms.  The Moebius transforms of `eratosthenes` on
-rational tables and of `Correlation.transform` on rational correlations run
-on object arrays of Fractions.
+correlations, their Moebius transforms, Carmichael averages and L(q)
+estimates in shift, and the Eratosthenes transform and Carmichael sums in
+transforms.  Only `eratosthenes` on sources with nonzero float values still
+runs a transform on an object array.
 """
 
 from functools import lru_cache

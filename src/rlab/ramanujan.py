@@ -48,12 +48,21 @@ def csum_trig_form(q: int, n: int) -> float:
 
 
 def csum_trig_row(q: int, nmax: int) -> np.ndarray:
-    """Cosine-sum values c_q(n) for n = 0..nmax, vectorized over n."""
+    """Cosine-sum values c_q(n) for n = 0..nmax.
+
+    The sum has period q in n, so it evaluates one period only: the cosines
+    cos(2 pi k / q), k < q, go into a table once, the coprime residues j are
+    summed for each r < min(q, nmax + 1), and the period is tiled by n % q.
+    Each term is the same float as in the cosine sum over every (j, n).
+    """
+    if q < 1:
+        raise ValueError(f"modulus q >= 1 required, got {q}")
     j = np.arange(1, q + 1, dtype=np.int64)
     coprime = j[np.gcd(j, q) == 1]
-    n = np.arange(nmax + 1, dtype=np.int64)
-    angles = 2.0 * pi * ((coprime[:, None] * (n[None, :] % q)) % q) / q
-    return np.cos(angles).sum(axis=0)
+    table = np.cos(2.0 * pi * np.arange(q, dtype=np.int64) / q)
+    r = np.arange(min(q, nmax + 1), dtype=np.int64)
+    period = table[(coprime[:, None] * r[None, :]) % q].sum(axis=0)
+    return period[np.arange(nmax + 1, dtype=np.int64) % q]
 
 
 @lru_cache(maxsize=4096)

@@ -76,14 +76,11 @@ class Correlation:
         self.ensure_depth(depth)
         if self._transform is not None:
             return self._transform
-        if self.is_integer:
-            c = np.zeros(self.amax + 1, dtype=self.values.dtype)
-            c[1:] = self.values
-            self._transform = kernels.mobius_transform_int(c)
-        else:
-            c = np.array([Fraction(0)] + [Fraction(v) for v in self.values],
-                         dtype=object)
-            self._transform = kernels.mobius_transform_int(c).tolist()
+        nums, den = scale(self.values)
+        c = np.insert(kernels.int_array(nums), 0, 0)
+        self._transform = kernels.mobius_transform_int(c)
+        if not self.is_integer:
+            self._transform = [Fraction(int(v), den) for v in self._transform]
         return self._transform
 
 
@@ -111,6 +108,7 @@ class CutCorrelation:
     remainder: list                   # C_{f,g}(N,a) - C_{f,g_N}(N,a), per a
     fair: bool = True
     _ghat: list = field(default=None, repr=False)
+    _coeffs: object = field(default=None, repr=False)
 
     @property
     def length(self) -> int:
@@ -121,6 +119,13 @@ class CutCorrelation:
         if self._ghat is None:
             self._ghat = tds_to_fre(self.g_truncated).fhat
         return self._ghat
+
+    def coefficients(self) -> "ShiftCoefficients":
+        """qrc(self, N), computed once: entries q <= N read C'(N, d) for
+        d <= N only, which a deeper shift cache leaves unchanged."""
+        if self._coeffs is None:
+            self._coeffs = qrc(self, self.length)
+        return self._coeffs
 
 
 def cut_correlation(f, g, length: int, amax: int, fair=None) -> CutCorrelation:
@@ -170,11 +175,11 @@ def shift_expansion_check(cut: CutCorrelation, a: int):
     A finite Moebius-inversion identity: equal must hold for every exact input.
     """
     n = cut.length
-    coeffs = qrc(cut, n)
+    coeffs = cut.coefficients()
     tail = divisor_tail(cut, a)     # deepens the cache to a before reading C(N, a)
     lhs = Fraction(cut.base.value(a))
     main = exact_dot((coeffs.get(q) for q in range(1, n + 1)),
-                     (csum(q, a) for q in range(1, n + 1)))
+                     (int(csum_period(q)[a % q]) for q in range(1, n + 1)))
     rhs = main + tail
     return lhs, rhs, lhs == rhs
 

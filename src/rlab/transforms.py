@@ -53,11 +53,18 @@ def eratosthenes(f, bound: int) -> EratosthenesTransform:
         return EratosthenesTransform(f, bound, [int(v) for v in out[1:]])
     fv = [f(n) for n in range(1, bound + 1)] if not isinstance(f, ArithmeticFunction) \
         else list(f.eval_range(bound))
-    # exact values become Fractions; nonzero floats stay inexact
-    c = np.array([Fraction(0)] + [v if isinstance(v, float) and v else Fraction(
-        int(v) if isinstance(v, np.integer) else v) for v in fv], dtype=object)
+    if any(isinstance(v, float) and v for v in fv):
+        # nonzero floats stay inexact: the transform runs on an object array
+        c = np.array([Fraction(0)] + [v if isinstance(v, float) and v else Fraction(
+            int(v) if isinstance(v, np.integer) else v) for v in fv], dtype=object)
+        out = kernels.mobius_transform_int(c)[1:]
+    else:
+        # exact values: the integer kernel runs on their scaled numerators
+        nums, den = scale([Fraction(v) if isinstance(v, float) else v for v in fv])
+        out = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0))[1:]
+        out = [Fraction(int(v), den) for v in out]
     vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-            for v in kernels.mobius_transform_int(c)[1:]]
+            for v in out]
     return EratosthenesTransform(f, bound, vals)
 
 

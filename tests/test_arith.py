@@ -1,6 +1,8 @@
 """Integer primitives against brute-force oracles."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,35 @@ def test_factor_matches_trial_division_grid():
             assert e >= 1
             prod *= p ** e
         assert prod == n
+
+
+def test_factor_repeated_and_interleaved_calls_match_trial_division():
+    rng = random.Random(11)
+    # repeats, then more distinct values than the memo holds, then revisits
+    ns = [rng.randint(1, 3000) for _ in range(3000)]
+    ns += [n for pair in zip(range(1, 3001), range(9000, 6000, -1)) for n in pair]
+    ns += [rng.randint(1, 9000) for _ in range(3000)]
+    for n in ns:
+        fs = factor(n)
+        assert fs.n == n
+        assert list(fs.factors) == trial_division(n)
+
+
+def test_factored_integer_refuses_assignment():
+    fs = factor(360)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs.factors = ((2, 1),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fs.n = 7
+    assert factor(360).factors == ((2, 3), (3, 2), (5, 1))
+
+
+def test_factor_zero_raises_after_cached_calls():
+    for n in (1, 2, 12, 97, 360):
+        factor(n)
+    for bad in (0, -5, 0, -1):
+        with pytest.raises(ValueError):
+            factor(bad)
 
 
 def test_factor_large_semiprime():

@@ -2,19 +2,21 @@
 the classical identities hold exactly on grids."""
 
 import math
-from math import gcd
+from math import gcd, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rlab import kernels
 from rlab.arith import divisors, mu, phi
 from rlab.ramanujan import (RamanujanSumTable, abs_csum_over_q_partial,
                             cross_sum, csum, csum_divisor_form,
                             csum_multiple_sum, csum_period, csum_prefix_sum,
-                            csum_trig_form, delange_bound_check,
+                            csum_trig_form, csum_trig_row, delange_bound_check,
                             divisibility_indicator_check,
                             orthogonality_estimate)
+from conftest import PROPERTY
 
 
 def brute_divisor_form(q, n):
@@ -67,6 +69,30 @@ def test_rejects_bad_modulus():
         csum(0, 5)
     with pytest.raises(ValueError):
         csum_divisor_form(-2, 5)
+    with pytest.raises(ValueError):
+        csum_trig_row(0, 5)
+
+
+def trig_row_by_definition(q, nmax):
+    """sum_{j <= q, (j, q) = 1} cos(2 pi (j n mod q) / q) for n = 0..nmax,
+    every term evaluated on its own, summed in j order.  Each cosine comes
+    from np.cos, the ufunc the row uses, so equality is exact."""
+    row = []
+    for n in range(nmax + 1):
+        acc = 0.0
+        for j in range(1, q + 1):
+            if gcd(j, q) == 1:
+                acc += float(np.cos(2.0 * pi * ((j * n) % q) / q))
+        row.append(acc)
+    return np.array(row)
+
+
+@PROPERTY
+@given(st.integers(1, 256).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(0, 3 * q))))
+def test_trig_row_equals_definition(qn):
+    q, nmax = qn
+    assert np.array_equal(csum_trig_row(q, nmax), trig_row_by_definition(q, nmax))
 
 
 def test_triple_agreement_grid():

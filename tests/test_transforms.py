@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from rlab.arith import ArithmeticFunction, divisors, phi
+from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.finite import TruncatedDivisorSum
 from rlab.ramanujan import csum
 from rlab.transforms import (CoefficientSeq, carmichael_estimate,
@@ -14,7 +15,7 @@ from rlab.transforms import (CoefficientSeq, carmichael_estimate,
                              nonneg_carmichael_bound, rational_nullspace,
                              vanishing_tail_search, wintner_cm_shortcut,
                              wintner_coefficient, wintner_table)
-from conftest import rand_table
+from conftest import PROPERTY, RATIONALS, rand_table
 
 
 def test_eratosthenes_examples():
@@ -46,6 +47,42 @@ def test_eratosthenes_table_past_int64():
     # the table value itself is past int64, before any kernel runs
     f = ArithmeticFunction.table([2 ** 64, 1])
     assert eratosthenes(f, 2).values == [2 ** 64, 1 - 2 ** 64]
+
+
+def eratosthenes_by_definition(values) -> list:
+    """sum_{t|d} F(t) mu(d/t) for d = 1..len(values), term by term."""
+    return [sum(values[t - 1] * mu(d // t) for t in divisors(d))
+            for d in range(1, len(values) + 1)]
+
+
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=80))
+def test_eratosthenes_scaled_matches_definition(vals):
+    want = eratosthenes_by_definition([Fraction(v) for v in vals])
+    for source in (ArithmeticFunction.table(vals), lambda n: vals[n - 1]):
+        got = eratosthenes(source, len(vals)).values
+        assert got == want
+        # ints where the value's denominator is 1, Fractions otherwise
+        assert [type(v) for v in got] == [
+            int if v.denominator == 1 else Fraction for v in want]
+
+
+def test_eratosthenes_zero_floats_stay_exact():
+    got = eratosthenes(lambda n: [0.0, Fraction(1, 2), 3][n - 1], 3).values
+    assert got == [0, Fraction(1, 2), 3]
+    assert [type(v) for v in got] == [int, Fraction, int]
+
+
+def test_eratosthenes_float_tables_stay_float():
+    got = eratosthenes(lambda n: 1.0 / n, 60).values
+    want = eratosthenes_by_definition([1.0 / n for n in range(1, 61)])
+    assert all(type(v) is float for v in got)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    lam = eratosthenes(ArithmeticFunction.builtin("vonMangoldt"), 60).values
+    assert any(type(v) is float for v in lam)
+    assert np.allclose([float(v) for v in lam], eratosthenes_by_definition(
+        [float(v) for v in ArithmeticFunction.builtin("vonMangoldt").eval_range(60)]),
+        rtol=0, atol=1e-12)
 
 
 def test_eratosthenes_domain_error():
