@@ -5,10 +5,12 @@ fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
 fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
 roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 
-Both directions and `TruncatedDivisorSum.eval_range` put the sequence over one
-denominator (`rational.scale`) and work on the integer numerators: the
-Wintner table sums them over multiples for fhat, `kernels.mobius_multiples`
-transforms them for fprime and `kernels.divisor_scatter_int` for the values.
+Both directions, `TruncatedDivisorSum.eval_range` and `FiniteExpansion.eval`
+put the sequence over one denominator (`rational.scale`) and work on the
+integer numerators: the Wintner table sums them over multiples for fhat,
+`kernels.mobius_multiples` transforms them for fprime,
+`kernels.divisor_scatter_int` gives the values of a t.d.s., and one integer
+dot with c_q(n) gives a value of an expansion.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import divisors
+from .ramanujan import csum
 from .rational import scale
 from .transforms import decay_tail_bound, eratosthenes, wintner_table
 from . import kernels
@@ -97,12 +100,9 @@ class FiniteExpansion:
         return 0
 
     def eval(self, n: int):
-        from .ramanujan import csum
-        total = Fraction(0)
-        for q in range(1, self.range + 1):
-            c = self.fhat[q - 1]
-            if c:
-                total += c * csum(q, n)
+        nums, den = scale(self.fhat)
+        total = Fraction(sum(c * csum(q, n) for q, c in enumerate(nums, start=1) if c),
+                         den)
         return int(total) if total.denominator == 1 else total
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 BACKEND = "numpy"
 
-_INT64_LIMIT = 1 << 63
+INT64_LIMIT = 1 << 63
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ def int_array(values) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values
     vals = [int(v) for v in values]
-    big = bool(vals) and max(max(vals), -min(vals)) >= _INT64_LIMIT
+    big = bool(vals) and max(max(vals), -min(vals)) >= INT64_LIMIT
     return np.array(vals, dtype=object if big else np.int64)
 
 
@@ -166,7 +166,7 @@ def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
         if a.dtype == object:
             return False
         bound *= _amax(a)
-    return bound < _INT64_LIMIT
+    return bound < INT64_LIMIT
 
 
 # ---------------------------------------------------------------------------

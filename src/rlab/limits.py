@@ -54,9 +54,13 @@ def build_estimate(grid, estimates, tol, target=None, exact=None,
 
 
 def check_grid(xgrid) -> list:
+    """Grid values as ints: nonempty, strictly increasing, every x >= 1
+    (each average divides by x)."""
     xs = [int(x) for x in xgrid]
     if not xs:
         raise ValueError("empty evaluation grid")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("evaluation grid must be strictly increasing")
+    if xs[0] < 1:
+        raise ValueError(f"evaluation grid values must be >= 1, got {xs[0]}")
     return xs

@@ -1,9 +1,11 @@
 """Ramanujan sums c_q(n) and their fundamental identities.
 
-The canonical evaluation is the closed form c_q(n) = phi(q) mu(q/g) / phi(q/g)
-with g = gcd(q, n): one factorization of q and one gcd.  The divisor form
-sum_{d|q, d|n} d mu(q/d) and the defining cosine sum exist as independent
-cross-checking routes.  c_q(0) = phi(q) and c_q(-n) = c_q(n).
+The canonical evaluation is the multiplicative closed form: c_q(n) is the
+product over the prime powers p^e exactly dividing q of p^(e-1) (p - 1) when
+p^e | n, -p^(e-1) when only p^(e-1) | n, and 0 otherwise, so it needs one
+factorization of q and no gcd.  The divisor form sum_{d|q, d|n} d mu(q/d)
+and the defining cosine sum exist as independent cross-checking routes.
+c_q(0) = phi(q) and c_q(-n) = c_q(n).
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from math import cos, gcd, lcm, pi
 
 import numpy as np
 
-from .arith import divisors, factor, mu, omega, phi
+from .arith import divisors, factor, mu, omega
 from .limits import build_estimate, check_grid
 from . import kernels
 
@@ -21,11 +23,16 @@ def csum(q: int, n: int) -> int:
     """c_q(n) by the closed form; exact integer, any integer n."""
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
-    g = gcd(q, abs(n))  # gcd(q, 0) = q, so c_q(0) = phi(q)
-    m = mu(q // g)
-    if m == 0:
-        return 0
-    return phi(q) * m // phi(q // g)
+    out = 1
+    for p, e in factor(q):
+        pk = p ** (e - 1)
+        if n % (pk * p) == 0:   # every p^e divides 0, so c_q(0) = phi(q)
+            out *= pk * (p - 1)
+        elif n % pk == 0:
+            out *= -pk
+        else:
+            return 0
+    return out
 
 
 def csum_divisor_form(q: int, n: int) -> int:
@@ -129,17 +136,26 @@ def cross_sum(q: int, l: int, n: int, x: int) -> int:
     return (x // p) * block + int(prods[:rem].sum())
 
 
-def csum_multiple_sum(q: int, d: int, x: int) -> int:
-    """Exact T = sum_{m <= x/d} c_q(d*m), by periodicity of m -> c_q(dm)."""
-    kmax = x // d
-    if kmax <= 0:
-        return 0
-    p = q // gcd(q, d)
-    cq = csum_period(q)
-    m = np.arange(1, p + 1, dtype=np.int64)
-    vals = cq[(d * m) % q]
-    block = int(vals.sum())
-    return (kmax // p) * block + int(vals[: kmax % p].sum())
+def csum_multiple_sums(q: int, dmax: int, x: int) -> np.ndarray:
+    """T[d] = sum_{m <= x/d} c_q(d*m) for d = 1..dmax (entry 0 unused).
+
+    By the divisor form c_q(dm) = sum_{e|q, e|dm} e mu(q/e), and e | dm
+    exactly when e / gcd(e, d) divides m, so
+    T[d] = sum_{e|q} e mu(q/e) floor(floor(x/d) / (e / gcd(e, d))):
+    one array operation per divisor e with mu(q/e) != 0 covers every d at
+    once.  |T[d]| <= sigma(q) x; when that bound reaches 2**63 the sums run
+    on Python ints, like the integer kernels.
+    """
+    terms = [(e, e * m) for e in divisors(q) if (m := mu(q // e))]
+    d = np.arange(1, dmax + 1, dtype=np.int64)
+    if x * sum(e for e, _ in terms) < kernels.INT64_LIMIT:
+        k, out = x // d, np.zeros(dmax + 1, dtype=np.int64)
+    else:
+        k = np.array([x // v for v in range(1, dmax + 1)], dtype=object)
+        out = np.zeros(dmax + 1, dtype=object)
+    for e, c in terms:
+        out[1:] += c * (k // (e // np.gcd(e, d)))
+    return out
 
 
 def csum_prefix_sum(q: int, a_max: int) -> int:

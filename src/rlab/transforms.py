@@ -17,7 +17,7 @@ import numpy as np
 from .arith import ArithmeticFunction, phi
 from .limits import LimitEstimate, build_estimate, check_grid
 from .rational import exact_sum, scale
-from .ramanujan import csum_multiple_sum, csum_period
+from .ramanujan import csum_multiple_sums, csum_period
 from . import kernels
 
 
@@ -36,9 +36,6 @@ class EratosthenesTransform:
         if not 1 <= d <= self.bound:
             raise IndexError(f"transform computed to {self.bound}, asked for d={d}")
         return self.values[d - 1]
-
-    def abs_partial(self, cut: int) -> float:
-        return float(sum(abs(float(v)) for v in self.values[:cut]))
 
 
 def eratosthenes(f, bound: int) -> EratosthenesTransform:
@@ -184,18 +181,24 @@ def _csum_weighted_sums(f, q: int, xs: list):
     """Exact S(x) = sum_{n<=x} f(n) c_q(n) per grid point; Fractions list.
 
     The values of f go over one denominator and their numerators through the
-    weighted-periodic kernel.  A rational t.d.s. is summed by divisor instead
-    (sum_d fprime(d) * sum_{m<=x/d} c_q(dm), each inner sum an exact integer),
-    which scales its Q values of fprime rather than x values of f.  None for
+    weighted-periodic kernel.  A rational t.d.s. is summed on its divisor
+    lattice instead: S(x) = sum_{d<=Q} fprime(d) T(d) with
+    T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for every
+    d <= Q in one array operation per divisor of q.  Only the Q values of
+    fprime are scaled, never x values of f: their nonzero numerators meet T
+    in one Python-int dot, and the shared denominator divides once.  None for
     float f.
     """
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         return None   # float path handled by caller
     if f.kind == "tds" and not f.is_integer:
         nums, den = scale(f.tds.fprime)
-        return [Fraction(sum(n * csum_multiple_sum(q, d, x)
-                             for d, n in enumerate(nums, start=1) if n), den)
-                for x in xs]
+        nz = [(d, n) for d, n in enumerate(nums, start=1) if n]
+        out = []
+        for x in xs:
+            t = csum_multiple_sums(q, len(nums), x).tolist()
+            out.append(Fraction(sum(n * t[d] for d, n in nz), den))
+        return out
     nums, den = scale(f.eval_range(xs[-1]))
     w, tab = kernels.int_array(nums), csum_period(q)
     return [Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]

@@ -191,6 +191,13 @@ def test_experiment_config_top_level_tol_is_usage_error(tmp_path, capsys):
     assert "params.tol" in capsys.readouterr().err
 
 
+def test_experiment_config_grid_below_one_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "reef", "params": {"lgrid": [0]}}))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 2
+    assert ">= 1" in capsys.readouterr().err
+
+
 def test_experiment_artifacts(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "prop1-divergence",

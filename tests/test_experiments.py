@@ -46,6 +46,12 @@ def test_empty_grid_is_schema_violation():
                                         params={"grid": [100, 100]}))
 
 
+@pytest.mark.parametrize("name", ["reef", "weak-reef", "short-average"])
+def test_grid_value_below_one_is_config_error(name):
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(name=name, params={"lgrid": [0]}))
+
+
 def test_cap_breach_raises():
     cfg = ExperimentConfig(name="orthogonality", cap_x=100)
     with pytest.raises(ResourceCapError):

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rlab.arith import ArithmeticFunction, mu
 from rlab.finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                          high_coefficient_check, low_coefficient_report,
                          tds_to_fre, truncate)
+from rlab.ramanujan import csum_divisor_form
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -69,6 +70,21 @@ def test_pointwise_agreement(rng):
         e = tds_to_fre(t)
         for n in range(1, 200):
             assert t.eval(n) == e.eval(n)
+
+
+@PROPERTY
+@given(fhat=st.one_of(st.lists(RATIONALS, min_size=1, max_size=256),
+                      st.lists(st.integers(-9, 9), min_size=1, max_size=256)),
+       n=st.integers(1, 2048))
+@example(fhat=[Fraction(3, 2), Fraction(1, 2)], n=1)
+@example(fhat=[Fraction(1, 2), Fraction(1, 2)], n=3)       # integral value
+@example(fhat=[Fraction(1, 3)] * 5, n=2048)
+def test_expansion_eval_matches_defining_sum(fhat, n):
+    want = sum((Fraction(c) * csum_divisor_form(q, n)
+                for q, c in enumerate(fhat, start=1)), Fraction(0))
+    got = FiniteExpansion(len(fhat), fhat).eval(n)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_eval_range_matches_pointwise(rng):

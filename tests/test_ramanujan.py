@@ -6,13 +6,13 @@ from math import gcd, pi
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rlab import kernels
 from rlab.arith import divisors, mu, phi
 from rlab.ramanujan import (RamanujanSumTable, abs_csum_over_q_partial,
                             cross_sum, csum, csum_divisor_form,
-                            csum_multiple_sum, csum_period, csum_prefix_sum,
+                            csum_period, csum_prefix_sum,
                             csum_trig_form, csum_trig_row, delange_bound_check,
                             divisibility_indicator_check,
                             orthogonality_estimate)
@@ -62,6 +62,19 @@ def test_negative_argument_parity():
     for q in range(1, 40):
         for n in range(1, 30):
             assert csum(q, -n) == csum(q, n)
+
+
+@PROPERTY
+@given(q=st.integers(1, 2000), m=st.integers(), k=st.integers(0, 63))
+@example(q=1, m=0, k=0)
+@example(q=720, m=0, k=5)
+@example(q=12, m=-3, k=2)
+@example(q=1998, m=-(10 ** 30), k=7)
+def test_closed_form_equals_divisor_form(q, m, k):
+    # n = m * (a divisor of q), so gcd(q, n) runs over every divisor of q
+    divs = divisors(q)
+    n = m * divs[k % len(divs)]
+    assert csum(q, n) == csum_divisor_form(q, n)
 
 
 def test_rejects_bad_modulus():
@@ -154,12 +167,6 @@ def test_cross_sum_periodic_equals_direct():
                        (7, 11, 2, 76), (30, 1, 4, 1)):
         direct = sum(csum(q, n + a) * csum(l, a) for a in range(1, x + 1))
         assert cross_sum(q, l, n, x) == direct
-
-
-def test_csum_multiple_sum_brute():
-    for q, d, x in ((5, 3, 1000), (6, 4, 997), (7, 7, 500), (9, 2, 123)):
-        brute = sum(csum(q, d * m) for m in range(1, x // d + 1))
-        assert csum_multiple_sum(q, d, x) == brute
 
 
 def test_csum_prefix_sum_brute():

@@ -1,14 +1,15 @@
 """Transform and coefficient machinery against direct-summation oracles."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.finite import TruncatedDivisorSum
-from rlab.ramanujan import csum
+from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
 from rlab.transforms import (CoefficientSeq, carmichael_estimate,
                              condition_check, cw_formula_check, eratosthenes,
                              is_completely_multiplicative,
@@ -212,12 +213,50 @@ def test_carmichael_exact_tds_path_matches_int_path():
         assert a.exact == b.exact
 
 
+def multiple_sum_brute(q, d, x):
+    """sum_{m <= x/d} c_q(dm) term by term; past 3000 terms the whole periods
+    of m -> c_q(dm) (length q / gcd(q, d)) are counted, not summed."""
+    k, full = x // d, 0
+    if k > 3000:
+        p = q // gcd(q, d)
+        full = k // p * sum(csum_divisor_form(q, d * m) for m in range(1, p + 1))
+        k %= p
+    return full + sum(csum_divisor_form(q, d * m) for m in range(1, k + 1))
+
+
+@PROPERTY
+@given(fprime=st.lists(st.one_of(st.just(Fraction(0)), RATIONALS),
+                       min_size=1, max_size=40),
+       q=st.integers(1, 48),
+       xs=st.lists(st.integers(1, 3000), min_size=1, max_size=3,
+                   unique=True).map(sorted))
+@example(fprime=[Fraction(0)] * 7, q=4, xs=[1, 5, 100])          # all-zero F'
+@example(fprime=[Fraction(1, 3)] * 40, q=9, xs=[1, 3, 39])       # x < d
+@example(fprime=[Fraction(1, 2), 0, Fraction(-3, 4), 5], q=12,   # int64 guard
+         xs=[2, 2 ** 62 + 7, 2 ** 64 + 3])
+def test_carmichael_rational_tds_matches_brute_force(fprime, q, xs):
+    # S(x) = sum_{d<=Q} F'(d) sum_{m<=x/d} c_q(dm), and the estimate is
+    # S(x) / (phi(q) x); a rational F' takes the divisor-lattice path, and
+    # only the guard example's x >= 2**62 needs Python ints there
+    f = ArithmeticFunction.from_tds(TruncatedDivisorSum(len(fprime), fprime))
+    est = carmichael_estimate(f, q, xs)
+    for x, got in zip(xs, est.exact):
+        inner = [multiple_sum_brute(q, d, x) for d in range(1, len(fprime) + 1)]
+        t = csum_multiple_sums(q, len(fprime), x)
+        assert (t.dtype == object) == (x >= 2 ** 62)
+        assert [int(v) for v in t[1:]] == inner
+        s = sum((v * i for v, i in zip(fprime, inner)), Fraction(0))
+        assert got == s / (phi(q) * x)
+
+
 def test_carmichael_grid_validation():
     one = ArithmeticFunction.builtin("one")
     with pytest.raises(ValueError):
         carmichael_estimate(one, 1, [])
     with pytest.raises(ValueError):
         carmichael_estimate(one, 1, [100, 100])
+    with pytest.raises(ValueError):
+        carmichael_estimate(one, 1, [0, 100])
 
 
 def test_condition_verdicts():
