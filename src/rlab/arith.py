@@ -20,6 +20,7 @@ import random
 import numpy as np
 
 from . import kernels
+from .rational import scale
 
 _SIEVE_LIMIT = 10 ** 6
 _FACTOR_LIMIT = 10 ** 12
@@ -286,15 +287,16 @@ class ArithmeticFunction:
             return self.name != "vonMangoldt"
         if self.kind == "table":
             return all(isinstance(v, (int, Fraction)) for v in self.values)
-        return all(isinstance(v, (int, Fraction)) for v in self.tds.fprime)
+        return True     # a t.d.s. holds ints and Fractions only
 
     @property
     def is_integer(self) -> bool:
         if self.kind == "builtin":
             return self.name != "vonMangoldt"
-        vals = self.values if self.kind == "table" else self.tds.fprime
+        if self.kind == "tds":
+            return scale(self.tds.fprime)[1] == 1
         return all(isinstance(v, int) or
-                   (isinstance(v, Fraction) and v.denominator == 1) for v in vals)
+                   (isinstance(v, Fraction) and v.denominator == 1) for v in self.values)
 
     @property
     def bound(self):

@@ -10,13 +10,14 @@ n-dependent finite expansion, and the K-divisor coefficient formula.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, log
+from operator import mul
 
 import numpy as np
 
 from .arith import divisors, phi
 from .finite import FiniteExpansion, fre_to_tds
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_dot, exact_sum, scale
+from .rational import exact_sum, scale
 from .ramanujan import csum, cross_sum
 from .transforms import CoefficientSeq, eratosthenes, wintner_scaled_table
 from . import kernels
@@ -136,16 +137,16 @@ def wintner_delange_table(f, cut: int):
 def wintner_delange_reconstruct(f, n: int, cut: int, table=None) -> Reconstruction:
     """sum_{l<=cut} (sum_{d<=cut, l|d} fprime(d)/d) c_l(n), exactly.
 
-    The double sum is assembled over one shared denominator; the report
+    The double sum is assembled over one shared denominator.  The sum over l
+    groups the numerators by the value of c_l(n), which takes few values
+    (mostly 0 and +-1): each group is one C-level sum of bignums times one
+    small integer, so no numerator is multiplied on its own.  The report
     carries the gap against the direct evaluation F(n).
     """
     nums, den = table if table is not None else wintner_delange_table(f, cut)
-    row = kernels.csum_row(n, cut)
-    total = 0
-    for l in range(1, cut + 1):
-        nl = nums[l - 1]
-        if nl:
-            total += nl * int(row[l])
+    row = kernels.csum_row(n, cut)[1:]
+    nums = np.array(nums, dtype=object)
+    total = sum(int(c) * nums[row == c].sum() for c in np.unique(row) if c)
     value = Fraction(total, den)
     ref = Fraction(f(n))
     return Reconstruction(value, ref, value - ref)
@@ -164,7 +165,7 @@ def lucht_evaluate(fhat, a: int, cut: int):
     seq = fhat if isinstance(fhat, CoefficientSeq) else CoefficientSeq.from_list(fhat)
     nums, den = scale([Fraction(seq.get(q)) for q in range(1, cut + 1)])
     lhs = sum(n * csum(q, a) for q, n in enumerate(nums, start=1) if n)
-    inner = kernels.mobius_multiples(kernels.int_array([0] + nums))
+    inner = kernels.mobius_multiples(kernels.int_array((0, *nums)))
     rhs = sum(d * int(inner[d]) for d in divisors(a) if d <= cut)
     return Fraction(lhs, den), Fraction(rhs, den)
 
@@ -218,12 +219,11 @@ def carmichael_formula_check(expansion, l: int, xgrid,
     xs = check_grid(xgrid)
     fl = phi(l)
     target = Fraction(seq.get(l))
+    nums, den = scale([Fraction(seq.get(q)) for q in range(1, seq.support + 1)])
     exact = []
     for x in xs:
         inner = [cross_sum(q, l, 0, x) for q in range(1, seq.support + 1)]
-        s = exact_dot((Fraction(seq.get(q)) for q in range(1, seq.support + 1)),
-                      inner)
-        exact.append(s / (fl * x))
+        exact.append(Fraction(sum(map(mul, nums, inner)), den * fl * x))
     ests = [float(e) for e in exact]
     return build_estimate(xs, ests, tol, target=float(target), exact=exact)
 
@@ -244,8 +244,8 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
     reconstruction at the point n.  Works for every arithmetic function; the
     price is the n-dependence of the coefficients."""
     nums, den = wintner_scaled_table(eratosthenes(f, n), n)
-    row = kernels.csum_row(n, n)
-    total = sum(nums[l - 1] * int(row[l]) for l in range(1, n + 1))
+    row = kernels.csum_row(n, n).tolist()
+    total = sum(map(mul, nums, row[1:]))
     coeffs = [Fraction(v, den) for v in nums]
     return StandardFiniteExpansion(n, coeffs, Fraction(total, den))
 

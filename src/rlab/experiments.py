@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import hashlib
 import json
+import numbers
 import random
 import time
 
@@ -69,6 +70,9 @@ class ExperimentConfig:
         return self.params.get(key, default)
 
     def check_caps(self, x=None, d=None):
+        for name, v in (("x", x), ("D", d)):
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+                raise ConfigError(f"{name} must be a number, got {v!r}")
         if x is not None and x > self.cap_x:
             raise ResourceCapError(f"x={x} exceeds cap {self.cap_x}")
         if d is not None and d > self.cap_d:

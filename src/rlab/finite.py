@@ -5,31 +5,30 @@ fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
 fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
 roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 
-Both directions, `TruncatedDivisorSum.eval_range` and `FiniteExpansion.eval`
-put the sequence over one denominator (`rational.scale`) and work on the
-integer numerators: the Wintner table sums them over multiples for fhat,
-`kernels.mobius_multiples` transforms them for fprime,
-`kernels.divisor_scatter_int` gives the values of a t.d.s., and one integer
-dot with c_q(n) gives a value of an expansion.
+Both objects are frozen and hold their sequence as a `rational.ExactList`,
+which works out its scaled form (nums, den) on first use and keeps it.  The
+kernels and dots read those numerators: `kernels.mobius_multiples` gives
+fprime, `kernels.divisor_scatter_int` gives the values of a t.d.s., one
+integer sum over the divisors of n gives one value, and one integer dot with
+the row c_q(n) gives a value of an expansion.  The Wintner sums for fhat
+reduce each term fprime(d)/d as an integer pair.  Each direction hands its
+(nums, den) straight to the new object, which builds its Fraction list once
+for `.fhat`/`.fprime`.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .arith import divisors
-from .ramanujan import csum
-from .rational import scale
+from .rational import ExactList, ratio, scale
 from .transforms import decay_tail_bound, eratosthenes, wintner_table
 from . import kernels
 
 
-def _as_exact(values):
-    return [v if isinstance(v, int) else Fraction(v) for v in values]
-
-
-@dataclass
+@dataclass(frozen=True)
 class TruncatedDivisorSum:
     """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q."""
     range: int
@@ -40,7 +39,7 @@ class TruncatedDivisorSum:
             raise ValueError("range Q >= 1 required")
         if len(self.fprime) != self.range:
             raise ValueError("fprime must have exactly Q entries")
-        self.fprime = _as_exact(self.fprime)
+        object.__setattr__(self, "fprime", ExactList.of(self.fprime))
 
     @property
     def normalized_range(self) -> int:
@@ -61,25 +60,21 @@ class TruncatedDivisorSum:
     def eval(self, n: int):
         if n < 1:
             raise ValueError("t.d.s. evaluation is 1-based")
-        total = Fraction(0)
-        for d in divisors(n):
-            if d > self.range:
-                break
-            total += self.fprime[d - 1]
-        return int(total) if total.denominator == 1 else total
+        nums, den = scale(self.fprime)
+        return ratio(sum(nums[d - 1] for d in divisors(n) if d <= self.range), den)
 
     def eval_range(self, nmax: int):
         """Values on 1..nmax via divisor scatter: an integer array when
         integral (Python ints once they pass int64), else a Fraction list."""
         nums, den = scale(self.fprime)
-        head = kernels.int_array([0] + nums[:nmax])
+        head = kernels.int_array((0, *nums[:nmax]))
         w = np.zeros(nmax + 1, dtype=head.dtype)
         w[: head.shape[0]] = head
         out = kernels.divisor_scatter_int(w)[1:]
         return out if den == 1 else [Fraction(int(v), den) for v in out]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiniteExpansion:
     """F(n) = sum_{q<=Q} fhat(q) c_q(n); fhat is 1-based of length Q."""
     range: int
@@ -90,7 +85,7 @@ class FiniteExpansion:
             raise ValueError("range Q >= 1 required")
         if len(self.fhat) != self.range:
             raise ValueError("fhat must have exactly Q entries")
-        self.fhat = _as_exact(self.fhat)
+        object.__setattr__(self, "fhat", ExactList.of(self.fhat))
 
     @property
     def normalized_range(self) -> int:
@@ -101,9 +96,8 @@ class FiniteExpansion:
 
     def eval(self, n: int):
         nums, den = scale(self.fhat)
-        total = Fraction(sum(c * csum(q, n) for q, c in enumerate(nums, start=1) if c),
-                         den)
-        return int(total) if total.denominator == 1 else total
+        row = kernels.csum_row(n, self.range).tolist()
+        return ratio(sum(map(mul, nums, row[1:])), den)
 
 
 def tds_to_fre(t: TruncatedDivisorSum) -> FiniteExpansion:
@@ -114,9 +108,9 @@ def tds_to_fre(t: TruncatedDivisorSum) -> FiniteExpansion:
 def fre_to_tds(e: FiniteExpansion) -> TruncatedDivisorSum:
     """Truncated Eratosthenes transform of a finite expansion (exact inverse)."""
     nums, den = scale(e.fhat)
-    inner = kernels.mobius_multiples(kernels.int_array([0] + nums))
-    return TruncatedDivisorSum(e.range, [Fraction(d * int(inner[d]), den)
-                                         for d in range(1, e.range + 1)])
+    inner = kernels.mobius_multiples(kernels.int_array((0, *nums))).tolist()
+    return TruncatedDivisorSum(e.range, ExactList.over(
+        [d * inner[d] for d in range(1, e.range + 1)], den))
 
 
 def truncate(f, q: int) -> TruncatedDivisorSum:

@@ -2,17 +2,72 @@
 
 Fraction already guarantees the invariants we need (reduced form, positive
 denominator, arbitrary precision), so this module only adds the pieces the
-rest of the package leans on: one shared denominator for a rational sequence,
-exact summation on top of it, and the "p/q" string serialization used by
+rest of the package leans on: one shared denominator for a rational sequence
+(`scale`), the immutable `ExactList` that keeps that scaled form once worked
+out, exact summation on top of it, and the "p/q" string serialization used by
 every CSV/JSON surface.
+
+The exact value objects hold their sequences as ExactLists:
+`TruncatedDivisorSum.fprime`, `FiniteExpansion.fhat`, the shift coefficients
+of a cut and the Moebius transform of a rational correlation.  `scale` of such
+a sequence is computed on first use and read from the list afterwards, so the
+kernels and dots of every later call start from the same numerators.  An
+ExactList built from a scaled result (`ExactList.over`) holds Fractions for
+the public surface; Fraction lists are otherwise built only where a function
+returns Fraction values (`wintner_table`, `eval_range` of a rational t.d.s.,
+`cc_coefficients`, ...) and at the CSV/JSON boundary.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
 Rational = Fraction
+
+
+class ExactList(list):
+    """An immutable list of ints and Fractions that carries its scaled form.
+
+    It indexes, slices (to a plain list) and compares like the list it was
+    built from, but refuses every in-place change, so the (nums, den) that
+    `scale` works out on first use can never go stale.
+    """
+    __slots__ = ("_scaled",)
+
+    def __init__(self, values=()):
+        super().__init__(values)
+        self._scaled = None
+
+    @classmethod
+    def of(cls, values) -> "ExactList":
+        """values as an ExactList: ints and Fractions kept as they are, any
+        other number (a numpy int, a float) converted to its exact Fraction."""
+        if isinstance(values, cls):
+            return values
+        return cls(v if isinstance(v, (int, Fraction)) else Fraction(v)
+                   for v in values)
+
+    @classmethod
+    def over(cls, nums, den) -> "ExactList":
+        """The Fractions nums[i] / den (Python ints), with their scaled form
+        already known.  One gcd divides den and every numerator; after it each
+        prime of den misses some numerator, so den is the lcm of the reduced
+        denominators, as `scale` would give it."""
+        g = gcd(den, *nums)
+        nums, den = tuple(n // g for n in nums), den // g
+        out = cls(Fraction(n, den) for n in nums)
+        out._scaled = (nums, den)
+        return out
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is immutable: its scaled form is cached")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _immutable
+    append = extend = insert = pop = remove = clear = sort = reverse = _immutable
+
+    def __reduce__(self):
+        return type(self), (list(self),)
 
 
 def scale(values) -> tuple:
@@ -21,14 +76,36 @@ def scale(values) -> tuple:
 
     This is the one place a rational sequence is put over one denominator:
     the integer kernels then run on nums, and callers divide by den once at
-    the end.  An integer numpy array is already over 1 and is returned as it
-    stands.
+    the end.  An ExactList computes the pair once and returns it on every
+    later call; an integer numpy array is already over 1 and is returned as
+    it stands.
     """
+    if isinstance(values, ExactList):
+        if values._scaled is None:
+            values._scaled = _scale(values)
+        return values._scaled
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values, 1
-    pairs = [(int(v.numerator), int(v.denominator)) for v in values]
+    return _scale(values)
+
+
+def _scale(values) -> tuple:
+    return scale_pairs([(int(v.numerator), int(v.denominator)) for v in values])
+
+
+def scale_pairs(pairs) -> tuple:
+    """(nums, den) for the rationals n / d given as reduced integer pairs
+    (n, d), d > 0: den is the lcm of the d, and nums[i] = n_i * (den // d_i)."""
     den = lcm(*{d for _, d in pairs})
-    return [n * (den // d) for n, d in pairs], den
+    return tuple(n * (den // d) for n, d in pairs), den
+
+
+def ratio(num: int, den: int):
+    """num / den as an int when it is integral, else as a Fraction."""
+    if den == 1:
+        return num
+    v = Fraction(num, den)
+    return v.numerator if v.denominator == 1 else v
 
 
 def exact_sum(terms) -> Fraction:
@@ -41,11 +118,6 @@ def exact_sum(terms) -> Fraction:
     """
     nums, den = scale(terms)
     return Fraction(sum(nums), den)
-
-
-def exact_dot(fracs, ints) -> Fraction:
-    """Exact sum of f_i * k_i with f_i Fraction and k_i int."""
-    return exact_sum(f * k for f, k in zip(fracs, ints) if k)
 
 
 def format_rational(v) -> str:

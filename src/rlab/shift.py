@@ -7,17 +7,25 @@ plus a divisor tail over d | a, d > N.  The Carmichael coefficients of a fair
 cut correlation factor exactly through the coefficients of g_N; the gap
 between those and the truncated coefficients is the limit L(q), estimated
 here on finite grids.
+
+The values of a rational correlation, its Moebius transform and the shift
+coefficients of a cut are `rational.ExactList`s, so each goes over its
+denominator once: the split identity at every shift is one integer dot of
+the coefficients' cached numerators with the row c_q(a), and the L(q) sums
+read the transform's numerators.  A Weak-Reef or short-average check builds
+the divisor tail T(m) once and sums it against c_q(m) for every q.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .arith import ArithmeticFunction, divisors, phi
 from .finite import TruncatedDivisorSum, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_dot, exact_sum, scale
+from .rational import ExactList, exact_sum, scale
 from .ramanujan import csum, csum_period, csum_prefix_sum
 from .transforms import eratosthenes, wintner_table
 from . import kernels
@@ -41,7 +49,7 @@ class Correlation:
     g: ArithmeticFunction
     length: int                      # N
     amax: int
-    values: object                   # int64 array or list of Fractions, index a-1
+    values: object                   # int64 array or ExactList of Fractions, index a-1
     fair: bool = True
     _transform: object = field(default=None, repr=False)
 
@@ -71,16 +79,16 @@ class Correlation:
 
     def transform(self, depth: int):
         """C'(N, d) = sum_{t|d} C(N, t) mu(d/t) for d = 1..amax once the cache
-        reaches depth (1-based entry d at index d; index 0 unused).  Built once
-        over the whole cached depth and kept until ensure_depth deepens it."""
+        reaches depth (1-based entry d at index d; index 0 unused): an integer
+        array, or an ExactList of Fractions for a rational correlation.  Built
+        once over the whole cached depth from the values' scaled numerators
+        and kept until ensure_depth deepens it."""
         self.ensure_depth(depth)
         if self._transform is not None:
             return self._transform
         nums, den = scale(self.values)
-        c = np.insert(kernels.int_array(nums), 0, 0)
-        self._transform = kernels.mobius_transform_int(c)
-        if not self.is_integer:
-            self._transform = [Fraction(int(v), den) for v in self._transform]
+        tr = kernels.mobius_transform_int(kernels.int_array((0, *nums)))
+        self._transform = tr if self.is_integer else ExactList.over(tr.tolist(), den)
         return self._transform
 
 
@@ -96,7 +104,7 @@ def correlate(f, g, length: int, amax: int, fair=None) -> Correlation:
     gv, gden = scale(g.eval_range(length + amax))
     vals = kernels.correlate_int(kernels.int_array(fv), kernels.int_array(gv), amax)
     if fden * gden != 1:
-        vals = [Fraction(int(v), fden * gden) for v in vals]
+        vals = ExactList.over(vals.tolist(), fden * gden)
     return Correlation(f, g, length, amax, vals, fair)
 
 
@@ -147,12 +155,15 @@ def cut_correlation(f, g, length: int, amax: int, fair=None) -> CutCorrelation:
     return CutCorrelation(base, g_n, remainder, fair=base.fair)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShiftCoefficients:
     """Q-truncated shift coefficients sum_{d<=Q, q|d} C'(N,d)/d; zero past Q."""
     length: int
     q_cut: int
-    entries: list        # 1-based, length q_cut
+    entries: list        # 1-based, length q_cut; an ExactList
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", ExactList.of(self.entries))
 
     def get(self, q: int) -> Fraction:
         if q < 1:
@@ -173,19 +184,19 @@ def shift_expansion_check(cut: CutCorrelation, a: int):
 
     lhs = C_{f,g_N}(N,a); rhs = sum_{q<=N} qrc(q) c_q(a) + sum_{d|a, d>N} C'(N,d).
     A finite Moebius-inversion identity: equal must hold for every exact input.
+    The main sum is one integer dot of the coefficients' cached numerators
+    with the row c_q(a), q <= N.
     """
-    n = cut.length
-    coeffs = cut.coefficients()
+    nums, den = scale(cut.coefficients().entries)
     tail = divisor_tail(cut, a)     # deepens the cache to a before reading C(N, a)
     lhs = Fraction(cut.base.value(a))
-    main = exact_dot((coeffs.get(q) for q in range(1, n + 1)),
-                     (int(csum_period(q)[a % q]) for q in range(1, n + 1)))
-    rhs = main + tail
+    row = kernels.csum_row(a, cut.length).tolist()
+    rhs = Fraction(sum(map(mul, nums, row[1:])), den) + tail
     return lhs, rhs, lhs == rhs
 
 
 def divisor_tail(cut: CutCorrelation, a: int) -> Fraction:
-    """sum_{d|a, d>N} C'(N, d), exact."""
+    """sum_{d|a, d>N} C'(N, d), exact: a sum of at most tau(a) terms."""
     n = cut.length
     tr = cut.base.transform(max(a, n))
     return exact_sum(tr[d] for d in divisors(a) if d > n)
@@ -241,12 +252,23 @@ def carmichael_vs_cc(cut: CutCorrelation, l: int, xgrid,
 
 def _tail_divisor_array(cut: CutCorrelation, xmax: int, split: int):
     """(T, den): den * T(m) = den * sum_{d|m, d>split} C'(N,d) for m = 0..xmax,
-    an integer array over the transform's shared denominator."""
-    nums, den = scale(cut.base.transform(xmax)[split + 1: xmax + 1])
-    nums = kernels.int_array(nums)
+    an integer array over the transform's shared denominator.  It does not
+    depend on q: a check that needs L(q) for many q builds it once."""
+    nums, den = scale(cut.base.transform(xmax))
+    nums = kernels.int_array(nums[split + 1: xmax + 1])
     w = np.zeros(xmax + 1, dtype=nums.dtype)
     w[split + 1:] = nums
     return kernels.divisor_scatter_int(w), den
+
+
+def _tail_estimate(tail, q: int, xs: list, tol: float) -> LimitEstimate:
+    """L(q) estimate per grid point from a tail (T, den) built to xs[-1]."""
+    td, den = tail
+    tab = csum_period(q)
+    fl = phi(q)
+    exact = [Fraction(kernels.weighted_periodic_int(td[1:], tab, x), fl * x * den)
+             for x in xs]
+    return build_estimate(xs, [float(e) for e in exact], tol, exact=exact)
 
 
 def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
@@ -259,12 +281,7 @@ def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
     xs = check_grid(xgrid)
     if split is None:
         split = cut.length
-    td, den = _tail_divisor_array(cut, xs[-1], split)
-    tab = csum_period(q)
-    fl = phi(q)
-    exact = [Fraction(kernels.weighted_periodic_int(td[1:], tab, x), fl * x * den)
-             for x in xs]
-    return build_estimate(xs, [float(e) for e in exact], tol, exact=exact)
+    return _tail_estimate(_tail_divisor_array(cut, xs[-1], split), q, xs, tol)
 
 
 def is_tail_free(cut: CutCorrelation, depth: int) -> bool:
@@ -309,7 +326,8 @@ def weak_reef_check(cut: CutCorrelation, a: int, lgrid) -> WeakReefReport:
     tail = divisor_tail(cut, a)
     tail_free = is_tail_free(cut, xs[-1])
     c_row = [csum(q, a) for q in range(1, n + 1)]
-    l_ests = {q: l_estimate(cut, q, xs) for q in range(1, n + 1)}
+    tail_t = _tail_divisor_array(cut, xs[-1], n)
+    l_ests = {q: _tail_estimate(tail_t, q, xs, 1e-2) for q in range(1, n + 1)}
     rows = []
     for i, x in enumerate(xs):
         rhs = tail
@@ -344,11 +362,11 @@ def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageRe
     xs = check_grid(lgrid)
     cc = cc_coefficients(cut)
     lhs = exact_sum(Fraction(cut.base.value(a)) for a in range(1, a_cut + 1))
+    tail_t = _tail_divisor_array(cut, xs[-1], n)
     rows = []
     rhs = Fraction(0)
     for q in range(1, n + 1):
-        est = l_estimate(cut, q, xs)
-        lq = est.exact[-1]
+        lq = _tail_estimate(tail_t, q, xs, 1e-2).exact[-1]
         w = csum_prefix_sum(q, a_cut)
         rows.append((q, cc[q - 1], lq, w))
         rhs += (cc[q - 1] - lq) * w

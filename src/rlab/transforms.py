@@ -3,20 +3,25 @@
 Identity-grade computations stay exact: a rational sequence is put over one
 denominator (`rational.scale`) and its integer numerators run through the
 integer kernels, so the Wintner tables and the Carmichael sums divide by that
-denominator once.  Limit estimates destined for tolerance verdicts may
+denominator once.  The fprime of a t.d.s. is an `ExactList`, so its scaled
+form is computed on the first of these calls and read by every later one;
+the Wintner sums reduce each term fprime(d)/d as an integer pair instead of
+building a Fraction.  Limit estimates destined for tolerance verdicts may
 accumulate in float64 dot products.  Convergence is never asserted: every
 verdict is "at-cut", tied to the evaluation grid that produced it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
+from operator import mul
 import random
 
 import numpy as np
 
 from .arith import ArithmeticFunction, phi
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_sum, scale
+from .rational import ExactList, exact_sum, scale, scale_pairs
 from .ramanujan import csum_multiple_sums, csum_period
 from . import kernels
 
@@ -79,6 +84,8 @@ def _fprime_values(fprime, cut: int) -> list:
         vals = list(fprime.eval_range(cut))
     elif callable(fprime):
         vals = [fprime(d) for d in range(1, cut + 1)]
+    elif isinstance(fprime, ExactList) and len(fprime) == cut:
+        return fprime   # exact already; passing it on keeps its scaled form
     else:
         vals = list(fprime)[:cut]
     if len(vals) < cut:
@@ -102,6 +109,17 @@ def decay_tail_bound(decay_hint, q: int, cut: int) -> float | None:
     return float(c) * q ** -(s + 1.0) * m ** (-float(s)) / float(s)
 
 
+def _reduced_terms(vals, ds) -> list:
+    """The terms fprime(d)/d, d in ds, of exact fprime values as reduced
+    integer pairs (one gcd against d each), with no Fraction built."""
+    pairs = []
+    for d in ds:
+        n, m = vals[d - 1].numerator, vals[d - 1].denominator
+        g = gcd(n, d)
+        pairs.append((n // g, m * (d // g)))
+    return pairs
+
+
 def wintner_coefficient(fprime, q: int, cut: int, decay_hint=None):
     """(partial, tail_bound): partial = sum_{d<=cut, q|d} fprime(d)/d, exact
     when fprime is exact; tail_bound requires a polynomial decay hint and is
@@ -111,7 +129,8 @@ def wintner_coefficient(fprime, q: int, cut: int, decay_hint=None):
     vals = _fprime_values(fprime, cut)
     exact = all(isinstance(v, (int, Fraction)) for v in vals)
     if exact:
-        partial = exact_sum(Fraction(vals[d - 1], d) for d in range(q, cut + 1, q))
+        nums, den = scale_pairs(_reduced_terms(vals, range(q, cut + 1, q)))
+        partial = Fraction(sum(nums), den)
     else:
         partial = float(np.sum([float(vals[d - 1]) / d for d in range(q, cut + 1, q)]))
     return partial, decay_tail_bound(decay_hint, q, cut)
@@ -126,18 +145,19 @@ def wintner_scaled_table(fprime, cut: int):
     integers until a single final reduction.
     """
     vals = _fprime_values(fprime, cut)
-    scaled, den = scale([Fraction(v, d) for d, v in enumerate(vals, start=1)])
-    return [sum(scaled[q - 1:: q]) for q in range(1, cut + 1)], den
+    terms, den = scale_pairs(_reduced_terms(vals, range(1, cut + 1)))
+    return [sum(terms[q - 1:: q]) for q in range(1, cut + 1)], den
 
 
 def wintner_table(fprime, cut: int) -> list:
-    """All partials sum_{d<=cut, q|d} fprime(d)/d for q = 1..cut at once."""
+    """All partials sum_{d<=cut, q|d} fprime(d)/d for q = 1..cut at once:
+    an ExactList of Fractions (carrying its scaled form) for exact fprime,
+    floats otherwise."""
     vals = _fprime_values(fprime, cut)
     if not all(isinstance(v, (int, Fraction)) for v in vals):
         w = np.array([float(v) / d for d, v in enumerate(vals, start=1)])
         return [float(w[q - 1:: q].sum()) for q in range(1, cut + 1)]
-    nums, den = wintner_scaled_table(fprime, cut)
-    return [Fraction(n, den) for n in nums]
+    return ExactList.over(*wintner_scaled_table(vals, cut))
 
 
 def is_completely_multiplicative(values: list, bound: int) -> bool:
@@ -185,20 +205,16 @@ def _csum_weighted_sums(f, q: int, xs: list):
     lattice instead: S(x) = sum_{d<=Q} fprime(d) T(d) with
     T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for every
     d <= Q in one array operation per divisor of q.  Only the Q values of
-    fprime are scaled, never x values of f: their nonzero numerators meet T
-    in one Python-int dot, and the shared denominator divides once.  None for
-    float f.
+    fprime are scaled, never x values of f, and fprime caches them on its
+    first scaling: they meet T in one C-level Python-int dot, and the shared
+    denominator divides once.  None for float f.
     """
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         return None   # float path handled by caller
     if f.kind == "tds" and not f.is_integer:
         nums, den = scale(f.tds.fprime)
-        nz = [(d, n) for d, n in enumerate(nums, start=1) if n]
-        out = []
-        for x in xs:
-            t = csum_multiple_sums(q, len(nums), x).tolist()
-            out.append(Fraction(sum(n * t[d] for d, n in nz), den))
-        return out
+        return [Fraction(sum(map(mul, nums, csum_multiple_sums(q, len(nums), x).tolist()[1:])),
+                         den) for x in xs]
     nums, den = scale(f.eval_range(xs[-1]))
     w, tab = kernels.int_array(nums), csum_period(q)
     return [Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]

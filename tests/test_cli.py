@@ -191,6 +191,14 @@ def test_experiment_config_top_level_tol_is_usage_error(tmp_path, capsys):
     assert "params.tol" in capsys.readouterr().err
 
 
+def test_experiment_config_non_numeric_cut_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "wintner-delange", "params": {"cut": "abc"}}))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_experiment_config_grid_below_one_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"name": "reef", "params": {"lgrid": [0]}}))

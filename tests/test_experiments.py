@@ -52,6 +52,23 @@ def test_grid_value_below_one_is_config_error(name):
         run_experiment(ExperimentConfig(name=name, params={"lgrid": [0]}))
 
 
+@pytest.mark.parametrize("name", ["concordance-thm8", "concordance-thm9",
+                                  "property-L", "wintner-delange"])
+def test_non_numeric_cut_is_config_error(name):
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(name=name, params={"cut": "abc"}))
+
+
+def test_bool_or_non_numeric_cap_argument_is_config_error():
+    cfg = ExperimentConfig(name="orthogonality")
+    for bad in (True, False, "10", [10]):
+        with pytest.raises(ConfigError):
+            cfg.check_caps(x=bad)
+        with pytest.raises(ConfigError):
+            cfg.check_caps(d=bad)
+    cfg.check_caps(x=10 ** 6, d=2.5)      # numbers within the caps pass
+
+
 def test_cap_breach_raises():
     cfg = ExperimentConfig(name="orthogonality", cap_x=100)
     with pytest.raises(ResourceCapError):

@@ -1,0 +1,165 @@
+"""Exact value objects carry their scaled form: cache, surface and mutation."""
+
+import dataclasses
+from fractions import Fraction
+from math import lcm
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from rlab import rational
+from rlab.arith import ArithmeticFunction, divisors, mu
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum, fre_to_tds, tds_to_fre
+from rlab.ramanujan import csum
+from rlab.rational import ExactList, scale
+from rlab.shift import cut_correlation, qrc
+from rlab.transforms import carmichael_estimate
+from conftest import PROPERTY, RATIONALS
+
+SEQS = st.lists(RATIONALS, min_size=1, max_size=24)
+
+
+def assert_canonical(values):
+    """The cached (nums, den) is what scaling a plain copy gives, and den is
+    the lcm of the reduced denominators."""
+    nums, den = scale(values)
+    assert (nums, den) == scale(list(values))
+    assert den == lcm(*(Fraction(v).denominator for v in values))
+    assert [Fraction(n, den) for n in nums] == list(values)
+
+
+def exact(v):
+    """v as the library returns an exact value: an int when integral."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def same(got, want):
+    assert got == want and type(got) is type(want)
+
+
+@PROPERTY
+@given(SEQS)
+def test_cached_scaled_form_is_canonical(vals):
+    t = TruncatedDivisorSum(len(vals), vals)
+    e = tds_to_fre(t)
+    back = fre_to_tds(e)
+    for obj in (t.fprime, e.fhat, back.fprime, FiniteExpansion(len(vals), vals).fhat):
+        assert_canonical(obj)
+        assert scale(obj) is scale(obj)      # computed once, then read back
+
+
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=6), st.lists(RATIONALS, min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=8))
+def test_shift_objects_cache_canonical_scaled_form(fv, gv, n_len):
+    f = ArithmeticFunction.from_tds(TruncatedDivisorSum(len(fv), fv))
+    g = ArithmeticFunction.from_tds(TruncatedDivisorSum(len(gv), gv))
+    cut = cut_correlation(f, g, n_len, 2 * n_len)
+    coeffs = cut.coefficients()
+    assert coeffs.entries == qrc(cut, n_len).entries
+    seqs = [coeffs.entries]
+    if not cut.base.is_integer:
+        seqs += [cut.base.values, cut.base.transform(2 * n_len)]
+    for seq in seqs:
+        assert isinstance(seq, ExactList)
+        assert_canonical(seq)
+
+
+@PROPERTY
+@given(SEQS, st.integers(min_value=1, max_value=60))
+def test_tds_surface_matches_per_element_definition(vals, n):
+    t = TruncatedDivisorSum(len(vals), vals)
+    same(t.eval(n), exact(sum((Fraction(vals[d - 1]) for d in divisors(n) if d <= len(vals)),
+                              Fraction(0))))
+    got = t.eval_range(n)
+    want = [sum((Fraction(vals[d - 1]) for d in divisors(m) if d <= len(vals)), Fraction(0))
+            for m in range(1, n + 1)]
+    if all(Fraction(v).denominator == 1 for v in vals):
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+    else:
+        assert isinstance(got, list) and got == want
+        assert all(type(v) is Fraction for v in got)
+
+
+@PROPERTY
+@given(SEQS, st.integers(min_value=-40, max_value=60))
+def test_fre_eval_matches_per_element_definition(vals, n):
+    e = FiniteExpansion(len(vals), vals)
+    same(e.eval(n), exact(sum(Fraction(c) * csum(q, n) for q, c in enumerate(vals, start=1))))
+
+
+@PROPERTY
+@given(SEQS)
+def test_duality_matches_per_element_definition(vals):
+    size = len(vals)
+    e = tds_to_fre(TruncatedDivisorSum(size, vals))
+    fhat = [sum((Fraction(vals[d - 1], d) for d in range(q, size + 1, q)), Fraction(0))
+            for q in range(1, size + 1)]
+    assert e.fhat == fhat and all(type(v) is Fraction for v in e.fhat)
+    t = fre_to_tds(FiniteExpansion(size, vals))
+    fprime = [d * sum((Fraction(vals[d * k - 1]) * mu(k) for k in range(1, size // d + 1)),
+                      Fraction(0)) for d in range(1, size + 1)]
+    assert t.fprime == fprime and all(type(v) is Fraction for v in t.fprime)
+
+
+def test_surface_still_compares_equal_to_lists():
+    t = TruncatedDivisorSum(3, [1, Fraction(1, 2), np.int64(3)])
+    assert t.fprime == [1, Fraction(1, 2), 3] and [1, Fraction(1, 2), 3] == t.fprime
+    assert type(t.fprime[2]) is Fraction         # non-int numbers become Fractions
+    assert type(t.fprime[1:]) is list
+    assert tds_to_fre(t) == FiniteExpansion(3, list(tds_to_fre(t).fhat))
+
+
+def test_in_place_mutation_raises():
+    t = TruncatedDivisorSum(3, [1, Fraction(1, 2), 0])
+    e = tds_to_fre(t)
+    coeffs = qrc(cut_correlation(ArithmeticFunction.from_tds(t),
+                                 ArithmeticFunction.from_tds(t), 4, 8), 4)
+    before = scale(t.fprime)
+    for seq in (t.fprime, e.fhat, coeffs.entries):
+        with pytest.raises(TypeError):
+            seq[0] = 5
+        with pytest.raises(TypeError):
+            del seq[0]
+        with pytest.raises(TypeError):
+            seq += [1]
+        for method, args in (("append", (1,)), ("extend", ([1],)), ("insert", (0, 1)),
+                             ("pop", ()), ("remove", (seq[0],)), ("clear", ()),
+                             ("sort", ()), ("reverse", ())):
+            with pytest.raises(TypeError):
+                getattr(seq, method)(*args)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.fprime = [0, 0, 0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.fhat = [0, 0, 0]
+    assert t.fprime == [1, Fraction(1, 2), 0] and scale(t.fprime) is before
+
+
+def test_exact_list_copies_are_plain_and_pickle():
+    import copy
+    import pickle
+    xs = ExactList.over([2, 4, 6], 4)
+    assert scale(xs) == ((1, 2, 3), 2)
+    assert pickle.loads(pickle.dumps(xs)) == xs
+    assert copy.deepcopy(xs) == xs and type(copy.copy(xs)) is ExactList
+    ys = xs.copy()
+    ys.append(1)                                  # a copy is an ordinary list
+    assert xs == [Fraction(1, 2), 1, Fraction(3, 2)]
+
+
+def test_carmichael_estimates_scale_fprime_once(monkeypatch):
+    f = ArithmeticFunction.from_tds(
+        TruncatedDivisorSum(200, [Fraction(1, d * d) for d in range(1, 201)]))
+    calls = []
+    real = rational._scale
+
+    def counting(values):
+        calls.append(values is f.tds.fprime)
+        return real(values)
+
+    monkeypatch.setattr(rational, "_scale", counting)
+    for q in range(1, 11):
+        carmichael_estimate(f, q, [500, 1000, 2000])
+    assert calls.count(True) == 1

@@ -328,6 +328,35 @@ def test_weak_reef_residual_shrinks():
     assert res[-1] < res[0]
 
 
+@pytest.mark.parametrize("make", [_tail_instance, _rational_tail_instance])
+def test_weak_reef_and_short_average_scatter_the_tail_once(make, monkeypatch):
+    from rlab import kernels
+    grid = [100, 1000]
+    cut = make()
+    cut.base.ensure_depth(grid[-1])       # deepen first: only the tail is scattered
+    n, a = cut.length, 7
+    cc = cc_coefficients(cut)
+    tail = divisor_tail(cut, a)
+    ests = {q: l_estimate(cut, q, grid).exact for q in range(1, n + 1)}
+    scatters = []
+    real = kernels.divisor_scatter_int
+
+    def counting(w):
+        scatters.append(w.shape[0])
+        return real(w)
+
+    monkeypatch.setattr(kernels, "divisor_scatter_int", counting)
+    rep = weak_reef_check(cut, a, grid)
+    assert scatters == [grid[-1] + 1]
+    for i, (x, rhs, residual) in enumerate(rep.rows):
+        want = tail + sum((cc[q - 1] - ests[q][i]) * csum(q, a) for q in range(1, n + 1))
+        assert rhs == want and residual == rep.lhs - want
+    scatters.clear()
+    avg = short_average(cut, n, grid)
+    assert scatters == [grid[-1] + 1]
+    assert [row[2] for row in avg.rows] == [ests[q][-1] for q in range(1, n + 1)]
+
+
 def test_reef_deviation_equals_tail():
     cut = _tail_instance()
     n_len = cut.length
