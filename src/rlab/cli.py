@@ -262,17 +262,22 @@ def _cmd_shift(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = ("name", "params", "seed", "out", "format", "cap_x", "cap_d")
+
+
 def _cmd_experiment(args) -> int:
     if args.exp_cmd != "run":
         raise ConfigError("usage: rlab experiment run --config cfg.json | --name NAME")
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
-        if "name" not in raw:
+        if not isinstance(raw, dict) or "name" not in raw:
             raise ConfigError("experiment config needs a 'name'")
-        if "tol" in raw:
-            raise ConfigError("experiment tolerances are per experiment: "
-                              "set params.tol, not a top-level 'tol'")
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; accepted: "
+                              f"{', '.join(_CONFIG_KEYS)}; experiment knobs "
+                              f"go under params (e.g. params.tol)")
         cfg = ExperimentConfig(name=raw["name"], params=raw.get("params", {}),
                                seed=raw.get("seed", args.seed),
                                out=raw.get("out", args.out),
@@ -287,6 +292,8 @@ def _cmd_experiment(args) -> int:
     record = run_experiment(cfg)
     print(f"experiment {record.name} [{record.config_hash}] "
           f"({record.elapsed:.2f}s)")
+    print("  params: " + " ".join(f"{k}={json.dumps(v, separators=(',', ':'))}"
+                                  for k, v in record.params.items()))
     failed = 0
     for o in record.outcomes:
         status = o["status"]
@@ -310,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output file or directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=float, default=1e-3,
-                   help="convergence tolerance of `carmichael`; experiments "
-                        "take theirs from params.tol")
+                   help="convergence tolerance of `carmichael`; the "
+                        "orthogonality and wintner-delange experiments take "
+                        "theirs from params.tol")
     p.add_argument("--cap-x", type=int, default=10 ** 7, dest="cap_x")
     p.add_argument("--cap-d", type=int, default=10 ** 6, dest="cap_d")
     sub = p.add_subparsers(dest="cmd", required=True)

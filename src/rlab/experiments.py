@@ -1,15 +1,18 @@
 """Canned reproducible experiments spanning every module.
 
-Each experiment is a named callable over an ExperimentConfig; it returns
-per-check outcomes plus artifact tables.  A fixed seed fully determines any
-randomized inputs, so identical configs reproduce identical exact outcomes.
+Each experiment is a named callable over an ExperimentConfig whose keyword
+defaults declare its knobs (`resolve_params` checks `params` against them); it
+returns per-check outcomes plus artifact tables.  A fixed seed fully
+determines any randomized inputs, so identical configs reproduce identical
+exact outcomes.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 import hashlib
+import inspect
 import json
-import numbers
+import math
 import random
 import time
 
@@ -66,13 +69,7 @@ class ExperimentConfig:
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
-    def get(self, key, default):
-        return self.params.get(key, default)
-
     def check_caps(self, x=None, d=None):
-        for name, v in (("x", x), ("D", d)):
-            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
-                raise ConfigError(f"{name} must be a number, got {v!r}")
         if x is not None and x > self.cap_x:
             raise ResourceCapError(f"x={x} exceeds cap {self.cap_x}")
         if d is not None and d > self.cap_d:
@@ -86,6 +83,7 @@ class RunRecord:
     outcomes: list                  # dicts: {"check","status","detail"}
     elapsed: float
     artifacts: list = field(default_factory=list)
+    params: dict = field(default_factory=dict)      # the resolved knobs
 
     @property
     def passed(self) -> bool:
@@ -128,14 +126,54 @@ def experiment_names() -> list:
     return sorted(_REGISTRY)
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    if cfg.name not in _REGISTRY:
-        raise UnknownExperimentError(cfg.name)
-    if not isinstance(cfg.params, dict):
+def _expects(default) -> str:
+    if isinstance(default, list):
+        return f"a non-empty list, each entry {_expects(default[0])}"
+    return {int: "an int >= 1", float: "a number > 0", str: "a string"}[type(default)]
+
+
+def _valid(value, default) -> bool:
+    if isinstance(default, list):
+        return (isinstance(value, list) and len(value) > 0
+                and all(_valid(v, default[0]) for v in value))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    kinds = int if isinstance(default, int) else (int, float)
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
+def resolve_params(name: str, params) -> dict:
+    """Check `params` against the experiment's keyword defaults.
+
+    Each value must fit its default's type (`_valid`); lists come fresh, so
+    no body holds a shared default.  Unknown keys or bad values: ConfigError.
+    """
+    if name not in _REGISTRY:
+        raise UnknownExperimentError(name)
+    if not isinstance(params, dict):
         raise ConfigError("params must be a mapping")
+    declared = {p.name: p.default for p in
+                list(inspect.signature(_REGISTRY[name]).parameters.values())[1:]}
+    unknown = sorted(set(params) - set(declared), key=str)
+    if unknown:
+        raise ConfigError(f"{name}: unknown params {unknown}; "
+                          f"accepted: {', '.join(declared)}")
+    resolved = {}
+    for key, default in declared.items():
+        value = params.get(key, default)
+        if not _valid(value, default):
+            raise ConfigError(f"{name}: params.{key} must be "
+                              f"{_expects(default)}, got {value!r}")
+        resolved[key] = list(value) if isinstance(value, list) else value
+    return resolved
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunRecord:
+    params = resolve_params(cfg.name, cfg.params)
     t0 = time.perf_counter()
     try:
-        outcomes, tables = _REGISTRY[cfg.name](cfg)
+        outcomes, tables = _REGISTRY[cfg.name](cfg, **params)
     except ResourceCapError:
         raise
     except (ValueError, IndexError) as exc:
@@ -148,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         for tag, table in tables.items():
             ext = "csv" if cfg.fmt == "csv" else "json"
             artifacts.append(emit(table, f"{cfg.out}/{cfg.name}-{tag}.{ext}", cfg.fmt))
-    return RunRecord(cfg.name, cfg.digest(), outcomes, elapsed, artifacts)
+    return RunRecord(cfg.name, cfg.digest(), outcomes, elapsed, artifacts, params)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 # ---------------------------------------------------------------------------
 
 @experiment("lemma1-grid")
-def _lemma1(cfg):
-    qmax = cfg.get("qmax", 512)
-    nmax = cfg.get("nmax", 512)
+def _lemma1(cfg, qmax=512, nmax=512):
     tab = RamanujanSumTable.build(qmax, nmax)
     bad_closed = bad_trig = 0
     worst = 0.0
@@ -179,9 +215,7 @@ def _lemma1(cfg):
 
 
 @experiment("eq2-grid")
-def _eq2(cfg):
-    qmax = cfg.get("qmax", 512)
-    nmax = cfg.get("nmax", 512)
+def _eq2(cfg, qmax=512, nmax=512):
     tab = RamanujanSumTable.build(qmax, nmax)
     n = np.arange(nmax + 1)
     bad = 0
@@ -196,9 +230,7 @@ def _eq2(cfg):
 
 
 @experiment("delange-bound")
-def _delange(cfg):
-    dmax = cfg.get("dmax", 300)
-    nmax = cfg.get("nmax", 300)
+def _delange(cfg, dmax=300, nmax=300):
     tab = RamanujanSumTable.build(dmax, nmax)
     n = np.arange(nmax + 1)
     bad = []
@@ -214,11 +246,7 @@ def _delange(cfg):
 
 
 @experiment("orthogonality")
-def _orthogonality(cfg):
-    qmax = cfg.get("qmax", 20)
-    nmax = cfg.get("nmax", 10)
-    x = cfg.get("x", 10 ** 6)
-    tol = cfg.get("tol", 1e-2)
+def _orthogonality(cfg, qmax=20, nmax=10, x=10 ** 6, tol=1e-2):
     cfg.check_caps(x=x)
     grid = [x // 4, x // 2, x]
     worst = 0.0
@@ -240,16 +268,12 @@ def _orthogonality(cfg):
 
 
 @experiment("prop1-divergence")
-def _prop1(cfg):
-    nmax = cfg.get("nmax", 10)
-    lo = cfg.get("cut_lo", 10 ** 3)
-    hi = cfg.get("cut_hi", 10 ** 5)
-    margin = cfg.get("margin", 0.3)
-    cfg.check_caps(d=hi)
+def _prop1(cfg, nmax=10, cut_lo=10 ** 3, cut_hi=10 ** 5, margin=0.3):
+    cfg.check_caps(d=cut_hi)
     bad = []
     t = Table(["n", "partial_lo", "partial_hi"])
     for n in range(1, nmax + 1):
-        s_lo, s_hi = abs_csum_over_q_partial(n, [lo, hi])
+        s_lo, s_hi = abs_csum_over_q_partial(n, [cut_lo, cut_hi])
         t.add(n, s_lo, s_hi)
         if not s_hi > s_lo + margin:
             bad.append(n)
@@ -266,10 +290,7 @@ def _inverse_square_tds(cut: int) -> ArithmeticFunction:
 
 
 @experiment("wintner-delange")
-def _wintner_delange(cfg):
-    cut = cfg.get("cut", 10 ** 4)
-    nmax = cfg.get("nmax", 50)
-    tol = cfg.get("tol", 1e-6)
+def _wintner_delange(cfg, cut=10 ** 4, nmax=50, tol=1e-6):
     cfg.check_caps(d=cut)
     f = _inverse_square_tds(cut)
     table = wintner_delange_table(f, cut)
@@ -282,9 +303,7 @@ def _wintner_delange(cfg):
 
 
 @experiment("standard-fre")
-def _standard_fre(cfg):
-    trials = cfg.get("trials", 100)
-    nmax = cfg.get("nmax", 200)
+def _standard_fre(cfg, trials=100, nmax=200):
     rng = random.Random(cfg.seed)
     bad = 0
     for _ in range(trials):
@@ -298,10 +317,7 @@ def _standard_fre(cfg):
 
 
 @experiment("prop2-roundtrip")
-def _prop2(cfg):
-    trials = cfg.get("trials", 500)
-    qmax = cfg.get("qmax", 64)
-    nmax = cfg.get("nmax", 512)
+def _prop2(cfg, trials=500, qmax=64, nmax=512):
     rng = random.Random(cfg.seed)
     # pointwise oracle on scaled numerators, independent of t.eval / e.eval:
     # tds(n) = sum_{d|n} fprime(d) and fre(n) = sum_q fhat(q) c_q(n), each one
@@ -328,9 +344,7 @@ def _prop2(cfg):
 
 
 @experiment("property-H")
-def _prop_h(cfg):
-    trials = cfg.get("trials", 40)
-    qmax = cfg.get("qmax", 128)
+def _prop_h(cfg, trials=40, qmax=128):
     rng = random.Random(cfg.seed)
     bad = 0
     for _ in range(trials):
@@ -342,9 +356,7 @@ def _prop_h(cfg):
 
 
 @experiment("property-L")
-def _prop_l(cfg):
-    cut = cfg.get("cut", 10 ** 4)
-    q0 = cfg.get("q0", 100)
+def _prop_l(cfg, cut=10 ** 4, q0=100):
     cfg.check_caps(d=4 * cut)
     f = _inverse_square_tds(4 * cut)
     rep = low_coefficient_report(f, cut, q0, decay_hint=(1.0, 2.0))
@@ -356,9 +368,7 @@ def _prop_l(cfg):
 
 
 @experiment("theorem4-roundtrip")
-def _thm4(cfg):
-    trials = cfg.get("trials", 60)
-    support = cfg.get("support", 64)
+def _thm4(cfg, trials=60, support=64):
     rng = random.Random(cfg.seed)
     bad = 0
     for _ in range(trials):
@@ -371,10 +381,7 @@ def _thm4(cfg):
 
 
 @experiment("lucht-identity")
-def _lucht(cfg):
-    trials = cfg.get("trials", 60)
-    support = cfg.get("support", 128)
-    amax = cfg.get("amax", 64)
+def _lucht(cfg, trials=60, support=128, amax=64):
     rng = random.Random(cfg.seed)
     bad = 0
     for _ in range(trials):
@@ -389,10 +396,7 @@ def _lucht(cfg):
 
 
 @experiment("dK-coefficients")
-def _dk(cfg):
-    nmax = cfg.get("nmax", 100)
-    kmax = cfg.get("kmax", 4)
-    import math
+def _dk(cfg, nmax=100, kmax=4):
     worst_k1 = 0.0
     for n in range(2, nmax + 1):
         got = divisor_power_coefficient(n, 1).value
@@ -412,10 +416,9 @@ def _dk(cfg):
 
 
 @experiment("zero-cloud-trend")
-def _zero_cloud(cfg):
-    nmax = cfg.get("nmax", 10)
-    x_lo = cfg.get("x_lo", 10 ** 2)
-    x_hi = cfg.get("x_hi", 10 ** 6)
+def _zero_cloud(cfg, nmax=10, x_lo=10 ** 2, x_hi=10 ** 6):
+    if x_lo >= x_hi:
+        raise ValueError(f"x_lo={x_lo} must be below x_hi={x_hi}")
     cfg.check_caps(d=x_hi)
     bad = []
     t = Table(["alpha", "beta", "n", "partial_lo", "partial_hi"])
@@ -430,15 +433,13 @@ def _zero_cloud(cfg):
 
 
 @experiment("cw-formula")
-def _cw(cfg):
-    qmax = cfg.get("qmax", 5)
-    grid = cfg.get("grid", [10 ** 3, 2 * 10 ** 3, 10 ** 4, 2 * 10 ** 4,
-                            10 ** 5, 2 * 10 ** 5])
-    names = cfg.get("functions", ["one", "d_2", "id"])
+def _cw(cfg, qmax=5,
+        grid=[10 ** 3, 2 * 10 ** 3, 10 ** 4, 2 * 10 ** 4, 10 ** 5, 2 * 10 ** 5],
+        functions=["one", "d_2", "id"]):
     cfg.check_caps(x=max(grid))
     out = []
     t = Table(["function", "q", "x", "ratio"])
-    for name in names:
+    for name in functions:
         f = ArithmeticFunction.builtin(name)
         for q in range(1, qmax + 1):
             rep = cw_formula_check(f, q, grid)
@@ -455,9 +456,7 @@ def _cw(cfg):
 
 
 @experiment("lemma2")
-def _lemma2(cfg):
-    qmax = cfg.get("qmax", 10)
-    grid = cfg.get("grid", [10 ** 4, 10 ** 5, 10 ** 6])
+def _lemma2(cfg, qmax=10, grid=[10 ** 4, 10 ** 5, 10 ** 6]):
     cfg.check_caps(x=max(grid))
     f = ArithmeticFunction.builtin("indicator-squares")
     rep = nonneg_carmichael_bound(f, grid, qmax=qmax)
@@ -465,11 +464,9 @@ def _lemma2(cfg):
 
 
 @experiment("conjecture1")
-def _conj1(cfg):
-    q_lo = cfg.get("q_lo", 2)
-    q_hi = cfg.get("q_hi", 8)
-    depth = cfg.get("depth", 32)
-    trials = cfg.get("trials", 40)
+def _conj1(cfg, q_lo=2, q_hi=8, depth=32, trials=40):
+    if q_lo > q_hi:
+        raise ValueError(f"q_lo={q_lo} must not exceed q_hi={q_hi}")
     out = []
     t = Table(["family", "q_cut", "depth", "nullspace_dim", "candidates", "faults"])
     for q_cut in range(q_lo, q_hi + 1):
@@ -504,8 +501,7 @@ def _rand_int_tds(rng: random.Random, q: int) -> ArithmeticFunction:
 
 
 @experiment("identity12")
-def _identity12(cfg):
-    trials = cfg.get("trials", 12)
+def _identity12(cfg, trials=12):
     amax = 256
     rng = random.Random(cfg.seed)
     bad = []
@@ -524,8 +520,7 @@ def _identity12(cfg):
 
 
 @experiment("cc")
-def _cc(cfg):
-    x = cfg.get("x", 10 ** 5)
+def _cc(cfg, x=10 ** 5):
     cfg.check_caps(x=x)
     rng = random.Random(cfg.seed)
     grid = [x // 4, x // 2, x]
@@ -547,8 +542,7 @@ def _cc(cfg):
 
 
 @experiment("reef")
-def _reef(cfg):
-    lgrid = cfg.get("lgrid", [10 ** 3, 10 ** 4])
+def _reef(cfg, lgrid=[10 ** 3, 10 ** 4]):
     out = []
     # tail-free: even indicator against itself, even length
     f = _even_indicator()
@@ -575,8 +569,7 @@ def _reef(cfg):
 
 
 @experiment("weak-reef")
-def _weak_reef(cfg):
-    lgrid = cfg.get("lgrid", [10 ** 3, 10 ** 4, 10 ** 5])
+def _weak_reef(cfg, lgrid=[10 ** 3, 10 ** 4, 10 ** 5]):
     cfg.check_caps(x=max(lgrid))
     f = ArithmeticFunction.table([0, 1], after="zero")
     g = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, 1]))
@@ -588,8 +581,7 @@ def _weak_reef(cfg):
 
 
 @experiment("short-average")
-def _short_avg(cfg):
-    lgrid = cfg.get("lgrid", [10 ** 3, 10 ** 4])
+def _short_avg(cfg, lgrid=[10 ** 3, 10 ** 4]):
     out = []
     f = _even_indicator()
     cut = cut_correlation(f, f, 10, 10)
@@ -612,10 +604,10 @@ def _short_avg(cfg):
 # ---------------------------------------------------------------------------
 
 @experiment("concordance-thm8")
-def _thm8(cfg):
-    cut = cfg.get("cut", 10 ** 4)
-    grid = cfg.get("grid", [10 ** 6 // 4, 10 ** 6 // 2, 10 ** 6])
-    cfg.check_caps(x=max(grid), d=cut)
+def _thm8(cfg, cut=10 ** 4, grid=[10 ** 6 // 4, 10 ** 6 // 2, 10 ** 6],
+          log_grid=[10 ** 3, 10 ** 4, 10 ** 5]):
+    # the log part allocates and loops over log_grid[-1] floats: cap it too
+    cfg.check_caps(x=max(grid + log_grid), d=cut)
     out = []
     t = Table(["function", "q", "carmichael", "wintner_partial", "gap"])
     f = _inverse_square_tds(cut)
@@ -636,7 +628,6 @@ def _thm8(cfg):
     out.append(_ok("concordance-within-tail-bound", not past_tail,
                    f"q past 1e-3 + tail: {past_tail}"))
     # slow decay without summability: fprime(d) = 1/log(d+1)
-    log_grid = cfg.get("log_grid", [10 ** 3, 10 ** 4, 10 ** 5])
     xmax = log_grid[-1]
     fp = 1.0 / np.log(np.arange(2, xmax + 2, dtype=np.float64))
     sd2 = condition_check("SD", list(fp[:cut]), cut)
@@ -660,9 +651,7 @@ def _thm8(cfg):
 
 
 @experiment("concordance-thm9")
-def _thm9(cfg):
-    x = cfg.get("x", 10 ** 6)
-    cut = cfg.get("cut", 10 ** 5)
+def _thm9(cfg, x=10 ** 6, cut=10 ** 5):
     cfg.check_caps(x=x, d=cut)
     f = ArithmeticFunction.builtin("indicator-squares")
     out = []

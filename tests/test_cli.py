@@ -226,3 +226,44 @@ def test_experiment_cap_breach(capsys):
     assert main(["--cap-x", "100", "experiment", "run", "--name",
                  "orthogonality"]) == 2
     assert "exceeds cap" in capsys.readouterr().err
+
+
+def test_experiment_run_prints_resolved_params(capsys):
+    assert main(["experiment", "run", "--name", "identity12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  params: trials=12"
+
+
+def test_experiment_config_params_line_quotes_lists(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "reef", "params": {"lgrid": [100, 1000]}}))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 0
+    assert "  params: lgrid=[100,1000]" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("raw", [
+    {"name": "lemma1-grid", "params": {"qmaxx": 3}},
+    {"name": "lemma1-grid", "parms": {"qmax": 3}},
+    {"name": "lemma1-grid", "params": {"qmax": "8"}},
+    {"name": "lemma1-grid", "params": {"qmax": 1e6}},
+    {"name": "identity12", "params": {"trials": 0}},
+    {"name": "cw-formula", "params": {"functions": "one"}},
+    {"name": "conjecture1", "params": {"q_lo": 5, "q_hi": 2}},
+    {"name": "zero-cloud-trend", "params": {"x_lo": 1000, "x_hi": 1000}},
+    {"name": "concordance-thm8", "cap_x": 10 ** 4,
+     "params": {"cut": 10, "grid": [100, 200], "log_grid": [100, 10 ** 5]}},
+    ["lemma1-grid"],
+])
+def test_experiment_config_bad_input_is_usage_error(tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_experiment_config_misspelt_top_level_key_names_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "lemma1-grid", "parms": {"qmax": 3}}))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 2
+    assert "'parms'" in capsys.readouterr().err

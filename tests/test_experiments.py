@@ -1,14 +1,19 @@
 """Experiment harness: registry coverage, oracle independence, error categories."""
 
+import functools
+import inspect
+import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rlab import experiments, shift
 from rlab.emit import Table, emit, format_cell
 from rlab.experiments import (ConfigError, ExperimentConfig, ResourceCapError,
                               UnknownExperimentError, experiment_names,
-                              run_experiment)
+                              resolve_params, run_experiment)
 from rlab.finite import FiniteExpansion
 from rlab.shift import ShiftCoefficients
 
@@ -59,14 +64,133 @@ def test_non_numeric_cut_is_config_error(name):
         run_experiment(ExperimentConfig(name=name, params={"cut": "abc"}))
 
 
-def test_bool_or_non_numeric_cap_argument_is_config_error():
-    cfg = ExperimentConfig(name="orthogonality")
-    for bad in (True, False, "10", [10]):
-        with pytest.raises(ConfigError):
-            cfg.check_caps(x=bad)
-        with pytest.raises(ConfigError):
-            cfg.check_caps(d=bad)
-    cfg.check_caps(x=10 ** 6, d=2.5)      # numbers within the caps pass
+@pytest.mark.parametrize("bad", [True, False, "10", [10]])
+@pytest.mark.parametrize("name", ["concordance-thm8", "concordance-thm9",
+                                  "property-L", "wintner-delange"])
+def test_bool_or_non_numeric_cut_is_config_error(name, bad):
+    with pytest.raises(ConfigError, match="params.cut"):
+        run_experiment(ExperimentConfig(name=name, params={"cut": bad}))
+
+
+def _declared(name):
+    fn = experiments._REGISTRY[name]
+    return {p.name: p.default
+            for p in list(inspect.signature(fn).parameters.values())[1:]}
+
+
+@pytest.mark.parametrize("name", REQUIRED)
+def test_resolve_params_defaults_are_the_signature(name):
+    declared = _declared(name)
+    resolved = resolve_params(name, {})
+    assert declared and resolved == declared
+    for key, value in resolved.items():
+        if isinstance(value, list):
+            assert value is not declared[key]      # a fresh list per run
+
+
+def test_resolve_params_overrides_and_accepts_int_for_float():
+    got = resolve_params("orthogonality", {"qmax": 3, "tol": 1})
+    assert got == {"qmax": 3, "nmax": 10, "x": 10 ** 6, "tol": 1}
+
+
+def _junk(default):
+    """Strategy for values that break the rule of `default`'s type."""
+    if isinstance(default, list):
+        bad_entry = st.tuples(_junk(default[0]), st.integers(0, len(default)))
+        return st.one_of(
+            st.just([]), st.none(), st.booleans(), st.integers(), st.floats(),
+            st.text(max_size=4),
+            bad_entry.map(lambda t: default[:t[1]] + [t[0]] + default[t[1]:]))
+    others = st.one_of(st.none(), st.booleans(),
+                       st.lists(st.integers(1, 9), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(),
+                                       max_size=1))
+    if isinstance(default, str):
+        return st.one_of(others, st.integers(), st.floats())
+    if isinstance(default, int):
+        return st.one_of(others, st.integers(max_value=0), st.floats(),
+                         st.text(max_size=4))
+    return st.one_of(others, st.integers(max_value=0),
+                     st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]),
+                     st.text(max_size=4))
+
+
+def _sentinel(fn):
+    @functools.wraps(fn)          # keeps the signature resolution reads
+    def body(cfg, **params):
+        raise AssertionError("experiment body ran on rejected params")
+    return body
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rejected_params_never_reach_the_body(data):
+    name = data.draw(st.sampled_from(REQUIRED))
+    declared = _declared(name)
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(declared)))
+        params, named = {key: data.draw(_junk(declared[key]))}, f"params.{key}"
+    else:
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in declared))
+        params, named = {key: declared[next(iter(declared))]}, repr(key)
+    sentinels = {n: _sentinel(f) for n, f in experiments._REGISTRY.items()}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_REGISTRY", sentinels)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            run_experiment(ExperimentConfig(name=name, params=params))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("lemma1-grid", {"qmaxx": 3}),
+    ("lemma1-grid", {"qmax": "8"}),
+    ("lemma1-grid", {"qmax": 3.5}),
+    ("lemma1-grid", {"qmax": 0}),
+    ("lemma1-grid", {"qmax": True}),
+    ("lemma1-grid", {"qmax": 1e6}),          # a JSON 1e6 is a float
+    ("identity12", {"trials": "x"}),
+    ("identity12", {"trials": 0}),
+    ("identity12", {"trials": -1}),
+    ("orthogonality", {"tol": "a"}),
+    ("prop1-divergence", {"margin": "x"}),
+    ("cw-formula", {"grid": 1000}),
+    ("cw-formula", {"functions": "one"}),
+    ("delange-bound", {"tol": 1}),
+])
+def test_reproduced_bad_params_are_config_errors(name, params):
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(name=name, params=params))
+
+
+def test_unknown_param_error_names_the_accepted_keys():
+    with pytest.raises(ConfigError, match="accepted: qmax, nmax"):
+        resolve_params("lemma1-grid", {"qmaxx": 3})
+
+
+def test_conjecture1_reversed_bounds_is_config_error():
+    with pytest.raises(ConfigError, match="q_lo"):
+        run_experiment(ExperimentConfig(name="conjecture1",
+                                        params={"q_lo": 5, "q_hi": 2}))
+
+
+@pytest.mark.parametrize("x_hi", [100, 50])
+def test_zero_cloud_unordered_bounds_is_config_error(x_hi):
+    with pytest.raises(ConfigError, match="x_lo"):
+        run_experiment(ExperimentConfig(name="zero-cloud-trend",
+                                        params={"x_lo": 100, "x_hi": x_hi}))
+
+
+def test_thm8_log_grid_is_capped():
+    cfg = ExperimentConfig(name="concordance-thm8", cap_x=10 ** 4,
+                           params={"cut": 10, "grid": [100, 200],
+                                   "log_grid": [100, 10 ** 5]})
+    with pytest.raises(ResourceCapError):
+        run_experiment(cfg)
+
+
+def test_run_record_quotes_resolved_params():
+    rec = run_experiment(ExperimentConfig(
+        name="lemma1-grid", params={"qmax": 8}))
+    assert rec.params == {"qmax": 8, "nmax": 512}
 
 
 def test_cap_breach_raises():
