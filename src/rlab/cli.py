@@ -23,8 +23,8 @@ from .rational import format_rational, parse_rational
 from .ramanujan import csum, csum_divisor_form, csum_trig_form
 from .shift import (cc_coefficients, correlate, cut_correlation, l_estimate,
                     qrc, shift_expansion_check, short_average, weak_reef_check)
-from .transforms import (CoefficientSeq, carmichael_estimate, condition_check,
-                         eratosthenes, vanishing_tail_search, wintner_coefficient)
+from .transforms import (carmichael_estimate, condition_check, eratosthenes,
+                         vanishing_tail_search, wintner_coefficient)
 
 
 def _load_function(path: str) -> ArithmeticFunction:
@@ -49,21 +49,26 @@ def _load_fre(path: str) -> FiniteExpansion:
                            [parse_rational(v) for v in spec["fhat"]])
 
 
-def _load_coeffs(arg: str) -> CoefficientSeq:
+def _load_coeffs(arg: str):
+    """A FiniteExpansion from a {"support": S, "entries": {q: fhat(q)}} file
+    (missing q <= S are zero), or a builtin family as a callable q -> fhat(q)."""
     if arg.startswith("builtin:"):
         name = arg.split(":", 1)[1]
         if name == "zero-ram":
-            return ZeroCloudElement(1, 0).as_expansion().coefficients
+            return ZeroCloudElement(1, 0).coefficient
         if name == "zero-har":
-            return ZeroCloudElement(0, 1).as_expansion().coefficients
+            return ZeroCloudElement(0, 1).coefficient
         raise ConfigError(f"unknown builtin coefficient family {name!r}")
     if arg.startswith("dK:"):
-        return dk_expansion(int(arg.split(":", 1)[1])).coefficients
+        return dk_expansion(int(arg.split(":", 1)[1]))
     with open(arg) as fh:
         spec = json.load(fh)
+    support = int(spec["support"])
     entries = {int(q): parse_rational(v) for q, v in spec["entries"].items()}
-    return CoefficientSeq(label="user", support=int(spec["support"]),
-                          entries=entries)
+    outside = sorted(q for q in entries if not 1 <= q <= support)
+    if outside:
+        raise ConfigError(f"coefficient index q={outside[0]} outside 1..{support}")
+    return FiniteExpansion(support, [entries.get(q, 0) for q in range(1, support + 1)])
 
 
 def _grid(arg: str) -> list:
@@ -227,10 +232,9 @@ def _cmd_shift(args) -> int:
         return 0
     cut = _correlation_from_args(args)
     if args.shift_cmd == "qrc":
-        coeffs = qrc(cut, args.Q)
         t = Table(["q", "coefficient"])
-        for q in range(1, args.Q + 1):
-            t.add(q, coeffs.get(q))
+        for q, v in enumerate(qrc(cut, args.Q).fhat, start=1):
+            t.add(q, v)
         _emit_or_print(t, args)
         return 0
     if args.shift_cmd == "check12":

@@ -5,6 +5,11 @@ zero-expansion family alpha/q + beta/phi(q), Wintner-Delange reconstruction,
 Lucht's resummation identity, inversion of pure coefficients back to the
 transform, Carmichael's formula for pure finite expansions, the standard
 n-dependent finite expansion, and the K-divisor coefficient formula.
+
+A finite coefficient sequence is a `finite.FiniteExpansion` (a plain list of
+fhat(1..Q) counts as one), and the exact paths run on its scaled numerators;
+an unbounded one is a plain callable q -> fhat(q), which `evaluate_partial`
+sums in float64 and the routines needing finite support refuse.
 """
 
 from dataclasses import dataclass
@@ -15,29 +20,21 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors, phi
-from .finite import FiniteExpansion, fre_to_tds
+from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import exact_sum, scale
+from .rational import scale
 from .ramanujan import csum, cross_sum
-from .transforms import CoefficientSeq, eratosthenes, wintner_scaled_table
+from .transforms import eratosthenes, wintner_scaled_table
 from . import kernels
 
 
-@dataclass
-class RamanujanExpansion:
-    """A coefficient sequence tagged with purity and provenance.
-
-    Pure expansions have point-independent coefficients by construction; the
-    standard finite expansion is the one n-dependent citizen and carries its
-    own evaluation path.
-    """
-    coefficients: CoefficientSeq
-    purity: str = "pure"                # "pure" | "standard-fre"
-    provenance: str = "user"
-
-    @classmethod
-    def from_list(cls, values, provenance="user"):
-        return cls(CoefficientSeq.from_list(values), "pure", provenance)
+def _finite(fhat) -> FiniteExpansion:
+    """fhat as a FiniteExpansion; a list holds fhat(1..Q) with Q its length."""
+    if isinstance(fhat, FiniteExpansion):
+        return fhat
+    if callable(fhat):
+        raise ValueError("finite coefficient support required")
+    return FiniteExpansion(len(fhat), fhat)
 
 
 @dataclass
@@ -53,12 +50,6 @@ class ZeroCloudElement:
     def coefficient(self, q: int) -> Fraction:
         return self.alpha / q + Fraction(self.beta, phi(q))
 
-    def as_expansion(self) -> RamanujanExpansion:
-        prov = "zero-ram" if self.beta == 0 else (
-            "zero-har" if self.alpha == 0 else "zero-plane")
-        seq = CoefficientSeq.from_func(self.coefficient, label="user")
-        return RamanujanExpansion(seq, "pure", prov)
-
     def float_weights(self, qmax: int) -> np.ndarray:
         q = np.arange(qmax + 1, dtype=np.float64)
         q[0] = 1.0
@@ -69,38 +60,23 @@ class ZeroCloudElement:
         return w
 
 
-def _seq_of(expansion) -> CoefficientSeq:
-    if isinstance(expansion, RamanujanExpansion):
-        return expansion.coefficients
-    if isinstance(expansion, CoefficientSeq):
-        return expansion
-    raise TypeError("expected RamanujanExpansion or CoefficientSeq")
-
-
-def evaluate_partial(expansion, n: int, q_cut: int, exact=None):
+def evaluate_partial(expansion, n: int, q_cut: int):
     """Partial sum over q <= q_cut of fhat(q) c_q(n).
 
-    Exact (Fraction) when the coefficients are stored exactly and the cut is
-    modest; functional sequences over deep cuts go through the vectorized
-    float path.  No limit claim is attached to the value.
+    Exact (a Fraction) for a FiniteExpansion or list, whose coefficients
+    vanish past Q; a callable goes through the vectorized float path.  No
+    limit claim is attached to the value.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    seq = _seq_of(expansion)
-    if seq.support is not None and seq.entries is not None:
-        top = min(q_cut, seq.support)
-        missing = [q for q in seq.entries if q <= q_cut and q > seq.support]
-        if missing:
-            raise ValueError(f"coefficients missing below cut at q={missing[0]}")
-        total = exact_sum(Fraction(seq.entries[q]) * csum(q, n)
-                          for q in seq.entries if q <= top)
-        return total
-    if exact is True:
-        return exact_sum(Fraction(seq.get(q)) * csum(q, n)
-                         for q in range(1, q_cut + 1))
+    if not callable(expansion):
+        e = _finite(expansion)
+        nums, den = scale(e.fhat)
+        row = kernels.csum_row(n, min(q_cut, e.range)).tolist()
+        return Fraction(sum(map(mul, nums, row[1:])), den)
     row = kernels.csum_row(n, q_cut).astype(np.float64)
-    weights = seq.float_array(q_cut)
-    return float(np.dot(row[1:], weights[1:]))
+    weights = np.array([float(expansion(q)) for q in range(1, q_cut + 1)])
+    return float(np.dot(row[1:], weights))
 
 
 def zero_cloud_partial(alpha, beta, n: int, q_cut: int) -> float:
@@ -162,11 +138,11 @@ def lucht_evaluate(fhat, a: int, cut: int):
 
     Both sides run on the coefficients' scaled numerators; the inner sums of
     the right-hand side are one Moebius transform over multiples."""
-    seq = fhat if isinstance(fhat, CoefficientSeq) else CoefficientSeq.from_list(fhat)
-    nums, den = scale([Fraction(seq.get(q)) for q in range(1, cut + 1)])
+    nums, den = scale(_finite(fhat).fhat)
+    nums = nums[:max(cut, 0)]   # fhat vanishes past Q, and so do both sides' terms
     lhs = sum(n * csum(q, a) for q, n in enumerate(nums, start=1) if n)
     inner = kernels.mobius_multiples(kernels.int_array((0, *nums)))
-    rhs = sum(d * int(inner[d]) for d in divisors(a) if d <= cut)
+    rhs = sum(d * int(inner[d]) for d in divisors(a) if d <= len(nums))
     return Fraction(lhs, den), Fraction(rhs, den)
 
 
@@ -187,15 +163,9 @@ def invert_pure_coefficients(fhat) -> PureInversion:
     Unbounded supports are not handled here (the dual summability condition
     cannot be certified from finite data) and raise.
     """
-    seq = fhat if isinstance(fhat, CoefficientSeq) else CoefficientSeq.from_list(fhat)
-    if seq.support is None:
-        raise ValueError("finite coefficient support required")
-    q_max = seq.support
-    e = FiniteExpansion(q_max, [Fraction(seq.get(q)) for q in range(1, q_max + 1)])
+    e = _finite(fhat)
     t = fre_to_tds(e)
-    nums, den = wintner_scaled_table(t.fprime, q_max)
-    ok = all(Fraction(nums[q - 1], den) == Fraction(seq.get(q))
-             for q in range(1, q_max + 1))
+    ok = tds_to_fre(t).fhat == e.fhat
     return PureInversion(list(t.fprime), ok)
 
 
@@ -211,20 +181,16 @@ def carmichael_formula_check(expansion, l: int, xgrid,
     Per-x sums are exact: F(h) is expanded through its coefficients and each
     cross sum of Ramanujan sums is an exact integer.
     """
-    if isinstance(expansion, RamanujanExpansion) and expansion.purity != "pure":
-        raise ValueError("Carmichael's formula needs a pure expansion")
-    seq = _seq_of(expansion)
-    if seq.support is None:
-        raise ValueError("finite coefficient support required")
+    e = _finite(expansion)
     xs = check_grid(xgrid)
     fl = phi(l)
-    target = Fraction(seq.get(l))
-    nums, den = scale([Fraction(seq.get(q)) for q in range(1, seq.support + 1)])
+    target = e.get(l)
+    nums, den = scale(e.fhat)
     exact = []
     for x in xs:
-        inner = [cross_sum(q, l, 0, x) for q in range(1, seq.support + 1)]
+        inner = [cross_sum(q, l, 0, x) for q in range(1, e.range + 1)]
         exact.append(Fraction(sum(map(mul, nums, inner)), den * fl * x))
-    ests = [float(e) for e in exact]
+    ests = [float(v) for v in exact]
     return build_estimate(xs, ests, tol, target=float(target), exact=exact)
 
 
@@ -295,9 +261,6 @@ def divisor_power_coefficient(n: int, k: int) -> DivisorPowerCoefficient:
     return DivisorPowerCoefficient(n, k, rational, k)
 
 
-def dk_expansion(k: int) -> RamanujanExpansion:
-    """Coefficient sequence n -> d-hat_{K+1}(n) as a float-valued expansion."""
-    seq = CoefficientSeq.from_func(
-        lambda q: divisor_power_coefficient(q, k).value, label="user",
-        meta={"family": "dK", "k": k})
-    return RamanujanExpansion(seq, "pure", "dK-lucht")
+def dk_expansion(k: int):
+    """Coefficient sequence n -> d-hat_{K+1}(n) as a float-valued callable."""
+    return lambda q: divisor_power_coefficient(q, k).value

@@ -61,6 +61,14 @@ class ExperimentConfig:
     cap_x: int = 10 ** 7
     cap_d: int = 10 ** 6
 
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed must be an int, got {self.seed!r}")
+        for key in ("cap_x", "cap_d"):
+            cap = getattr(self, key)
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+                raise ConfigError(f"{key} must be an int >= 1, got {cap!r}")
+
     def canonical(self) -> str:
         blob = {"name": self.name, "params": self.params, "seed": self.seed,
                 "cap_x": self.cap_x, "cap_d": self.cap_d}
@@ -195,6 +203,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
 @experiment("lemma1-grid")
 def _lemma1(cfg, qmax=512, nmax=512):
+    cfg.check_caps(x=(qmax + 1) * (nmax + 1))    # the int64 table's cells
     tab = RamanujanSumTable.build(qmax, nmax)
     bad_closed = bad_trig = 0
     worst = 0.0
@@ -216,6 +225,7 @@ def _lemma1(cfg, qmax=512, nmax=512):
 
 @experiment("eq2-grid")
 def _eq2(cfg, qmax=512, nmax=512):
+    cfg.check_caps(x=(qmax + 1) * (nmax + 1))    # the int64 table's cells
     tab = RamanujanSumTable.build(qmax, nmax)
     n = np.arange(nmax + 1)
     bad = 0
@@ -231,6 +241,7 @@ def _eq2(cfg, qmax=512, nmax=512):
 
 @experiment("delange-bound")
 def _delange(cfg, dmax=300, nmax=300):
+    cfg.check_caps(x=(dmax + 1) * (nmax + 1))    # the int64 table's cells
     tab = RamanujanSumTable.build(dmax, nmax)
     n = np.arange(nmax + 1)
     bad = []
@@ -397,6 +408,8 @@ def _lucht(cfg, trials=60, support=128, amax=64):
 
 @experiment("dK-coefficients")
 def _dk(cfg, nmax=100, kmax=4):
+    if nmax < 2:
+        raise ValueError(f"nmax={nmax} checks no n: the k = 1 formula starts at n = 2")
     worst_k1 = 0.0
     for n in range(2, nmax + 1):
         got = divisor_power_coefficient(n, 1).value
@@ -559,7 +572,7 @@ def _reef(cfg, lgrid=[10 ** 3, 10 ** 4]):
     bad = []
     for a in (5, 7, 10, 20, 25, 50):
         lhs = Fraction(cut2.base.value(a))
-        main = sum(coeffs.get(q) * csum(q, a) for q in range(1, n + 1))
+        main = coeffs.eval(a)
         tail = divisor_tail(cut2, a)
         if lhs - main != tail or (a == 5 and tail == 0):
             bad.append(a)

@@ -1,5 +1,8 @@
 """Truncated divisor sums and pure finite Ramanujan expansions.
 
+`FiniteExpansion` is the one object for a finite coefficient sequence
+fhat(1..Q), zero past Q, in n as in the shift of a cut correlation.
+
 The two representations are dual: coefficients come from the transform via
 fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
 fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
@@ -87,12 +90,11 @@ class FiniteExpansion:
             raise ValueError("fhat must have exactly Q entries")
         object.__setattr__(self, "fhat", ExactList.of(self.fhat))
 
-    @property
-    def normalized_range(self) -> int:
-        for q in range(self.range, 0, -1):
-            if self.fhat[q - 1] != 0:
-                return q
-        return 0
+    def get(self, q: int):
+        """fhat(q), zero past the range Q."""
+        if q < 1:
+            raise ValueError("coefficient index q >= 1 required")
+        return self.fhat[q - 1] if q <= self.range else 0
 
     def eval(self, n: int):
         nums, den = scale(self.fhat)

@@ -8,8 +8,9 @@ out, exact summation on top of it, and the "p/q" string serialization used by
 every CSV/JSON surface.
 
 The exact value objects hold their sequences as ExactLists:
-`TruncatedDivisorSum.fprime`, `FiniteExpansion.fhat`, the shift coefficients
-of a cut and the Moebius transform of a rational correlation.  `scale` of such
+`TruncatedDivisorSum.fprime`, `FiniteExpansion.fhat` (the one object for a
+finite coefficient sequence, the shift coefficients of a cut included) and
+the values and Moebius transform of a rational correlation.  `scale` of such
 a sequence is computed on first use and read from the list afterwards, so the
 kernels and dots of every later call start from the same numerators.  An
 ExactList built from a scaled result (`ExactList.over`) holds Fractions for
@@ -42,10 +43,12 @@ class ExactList(list):
     @classmethod
     def of(cls, values) -> "ExactList":
         """values as an ExactList: ints and Fractions kept as they are, any
-        other number (a numpy int, a float) converted to its exact Fraction."""
+        other number converted to its exact Fraction (a numpy int through
+        int, so no fixed-width numerator stays inside)."""
         if isinstance(values, cls):
             return values
-        return cls(v if isinstance(v, (int, Fraction)) else Fraction(v)
+        return cls(v if isinstance(v, (int, Fraction)) else
+                   Fraction(int(v) if isinstance(v, np.integer) else v)
                    for v in values)
 
     @classmethod

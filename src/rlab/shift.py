@@ -8,26 +8,27 @@ cut correlation factor exactly through the coefficients of g_N; the gap
 between those and the truncated coefficients is the limit L(q), estimated
 here on finite grids.
 
-The values of a rational correlation, its Moebius transform and the shift
-coefficients of a cut are `rational.ExactList`s, so each goes over its
-denominator once: the split identity at every shift is one integer dot of
-the coefficients' cached numerators with the row c_q(a), and the L(q) sums
-read the transform's numerators.  A Weak-Reef or short-average check builds
+The shift coefficients of a cut are a `finite.FiniteExpansion` in a: the
+finite expansion of the t.d.s. whose fprime is C'(N, .) cut at Q.  They, the
+values of a rational correlation and its Moebius transform are
+`rational.ExactList`s, so each goes over its denominator once: the split
+identity at every shift is the expansion's value at a (one integer dot of its
+cached numerators with the row c_q(a)), and the L(q) sums read the
+transform's numerators.  A Weak-Reef or short-average check builds
 the divisor tail T(m) once and sums it against c_q(m) for every q.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
 from .arith import ArithmeticFunction, divisors, phi
-from .finite import TruncatedDivisorSum, tds_to_fre
+from .finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
 from .rational import ExactList, exact_sum, scale
 from .ramanujan import csum, csum_period, csum_prefix_sum
-from .transforms import eratosthenes, wintner_table
+from .transforms import eratosthenes
 from . import kernels
 
 DEPTH_CAP = 10 ** 6     # transform depth never exceeds this without a flag
@@ -116,7 +117,7 @@ class CutCorrelation:
     remainder: list                   # C_{f,g}(N,a) - C_{f,g_N}(N,a), per a
     fair: bool = True
     _ghat: list = field(default=None, repr=False)
-    _coeffs: object = field(default=None, repr=False)
+    _coeffs: FiniteExpansion = field(default=None, repr=False)
 
     @property
     def length(self) -> int:
@@ -128,7 +129,7 @@ class CutCorrelation:
             self._ghat = tds_to_fre(self.g_truncated).fhat
         return self._ghat
 
-    def coefficients(self) -> "ShiftCoefficients":
+    def coefficients(self) -> FiniteExpansion:
         """qrc(self, N), computed once: entries q <= N read C'(N, d) for
         d <= N only, which a deeper shift cache leaves unchanged."""
         if self._coeffs is None:
@@ -155,28 +156,11 @@ def cut_correlation(f, g, length: int, amax: int, fair=None) -> CutCorrelation:
     return CutCorrelation(base, g_n, remainder, fair=base.fair)
 
 
-@dataclass(frozen=True)
-class ShiftCoefficients:
-    """Q-truncated shift coefficients sum_{d<=Q, q|d} C'(N,d)/d; zero past Q."""
-    length: int
-    q_cut: int
-    entries: list        # 1-based, length q_cut; an ExactList
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", ExactList.of(self.entries))
-
-    def get(self, q: int) -> Fraction:
-        if q < 1:
-            raise ValueError("q >= 1 required")
-        if q > self.q_cut:
-            return Fraction(0)
-        return self.entries[q - 1]
-
-
-def qrc(cut: CutCorrelation, q_cut: int) -> ShiftCoefficients:
-    """Exact truncated shift coefficients of the cut correlation."""
-    tr = cut.base.transform(q_cut)
-    return ShiftCoefficients(cut.length, q_cut, wintner_table(tr[1: q_cut + 1], q_cut))
+def qrc(cut: CutCorrelation, q_cut: int) -> FiniteExpansion:
+    """Exact truncated shift coefficients sum_{d<=Q, q|d} C'(N,d)/d of the cut
+    correlation: the finite expansion of the t.d.s. with fprime = C'(N, .) cut
+    at Q, zero past Q."""
+    return tds_to_fre(TruncatedDivisorSum(q_cut, cut.base.transform(q_cut)[1: q_cut + 1]))
 
 
 def shift_expansion_check(cut: CutCorrelation, a: int):
@@ -184,14 +168,12 @@ def shift_expansion_check(cut: CutCorrelation, a: int):
 
     lhs = C_{f,g_N}(N,a); rhs = sum_{q<=N} qrc(q) c_q(a) + sum_{d|a, d>N} C'(N,d).
     A finite Moebius-inversion identity: equal must hold for every exact input.
-    The main sum is one integer dot of the coefficients' cached numerators
-    with the row c_q(a), q <= N.
+    The main sum is the value at a of the finite expansion qrc(cut, N).
     """
-    nums, den = scale(cut.coefficients().entries)
+    main = cut.coefficients().eval(a)
     tail = divisor_tail(cut, a)     # deepens the cache to a before reading C(N, a)
     lhs = Fraction(cut.base.value(a))
-    row = kernels.csum_row(a, cut.length).tolist()
-    rhs = Fraction(sum(map(mul, nums, row[1:])), den) + tail
+    rhs = main + tail
     return lhs, rhs, lhs == rhs
 
 

@@ -11,7 +11,7 @@ accumulate in float64 dot products.  Convergence is never asserted: every
 verdict is "at-cut", tied to the evaluation grid that produced it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -241,50 +241,6 @@ def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
 
 
 # ---------------------------------------------------------------------------
-# coefficient sequences
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CoefficientSeq:
-    """Indexed sequence q -> coefficient with explicit support metadata.
-
-    Finite sequences carry a support bound and vanish beyond it; unbounded
-    ones carry a generator plus truncation metadata describing any cut used.
-    """
-    label: str
-    support: int | None
-    entries: dict | None = None
-    func: object = None
-    truncation_meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_list(cls, values, label="user"):
-        entries = {q: v for q, v in enumerate(values, start=1) if v != 0}
-        return cls(label=label, support=len(values), entries=entries)
-
-    @classmethod
-    def from_func(cls, func, label="user", meta=None):
-        return cls(label=label, support=None, func=func,
-                   truncation_meta=meta or {})
-
-    def get(self, q: int):
-        if q < 1:
-            raise ValueError("coefficient index q >= 1 required")
-        if self.support is not None and q > self.support:
-            return Fraction(0)
-        if self.entries is not None:
-            return self.entries.get(q, Fraction(0))
-        return self.func(q)
-
-    def float_array(self, qmax: int) -> np.ndarray:
-        out = np.zeros(qmax + 1, dtype=np.float64)
-        top = qmax if self.support is None else min(qmax, self.support)
-        for q in range(1, top + 1):
-            out[q] = float(self.get(q))
-        return out
-
-
-# ---------------------------------------------------------------------------
 # condition checks (always at-cut)
 # ---------------------------------------------------------------------------
 
@@ -328,7 +284,7 @@ def condition_check(kind: str, source, cut: int) -> ConditionReport:
 
     WA:  sum |fprime(d)|/d           (source: fprime)
     DH:  sum 2^omega(d) |fprime(d)|/d (source: fprime)
-    DD7: sum 2^omega(q) |fhat(q)|     (source: coefficient sequence)
+    DD7: sum 2^omega(q) |fhat(q)|     (source: fhat)
     SD:  (1/x) sum_{d<=x} |fprime(d)| -> 0   (source: fprime)
     DI:  (1/x) sum_{n<=x} |F(n)| bounded     (source: F itself)
 
@@ -338,10 +294,7 @@ def condition_check(kind: str, source, cut: int) -> ConditionReport:
     if kind not in ("WA", "DH", "DD7", "SD", "DI"):
         raise ValueError(f"unknown condition {kind!r}")
     full, cuts = _decade_cuts(cut)
-    if kind == "DD7" and isinstance(source, CoefficientSeq):
-        vals = [source.get(q) for q in range(1, cut + 1)]
-    else:
-        vals = _fprime_values(source, cut)
+    vals = _fprime_values(source, cut)
     absv = np.array([abs(float(v)) for v in vals])
     d = np.arange(1, cut + 1, dtype=np.float64)
     if kind == "WA":

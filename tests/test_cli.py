@@ -132,6 +132,22 @@ def test_expand_eval_seq_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_expand_eval_seq_file_key_outside_support_is_usage_error(tmp_path, capsys):
+    # the file is refused when it loads, whatever the cut
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"support": 2, "entries": {"1": "1", "5": "2"}}))
+    for cut in ("2", "5"):
+        assert main(["expand", "eval", "--coeffs", str(seq), "--n", "1",
+                     "--cut", cut]) == 2
+        assert "q=5 outside 1..2" in capsys.readouterr().err
+    seq.write_text(json.dumps({"support": 2, "entries": {"0": "1"}}))
+    assert main(["expand", "eval", "--coeffs", str(seq), "--n", "1", "--cut", "2"]) == 2
+    # keys left out inside the support are zero coefficients
+    seq.write_text(json.dumps({"support": 3, "entries": {"2": "1/2"}}))
+    assert main(["expand", "eval", "--coeffs", str(seq), "--n", "2", "--cut", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "1/2"
+
+
 def test_shift_commands(fn_file, capsys):
     f = fn_file({"kind": "builtin", "name": "one"}, "f.json")
     g = fn_file({"kind": "tds", "range": 2,
@@ -228,6 +244,13 @@ def test_experiment_cap_breach(capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["lemma1-grid", "eq2-grid", "delange-bound"])
+def test_grid_experiments_check_their_table_against_cap_x(name, capsys):
+    assert main(["--cap-x", "10", "--cap-d", "10", "experiment", "run",
+                 "--name", name]) == 2
+    assert "exceeds cap 10" in capsys.readouterr().err
+
+
 def test_experiment_run_prints_resolved_params(capsys):
     assert main(["experiment", "run", "--name", "identity12"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -253,6 +276,11 @@ def test_experiment_config_params_line_quotes_lists(tmp_path, capsys):
     {"name": "concordance-thm8", "cap_x": 10 ** 4,
      "params": {"cut": 10, "grid": [100, 200], "log_grid": [100, 10 ** 5]}},
     ["lemma1-grid"],
+    {"name": "orthogonality", "cap_x": "abc"},
+    {"name": "identity12", "seed": [1]},
+    {"name": "identity12", "seed": True},
+    {"name": "orthogonality", "cap_d": 0},
+    {"name": "dK-coefficients", "params": {"nmax": 1}},
 ])
 def test_experiment_config_bad_input_is_usage_error(tmp_path, capsys, raw):
     cfg = tmp_path / "cfg.json"

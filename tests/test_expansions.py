@@ -7,23 +7,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab.arith import ArithmeticFunction, divisors, mu
-from rlab.expansions import (RamanujanExpansion, ZeroCloudElement,
-                             carmichael_formula_check, divisor_power_coefficient,
-                             dk_local_series, evaluate_partial,
-                             invert_pure_coefficients, lucht_evaluate,
-                             standard_finite_expansion,
+from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
+                             divisor_power_coefficient, dk_local_series,
+                             evaluate_partial, invert_pure_coefficients,
+                             lucht_evaluate, standard_finite_expansion,
                              wintner_delange_reconstruct, zero_cloud_partial)
-from rlab.finite import TruncatedDivisorSum
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum
 from rlab.ramanujan import csum
-from rlab.transforms import CoefficientSeq
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
 def test_evaluate_partial_zero_and_finite():
-    zero = RamanujanExpansion.from_list([0, 0, 0])
+    zero = FiniteExpansion(3, [0, 0, 0])
     assert evaluate_partial(zero, 5, 3) == 0
-    e = RamanujanExpansion.from_list([Fraction(3, 2), Fraction(1, 2)])
+    e = FiniteExpansion(2, [Fraction(3, 2), Fraction(1, 2)])
     assert evaluate_partial(e, 2, 2) == 2
+
+
+@PROPERTY
+@given(fhat=st.lists(RATIONALS, min_size=1, max_size=48), n=st.integers(1, 200),
+       data=st.data())
+def test_evaluate_partial_is_the_truncated_sum(fhat, n, data):
+    # q_cut below, at and above Q: terms past Q vanish
+    q = len(fhat)
+    q_cut = data.draw(st.one_of(st.integers(0, q - 1), st.just(q),
+                                st.integers(q + 1, 2 * q + 8)))
+    want = sum((fhat[k - 1] * csum(k, n) for k in range(1, min(q_cut, q) + 1)),
+               Fraction(0))
+    assert evaluate_partial(FiniteExpansion(q, fhat), n, q_cut) == want
+    assert evaluate_partial(fhat, n, q_cut) == want
 
 
 def test_evaluate_partial_mertens_like():
@@ -49,9 +61,9 @@ def test_blend_linearity():
     for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
         blend = [lam * a + (1 - lam) * b for a, b in zip(e1, e2)]
         for n in (1, 2, 3, 10):
-            got = evaluate_partial(RamanujanExpansion.from_list(blend), n, 4)
-            want = lam * evaluate_partial(RamanujanExpansion.from_list(e1), n, 4) \
-                + (1 - lam) * evaluate_partial(RamanujanExpansion.from_list(e2), n, 4)
+            got = evaluate_partial(FiniteExpansion(4, blend), n, 4)
+            want = lam * evaluate_partial(FiniteExpansion(4, e1), n, 4) \
+                + (1 - lam) * evaluate_partial(FiniteExpansion(4, e2), n, 4)
             assert got == want
 
 
@@ -60,7 +72,6 @@ def test_zero_cloud_coefficients_exact():
     assert el.coefficient(4) == Fraction(1, 4)
     el2 = ZeroCloudElement(0, 1)
     assert el2.coefficient(4) == Fraction(1, 2)
-    assert el2.as_expansion().provenance == "zero-har"
 
 
 def test_wd_reconstruct_constant():
@@ -145,30 +156,22 @@ def test_invert_pure_roundtrip(rng):
 
 
 def test_invert_pure_needs_finite_support():
-    seq = CoefficientSeq.from_func(lambda q: Fraction(1, q))
     with pytest.raises(ValueError):
-        invert_pure_coefficients(seq)
+        invert_pure_coefficients(lambda q: Fraction(1, q))
 
 
 def test_carmichael_formula_constant():
-    e = RamanujanExpansion.from_list([1])
+    e = FiniteExpansion(1, [1])
     est = carmichael_formula_check(e, 1, [10, 100, 1000])
     assert est.exact == [Fraction(1)] * 3
 
 
 def test_carmichael_formula_finite():
-    e = RamanujanExpansion.from_list([Fraction(3, 2), Fraction(1, 2)])
+    e = FiniteExpansion(2, [Fraction(3, 2), Fraction(1, 2)])
     est = carmichael_formula_check(e, 2, [25000, 50000, 100000])
     assert abs(est.final - 0.5) < 1e-2
     est3 = carmichael_formula_check(e, 3, [25000, 50000, 100000])
     assert abs(est3.final) < 1e-2       # past the support the estimate dies
-
-
-def test_carmichael_formula_rejects_impure():
-    seq = CoefficientSeq.from_list([1, 2])
-    exp = RamanujanExpansion(seq, purity="standard-fre")
-    with pytest.raises(ValueError):
-        carmichael_formula_check(exp, 1, [10, 100])
 
 
 def test_standard_fre_point_one():
@@ -220,10 +223,3 @@ def test_dk_series_against_partial_sums():
                 partial = sum(math.comb(k + lam - 1, k - 1) * float(p) ** (l - lam)
                               for lam in range(l, l + 1000))
                 assert closed == pytest.approx(partial, rel=1e-10)
-
-
-def test_evaluate_partial_missing_coefficients():
-    seq = CoefficientSeq(label="user", support=2,
-                         entries={1: Fraction(1), 5: Fraction(2)})
-    with pytest.raises(ValueError):
-        evaluate_partial(seq, 1, 5)

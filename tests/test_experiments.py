@@ -15,7 +15,6 @@ from rlab.experiments import (ConfigError, ExperimentConfig, ResourceCapError,
                               UnknownExperimentError, experiment_names,
                               resolve_params, run_experiment)
 from rlab.finite import FiniteExpansion
-from rlab.shift import ShiftCoefficients
 
 REQUIRED = [
     "lemma1-grid", "eq2-grid", "delange-bound", "orthogonality",
@@ -232,9 +231,9 @@ def test_identity12_detects_perturbed_qrc(monkeypatch):
 
     def perturbed(cut, q_cut):
         c = real(cut, q_cut)
-        entries = list(c.entries)
-        entries[0] += Fraction(1, 7)
-        return ShiftCoefficients(c.length, c.q_cut, entries)
+        fhat = list(c.fhat)
+        fhat[0] += Fraction(1, 7)
+        return FiniteExpansion(c.range, fhat)
 
     monkeypatch.setattr(shift, "qrc", perturbed)
     rec = run_experiment(ExperimentConfig(
@@ -270,3 +269,29 @@ def test_format_cell_float_precision():
     assert float(format_cell(2.0 ** -52)) == 2.0 ** -52
     assert format_cell(Fraction(7, 1)) == "7"
     assert format_cell(Fraction(-7, 3)) == "-7/3"
+
+
+@pytest.mark.parametrize("name, sizes", [("lemma1-grid", ("qmax", "nmax")),
+                                         ("eq2-grid", ("qmax", "nmax")),
+                                         ("delange-bound", ("dmax", "nmax"))])
+def test_grid_table_cells_are_checked_against_cap_x(name, sizes):
+    params = dict.fromkeys(sizes, 8)        # a 9 x 9 table: 81 cells
+    assert run_experiment(ExperimentConfig(name=name, params=params, cap_x=81)).passed
+    with pytest.raises(ResourceCapError):
+        run_experiment(ExperimentConfig(name=name, params=params, cap_x=80))
+
+
+@pytest.mark.parametrize("key, value", [("seed", [1]), ("seed", True), ("seed", "3"),
+                                        ("seed", 1.0), ("cap_x", "abc"), ("cap_x", 0),
+                                        ("cap_x", True), ("cap_d", 2.5), ("cap_d", -1)])
+def test_config_rejects_bad_seed_or_cap(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(name="identity12", **{key: value})
+
+
+def test_dk_coefficients_needs_a_point_to_check():
+    with pytest.raises(ConfigError, match="nmax=1"):
+        run_experiment(ExperimentConfig(name="dK-coefficients", params={"nmax": 1}))
+    rec = run_experiment(ExperimentConfig(name="dK-coefficients",
+                                          params={"nmax": 2, "kmax": 1}))
+    assert rec.passed

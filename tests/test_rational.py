@@ -58,8 +58,8 @@ def test_shift_objects_cache_canonical_scaled_form(fv, gv, n_len):
     g = ArithmeticFunction.from_tds(TruncatedDivisorSum(len(gv), gv))
     cut = cut_correlation(f, g, n_len, 2 * n_len)
     coeffs = cut.coefficients()
-    assert coeffs.entries == qrc(cut, n_len).entries
-    seqs = [coeffs.entries]
+    assert coeffs.fhat == qrc(cut, n_len).fhat
+    seqs = [coeffs.fhat]
     if not cut.base.is_integer:
         seqs += [cut.base.values, cut.base.transform(2 * n_len)]
     for seq in seqs:
@@ -112,13 +112,21 @@ def test_surface_still_compares_equal_to_lists():
     assert tds_to_fre(t) == FiniteExpansion(3, list(tds_to_fre(t).fhat))
 
 
+def test_numpy_ints_become_python_int_fractions():
+    # a numpy numerator would keep fixed-width arithmetic inside the Fraction
+    big = np.int64(2 ** 62)
+    t = TruncatedDivisorSum(2, np.array([big, 3]))
+    assert all(type(v.numerator) is int for v in t.fprime)
+    assert t.fprime[0] * 4 == 2 ** 64
+
+
 def test_in_place_mutation_raises():
     t = TruncatedDivisorSum(3, [1, Fraction(1, 2), 0])
     e = tds_to_fre(t)
     coeffs = qrc(cut_correlation(ArithmeticFunction.from_tds(t),
                                  ArithmeticFunction.from_tds(t), 4, 8), 4)
     before = scale(t.fprime)
-    for seq in (t.fprime, e.fhat, coeffs.entries):
+    for seq in (t.fprime, e.fhat, coeffs.fhat):
         with pytest.raises(TypeError):
             seq[0] = 5
         with pytest.raises(TypeError):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
-from rlab.finite import TruncatedDivisorSum, truncate
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum, truncate
 from rlab.ramanujan import csum
 from rlab.shift import (FairnessError, cc_coefficients, carmichael_vs_cc,
                         correlate, cut_correlation, divisor_tail, is_tail_free,
@@ -153,6 +153,23 @@ def test_split_identity_property(f, g, n_len, a):
     lhs, rhs, equal = shift_expansion_check(cut, a)
     assert equal
     assert lhs == brute_correlation(cut.base.f, cut.base.g, n_len, a)
+
+
+@PROPERTY
+@given(f=st.lists(RATIONALS, min_size=1, max_size=6),
+       g=st.lists(RATIONALS, min_size=1, max_size=6),
+       n_len=st.integers(1, 12), data=st.data())
+def test_qrc_is_the_truncated_wintner_sum(f, g, n_len, data):
+    cut = cut_correlation(_rational_tds(f), _rational_tds(g), n_len, 16)
+    q_cut = data.draw(st.integers(1, 16))
+    coeffs = qrc(cut, q_cut)
+    assert isinstance(coeffs, FiniteExpansion) and coeffs.range == q_cut
+    tr = cut.base.transform(q_cut)
+    for q in range(1, q_cut + 3):
+        want = sum((Fraction(tr[d]) / d for d in range(q, q_cut + 1, q)), Fraction(0))
+        assert coeffs.get(q) == want     # zero past Q
+    assert isinstance(cut.coefficients(), FiniteExpansion)
+    assert cut.coefficients().fhat == qrc(cut, n_len).fhat
 
 
 def test_cc_even_indicator_hand_value():

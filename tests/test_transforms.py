@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
-from rlab.finite import TruncatedDivisorSum
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum
 from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
-from rlab.transforms import (CoefficientSeq, carmichael_estimate,
-                             condition_check, cw_formula_check, eratosthenes,
+from rlab.transforms import (carmichael_estimate, condition_check,
+                             cw_formula_check, eratosthenes,
                              is_completely_multiplicative,
                              nonneg_carmichael_bound, rational_nullspace,
                              vanishing_tail_search, wintner_cm_shortcut,
@@ -276,8 +276,8 @@ def test_condition_partials_monotone():
         rep = condition_check(kind, fp, 5000)
         vals = [v for _, v in rep.trend]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-    seq = CoefficientSeq.from_list([Fraction(1, q * q) for q in range(1, 2001)])
-    rep = condition_check("DD7", seq, 2000)
+    e = FiniteExpansion(2000, [Fraction(1, q * q) for q in range(1, 2001)])
+    rep = condition_check("DD7", e.fhat, 2000)
     vals = [v for _, v in rep.trend]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
