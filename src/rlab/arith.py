@@ -345,7 +345,8 @@ class ArithmeticFunction:
                 arr = np.zeros(nmax, dtype=head.dtype)
                 arr[: len(vals)] = head
                 return arr
-            return [Fraction(v) for v in vals] + [Fraction(0)] * (nmax - len(vals))
+            return [v if isinstance(v, Fraction) else Fraction(v) for v in vals] + \
+                [Fraction(0)] * (nmax - len(vals))
         return self.tds.eval_range(nmax)
 
     def int_range(self, nmax: int) -> np.ndarray:

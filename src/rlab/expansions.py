@@ -14,15 +14,15 @@ sums in float64 and the routines needing finite support refuse.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, log
+from math import comb, factorial, gcd, log
 from operator import mul
 
 import numpy as np
 
-from .arith import divisors, phi
+from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import scale
+from .rational import scale, scale_pairs
 from .ramanujan import csum, cross_sum
 from .transforms import eratosthenes, wintner_scaled_table
 from . import kernels
@@ -186,10 +186,10 @@ def carmichael_formula_check(expansion, l: int, xgrid,
     fl = phi(l)
     target = e.get(l)
     nums, den = scale(e.fhat)
-    exact = []
-    for x in xs:
-        inner = [cross_sum(q, l, 0, x) for q in range(1, e.range + 1)]
-        exact.append(Fraction(sum(map(mul, nums, inner)), den * fl * x))
+    # inner[q - 1][i] = sum_{h <= xs[i]} c_q(h) c_l(h), one grid call per q
+    inner = [cross_sum(q, l, 0, xs) for q in range(1, e.range + 1)]
+    exact = [Fraction(sum(map(mul, nums, col)), den * fl * x)
+             for x, col in zip(xs, zip(*inner))]
     ests = [float(v) for v in exact]
     return build_estimate(xs, ests, tol, target=float(target), exact=exact)
 
@@ -207,12 +207,40 @@ class StandardFiniteExpansion:
 
 def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
     """Coefficients fhat(l, n) = sum_{d<=n, l|d} fprime(d)/d and their exact
-    reconstruction at the point n.  Works for every arithmetic function; the
-    price is the n-dependence of the coefficients."""
-    nums, den = wintner_scaled_table(eratosthenes(f, n), n)
+    reconstruction at the point n; the price of a finite expansion for every
+    exact arithmetic function is the n-dependence of the coefficients.
+
+    The path stays in integers until the output: the values f(1..n) go over
+    one denominator once, the Moebius transform runs on their numerators, each
+    term fprime(d)/d is reduced as an integer pair, and the Wintner partials
+    share one denominator.  Fractions are built only for the returned
+    coefficients and the reconstruction.  n < 1 and a function that is not
+    exact (the von Mangoldt builtin, a table or callable with float values)
+    raise ValueError.
+    """
+    if n < 1:
+        raise ValueError(f"n >= 1 required, got {n}")
+    if isinstance(f, ArithmeticFunction):
+        exact = f.is_exact
+        vals = f.eval_range(n) if exact else ()
+    else:
+        vals = [f(k) for k in range(1, n + 1)]
+        exact = all(isinstance(v, (int, Fraction, np.integer)) for v in vals)
+    if not exact:
+        raise ValueError("standard finite expansion needs an exact function "
+                         "(int or Fraction values)")
+    nums, den = scale(vals)
+    t = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0)).tolist()
+    pairs = []
+    for d in range(1, n + 1):
+        # fprime(d)/d = t[d] / (den d), reduced by one gcd
+        g = gcd(t[d], den * d)
+        pairs.append((t[d] // g, den * d // g))
+    terms, den = scale_pairs(pairs)
+    partials = [sum(terms[l - 1:: l]) for l in range(1, n + 1)]
     row = kernels.csum_row(n, n).tolist()
-    total = sum(map(mul, nums, row[1:]))
-    coeffs = [Fraction(v, den) for v in nums]
+    total = sum(map(mul, partials, row[1:]))
+    coeffs = [Fraction(v, den) for v in partials]
     return StandardFiniteExpansion(n, coeffs, Fraction(total, den))
 
 

@@ -1,7 +1,9 @@
 """Truncated divisor sums and pure finite Ramanujan expansions.
 
 `FiniteExpansion` is the one object for a finite coefficient sequence
-fhat(1..Q), zero past Q, in n as in the shift of a cut correlation.
+fhat(1..Q), zero past Q, in n as in the shift of a cut correlation.  Equality
+on both sides ignores trailing zeros, so it follows the values: expansions
+(or t.d.s.) that differ only in how far their zero tail is stored are equal.
 
 The two representations are dual: coefficients come from the transform via
 fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
@@ -31,6 +33,15 @@ from .transforms import decay_tail_bound, eratosthenes, wintner_table
 from . import kernels
 
 
+def _trimmed(values) -> list:
+    """values without their trailing zeros: two sequences that vanish past
+    their ranges are equal exactly when their trimmed forms are."""
+    r = len(values)
+    while r and values[r - 1] == 0:
+        r -= 1
+    return values[:r]
+
+
 @dataclass(frozen=True)
 class TruncatedDivisorSum:
     """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q."""
@@ -47,18 +58,12 @@ class TruncatedDivisorSum:
     @property
     def normalized_range(self) -> int:
         # Q is not unique (trailing zeros); the normalized range is canonical
-        for d in range(self.range, 0, -1):
-            if self.fprime[d - 1] != 0:
-                return d
-        return 0
+        return len(_trimmed(self.fprime))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedDivisorSum):
             return NotImplemented
-        r = self.normalized_range
-        if r != other.normalized_range:
-            return False
-        return self.fprime[:r] == other.fprime[:r]
+        return _trimmed(self.fprime) == _trimmed(other.fprime)
 
     def eval(self, n: int):
         if n < 1:
@@ -89,6 +94,12 @@ class FiniteExpansion:
         if len(self.fhat) != self.range:
             raise ValueError("fhat must have exactly Q entries")
         object.__setattr__(self, "fhat", ExactList.of(self.fhat))
+
+    def __eq__(self, other):
+        # equality follows get: trailing zero coefficients do not count
+        if not isinstance(other, FiniteExpansion):
+            return NotImplemented
+        return _trimmed(self.fhat) == _trimmed(other.fhat)
 
     def get(self, q: int):
         """fhat(q), zero past the range Q."""

@@ -2,10 +2,17 @@
 
 The canonical evaluation is the multiplicative closed form: c_q(n) is the
 product over the prime powers p^e exactly dividing q of p^(e-1) (p - 1) when
-p^e | n, -p^(e-1) when only p^(e-1) | n, and 0 otherwise, so it needs one
-factorization of q and no gcd.  The divisor form sum_{d|q, d|n} d mu(q/d)
+p^e | n, -p^(e-1) when only p^(e-1) | n, and 0 otherwise, so it needs no
+gcd.  It reads a memoised per-modulus plan of the triples
+(p^e, p^(e-1), p^(e-1) (p - 1)), so repeated calls with one modulus factor
+it and take its prime powers once.  The divisor form sum_{d|q, d|n} d mu(q/d)
 and the defining cosine sum exist as independent cross-checking routes.
 c_q(0) = phi(q) and c_q(-n) = c_q(n).
+
+The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality and
+Carmichael averages answer a whole grid of x at once: the integrand has
+period lcm(q, l) in a, so one period's products and their prefix sums give
+every x.
 """
 
 from dataclasses import dataclass
@@ -19,15 +26,21 @@ from .limits import build_estimate, check_grid
 from . import kernels
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _csum_plan(q: int) -> tuple:
+    """(p^e, p^(e-1), p^(e-1) (p - 1)) for each prime power p^e exactly
+    dividing q (memoised, like `factor`)."""
+    return tuple((p ** e, p ** (e - 1), p ** (e - 1) * (p - 1)) for p, e in factor(q))
+
+
 def csum(q: int, n: int) -> int:
     """c_q(n) by the closed form; exact integer, any integer n."""
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
     out = 1
-    for p, e in factor(q):
-        pk = p ** (e - 1)
-        if n % (pk * p) == 0:   # every p^e divides 0, so c_q(0) = phi(q)
-            out *= pk * (p - 1)
+    for pe, pk, local_phi in _csum_plan(q):
+        if n % pe == 0:   # every p^e divides 0, so c_q(0) = phi(q)
+            out *= local_phi
         elif n % pk == 0:
             out *= -pk
         else:
@@ -119,21 +132,30 @@ def delange_bound_check(d: int, n: int):
 # exact periodic summation helpers
 # ---------------------------------------------------------------------------
 
-def cross_sum(q: int, l: int, n: int, x: int) -> int:
-    """Exact sum_{a<=x} c_q(n+a) c_l(a) by summing one lcm(q,l)-period block.
+def cross_sum(q: int, l: int, n: int, xs) -> list:
+    """Exact sums sum_{a<=x} c_q(n+a) c_l(a) for every x in the grid xs.
 
-    The integrand has period P = lcm(q, l) in a, so the total is
-    (x // P) * (full-period sum) + (partial-period prefix).  Only the first
-    min(P, x) products are formed; when P > x they are the whole sum.
+    The integrand has period P = lcm(q, l) in a, so each sum is
+    (x // P) * (full-period sum) + (sum of the first x % P products).  The
+    first min(P, max xs) products are formed once and their prefix sums
+    answer every x.  The prefix sums are bounded by
+    min(P, max xs) * max|c_q| * max|c_l|; when that bound reaches 2**63 they
+    run on Python ints, like the integer kernels.
     """
+    xs = list(xs)
+    if any(x < 0 for x in xs):
+        raise ValueError("grid values x >= 0 required")
     p = lcm(q, l)
-    cq = csum_period(q)
-    cl = csum_period(l)
-    a = np.arange(1, min(p, x) + 1, dtype=np.int64)
-    prods = cq[(n + a) % q] * cl[a % l]
-    block = int(prods.sum())
-    rem = x % p
-    return (x // p) * block + int(prods[:rem].sum())
+    m = min(p, max(xs, default=0))
+    cq, cl = csum_period(q), csum_period(l)
+    if not kernels._int64_fits(m, cq, cl):
+        cq, cl = cq.astype(object), cl.astype(object)
+    a = np.arange(1, m + 1, dtype=np.int64)
+    prefix = np.zeros(m + 1, dtype=cq.dtype)
+    np.cumsum(cq[(n + a) % q] * cl[a % l], out=prefix[1:])
+    # block is the full-period sum whenever some x >= P; otherwise every x // P is 0
+    block = int(prefix[-1])
+    return [(x // p) * block + int(prefix[x % p]) for x in xs]
 
 
 def csum_multiple_sums(q: int, dmax: int, x: int) -> np.ndarray:
@@ -180,8 +202,7 @@ def orthogonality_estimate(q: int, l: int, n: int, xgrid, tol: float = 1e-2):
     if xs[0] < lcm(q, l):
         raise ValueError(f"grid values must be >= lcm(q,l) = {lcm(q, l)}")
     target = float(csum(l, n)) if q == l else 0.0
-    sums = [cross_sum(q, l, n, x) for x in xs]
-    estimates = [s / x for s, x in zip(sums, xs)]
+    estimates = [s / x for s, x in zip(cross_sum(q, l, n, xs), xs)]
     return build_estimate(xs, estimates, tol, target=target)
 
 

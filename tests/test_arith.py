@@ -232,3 +232,11 @@ def test_builtin_eval_range_matches_pointwise():
         arr = f.eval_range(200)
         for n in range(1, 201):
             assert int(arr[n - 1]) == f(n), (name, n)
+
+
+def test_rational_table_eval_range_is_fractions():
+    # ints and floats are converted, Fractions kept, the tail past the table is 0
+    half = Fraction(1, 2)
+    vals = ArithmeticFunction.table([3, half, 0.25]).eval_range(4)
+    assert vals == [3, half, Fraction(1, 4), 0]
+    assert all(type(v) is Fraction for v in vals) and vals[1] is half

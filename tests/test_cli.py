@@ -124,6 +124,17 @@ def test_expand_commands(fn_file, capsys):
     assert "reconstruction = 1" in capsys.readouterr().out
 
 
+def test_expand_sfre_bad_input_is_usage_error(fn_file, capsys):
+    # a float-valued function has no exact expansion, and n < 1 has none at all
+    path = fn_file({"kind": "builtin", "name": "vonMangoldt"})
+    assert main(["expand", "sfre", "--f", path, "--n", "6"]) == 2
+    assert "exact function" in capsys.readouterr().err
+    path = fn_file({"kind": "builtin", "name": "one"})
+    assert main(["expand", "sfre", "--f", path, "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "n >= 1" in captured.err and "reconstruction" not in captured.out
+
+
 def test_expand_eval_seq_file(tmp_path, capsys):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"support": 2, "entries": {"1": "3/2", "2": "1/2"}}))

@@ -14,6 +14,7 @@ from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
                              wintner_delange_reconstruct, zero_cloud_partial)
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum
 from rlab.ramanujan import csum
+from rlab.transforms import eratosthenes, wintner_table
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -193,6 +194,43 @@ def test_standard_fre_randomized(rng):
         n = rng.randint(1, length)
         s = standard_finite_expansion(f, n)
         assert s.reconstruction == Fraction(f(n))
+
+
+BUILTINS = ("one", "id", "mu", "phi", "lambda", "indicator-squares", "d_2", "d_3")
+
+
+@st.composite
+def exact_functions(draw):
+    """A rational table, an integer builtin or a t.d.s. (rational or integer)."""
+    kind = draw(st.sampled_from(("table", "builtin", "tds", "int-tds")))
+    if kind == "table":
+        return ArithmeticFunction.table(draw(st.lists(RATIONALS, max_size=64)))
+    if kind == "builtin":
+        return ArithmeticFunction.builtin(draw(st.sampled_from(BUILTINS)))
+    entries = RATIONALS if kind == "tds" else st.integers(-9, 9)
+    fprime = draw(st.lists(entries, min_size=1, max_size=24))
+    return ArithmeticFunction.from_tds(TruncatedDivisorSum(len(fprime), fprime))
+
+
+@PROPERTY
+@given(f=exact_functions(), n=st.integers(1, 120))
+def test_standard_fre_is_the_wintner_table_at_n(f, n):
+    s = standard_finite_expansion(f, n)
+    assert s.n == n
+    assert s.coefficients == wintner_table(eratosthenes(f, n), n)
+    assert s.reconstruction == Fraction(f(n))
+
+
+def test_standard_fre_refuses_bad_input():
+    with pytest.raises(ValueError, match="exact function"):
+        standard_finite_expansion(ArithmeticFunction.builtin("vonMangoldt"), 6)
+    with pytest.raises(ValueError, match="exact function"):
+        standard_finite_expansion(ArithmeticFunction.table([1, 0.5]), 1)
+    with pytest.raises(ValueError, match="exact function"):
+        standard_finite_expansion(lambda k: 0.5, 3)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            standard_finite_expansion(ArithmeticFunction.builtin("one"), n)
 
 
 def test_dk_k1_is_classical():

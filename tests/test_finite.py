@@ -113,6 +113,31 @@ def test_range_normalization():
     assert a != c
 
 
+def test_expansion_equality_follows_get():
+    a = FiniteExpansion(4, [1, 2, 0, 0])
+    b = FiniteExpansion(2, [1, 2])
+    assert a == b and b == a and not a != b
+    assert a != FiniteExpansion(2, [1, 3])
+    assert FiniteExpansion(3, [0, 0, 0]) == FiniteExpansion(1, [0])
+    # the duality maps equal objects to equal objects in both directions
+    assert fre_to_tds(a) == fre_to_tds(b)
+    assert tds_to_fre(TruncatedDivisorSum(4, [1, 2, 0, 0])) == \
+        tds_to_fre(TruncatedDivisorSum(2, [1, 2]))
+    assert tds_to_fre(TruncatedDivisorSum(4, [1, 2, 0, 0])) != \
+        tds_to_fre(TruncatedDivisorSum(4, [1, 2, 0, 1]))
+
+
+@PROPERTY
+@given(fhat=st.lists(RATIONALS, min_size=1, max_size=24), pad=st.integers(0, 8))
+def test_zero_padding_keeps_both_sides_equal(fhat, pad):
+    e, padded = FiniteExpansion(len(fhat), fhat), \
+        FiniteExpansion(len(fhat) + pad, fhat + [0] * pad)
+    assert e == padded
+    assert fre_to_tds(e) == fre_to_tds(padded)
+    t = TruncatedDivisorSum(len(fhat), fhat)
+    assert tds_to_fre(t) == tds_to_fre(TruncatedDivisorSum(len(fhat) + pad, fhat + [0] * pad))
+
+
 def test_support_law():
     t = TruncatedDivisorSum(3, [1, 2, 3])
     e = tds_to_fre(t)

@@ -53,6 +53,14 @@ def test_prime_modulus_two_cases():
             assert csum_divisor_form(p, n) == want
 
 
+@PROPERTY
+@given(q=st.integers(1, 5000), n=st.integers(-10 ** 7, 10 ** 7))
+@example(q=5000, n=0)
+@example(q=4096, n=-2048)
+def test_closed_form_equals_divisor_form(q, n):
+    assert csum(q, n) == csum_divisor_form(q, n)
+
+
 def test_zero_argument_is_totient():
     for q in range(1, 80):
         assert csum(q, 0) == phi(q)
@@ -160,13 +168,61 @@ def test_delange_bound():
             assert delange_bound_check(d, n)[2]
 
 
+def direct_cross_sums(q, l, n, xs):
+    """sum_{a<=x} c_q(n+a) c_l(a) for each x, term by term."""
+    sums, total = [0], 0
+    for a in range(1, max(xs, default=0) + 1):
+        total += csum(q, n + a) * csum(l, a)
+        sums.append(total)
+    return [sums[x] for x in xs]
+
+
 def test_cross_sum_periodic_equals_direct():
     # the last three have lcm(q, l) > x, so no full period is summed
     for q, l, n, x in ((2, 3, 1, 10 ** 4), (5, 5, 5, 10 ** 4), (6, 4, 2, 9999),
                        (1, 1, 7, 500), (12, 18, 3, 12345), (12, 18, 3, 5),
                        (7, 11, 2, 76), (30, 1, 4, 1)):
         direct = sum(csum(q, n + a) * csum(l, a) for a in range(1, x + 1))
-        assert cross_sum(q, l, n, x) == direct
+        assert cross_sum(q, l, n, [x]) == [direct]
+
+
+@PROPERTY
+@given(q=st.integers(1, 24), l=st.integers(1, 24), n=st.integers(-50, 50),
+       data=st.data())
+def test_cross_sum_grid_equals_direct(q, l, n, data):
+    # every grid mixes x < P, x = P and multiples of P = lcm(q, l) with
+    # arbitrary x, unsorted and repeated
+    p = math.lcm(q, l)
+    xs = [p - 1, p, 2 * p, 3 * p, 0, p // 2, 3 * p + 1]
+    xs += data.draw(st.lists(st.integers(0, 4 * p), max_size=6))
+    assert cross_sum(q, l, n, xs) == direct_cross_sums(q, l, n, xs)
+
+
+def test_cross_sum_empty_and_negative_grid():
+    assert cross_sum(6, 4, 1, []) == []
+    with pytest.raises(ValueError):
+        cross_sum(6, 4, 1, [10, -1])
+
+
+def test_cross_sum_python_int_path(monkeypatch):
+    # past the int64 headroom bound the prefix sums run on Python ints and
+    # give what the int64 path and the direct sum give
+    q, l, n, xs = 12, 18, 3, [5, 36, 100, 360]
+    fits = cross_sum(q, l, n, xs)
+    monkeypatch.setattr(kernels, "INT64_LIMIT", 1 << 8)
+    assert not kernels._int64_fits(36, csum_period(q), csum_period(l))
+    assert cross_sum(q, l, n, xs) == fits == direct_cross_sums(q, l, n, xs)
+
+
+def test_cross_sum_guard_keeps_large_periods_exact(monkeypatch):
+    # periods scaled by 2**31 make each product about 2**62 * c_q c_l, so
+    # int64 prefix sums would wrap; the guard must move them to Python ints
+    q, l, n, xs = 30, 30, 0, [30, 1000]
+    scale = 1 << 31
+    want = [scale * scale * s for s in direct_cross_sums(q, l, n, xs)]
+    monkeypatch.setattr("rlab.ramanujan.csum_period",
+                        lambda m: csum_period(m) * scale)
+    assert cross_sum(q, l, n, xs) == want
 
 
 def test_csum_prefix_sum_brute():
@@ -187,7 +243,7 @@ def test_orthogonality_off_diagonal():
     assert abs(est.final) < 0.01
     # direct-summation oracle at the final grid point
     direct = sum(csum(2, 1 + a) * csum(3, a) for a in range(1, 2001))
-    assert cross_sum(2, 3, 1, 2000) == direct
+    assert cross_sum(2, 3, 1, [2000]) == [direct]
 
 
 def test_orthogonality_diagonal():
