@@ -11,7 +11,7 @@ from .limits import LimitEstimate
 from .ramanujan import (RamanujanSumTable, csum, csum_divisor_form,
                         csum_trig_form, delange_bound_check,
                         divisibility_indicator_check, orthogonality_estimate)
-from .rational import Rational, exact_sum, format_rational, parse_rational
+from .rational import exact_sum, format_rational, parse_rational
 from .transforms import (ConditionReport, EratosthenesTransform, carmichael_estimate,
                          condition_check, cw_formula_check, eratosthenes,
                          nonneg_carmichael_bound, vanishing_tail_search,

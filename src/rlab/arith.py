@@ -209,14 +209,19 @@ def _builtin_range(name: str, nmax: int) -> np.ndarray:
             k += 1
         return v
     if name == "vonMangoldt":
+        # a prime above isqrt(nmax) has no higher power in range: one
+        # indexed update sets all of them
         v = np.zeros(nmax + 1, dtype=np.float64)
-        for p in kernels.prime_sieve(nmax):
-            p = int(p)
+        primes = kernels.prime_sieve(nmax)
+        split = int(np.searchsorted(primes, math.isqrt(nmax), side="right"))
+        for p in primes[:split].tolist():
             lp = math.log(p)
             pk = p
             while pk <= nmax:
                 v[pk] = lp
                 pk *= p
+        large = primes[split:]
+        v[large] = [math.log(p) for p in large.tolist()]
         return v
     if name.startswith("d_"):
         k = int(name[2:])
@@ -244,7 +249,8 @@ class ArithmeticFunction:
 
     Tables are 1-based; evaluation at an index past a table's end either
     yields zero or raises, per the table's `after` policy.  `is_exact` is
-    False only for the float-valued von Mangoldt builtin.
+    False for the float-valued von Mangoldt builtin and for a table holding a
+    float.
     """
 
     def __init__(self, kind, name=None, values=None, after="zero", tds=None):
@@ -331,7 +337,8 @@ class ArithmeticFunction:
 
     def eval_range(self, nmax: int):
         """Values on 1..nmax: an integer numpy array (int64, or Python ints
-        past 2**63), a float64 array, or a Python list when the table holds
+        past 2**63), a float64 array for the von Mangoldt builtin and for a
+        table holding a float, or a Fraction list when the table holds
         non-integer rationals."""
         if self.kind == "builtin":
             return _builtin_range(self.name, nmax)[1:]
@@ -342,11 +349,15 @@ class ArithmeticFunction:
             vals = self.values[:nmax]
             if self.is_integer:
                 head = kernels.int_array(vals)
-                arr = np.zeros(nmax, dtype=head.dtype)
-                arr[: len(vals)] = head
-                return arr
-            return [v if isinstance(v, Fraction) else Fraction(v) for v in vals] + \
-                [Fraction(0)] * (nmax - len(vals))
+            elif any(isinstance(v, float) for v in self.values):
+                # inexact: the values stay floats, none goes through Fraction
+                head = np.array(vals, dtype=np.float64)
+            else:
+                return [v if isinstance(v, Fraction) else Fraction(v) for v in vals] + \
+                    [Fraction(0)] * (nmax - len(vals))
+            arr = np.zeros(nmax, dtype=head.dtype)
+            arr[: len(vals)] = head
+            return arr
         return self.tds.eval_range(nmax)
 
     def int_range(self, nmax: int) -> np.ndarray:

@@ -55,11 +55,6 @@ class TruncatedDivisorSum:
             raise ValueError("fprime must have exactly Q entries")
         object.__setattr__(self, "fprime", ExactList.of(self.fprime))
 
-    @property
-    def normalized_range(self) -> int:
-        # Q is not unique (trailing zeros); the normalized range is canonical
-        return len(_trimmed(self.fprime))
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedDivisorSum):
             return NotImplemented

@@ -7,6 +7,19 @@ stays below 2**63 they run in int64, and otherwise the same body runs on an
 object array of Python ints, so no result ever wraps.  The three transforms
 also take object arrays as they stand.
 
+The sieves and the three transforms apply one slice operation per prime
+p <= isqrt(n), and every larger prime in one indexed update over the pairs
+(k, k*p), k <= n // p (`_split_primes`).  The update gives the per-prime
+loop's result bit for bit.  An m <= n has at most one prime factor above
+sqrt(n), so the targets k*p are distinct; the transform over multiples writes
+to the k instead, which repeat, and `np.subtract.at` visits them in the
+loop's order (by k, then by p).  The sources are final once the small primes
+are done: a k below sqrt(n) has only small prime factors, and the k*p that
+the transform over multiples reads lie above sqrt(n), where only the small
+primes write.  The pair arrays hold about 0.64 n entries each at n = 10**5
+(n ln 2 in the limit) and live only for the call, so a transform's peak
+working set is a small multiple of its input array.
+
 Exact rational sequences reach the integer kernels as scaled numerators
 (`rational.scale`, then `int_array`): `fre_to_tds` and the values of a
 t.d.s. in finite, the right-hand side of Lucht's identity in expansions, the
@@ -17,6 +30,7 @@ runs a transform on an object array.
 """
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -49,16 +63,34 @@ def prime_sieve(n: int) -> np.ndarray:
     return _frozen(np.nonzero(is_p)[0].astype(np.int64))
 
 
+def _split_primes(n: int) -> tuple:
+    """(small, k, p) for the primes up to n.  small lists the primes
+    p <= isqrt(n) for a per-prime loop; k and p hold every pair (k, p) with
+    p > isqrt(n) prime and k * p <= n, ordered by k and then by p, for one
+    indexed update."""
+    primes = prime_sieve(n)
+    split = int(np.searchsorted(primes, isqrt(n), side="right"))
+    large = primes[split:]
+    if not large.size:
+        return primes.tolist(), large, large
+    ks = np.arange(1, n // int(large[0]) + 1, dtype=np.int64)
+    counts = np.searchsorted(large, n // ks, side="right")
+    starts = np.cumsum(counts) - counts
+    k = np.repeat(ks, counts)
+    p = large[np.arange(k.shape[0]) - np.repeat(starts, counts)]
+    return primes[:split].tolist(), k, p
+
+
 @lru_cache(maxsize=8)
 def mobius_sieve(n: int) -> np.ndarray:
     """mu(k) for k = 0..n (index 0 unused, set to 0)."""
     mu = np.ones(n + 1, dtype=np.int64)
     mu[0] = 0
-    for p in prime_sieve(n):
-        mu[p::p] *= -1
-        sq = p * p
-        if sq <= n:
-            mu[sq::sq] = 0
+    small, k, p = _split_primes(n)
+    for q in small:
+        mu[q::q] *= -1
+        mu[q * q::q * q] = 0
+    mu[k * p] *= -1
     return _frozen(mu)
 
 
@@ -66,8 +98,11 @@ def mobius_sieve(n: int) -> np.ndarray:
 def totient_sieve(n: int) -> np.ndarray:
     """phi(k) for k = 0..n (index 0 unused, set to 0)."""
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in prime_sieve(n):
-        phi[p::p] -= phi[p::p] // p
+    small, k, p = _split_primes(n)
+    for q in small:
+        phi[q::q] -= phi[q::q] // q
+    m = k * p
+    phi[m] -= phi[m] // p
     phi[0] = 0
     return _frozen(phi)
 
@@ -76,8 +111,10 @@ def totient_sieve(n: int) -> np.ndarray:
 def omega_sieve(n: int) -> np.ndarray:
     """Number of distinct prime factors of k, k = 0..n."""
     om = np.zeros(n + 1, dtype=np.int64)
-    for p in prime_sieve(n):
-        om[p::p] += 1
+    small, k, p = _split_primes(n)
+    for q in small:
+        om[q::q] += 1
+    om[k * p] += 1
     return _frozen(om)
 
 
@@ -85,11 +122,13 @@ def omega_sieve(n: int) -> np.ndarray:
 def liouville_sieve(n: int) -> np.ndarray:
     """Liouville lambda(k) = (-1)^Omega(k) for k = 0..n (index 0 set to 0)."""
     big_omega = np.zeros(n + 1, dtype=np.int64)
-    for p in prime_sieve(n):
-        pk = p
-        while pk <= n:
-            big_omega[pk::pk] += 1
-            pk *= p
+    small, k, p = _split_primes(n)
+    for q in small:
+        qk = q
+        while qk <= n:
+            big_omega[qk::qk] += 1
+            qk *= q
+    big_omega[k * p] += 1
     lam = np.where(big_omega & 1, -1, 1).astype(np.int64)
     lam[0] = 0
     return _frozen(lam)
@@ -222,46 +261,56 @@ def correlate_int(f: np.ndarray, g: np.ndarray, amax: int) -> np.ndarray:
 def mobius_transform_int(c: np.ndarray) -> np.ndarray:
     """Eratosthenes transform out[d] = sum_{t|d} c[t] mu(d/t).
 
-    One slice difference per prime p applies the Euler factor (1 - p^-s).
-    int64 input moves to Python ints when max|c| * len(c) reaches 2**63.
+    One slice difference per prime p <= isqrt(n), and one indexed difference
+    for all larger p, apply the Euler factors (1 - p^-s).  int64 input moves
+    to Python ints when max|c| * len(c) reaches 2**63.
     """
     n = c.shape[0] - 1
     out = c.astype(np.int64 if _int64_fits(n + 1, c) else object)
-    for p in prime_sieve(n).tolist():
-        # numpy buffers the overlapping right-hand slice, so it holds pre-p values
-        out[p:: p] -= out[1: n // p + 1]
+    small, k, p = _split_primes(n)
+    for q in small:
+        # numpy buffers the overlapping right-hand slice, so it holds pre-q values
+        out[q:: q] -= out[1: n // q + 1]
+    out[k * p] -= out[k]
     return out
 
 
 def mobius_multiples(c: np.ndarray) -> np.ndarray:
     """Moebius transform over multiples out[d] = sum_{dK<=n} mu(K) c[dK].
 
-    The transpose of mobius_transform_int: one slice difference per prime p
-    applies (1 - T_p), where T_p reads the value at d*p.  int64 input moves to
-    Python ints when max|c| * len(c) reaches 2**63.
+    The transpose of mobius_transform_int: one slice difference per prime
+    p <= isqrt(n), and one `np.subtract.at` for all larger p, apply (1 - T_p),
+    where T_p reads the value at d*p.  int64 input moves to Python ints when
+    max|c| * len(c) reaches 2**63.
     """
     n = c.shape[0] - 1
     out = c.astype(np.int64 if _int64_fits(n + 1, c) else object)
-    for p in prime_sieve(n).tolist():
-        # numpy buffers the overlapping right-hand slice, so it holds pre-p values
-        out[1: n // p + 1] -= out[p:: p]
+    small, k, p = _split_primes(n)
+    for q in small:
+        # numpy buffers the overlapping right-hand slice, so it holds pre-q values
+        out[1: n // q + 1] -= out[q:: q]
+    np.subtract.at(out, k, out[k * p])
     return out
 
 
 def divisor_scatter_int(w: np.ndarray) -> np.ndarray:
     """out[m] = sum_{d|m} w[d] (inverse of mobius_transform_int).
 
-    Per prime p, a prefix sum along every chain m/p^k -> m applies the factor
-    1/(1 - p^-s).  It runs in p-adic blocks [lo, lo*p): each block adds
-    sources below lo, which the earlier blocks have finished.  int64 input
-    moves to Python ints when max|w| * len(w) reaches 2**63.
+    Per prime p <= isqrt(n), a prefix sum along every chain m/p^k -> m
+    applies the factor 1/(1 - p^-s).  It runs in p-adic blocks [lo, lo*p):
+    each block adds sources below lo, which the earlier blocks have finished.
+    A prime above isqrt(n) has the one block [p, n], and one indexed sum
+    applies all of them.  int64 input moves to Python ints when
+    max|w| * len(w) reaches 2**63.
     """
     n = w.shape[0] - 1
     out = w.astype(np.int64 if _int64_fits(n + 1, w) else object)
-    for p in prime_sieve(n).tolist():
-        lo = p
+    small, k, p = _split_primes(n)
+    for q in small:
+        lo = q
         while lo <= n:
-            hi = min(lo * p, n + 1)
-            out[lo: hi: p] += out[lo // p: (hi - 1) // p + 1]
-            lo *= p
+            hi = min(lo * q, n + 1)
+            out[lo: hi: q] += out[lo // q: (hi - 1) // q + 1]
+            lo *= q
+    out[k * p] += out[k]
     return out

@@ -24,8 +24,6 @@ from math import gcd, lcm
 
 import numpy as np
 
-Rational = Fraction
-
 
 class ExactList(list):
     """An immutable list of ints and Fractions that carries its scaled form.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction, phi
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import ExactList, exact_sum, scale, scale_pairs
+from .rational import ExactList, exact_sum, ratio, scale, scale_pairs
 from .ramanujan import csum_multiple_sums, csum_period
 from . import kernels
 
@@ -52,22 +52,19 @@ def eratosthenes(f, bound: int) -> EratosthenesTransform:
         return EratosthenesTransform(f, bound, vals)
     if isinstance(f, ArithmeticFunction) and f.is_integer:
         out = kernels.mobius_transform_int(np.insert(f.int_range(bound), 0, 0))
-        return EratosthenesTransform(f, bound, [int(v) for v in out[1:]])
+        return EratosthenesTransform(f, bound, out[1:].tolist())
     fv = [f(n) for n in range(1, bound + 1)] if not isinstance(f, ArithmeticFunction) \
         else list(f.eval_range(bound))
     if any(isinstance(v, float) and v for v in fv):
-        # nonzero floats stay inexact: the transform runs on an object array
-        c = np.array([Fraction(0)] + [v if isinstance(v, float) and v else Fraction(
-            int(v) if isinstance(v, np.integer) else v) for v in fv], dtype=object)
-        out = kernels.mobius_transform_int(c)[1:]
-    else:
-        # exact values: the integer kernel runs on their scaled numerators
-        nums, den = scale([Fraction(v) if isinstance(v, float) else v for v in fv])
-        out = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0))[1:]
-        out = [Fraction(int(v), den) for v in out]
-    vals = [int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-            for v in out]
-    return EratosthenesTransform(f, bound, vals)
+        # nonzero floats stay inexact: the transform runs on Python floats in
+        # an object array, and no float goes through Fraction
+        c = np.array([0.0, *map(float, fv)], dtype=object)
+        return EratosthenesTransform(f, bound, kernels.mobius_transform_int(c)[1:].tolist())
+    # exact values (a zero float is an exact 0): the integer kernel runs on
+    # their scaled numerators
+    nums, den = scale([0 if isinstance(v, float) else v for v in fv])
+    out = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0))[1:]
+    return EratosthenesTransform(f, bound, [ratio(int(v), den) for v in out])
 
 
 def _fprime_values(fprime, cut: int) -> list:
@@ -373,7 +370,7 @@ def cw_formula_check(f, q: int, xgrid) -> CwReport:
     xs = check_grid(xgrid)
     xmax = xs[-1]
     ft = eratosthenes(f, xmax)
-    fpv = np.array([float(v) for v in ft.values])
+    fpv = np.array(ft.values, dtype=np.float64)
     d = np.arange(1, xmax + 1, dtype=np.float64)
     abs_cum = np.cumsum(np.abs(fpv))
     win_terms = np.zeros(xmax + 1)

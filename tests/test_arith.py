@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rlab.arith import (ArithmeticFunction, d_k, dirichlet_convolve, divisors,
@@ -235,8 +236,17 @@ def test_builtin_eval_range_matches_pointwise():
 
 
 def test_rational_table_eval_range_is_fractions():
-    # ints and floats are converted, Fractions kept, the tail past the table is 0
+    # ints are converted, Fractions kept, the tail past the table is 0
     half = Fraction(1, 2)
-    vals = ArithmeticFunction.table([3, half, 0.25]).eval_range(4)
+    vals = ArithmeticFunction.table([3, half, Fraction(1, 4)]).eval_range(4)
     assert vals == [3, half, Fraction(1, 4), 0]
     assert all(type(v) is Fraction for v in vals) and vals[1] is half
+
+
+def test_float_table_eval_range_is_float64():
+    # one float makes the table inexact: float64 values, zero past the table
+    f = ArithmeticFunction.table([3, Fraction(1, 2), 0.1])
+    assert not f.is_exact
+    vals = f.eval_range(4)
+    assert vals.dtype == np.float64
+    assert vals.tolist() == [3.0, 0.5, 0.1, 0.0]

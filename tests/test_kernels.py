@@ -24,6 +24,19 @@ def mu_brute(n):
     return -out if n > 1 else out
 
 
+def factor_brute(n):
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
 def test_prime_sieve():
     primes = kernels.prime_sieve(100)
     brute = [p for p in range(2, 101)
@@ -62,6 +75,22 @@ def test_liouville_and_omega_sieves():
         assert om[n] == dist
 
 
+def test_sieves_brute_at_2000():
+    # 2000 > 43**2: the primes 47..1999 reach every sieve as one indexed update
+    n = 2000
+    mu, ph = kernels.mobius_sieve(n), kernels.totient_sieve(n)
+    om, lam = kernels.omega_sieve(n), kernels.liouville_sieve(n)
+    for s in (mu, ph, om, lam):
+        assert s.dtype == np.int64 and s.shape == (n + 1,)
+    assert mu[0] == ph[0] == om[0] == lam[0] == 0
+    for m in range(1, n + 1):
+        fs = factor_brute(m)
+        assert mu[m] == (0 if any(e > 1 for _, e in fs) else (-1) ** len(fs))
+        assert ph[m] == math.prod(p ** (e - 1) * (p - 1) for p, e in fs)
+        assert om[m] == len(fs)
+        assert lam[m] == (-1) ** sum(e for _, e in fs)
+
+
 def test_csum_row_against_closed_form():
     from rlab.ramanujan import csum
     for n in (1, 6, 12, 30):
@@ -98,6 +127,18 @@ VALUES = {
 INT_KINDS = ["int64", "near 2**62"]
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None)
 
+# sizes around each prime square p**2, where the transforms hand over from the
+# per-prime loop to the one indexed update of the primes above isqrt(n)
+SPLIT_SIZES = sorted({1, 2, 3, 4} | {p * p + e for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                                     for e in (-1, 0, 1)})
+
+
+def _lists(kind):
+    """Up to 60 values of a kind, or exactly a split size's worth of them."""
+    split = st.sampled_from([n for n in SPLIT_SIZES if n <= 60])
+    return st.one_of(st.lists(VALUES[kind], max_size=60),
+                     split.flatmap(lambda n: st.lists(VALUES[kind], min_size=n, max_size=n)))
+
 
 def _seq(kind, vals):
     """1-based kernel input: slot 0 holds a zero of the element type."""
@@ -114,7 +155,7 @@ def _py(v):
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_mobius_transform_matches_definition(kind, data):
-    vals = data.draw(st.lists(VALUES[kind], max_size=60))
+    vals = data.draw(_lists(kind))
     out = kernels.mobius_transform_int(_seq(kind, vals))
     for d in range(1, len(vals) + 1):
         want = sum(vals[t - 1] * mu_brute(d // t) for t in range(1, d + 1) if d % t == 0)
@@ -127,7 +168,7 @@ def test_mobius_transform_matches_definition(kind, data):
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_divisor_scatter_matches_definition_and_inverts(kind, data):
-    vals = data.draw(st.lists(VALUES[kind], max_size=60))
+    vals = data.draw(_lists(kind))
     c = _seq(kind, vals)
     out = kernels.divisor_scatter_int(c)
     for m in range(1, len(vals) + 1):
@@ -142,7 +183,7 @@ def test_divisor_scatter_matches_definition_and_inverts(kind, data):
 @KERNEL_SETTINGS
 @given(data=st.data())
 def test_mobius_multiples_matches_definition(kind, data):
-    vals = data.draw(st.lists(VALUES[kind], max_size=60))
+    vals = data.draw(_lists(kind))
     n = len(vals)
     out = kernels.mobius_multiples(_seq(kind, vals))
     for d in range(1, n + 1):
@@ -198,3 +239,80 @@ def test_transform_scatter_roundtrip():
     summed = kernels.divisor_scatter_int(c)
     back = kernels.mobius_transform_int(summed)
     assert np.array_equal(back, c)
+
+
+# ---------------------------------------------------------------------------
+# the sqrt(n) split: brute-force definitions at every size in SPLIT_SIZES, and
+# the per-prime loop each kernel ran before the split as the bit-exact
+# reference for Python floats (the order of every update is kept)
+# ---------------------------------------------------------------------------
+
+def _divisor_lists(n):
+    divs = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            divs[m].append(d)
+    return divs
+
+
+NMAX = max(SPLIT_SIZES)
+MU = [0] + [mu_brute(k) for k in range(1, NMAX + 1)]
+DIVS = _divisor_lists(NMAX)
+
+DEFINITIONS = {
+    "mobius_transform_int": lambda v, d: sum(v[t - 1] * MU[d // t] for t in DIVS[d]),
+    "divisor_scatter_int": lambda v, m: sum(v[t - 1] for t in DIVS[m]),
+    "mobius_multiples": lambda v, d: sum(v[d * k - 1] * MU[k] for k in range(1, len(v) // d + 1)),
+}
+
+
+def _per_prime_loop(name, c):
+    n = c.shape[0] - 1
+    out = c.copy()
+    for p in kernels.prime_sieve(n).tolist():
+        if name == "mobius_transform_int":
+            out[p:: p] -= out[1: n // p + 1]
+        elif name == "mobius_multiples":
+            out[1: n // p + 1] -= out[p:: p]
+        else:
+            lo = p
+            while lo <= n:
+                hi = min(lo * p, n + 1)
+                out[lo: hi: p] += out[lo // p: (hi - 1) // p + 1]
+                lo *= p
+    return out
+
+
+def _split_input(kind, n):
+    rng = random.Random(n)
+    if kind == "int64":
+        vals = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+    elif kind == "near 2**62":
+        vals = [rng.choice((1, -1)) * (2 ** 62 - rng.randint(0, 1024)) for _ in range(n)]
+    else:
+        vals = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n)]
+    return vals, _seq(kind, vals)
+
+
+@pytest.mark.parametrize("name", list(DEFINITIONS))
+@pytest.mark.parametrize("kind", list(VALUES))
+def test_transforms_match_definitions_at_split_sizes(name, kind):
+    kernel = getattr(kernels, name)
+    for n in SPLIT_SIZES:
+        vals, c = _split_input(kind, n)
+        out = kernel(c)
+        assert [_py(v) for v in out[1:]] == [DEFINITIONS[name](vals, d) for d in range(1, n + 1)]
+        # int64 stays int64 while (n + 1) * max|c| is below 2**63, the guard
+        past_guard = (n + 1) * max(map(abs, vals), default=0) >= 2 ** 63
+        want = object if kind == "fraction" or past_guard else np.int64
+        assert out.dtype == want, (n, out.dtype)
+
+
+@pytest.mark.parametrize("name", list(DEFINITIONS))
+def test_transforms_on_floats_match_per_prime_loop_exactly(name):
+    kernel = getattr(kernels, name)
+    for n in SPLIT_SIZES:
+        rng = random.Random(n)
+        c = np.array([0.0] + [rng.uniform(-3, 3) for _ in range(n)], dtype=object)
+        got, want = kernel(c).tolist(), _per_prime_loop(name, c).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want], n

@@ -86,6 +86,15 @@ def test_eratosthenes_float_tables_stay_float():
         rtol=0, atol=1e-12)
 
 
+def test_float_table_transform_and_wintner_partial_are_floats():
+    ft = eratosthenes(ArithmeticFunction.table([0.5, 0.1, 0.3], after="zero"), 3)
+    assert ft.values == [0.5, 0.1 - 0.5, 0.3 - 0.5]
+    assert all(type(v) is float for v in ft.values)
+    partial, tail = wintner_coefficient(ft, 1, 3)
+    assert type(partial) is float and tail is None
+    assert partial == float(np.sum([0.5, (0.1 - 0.5) / 2, (0.3 - 0.5) / 3]))
+
+
 def test_eratosthenes_domain_error():
     f = ArithmeticFunction.table([1, 2, 3], after="error")
     with pytest.raises(IndexError):
