@@ -215,16 +215,25 @@ def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
 def weighted_periodic_int(w: np.ndarray, tab: np.ndarray, x: int) -> int:
     """Exact sum_{n<=x} w[n-1] * tab[n mod len(tab)].
 
-    w[:x] is folded into its residue classes mod q = len(tab) and dotted with
-    tab once.  Python ints take over when max|w| * max|tab| * x reaches 2**63.
+    w[:x] is folded into its residue classes mod q = len(tab) in two steps,
+    then dotted with tab once.  Rows of blk = q * max(1, 1024 // q) entries
+    are summed first, and the tail of fewer than blk entries is added to the
+    first columns; since q divides blk, column j still holds class j mod q,
+    and the blk columns fold into q.  numpy sums a (rows, width) array one
+    row at a time, so wide rows make that loop about 1024 / q times shorter
+    than folding straight into q-wide rows.  Python ints take over when
+    max|w| * max|tab| * x reaches 2**63; every partial sum stays below that
+    bound.
     """
     q = tab.shape[0]
     w = w[:x]
     if not _int64_fits(x, w, tab):
         w, tab = w.astype(object), tab.astype(object)
-    full = x - x % q
-    fold = w[:full].reshape(-1, q).sum(axis=0)
+    blk = q * max(1, 1024 // q)
+    full = x - x % blk
+    fold = w[:full].reshape(-1, blk).sum(axis=0)
     fold[: x - full] += w[full:]
+    fold = fold.reshape(-1, q).sum(axis=0)
     # w[i] is the term n = i + 1, so class i mod q meets tab[(i + 1) mod q]
     return int(np.dot(fold, np.roll(tab, -1)))
 

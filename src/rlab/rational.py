@@ -19,8 +19,10 @@ returns Fraction values (`wintner_table`, `eval_range` of a rational t.d.s.,
 `cc_coefficients`, ...) and at the CSV/JSON boundary.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+import re
 
 import numpy as np
 
@@ -121,15 +123,32 @@ def exact_sum(terms) -> Fraction:
     return Fraction(sum(nums), den)
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n at any length: Decimal converts both ways without
+    the interpreter's limit on int-to-str conversion, and is exact."""
+    return str(Decimal(n))
+
+
 def format_rational(v) -> str:
-    """Serialize ints and Fractions; integral values drop the denominator."""
+    """Serialize ints and Fractions of any length; integral values drop the
+    denominator."""
     if isinstance(v, Fraction):
         if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+            return _int_str(v.numerator)
+        return f"{_int_str(v.numerator)}/{_int_str(v.denominator)}"
+    if isinstance(v, int):
+        return _int_str(v)
     return str(v)
 
 
+_INT_RATIO = re.compile(r"\s*([-+]?\d+)\s*(?:/\s*(\d+)\s*)?\Z")
+
+
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" or plain integer strings (Fraction accepts both)."""
-    return Fraction(str(s))
+    """Parse "p/q" or plain integer strings of any length; every other form
+    Fraction accepts ("1.5", "2e3", ...) goes to Fraction as before."""
+    m = _INT_RATIO.match(str(s))
+    if not m:
+        return Fraction(str(s))
+    num, den = m.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den)) if den else 1)

@@ -194,15 +194,17 @@ def wintner_cm_shortcut(fprime, q: int, cut: int):
 # Carmichael coefficients (finite-x averages)
 # ---------------------------------------------------------------------------
 
-def _csum_weighted_sums(f, q: int, xs: list):
-    """Exact S(x) = sum_{n<=x} f(n) c_q(n) per grid point; Fractions list.
+def _csum_weighted_sums(f, qs, xs: list, values=None):
+    """Exact S_q(x) = sum_{n<=x} f(n) c_q(n): one list of Fractions over the
+    grid xs for each modulus q in qs.
 
-    The values of f go over one denominator and their numerators through the
-    weighted-periodic kernel.  A rational t.d.s. is summed on its divisor
-    lattice instead: S(x) = sum_{d<=Q} fprime(d) T(d) with
-    T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for every
-    d <= Q in one array operation per divisor of q.  Only the Q values of
-    fprime are scaled, never x values of f, and fprime caches them on its
+    The values of f (`values` when the caller already holds
+    f.eval_range(xs[-1])) go over one denominator once, and their numerators
+    run through the weighted-periodic kernel for every q.  A rational t.d.s.
+    is summed on its divisor lattice instead: S(x) = sum_{d<=Q} fprime(d) T(d)
+    with T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for
+    every d <= Q in one array operation per divisor of q.  Only the Q values
+    of fprime are scaled, never x values of f, and fprime caches them on its
     first scaling: they meet T in one C-level Python-int dot, and the shared
     denominator divides once.  None for float f.
     """
@@ -210,11 +212,12 @@ def _csum_weighted_sums(f, q: int, xs: list):
         return None   # float path handled by caller
     if f.kind == "tds" and not f.is_integer:
         nums, den = scale(f.tds.fprime)
-        return [Fraction(sum(map(mul, nums, csum_multiple_sums(q, len(nums), x).tolist()[1:])),
-                         den) for x in xs]
-    nums, den = scale(f.eval_range(xs[-1]))
-    w, tab = kernels.int_array(nums), csum_period(q)
-    return [Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]
+        return [[Fraction(sum(map(mul, nums, csum_multiple_sums(q, len(nums), x).tolist()[1:])),
+                          den) for x in xs] for q in qs]
+    nums, den = scale(f.eval_range(xs[-1]) if values is None else values)
+    w = kernels.int_array(nums)
+    return [[Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]
+            for tab in map(csum_period, qs)]
 
 
 def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
@@ -226,9 +229,9 @@ def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
     """
     xs = check_grid(xgrid)
     fq = phi(q)
-    sums = _csum_weighted_sums(f, q, xs)
+    sums = _csum_weighted_sums(f, [q], xs)
     if sums is not None:
-        exact = [s / (fq * x) for s, x in zip(sums, xs)]
+        exact = [s / (fq * x) for s, x in zip(sums[0], xs)]
         ests = [float(e) for e in exact]
         return build_estimate(xs, ests, tol, exact=exact, min_decades=2.0)
     w = np.asarray(f.eval_range(xs[-1]), dtype=np.float64)
@@ -376,7 +379,7 @@ def cw_formula_check(f, q: int, xgrid) -> CwReport:
     win_terms = np.zeros(xmax + 1)
     win_terms[q::q] = fpv[q - 1:: q] / d[q - 1:: q]
     win_cum = np.cumsum(win_terms[1:])
-    sums = _csum_weighted_sums(f, q, xs)
+    sums = _csum_weighted_sums(f, [q], xs)[0]
     fq = phi(q)
     rows = []
     max_ratio = 0.0
@@ -409,10 +412,12 @@ def nonneg_carmichael_bound(f, xgrid, qmax: int = 10) -> MeanDominanceReport:
 
     In particular a vanishing mean forces every Carmichael coefficient to
     vanish.  Negativity in F is a precondition error naming the offender.
+    F is evaluated once, and its values serve every q <= qmax.
     """
+    if not (isinstance(f, ArithmeticFunction) and f.is_exact):
+        raise ValueError("exact arithmetic function required")
     xs = check_grid(xgrid)
-    xmax = xs[-1]
-    vals = f.eval_range(xmax)
+    vals = f.eval_range(xs[-1])
     if isinstance(vals, np.ndarray):
         bad = np.nonzero(vals < 0)[0]
         if bad.size:
@@ -421,19 +426,10 @@ def nonneg_carmichael_bound(f, xgrid, qmax: int = 10) -> MeanDominanceReport:
         for n, v in enumerate(vals, start=1):
             if v < 0:
                 raise ValueError(f"F({n}) < 0 violates nonnegativity")
-    rows = []
-    ok = True
-    for q in range(1, qmax + 1):
-        sums = _csum_weighted_sums(f, q, xs)
-        if q == 1:
-            s1 = [Fraction(s) for s in sums]
-        for x, s in zip(xs, sums):
-            lhs = abs(Fraction(s))
-            rhs = phi(q) * s1[xs.index(x)]
-            rows.append((q, x, lhs, rhs))
-            if lhs > rhs:
-                ok = False
-    return MeanDominanceReport(qmax, rows, ok)
+    sums = _csum_weighted_sums(f, range(1, qmax + 1), xs, vals)
+    rows = [(q, x, abs(s), phi(q) * s1)
+            for q, row in enumerate(sums, start=1) for x, s, s1 in zip(xs, row, sums[0])]
+    return MeanDominanceReport(qmax, rows, all(lhs <= rhs for _, _, lhs, rhs in rows))
 
 
 # ---------------------------------------------------------------------------

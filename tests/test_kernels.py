@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rlab import kernels
 
@@ -226,6 +226,31 @@ def test_weighted_periodic_matches_direct_sum(kind, data):
     tab = data.draw(st.lists(VALUES[kind], min_size=1, max_size=12))
     x = data.draw(st.integers(0, len(w)))
     q = len(tab)
+    got = kernels.weighted_periodic_int(np.array(w, dtype=np.int64),
+                                        np.array(tab, dtype=np.int64), x)
+    assert got == sum(w[n - 1] * tab[n % q] for n in range(1, x + 1))
+
+
+def _weights(kind, rng, n):
+    if kind == "int64":
+        return [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+    return [rng.choice((-1, 1)) * rng.randint(2 ** 62 - 1024, 2 ** 62) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", INT_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(q=st.integers(1, 1100), x=st.integers(0, 4000), seed=st.integers(0, 2 ** 32))
+@example(q=3, x=100, seed=0)           # x below one row of blk = 1023
+@example(q=3, x=2046, seed=1)          # x an exact multiple of blk
+@example(q=1024, x=3072, seed=2)       # blk == q == 1024
+@example(q=1100, x=3300, seed=3)       # blk == q past 1024, a multiple
+@example(q=1100, x=1099, seed=4)       # blk == q past 1024, below one row
+def test_weighted_periodic_wide_rows(kind, q, x, seed):
+    """The fold through rows of blk = q * max(1, 1024 // q) columns, at
+    lengths of a few thousand; "near 2**62" runs on the object fallback."""
+    rng = random.Random(seed)
+    w = _weights(kind, rng, x + rng.randint(0, 3))
+    tab = _weights(kind, rng, q)
     got = kernels.weighted_periodic_int(np.array(w, dtype=np.int64),
                                         np.array(tab, dtype=np.int64), x)
     assert got == sum(w[n - 1] * tab[n % q] for n in range(1, x + 1))

@@ -171,3 +171,31 @@ def test_carmichael_estimates_scale_fprime_once(monkeypatch):
     for q in range(1, 11):
         carmichael_estimate(f, q, [500, 1000, 2000])
     assert calls.count(True) == 1
+
+
+BIG = "1" + "0" * 4999 + "7"            # 10**5000 + 7, past the 4300-digit limit
+
+
+@pytest.mark.parametrize("v, text", [
+    (Fraction(10 ** 5000 + 7, 3), BIG + "/3"),
+    (Fraction(-(10 ** 5000 + 7), 3), "-" + BIG + "/3"),
+    (Fraction(10 ** 5000 + 7), BIG),
+    (-(10 ** 4400), "-1" + "0" * 4400)], ids=["p/3", "-p/3", "p", "-10**4400"])
+def test_format_parse_past_int_str_limit(v, text):
+    assert rational.format_rational(v) == text
+    assert rational.parse_rational(text) == v
+    num = text.partition("/")[0]
+    assert rational.parse_rational(f" {num} / 6 ") == Fraction(v.numerator, 6)
+
+
+@pytest.mark.parametrize("s, v", [("3/4", Fraction(3, 4)), ("-7", -7), (" +2 / 6 ", Fraction(1, 3)),
+                                  ("1.5", Fraction(3, 2)), ("2e3", 2000), ("1_000", 1000)])
+def test_parse_rational_forms(s, v):
+    assert rational.parse_rational(s) == v
+    assert rational.parse_rational(v) == v
+
+
+@pytest.mark.parametrize("s", ["", "abc", "1/", "/2", "1/-2", "1.5/2"])
+def test_parse_rational_rejects(s):
+    with pytest.raises(ValueError):
+        rational.parse_rational(s)

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum
 from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
-from rlab.transforms import (carmichael_estimate, condition_check,
+from rlab.transforms import (_csum_weighted_sums, carmichael_estimate, condition_check,
                              cw_formula_check, eratosthenes,
                              is_completely_multiplicative,
                              nonneg_carmichael_bound, rational_nullspace,
@@ -325,6 +325,36 @@ def test_nonneg_bound_squares_and_zero():
     assert rep1.ok
     for q, x, lhs, rhs in rep1.rows:
         assert lhs <= phi(q) * x
+
+
+@pytest.mark.parametrize("f", [
+    ArithmeticFunction.builtin("indicator-squares"),
+    ArithmeticFunction.from_tds(TruncatedDivisorSum(
+        12, [Fraction(d % 5, d) for d in range(1, 13)]))],
+    ids=["integer builtin", "rational tds"])
+def test_nonneg_bound_rows_match_per_q_sums(f, monkeypatch):
+    xs, qmax = [500, 2000, 7001], 10
+    calls = []
+    real = ArithmeticFunction.eval_range
+
+    def counting(self, nmax):
+        calls.append(nmax)
+        return real(self, nmax)
+
+    monkeypatch.setattr(ArithmeticFunction, "eval_range", counting)
+    rep = nonneg_carmichael_bound(f, xs, qmax=qmax)
+    assert calls == [xs[-1]]              # F evaluated once for every q
+    s1 = _csum_weighted_sums(f, [1], xs)[0]
+    want = []
+    for q in range(1, qmax + 1):
+        sq = _csum_weighted_sums(f, [q], xs)[0]
+        want += [(q, x, abs(s), phi(q) * t) for x, s, t in zip(xs, sq, s1)]
+    assert rep.rows == want and rep.ok
+
+
+def test_nonneg_bound_rejects_float_function():
+    with pytest.raises(ValueError, match="exact"):
+        nonneg_carmichael_bound(ArithmeticFunction.builtin("vonMangoldt"), [100])
 
 
 def test_nonneg_bound_rejects_negative():
