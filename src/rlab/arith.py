@@ -7,12 +7,12 @@ is prime), with Pollard rho above that.  `factor` is memoised: one bounded
 `mu`, `phi` and the closed form of c_q(n) factor each modulus once; the
 shared `FactoredInteger` results are frozen.  Arithmetic functions are
 modeled by a closed builtin registry plus user tables and truncated divisor
-sums; values are ints, Fractions, or floats (floats only for the von
-Mangoldt function, which is excluded from exact-identity work).
+sums.  A table's values and every `eval_range` are `rational.freeze` shapes;
+floats come only from the von Mangoldt builtin and from tables holding a
+nonzero float, and are excluded from exact-identity work.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 import math
 import random
@@ -20,7 +20,8 @@ import random
 import numpy as np
 
 from . import kernels
-from .rational import scale
+from .rational import (ExactList, format_rational, freeze, head, parse_rational, scale,
+                       value_kind)
 
 _SIEVE_LIMIT = 10 ** 6
 _FACTOR_LIMIT = 10 ** 12
@@ -248,9 +249,9 @@ class ArithmeticFunction:
     """Total map on positive integers: builtin, finite table, or t.d.s.
 
     Tables are 1-based; evaluation at an index past a table's end either
-    yields zero or raises, per the table's `after` policy.  `is_exact` is
-    False for the float-valued von Mangoldt builtin and for a table holding a
-    float.
+    yields zero or raises, per the table's `after` policy.  A table's
+    `values` are frozen once (`rational.freeze`), so `is_exact` (False for the
+    von Mangoldt builtin and a table holding a nonzero float) reads a shape.
     """
 
     def __init__(self, kind, name=None, values=None, after="zero", tds=None):
@@ -266,7 +267,7 @@ class ArithmeticFunction:
         elif kind == "table":
             if after not in ("zero", "error"):
                 raise ValueError("table 'after' policy must be 'zero' or 'error'")
-            self.values = list(values)
+            self.values = freeze(values)
         elif kind == "tds":
             if tds is None:
                 raise ValueError("tds kind needs a TruncatedDivisorSum")
@@ -292,7 +293,7 @@ class ArithmeticFunction:
         if self.kind == "builtin":
             return self.name != "vonMangoldt"
         if self.kind == "table":
-            return all(isinstance(v, (int, Fraction)) for v in self.values)
+            return value_kind(self.values) != "float"
         return True     # a t.d.s. holds ints and Fractions only
 
     @property
@@ -301,8 +302,7 @@ class ArithmeticFunction:
             return self.name != "vonMangoldt"
         if self.kind == "tds":
             return scale(self.tds.fprime)[1] == 1
-        return all(isinstance(v, int) or
-                   (isinstance(v, Fraction) and v.denominator == 1) for v in self.values)
+        return value_kind(self.values) == "int"
 
     @property
     def bound(self):
@@ -329,85 +329,65 @@ class ArithmeticFunction:
             return _BUILTIN_SINGLE[self.name](n)
         if self.kind == "table":
             if n <= len(self.values):
-                return self.values[n - 1]
+                return self.values.item(n - 1)
             if self.after == "zero":
                 return 0
             raise IndexError(f"table of length {len(self.values)} has no value at n={n}")
         return self.tds.eval(n)
 
     def eval_range(self, nmax: int):
-        """Values on 1..nmax: an integer numpy array (int64, or Python ints
-        past 2**63), a float64 array for the von Mangoldt builtin and for a
-        table holding a float, or a Fraction list when the table holds
-        non-integer rationals."""
+        """Values on 1..nmax as a frozen shape (`rational.freeze`): a
+        read-only integer array (int64, or Python ints past 2**63), an
+        ExactList of non-integral rationals, or a read-only float64 array."""
         if self.kind == "builtin":
-            return _builtin_range(self.name, nmax)[1:]
+            return kernels.read_only(_builtin_range(self.name, nmax)[1:])
         if self.kind == "table":
             if nmax > len(self.values) and self.after == "error":
                 raise IndexError(
                     f"table of length {len(self.values)} has no value at n={len(self.values) + 1}")
-            vals = self.values[:nmax]
-            if self.is_integer:
-                head = kernels.int_array(vals)
-            elif any(isinstance(v, float) for v in self.values):
-                # inexact: the values stay floats, none goes through Fraction
-                head = np.array(vals, dtype=np.float64)
-            else:
-                return [v if isinstance(v, Fraction) else Fraction(v) for v in vals] + \
-                    [Fraction(0)] * (nmax - len(vals))
-            arr = np.zeros(nmax, dtype=head.dtype)
-            arr[: len(vals)] = head
-            return arr
+            return head(self.values, nmax)
         return self.tds.eval_range(nmax)
-
-    def int_range(self, nmax: int) -> np.ndarray:
-        """Values on 1..nmax as an integer array (int64 below 2**63, Python
-        ints past it); caller guarantees is_integer."""
-        return kernels.int_array(self.eval_range(nmax))
 
 
 def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction,
                        bound: int) -> ArithmeticFunction:
-    """(f*g)(n) = sum_{d|n} f(d) g(n/d) on 1..bound, exact for exact inputs."""
-    def as_py(values):
-        return [int(v) if isinstance(v, np.integer) else v for v in values]
-
-    fv = as_py(f.eval_range(bound))
-    gv = as_py(g.eval_range(bound))
-    out = [Fraction(0) if not f.is_integer or not g.is_integer else 0
-           for _ in range(bound)]
+    """(f*g)(n) = sum_{d|n} f(d) g(n/d) on 1..bound, exact on scaled numerators."""
+    if not (f.is_exact and g.is_exact):
+        raise ValueError("exact arithmetic functions required")
+    fv, fden = scale(f.eval_range(bound))
+    gv, gden = scale(g.eval_range(bound))
+    fv, gv = [int(v) for v in fv], [int(v) for v in gv]
+    out = [0] * bound
     for d in range(1, bound + 1):
         a = fv[d - 1]
         if not a:
             continue
         for m in range(d, bound + 1, d):
             out[m - 1] += a * gv[m // d - 1]
-    out = [int(v) if isinstance(v, (int, np.integer)) or
-           (isinstance(v, Fraction) and v.denominator == 1) else v for v in out]
-    return ArithmeticFunction.table(out, after="error")
+    return ArithmeticFunction.table(ExactList.over(out, fden * gden), after="error")
 
 
 # ---------------------------------------------------------------------------
 # function-registry JSON (rationals travel as "p/q" strings)
 # ---------------------------------------------------------------------------
 
+def _spec_values(values) -> list:
+    return [v if isinstance(v, int) else format_rational(v) for v in values.tolist()]
+
+
 def function_to_spec(f: ArithmeticFunction) -> dict:
-    from .rational import format_rational
     if f.kind == "builtin":
         return {"kind": "builtin", "name": f.name}
     if f.kind == "table":
-        vals = [v if isinstance(v, int) else format_rational(Fraction(v))
-                for v in f.values]
-        return {"kind": "table", "values": vals, "after": f.after}
+        if not f.is_exact:
+            raise ValueError("a float table has no spec: p/q strings would reload it exact")
+        return {"kind": "table", "values": _spec_values(f.values), "after": f.after}
     return {"kind": "tds", "range": f.tds.range,
-            "fprime": {"kind": "table",
-                       "values": [v if isinstance(v, int) else
-                                  format_rational(Fraction(v)) for v in f.tds.fprime],
+            "fprime": {"kind": "table", "values": _spec_values(f.tds.fprime),
                        "after": "zero"}}
 
 
 def function_from_spec(spec: dict) -> ArithmeticFunction:
-    from .rational import parse_rational
     kind = spec.get("kind")
     if kind == "builtin":
         return ArithmeticFunction.builtin(spec["name"])
@@ -419,8 +399,5 @@ def function_from_spec(spec: dict) -> ArithmeticFunction:
         from .finite import TruncatedDivisorSum
         q = int(spec["range"])
         inner = function_from_spec(spec["fprime"])
-        fprime = list(inner.eval_range(q))
-        fprime = [int(v) if isinstance(v, (int, np.integer)) else Fraction(v)
-                  for v in fprime]
-        return ArithmeticFunction.from_tds(TruncatedDivisorSum(q, fprime))
+        return ArithmeticFunction.from_tds(TruncatedDivisorSum(q, inner.eval_range(q)))
     raise ValueError(f"bad function spec: {spec!r}")

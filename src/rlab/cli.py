@@ -8,7 +8,6 @@ configuration error.  Data lands as CSV (default) or JSON with rationals as
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arith import ArithmeticFunction, function_from_spec
 from .emit import Table, emit, format_cell
@@ -121,9 +120,7 @@ def _cmd_csum(args) -> int:
 def _cmd_transform(args) -> int:
     f = _load_function(args.f)
     tr = eratosthenes(f, args.bound)
-    t = Table(["d", "fprime"])
-    for d, v in enumerate(tr.values, start=1):
-        t.add(d, Fraction(v) if not isinstance(v, float) else v)
+    t = Table(["d", "fprime"], list(enumerate(tr.values.tolist(), start=1)))
     _emit_or_print(t, args)
     return 0
 
@@ -227,7 +224,7 @@ def _cmd_shift(args) -> int:
         corr = correlate(f, g, args.N, args.amax)
         t = Table(["a", "C"])
         for a in range(1, args.amax + 1):
-            t.add(a, corr.value(a) if not corr.is_integer else int(corr.values[a - 1]))
+            t.add(a, corr.value(a))
         _emit_or_print(t, args)
         return 0
     cut = _correlation_from_args(args)

@@ -1,7 +1,8 @@
 """CSV/JSON table emission with exact-rational and float formatting rules.
 
 Rationals travel as "p/q" strings (plain integers when the denominator is 1),
-floats with 17 significant digits so round-tripping is lossless.
+floats with 17 significant digits so round-tripping is lossless.  A JSON int
+past the interpreter's int-to-str limit is written as an integral Fraction is.
 """
 
 import csv
@@ -27,12 +28,10 @@ class Table:
 
 
 def format_cell(v):
-    if isinstance(v, Fraction):
-        return format_rational(v)
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v)).lower()
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, (int, np.integer, Fraction)):
+        return format_rational(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
@@ -44,6 +43,10 @@ def json_cell(v):
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
+        try:
+            str(v)      # json writes an int with str, which has a digit limit
+        except ValueError:
+            return format_rational(int(v))   # as an integral Fraction is written
         return int(v)
     if isinstance(v, float):
         return v

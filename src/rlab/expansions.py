@@ -22,7 +22,7 @@ import numpy as np
 from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import scale, scale_pairs
+from .rational import freeze, scale, scale_pairs, value_kind
 from .ramanujan import csum, cross_sum
 from .transforms import eratosthenes, wintner_scaled_table
 from . import kernels
@@ -215,18 +215,14 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
     term fprime(d)/d is reduced as an integer pair, and the Wintner partials
     share one denominator.  Fractions are built only for the returned
     coefficients and the reconstruction.  n < 1 and a function that is not
-    exact (the von Mangoldt builtin, a table or callable with float values)
-    raise ValueError.
+    exact (the von Mangoldt builtin, a table or callable with a nonzero
+    float) raise ValueError.
     """
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
-    if isinstance(f, ArithmeticFunction):
-        exact = f.is_exact
-        vals = f.eval_range(n) if exact else ()
-    else:
-        vals = [f(k) for k in range(1, n + 1)]
-        exact = all(isinstance(v, (int, Fraction, np.integer)) for v in vals)
-    if not exact:
+    vals = f.eval_range(n) if isinstance(f, ArithmeticFunction) else \
+        freeze([f(k) for k in range(1, n + 1)])
+    if value_kind(vals) == "float":
         raise ValueError("standard finite expansion needs an exact function "
                          "(int or Fraction values)")
     nums, den = scale(vals)

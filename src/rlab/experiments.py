@@ -651,7 +651,7 @@ def _thm8(cfg, cut=10 ** 4, grid=[10 ** 6 // 4, 10 ** 6 // 2, 10 ** 6],
     vals = np.zeros(xmax)
     for d in range(1, xmax + 1):       # F = fprime * 1, float scatter
         vals[d - 1:: d] += fp[d - 1]
-    f_tab = ArithmeticFunction.table(list(vals), after="zero")
+    f_tab = ArithmeticFunction.table(vals, after="zero")
     gaps = []
     for x in log_grid:
         est = carmichael_estimate(f_tab, 2, [max(2, x // 2), x])
@@ -674,7 +674,7 @@ def _thm9(cfg, x=10 ** 6, cut=10 ** 5):
     t = Table(["q", "carmichael", "wintner_partial"])
     # the transform of the square indicator is the Liouville function; its
     # Wintner partials vanish only PNT-slowly, so report them in float
-    lam = ArithmeticFunction.builtin("lambda").int_range(cut).astype(np.float64)
+    lam = ArithmeticFunction.builtin("lambda").eval_range(cut).astype(np.float64)
     d = np.arange(1, cut + 1, dtype=np.float64)
     for q in range(1, 6):
         est = carmichael_estimate(f, q, [x // 100, x // 10, x])

@@ -28,7 +28,7 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors
-from .rational import ExactList, ratio, scale
+from .rational import ExactList, freeze, head, ratio, scale
 from .transforms import decay_tail_bound, eratosthenes, wintner_table
 from . import kernels
 
@@ -67,14 +67,12 @@ class TruncatedDivisorSum:
         return ratio(sum(nums[d - 1] for d in divisors(n) if d <= self.range), den)
 
     def eval_range(self, nmax: int):
-        """Values on 1..nmax via divisor scatter: an integer array when
-        integral (Python ints once they pass int64), else a Fraction list."""
+        """Values on 1..nmax via divisor scatter as a `rational.freeze` shape:
+        an integer array when integral, else an ExactList of Fractions."""
         nums, den = scale(self.fprime)
-        head = kernels.int_array((0, *nums[:nmax]))
-        w = np.zeros(nmax + 1, dtype=head.dtype)
-        w[: head.shape[0]] = head
+        w = head(kernels.int_array((0, *nums[:nmax])), nmax + 1)
         out = kernels.divisor_scatter_int(w)[1:]
-        return out if den == 1 else [Fraction(int(v), den) for v in out]
+        return freeze(out) if den == 1 else ExactList.over(out.tolist(), den)
 
 
 @dataclass(frozen=True)
@@ -143,12 +141,11 @@ def high_coefficient_check(f, q_range: int) -> HighCoefficientReport:
     The only multiple of such q below Q is q itself, so the identity is exact
     for every arithmetic function; any violation reported here is a fault.
     """
-    fprime = eratosthenes(f, q_range).values
-    t = TruncatedDivisorSum(q_range, fprime)
+    t = truncate(f, q_range)
     e = tds_to_fre(t)
     report = HighCoefficientReport(q_range)
     for q in range(q_range // 2 + 1, q_range + 1):
-        expected = Fraction(fprime[q - 1], q)
+        expected = Fraction(t.fprime[q - 1], q)
         got = e.fhat[q - 1]
         report.checked.append((q, got, expected))
         if got != expected:
@@ -173,7 +170,7 @@ def low_coefficient_report(f, q_range: int, q0: int, decay_hint=None,
     """
     if deep_cut is None:
         deep_cut = 4 * q_range
-    fhat_q = tds_to_fre(TruncatedDivisorSum(q_range, eratosthenes(f, q_range).values))
+    fhat_q = tds_to_fre(truncate(f, q_range))
     deep = np.array([float(v) for v in eratosthenes(f, deep_cut).values])
     d = np.arange(1, deep_cut + 1, dtype=np.float64)
     rows = []

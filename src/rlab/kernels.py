@@ -25,8 +25,8 @@ Exact rational sequences reach the integer kernels as scaled numerators
 t.d.s. in finite, the right-hand side of Lucht's identity in expansions, the
 correlations, their Moebius transforms, Carmichael averages and L(q)
 estimates in shift, and the Eratosthenes transform and Carmichael sums in
-transforms.  Only `eratosthenes` on sources with nonzero float values still
-runs a transform on an object array.
+transforms.  Floats reach a transform only in an object array of Python
+floats; a float array raises TypeError rather than be truncated to int64.
 """
 
 from functools import lru_cache
@@ -45,7 +45,7 @@ INT64_LIMIT = 1 << 63
 # Cached and returned read-only; callers needing a mutable copy must .copy().
 # ---------------------------------------------------------------------------
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
@@ -54,13 +54,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def prime_sieve(n: int) -> np.ndarray:
     """Primes <= n as an int64 array."""
     if n < 2:
-        return _frozen(np.empty(0, dtype=np.int64))
+        return read_only(np.empty(0, dtype=np.int64))
     is_p = np.ones(n + 1, dtype=bool)
     is_p[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
         if is_p[p]:
             is_p[p * p:: p] = False
-    return _frozen(np.nonzero(is_p)[0].astype(np.int64))
+    return read_only(np.nonzero(is_p)[0].astype(np.int64))
 
 
 def _split_primes(n: int) -> tuple:
@@ -91,7 +91,7 @@ def mobius_sieve(n: int) -> np.ndarray:
         mu[q::q] *= -1
         mu[q * q::q * q] = 0
     mu[k * p] *= -1
-    return _frozen(mu)
+    return read_only(mu)
 
 
 @lru_cache(maxsize=8)
@@ -104,7 +104,7 @@ def totient_sieve(n: int) -> np.ndarray:
     m = k * p
     phi[m] -= phi[m] // p
     phi[0] = 0
-    return _frozen(phi)
+    return read_only(phi)
 
 
 @lru_cache(maxsize=8)
@@ -115,7 +115,7 @@ def omega_sieve(n: int) -> np.ndarray:
     for q in small:
         om[q::q] += 1
     om[k * p] += 1
-    return _frozen(om)
+    return read_only(om)
 
 
 @lru_cache(maxsize=8)
@@ -131,7 +131,7 @@ def liouville_sieve(n: int) -> np.ndarray:
     big_omega[k * p] += 1
     lam = np.where(big_omega & 1, -1, 1).astype(np.int64)
     lam[0] = 0
-    return _frozen(lam)
+    return read_only(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +200,8 @@ def int_array(values) -> np.ndarray:
 
 def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
     """True when no array is an object array and length * prod(max|a|) < 2**63."""
+    if any(a.dtype.kind not in "iuO" for a in arrays):
+        raise TypeError(f"integer kernels refuse dtypes {[a.dtype.name for a in arrays]}")
     bound = length
     for a in arrays:
         if a.dtype == object:

@@ -12,11 +12,11 @@ The exact value objects hold their sequences as ExactLists:
 finite coefficient sequence, the shift coefficients of a cut included) and
 the values and Moebius transform of a rational correlation.  `scale` of such
 a sequence is computed on first use and read from the list afterwards, so the
-kernels and dots of every later call start from the same numerators.  An
-ExactList built from a scaled result (`ExactList.over`) holds Fractions for
-the public surface; Fraction lists are otherwise built only where a function
-returns Fraction values (`wintner_table`, `eval_range` of a rational t.d.s.,
-`cc_coefficients`, ...) and at the CSV/JSON boundary.
+kernels and dots of every later call start from the same numerators.
+`freeze` decides once whether a value sequence is integer, rational or
+float; table values, `eval_range` and Eratosthenes transforms are its
+shapes.  Fraction lists are built only where a function returns Fraction
+values (`ExactList.over`, `wintner_table`, ...) and at the CSV/JSON boundary.
 """
 
 from decimal import Decimal
@@ -25,6 +25,8 @@ from math import gcd, lcm
 import re
 
 import numpy as np
+
+from . import kernels
 
 
 class ExactList(list):
@@ -42,11 +44,14 @@ class ExactList(list):
 
     @classmethod
     def of(cls, values) -> "ExactList":
-        """values as an ExactList: ints and Fractions kept as they are, any
-        other number converted to its exact Fraction (a numpy int through
-        int, so no fixed-width numerator stays inside)."""
+        """values as an ExactList: ints and Fractions kept as they are (a numpy
+        array read through `tolist`), any other number converted to its exact
+        Fraction (a numpy int through int, so no fixed-width numerator stays
+        inside)."""
         if isinstance(values, cls):
             return values
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
         return cls(v if isinstance(v, (int, Fraction)) else
                    Fraction(int(v) if isinstance(v, np.integer) else v)
                    for v in values)
@@ -62,6 +67,12 @@ class ExactList(list):
         out = cls(Fraction(n, den) for n in nums)
         out._scaled = (nums, den)
         return out
+
+    # the two reads of a numpy array, so every shape of `freeze` gives Python numbers
+    item = list.__getitem__
+
+    def tolist(self) -> list:
+        return list(self)
 
     def _immutable(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is immutable: its scaled form is cached")
@@ -90,6 +101,44 @@ def scale(values) -> tuple:
     if isinstance(values, np.ndarray) and values.dtype.kind == "i":
         return values, 1
     return _scale(values)
+
+
+def freeze(values):
+    """values as one of three immutable shapes: the one place that decides
+    whether a finite value sequence is integer, rational or float.  Some
+    nonzero float gives a read-only float64 array ("float"); else all values
+    integral give a read-only `kernels.int_array` ("int"); else an ExactList
+    ("rational").  A zero float is an exact 0.  A read-only integer array and
+    a non-integral ExactList are returned as they stand (the latter keeps its
+    scaled form), and everything else is copied."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return kernels.read_only(values.copy() if values.flags.writeable else values)
+    if not isinstance(values, ExactList):
+        vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if any(isinstance(v, (float, np.floating)) and v for v in vals):
+            return kernels.read_only(np.array(vals, dtype=np.float64))
+        values = ExactList.of(0 if isinstance(v, (float, np.floating)) else v for v in vals)
+    if all(v.denominator == 1 for v in values):
+        return kernels.read_only(kernels.int_array(values))
+    return values
+
+
+def value_kind(values) -> str:
+    """"int", "rational" or "float": the kind of a shape of `freeze`."""
+    if isinstance(values, ExactList):
+        return "rational"
+    return "float" if values.dtype.kind == "f" else "int"
+
+
+def head(values, n: int):
+    """The first n entries of a shape of `freeze`, zero past its end."""
+    if len(values) == n:
+        return values
+    if isinstance(values, ExactList):
+        return freeze(ExactList(values[:n] + [0] * (n - len(values))))
+    if n < len(values):
+        return values[:n]
+    return kernels.read_only(np.concatenate([values, np.zeros(n - len(values), values.dtype)]))
 
 
 def _scale(values) -> tuple:

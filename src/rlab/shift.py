@@ -61,8 +61,7 @@ class Correlation:
     def value(self, a: int):
         if not 1 <= a <= self.amax:
             raise IndexError(f"correlation cached to a={self.amax}, asked for {a}")
-        v = self.values[a - 1]
-        return int(v) if isinstance(v, np.integer) else v
+        return self.values.item(a - 1)
 
     def ensure_depth(self, amax: int, cap: int = DEPTH_CAP):
         """Extend the shift cache; refuses past the cap rather than silently
@@ -148,11 +147,7 @@ def cut_correlation(f, g, length: int, amax: int, fair=None) -> CutCorrelation:
     gn_fun = ArithmeticFunction.from_tds(g_n)
     base = correlate(f, gn_fun, length, amax, fair=fair)
     full = correlate(f, g, length, amax, fair=fair)
-    if base.is_integer and full.is_integer:
-        remainder = [int(v) for v in (full.values - base.values)]
-    else:
-        remainder = [Fraction(full.values[i]) - Fraction(base.values[i])
-                     for i in range(amax)]
+    remainder = [a - b for a, b in zip(full.values.tolist(), base.values.tolist())]
     return CutCorrelation(base, g_n, remainder, fair=base.fair)
 
 
@@ -269,10 +264,7 @@ def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
 def is_tail_free(cut: CutCorrelation, depth: int) -> bool:
     """True when C'(N, d) = 0 for N < d <= depth (an at-cut statement)."""
     tr = cut.base.transform(depth)
-    n = cut.length
-    if cut.base.is_integer:
-        return not np.any(tr[n + 1: depth + 1])
-    return all(v == 0 for v in tr[n + 1: depth + 1])
+    return not np.any(tr[cut.length + 1: depth + 1])
 
 
 # ---------------------------------------------------------------------------

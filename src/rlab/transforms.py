@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction, phi
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import ExactList, exact_sum, ratio, scale, scale_pairs
+from .rational import ExactList, exact_sum, freeze, head, ratio, scale, scale_pairs, value_kind
 from .ramanujan import csum_multiple_sums, csum_period
 from . import kernels
 
@@ -32,62 +32,51 @@ from . import kernels
 
 @dataclass
 class EratosthenesTransform:
-    """Exact table fprime(d) = sum_{t|d} F(t) mu(d/t) on 1..bound."""
+    """Exact table fprime(d) = sum_{t|d} F(t) mu(d/t) on 1..bound, a frozen shape."""
     source: object
     bound: int
-    values: list
+    values: object
 
     def __call__(self, d: int):
         if not 1 <= d <= self.bound:
             raise IndexError(f"transform computed to {self.bound}, asked for d={d}")
-        return self.values[d - 1]
+        return self.values.item(d - 1)
 
 
 def eratosthenes(f, bound: int) -> EratosthenesTransform:
-    """Moebius inversion of f on 1..bound; exact for exact inputs."""
+    """Moebius inversion of f on 1..bound in the kind of f's frozen values: ints
+    where integral, else Fractions, for exact f; floats never pass through Fraction."""
     if isinstance(f, ArithmeticFunction) and f.kind == "tds":
         # the transform of a divisor sum is its own fprime, zero past the range
-        vals = list(f.tds.fprime[:bound])
-        vals += [0] * (bound - len(vals))
-        return EratosthenesTransform(f, bound, vals)
-    if isinstance(f, ArithmeticFunction) and f.is_integer:
-        out = kernels.mobius_transform_int(np.insert(f.int_range(bound), 0, 0))
-        return EratosthenesTransform(f, bound, out[1:].tolist())
-    fv = [f(n) for n in range(1, bound + 1)] if not isinstance(f, ArithmeticFunction) \
-        else list(f.eval_range(bound))
-    if any(isinstance(v, float) and v for v in fv):
-        # nonzero floats stay inexact: the transform runs on Python floats in
-        # an object array, and no float goes through Fraction
-        c = np.array([0.0, *map(float, fv)], dtype=object)
-        return EratosthenesTransform(f, bound, kernels.mobius_transform_int(c)[1:].tolist())
-    # exact values (a zero float is an exact 0): the integer kernel runs on
-    # their scaled numerators
-    nums, den = scale([0 if isinstance(v, float) else v for v in fv])
+        return EratosthenesTransform(f, bound, head(freeze(f.tds.fprime), bound))
+    fv = f.eval_range(bound) if isinstance(f, ArithmeticFunction) else \
+        freeze([f(n) for n in range(1, bound + 1)])
+    if value_kind(fv) == "float":
+        # the integer kernel runs on Python floats in an object array
+        c = np.array([0.0, *fv.tolist()], dtype=object)
+        return EratosthenesTransform(f, bound, freeze(kernels.mobius_transform_int(c)[1:]))
+    nums, den = scale(fv)
     out = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0))[1:]
-    return EratosthenesTransform(f, bound, [ratio(int(v), den) for v in out])
+    return EratosthenesTransform(f, bound, freeze(out) if den == 1 else
+                                 ExactList(ratio(v, den) for v in out.tolist()))
 
 
-def _fprime_values(fprime, cut: int) -> list:
-    """Normalize the many shapes an F' source can take into a 1-based list.
-
-    Numpy integers are coerced to Python ints: a numpy int smuggled into a
-    Fraction keeps fixed-width arithmetic inside and can silently overflow.
-    """
-    if isinstance(fprime, EratosthenesTransform):
-        if fprime.bound < cut:
-            raise IndexError(f"transform bound {fprime.bound} < cut {cut}")
-        vals = fprime.values[:cut]
-    elif isinstance(fprime, ArithmeticFunction):
-        vals = list(fprime.eval_range(cut))
+def _fprime_values(fprime, cut: int):
+    """The first cut values of an F' source (`rational.freeze`): a float64
+    array, or a list of Python ints and Fractions (an ExactList of length cut
+    passes through untouched, keeping its scaled form)."""
+    if isinstance(fprime, ArithmeticFunction):
+        vals = fprime.eval_range(cut)
+    elif isinstance(fprime, EratosthenesTransform):
+        vals = fprime.values
     elif callable(fprime):
-        vals = [fprime(d) for d in range(1, cut + 1)]
-    elif isinstance(fprime, ExactList) and len(fprime) == cut:
-        return fprime   # exact already; passing it on keeps its scaled form
+        vals = freeze([fprime(d) for d in range(1, cut + 1)])
     else:
-        vals = list(fprime)[:cut]
+        vals = freeze(fprime if isinstance(fprime, ExactList) else list(fprime)[:cut])
     if len(vals) < cut:
         raise IndexError(f"fprime source provides {len(vals)} values, cut is {cut}")
-    return [int(v) if isinstance(v, np.integer) else v for v in vals]
+    vals = head(vals, cut)
+    return vals.tolist() if value_kind(vals) == "int" else vals
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +113,7 @@ def wintner_coefficient(fprime, q: int, cut: int, decay_hint=None):
     if q < 1 or cut < q:
         raise ValueError("need q >= 1 and cut >= q")
     vals = _fprime_values(fprime, cut)
-    exact = all(isinstance(v, (int, Fraction)) for v in vals)
-    if exact:
+    if not isinstance(vals, np.ndarray):
         nums, den = scale_pairs(_reduced_terms(vals, range(q, cut + 1, q)))
         partial = Fraction(sum(nums), den)
     else:
@@ -151,18 +139,18 @@ def wintner_table(fprime, cut: int) -> list:
     an ExactList of Fractions (carrying its scaled form) for exact fprime,
     floats otherwise."""
     vals = _fprime_values(fprime, cut)
-    if not all(isinstance(v, (int, Fraction)) for v in vals):
-        w = np.array([float(v) / d for d, v in enumerate(vals, start=1)])
+    if isinstance(vals, np.ndarray):
+        w = vals / np.arange(1, cut + 1)
         return [float(w[q - 1:: q].sum()) for q in range(1, cut + 1)]
     return ExactList.over(*wintner_scaled_table(vals, cut))
 
 
-def is_completely_multiplicative(values: list, bound: int) -> bool:
-    """Check f(ab) = f(a) f(b) for every product ab <= bound (1-based list)."""
-    if not values or values[0] != 1:
+def is_completely_multiplicative(values, bound: int) -> bool:
+    """Check f(ab) = f(a) f(b) for every product ab <= bound (1-based values)."""
+    if not len(values) or values[0] != 1:
         # f(1) = f(1)^2 forces f(1) in {0,1}; f(1)=0 collapses f to 0
-        if not values or values[0] != 0 or any(values[:bound]):
-            return values[0] == 1 if values else False
+        if not len(values) or values[0] != 0 or any(values[:bound]):
+            return values[0] == 1 if len(values) else False
         return True
     for a in range(2, bound + 1):
         fa = values[a - 1]
@@ -182,12 +170,10 @@ def wintner_cm_shortcut(fprime, q: int, cut: int):
         raise ValueError("fprime is not completely multiplicative on 1..cut")
     if q < 1 or q > cut:
         raise ValueError("need 1 <= q <= cut")
-    exact = all(isinstance(v, (int, Fraction)) for v in vals)
-    if exact:
-        w1 = exact_sum(Fraction(v, d) for d, v in enumerate(vals, start=1))
-        return Fraction(vals[q - 1], q) * w1
-    w1 = float(np.sum([float(v) / d for d, v in enumerate(vals, start=1)]))
-    return float(vals[q - 1]) / q * w1
+    w1 = wintner_coefficient(vals, 1, cut)[0]
+    if isinstance(vals, np.ndarray):
+        return float(vals[q - 1]) / q * w1
+    return Fraction(vals[q - 1], q) * w1
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +404,9 @@ def nonneg_carmichael_bound(f, xgrid, qmax: int = 10) -> MeanDominanceReport:
         raise ValueError("exact arithmetic function required")
     xs = check_grid(xgrid)
     vals = f.eval_range(xs[-1])
-    if isinstance(vals, np.ndarray):
-        bad = np.nonzero(vals < 0)[0]
-        if bad.size:
-            raise ValueError(f"F({int(bad[0]) + 1}) < 0 violates nonnegativity")
-    else:
-        for n, v in enumerate(vals, start=1):
-            if v < 0:
-                raise ValueError(f"F({n}) < 0 violates nonnegativity")
+    bad = np.nonzero(kernels.int_array(scale(vals)[0]) < 0)[0]
+    if bad.size:
+        raise ValueError(f"F({int(bad[0]) + 1}) < 0 violates nonnegativity")
     sums = _csum_weighted_sums(f, range(1, qmax + 1), xs, vals)
     rows = [(q, x, abs(s), phi(q) * s1)
             for q, row in enumerate(sums, start=1) for x, s, s1 in zip(xs, row, sums[0])]

@@ -11,6 +11,7 @@ import pytest
 from rlab.arith import (ArithmeticFunction, d_k, dirichlet_convolve, divisors,
                         factor, function_from_spec, function_to_spec, mu,
                         omega, phi)
+from rlab.rational import ExactList, scale
 from conftest import rand_table
 
 
@@ -227,6 +228,15 @@ def test_registry_roundtrip(rng):
             assert f(n) == again(n)
 
 
+def test_float_table_has_no_spec_and_no_convolution():
+    # "p/q" strings of the floats' exact values would reload as an exact table
+    f = ArithmeticFunction.table([0.1, 1])
+    with pytest.raises(ValueError, match="float"):
+        function_to_spec(f)
+    with pytest.raises(ValueError, match="exact"):
+        dirichlet_convolve(f, ArithmeticFunction.builtin("one"), 2)
+
+
 def test_builtin_eval_range_matches_pointwise():
     for name in ("one", "id", "mu", "phi", "lambda", "indicator-squares", "d_3"):
         f = ArithmeticFunction.builtin(name)
@@ -236,11 +246,12 @@ def test_builtin_eval_range_matches_pointwise():
 
 
 def test_rational_table_eval_range_is_fractions():
-    # ints are converted, Fractions kept, the tail past the table is 0
+    # an ExactList of the table's own entries, the tail past the table is 0
     half = Fraction(1, 2)
     vals = ArithmeticFunction.table([3, half, Fraction(1, 4)]).eval_range(4)
-    assert vals == [3, half, Fraction(1, 4), 0]
-    assert all(type(v) is Fraction for v in vals) and vals[1] is half
+    assert isinstance(vals, ExactList) and vals == [3, half, Fraction(1, 4), 0]
+    assert [type(v) for v in vals] == [int, Fraction, Fraction, int] and vals[1] is half
+    assert scale(vals) == ((12, 2, 1, 0), 4)
 
 
 def test_float_table_eval_range_is_float64():

@@ -1,5 +1,6 @@
 """Experiment harness: registry coverage, oracle independence, error categories."""
 
+import csv
 import functools
 import inspect
 import math
@@ -15,6 +16,7 @@ from rlab.experiments import (ConfigError, ExperimentConfig, ResourceCapError,
                               UnknownExperimentError, experiment_names,
                               resolve_params, run_experiment)
 from rlab.finite import FiniteExpansion
+from rlab.rational import parse_rational
 
 REQUIRED = [
     "lemma1-grid", "eq2-grid", "delange-bound", "orthogonality",
@@ -254,6 +256,18 @@ def test_emit_formats(tmp_path):
     p2 = emit(t, tmp_path / "x.json", "json")
     payload = json.load(open(p2))
     assert payload["rows"][0] == [1, "3/2", 0.25]
+
+
+def test_emit_ints_past_str_digit_limit(tmp_path):
+    import json
+    big = 10 ** 5000 + 7
+    t = Table(["n", "v"])
+    t.add(1, big)
+    t.add(2, -big)
+    rows = list(csv.reader(open(emit(t, tmp_path / "big.csv", "csv"))))
+    assert [[int(n), parse_rational(v)] for n, v in rows[1:]] == [[1, big], [2, -big]]
+    payload = json.load(open(emit(t, tmp_path / "big.json", "json")))
+    assert [[n, parse_rational(v)] for n, v in payload["rows"]] == [[1, big], [2, -big]]
 
 
 def test_emit_empty_table(tmp_path):

@@ -341,3 +341,25 @@ def test_transforms_on_floats_match_per_prime_loop_exactly(name):
         c = np.array([0.0] + [rng.uniform(-3, 3) for _ in range(n)], dtype=object)
         got, want = kernel(c).tolist(), _per_prime_loop(name, c).tolist()
         assert [v.hex() for v in got] == [v.hex() for v in want], n
+
+
+FLOATS = np.array([0.0, 0.5, 0.25, 0.75])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernels.mobius_transform_int(FLOATS),
+    lambda: kernels.mobius_multiples(FLOATS),
+    lambda: kernels.divisor_scatter_int(FLOATS),
+    lambda: kernels.weighted_periodic_int(FLOATS[1:], np.array([1, -1]), 3),
+    lambda: kernels.correlate_int(FLOATS[:2], np.arange(4), 2)],
+    ids=["mobius_transform_int", "mobius_multiples", "divisor_scatter_int",
+         "weighted_periodic_int", "correlate_int"])
+def test_integer_kernels_refuse_float_arrays(call):
+    # a cast to int64 would truncate every value to 0 and answer silently
+    with pytest.raises(TypeError, match="float64"):
+        call()
+
+
+def test_integer_kernels_take_object_arrays_of_floats():
+    out = kernels.mobius_transform_int(FLOATS.astype(object))
+    assert out.dtype == object and out.tolist() == [0.0, 0.5, 0.25 - 0.5, 0.75 - 0.5]

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab import rational
-from rlab.arith import ArithmeticFunction, divisors, mu
+from rlab.arith import (ArithmeticFunction, divisors, function_from_spec, function_to_spec,
+                        mu)
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, fre_to_tds, tds_to_fre
 from rlab.ramanujan import csum
 from rlab.rational import ExactList, scale
 from rlab.shift import cut_correlation, qrc
-from rlab.transforms import carmichael_estimate
+from rlab.transforms import carmichael_estimate, eratosthenes
 from conftest import PROPERTY, RATIONALS
 
 SEQS = st.lists(RATIONALS, min_size=1, max_size=24)
@@ -199,3 +200,81 @@ def test_parse_rational_forms(s, v):
 def test_parse_rational_rejects(s):
     with pytest.raises(ValueError):
         rational.parse_rational(s)
+
+
+# ---------------------------------------------------------------------------
+# the three value shapes: one kind decision for tables, callables and specs
+# ---------------------------------------------------------------------------
+
+INTS = st.lists(st.integers(-2 ** 66, 2 ** 66) | st.sampled_from([0.0, -0.0]),
+                min_size=1, max_size=24)
+EXACT = st.lists(RATIONALS | st.integers(-9, 9) | st.just(0.0), min_size=1, max_size=24)
+FLOATS = st.lists(st.floats(-9, 9, allow_nan=False) | RATIONALS, min_size=1, max_size=24)
+
+
+def kind_by_definition(vals) -> str:
+    if any(isinstance(v, float) and v for v in vals):
+        return "float"
+    return "int" if all(Fraction(v).denominator == 1 for v in vals) else "rational"
+
+
+def assert_shape(values, kind):
+    """values is the frozen shape of that kind, and reads as Python numbers."""
+    assert rational.value_kind(values) == kind
+    if kind == "rational":
+        assert isinstance(values, ExactList)
+    else:
+        assert values.dtype.kind == ("f" if kind == "float" else "iO"[values.dtype == object])
+        assert not values.flags.writeable
+    assert all(type(v) in {"int": (int,), "rational": (int, Fraction),
+                           "float": (float,)}[kind] for v in values.tolist())
+
+
+@PROPERTY
+@given(INTS | EXACT | FLOATS, st.integers(min_value=0, max_value=8))
+def test_table_callable_and_spec_agree_on_the_kind(vals, past):
+    kind = kind_by_definition(vals)
+    f = ArithmeticFunction.table(vals)
+    assert_shape(f.values, kind)
+    assert (f.is_exact, f.is_integer) == (kind != "float", kind == "int")
+    n = len(vals) + past
+    got = f.eval_range(n)
+    assert_shape(got, kind)
+    assert got.tolist() == [f(m) for m in range(1, n + 1)]
+    tr_table = eratosthenes(f, len(vals)).values
+    tr_callable = eratosthenes(lambda m: vals[m - 1], len(vals)).values
+    assert_shape(tr_table, kind)
+    assert_shape(tr_callable, kind)
+    assert tr_table.tolist() == tr_callable.tolist()
+    if kind == "float":
+        with pytest.raises(ValueError, match="float"):
+            function_to_spec(f)
+        return
+    again = function_from_spec(function_to_spec(f))
+    assert_shape(again.values, kind)
+    assert again.values.tolist() == f.values.tolist()
+    tds = function_from_spec({"kind": "tds", "range": len(vals), "fprime": function_to_spec(f)})
+    assert_shape(eratosthenes(tds, len(vals)).values, kind)
+    assert tds.is_integer == (kind == "int")
+
+
+def test_table_values_are_frozen():
+    vals = [1, Fraction(1, 2), 3]
+    arr = np.array([1, 2, 3])
+    tables = [ArithmeticFunction.table(v) for v in (vals, arr, [1, 2.5], [1, 2])]
+    vals[0] = arr[0] = 99                 # the caller's sequences change later
+    assert tables[0](1) == tables[1](1) == 1
+    for f in tables:
+        with pytest.raises((TypeError, ValueError)):
+            f.values[0] = 7
+        with pytest.raises((TypeError, ValueError)):
+            f.eval_range(len(f.values) + 1)[0] = 7
+        assert f(1) == 1
+
+
+def test_zero_float_table_transforms_as_its_callable():
+    vals = [0.0, Fraction(1, 2)]
+    for source in (ArithmeticFunction.table(vals), lambda n: vals[n - 1]):
+        got = eratosthenes(source, 2).values
+        assert isinstance(got, ExactList) and got == [0, Fraction(1, 2)]
+        assert [type(v) for v in got] == [int, Fraction]
