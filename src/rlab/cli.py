@@ -20,8 +20,8 @@ from .finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                      high_coefficient_check, low_coefficient_report, tds_to_fre)
 from .rational import format_rational, parse_rational
 from .ramanujan import csum, csum_divisor_form, csum_trig_form
-from .shift import (cc_coefficients, correlate, cut_correlation, l_estimate,
-                    qrc, shift_expansion_check, short_average, weak_reef_check)
+from .shift import (cc_coefficients, correlate, cut_correlation, qrc,
+                    shift_expansion_check, short_average, weak_reef_check)
 from .transforms import (carmichael_estimate, condition_check, eratosthenes,
                          vanishing_tail_search, wintner_coefficient)
 

@@ -28,7 +28,7 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors
-from .rational import ExactList, freeze, head, ratio, scale
+from .rational import ExactList, freeze, head, ratio, scale, value_kind
 from .transforms import decay_tail_bound, eratosthenes, wintner_table
 from . import kernels
 
@@ -44,7 +44,8 @@ def _trimmed(values) -> list:
 
 @dataclass(frozen=True)
 class TruncatedDivisorSum:
-    """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q."""
+    """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q and
+    exact: a nonzero float raises ValueError, a zero float is an exact 0."""
     range: int
     fprime: list
 
@@ -53,7 +54,12 @@ class TruncatedDivisorSum:
             raise ValueError("range Q >= 1 required")
         if len(self.fprime) != self.range:
             raise ValueError("fprime must have exactly Q entries")
-        object.__setattr__(self, "fprime", ExactList.of(self.fprime))
+        # an ExactList holds only ints and Fractions; anything else is frozen
+        # first, so a nonzero float is refused rather than made exact
+        fprime = self.fprime if isinstance(self.fprime, ExactList) else freeze(self.fprime)
+        if value_kind(fprime) == "float":
+            raise ValueError("a t.d.s. needs exact fprime values, not floats")
+        object.__setattr__(self, "fprime", ExactList.of(fprime))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedDivisorSum):

@@ -20,6 +20,11 @@ primes write.  The pair arrays hold about 0.64 n entries each at n = 10**5
 (n ln 2 in the limit) and live only for the call, so a transform's peak
 working set is a small multiple of its input array.
 
+Each sieve holds one read-only table, built at the largest bound asked for
+so far (`_grown`).  A smaller bound gets a read-only prefix view of it, and
+since no entry depends on the bound, the view equals a fresh build bit for
+bit; a larger bound rebuilds the table there and drops the old one.
+
 Exact rational sequences reach the integer kernels as scaled numerators
 (`rational.scale`, then `int_array`): `fre_to_tds` and the values of a
 t.d.s. in finite, the right-hand side of Lucht's identity in expansions, the
@@ -29,7 +34,8 @@ transforms.  Floats reach a transform only in an object array of Python
 floats; a float array raises TypeError rather than be truncated to int64.
 """
 
-from functools import lru_cache
+from collections import namedtuple
+from functools import wraps
 from math import isqrt
 
 import numpy as np
@@ -42,15 +48,58 @@ INT64_LIMIT = 1 << 63
 # ---------------------------------------------------------------------------
 # sieves (plain numpy: slice arithmetic is already the fast path)
 #
-# Cached and returned read-only; callers needing a mutable copy must .copy().
+# Each sieve keeps one read-only table, built at the largest bound asked for
+# so far; callers needing a mutable copy must .copy().
 # ---------------------------------------------------------------------------
+
+GrowthInfo = namedtuple("GrowthInfo", "hits misses")
+
 
 def read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-@lru_cache(maxsize=8)
+def _grown(prefix):
+    """Serve a sieve from one table grown to the largest bound asked for.
+
+    build(n) gives the read-only table for the bound n, and its entries for
+    k <= n do not depend on n.  A bound at or below the held one gets
+    prefix(table, n), a read-only view of the held table; a larger bound
+    builds the table at n and replaces the old one.  cache_info() counts
+    the hits and misses, as `lru_cache` does.
+    """
+    def decorate(build):
+        held = (-1, None)   # (bound, table), replaced as one tuple
+        hits = misses = 0
+
+        @wraps(build)
+        def sieve(n):
+            nonlocal held, hits, misses
+            if n < 0:
+                raise ValueError(f"sieve bound n >= 0 required, got {n}")
+            bound, table = held
+            if n <= bound:
+                hits += 1
+                return prefix(table, n)
+            misses += 1
+            held = (n, build(n))
+            return held[1]
+
+        sieve.cache_info = lambda: GrowthInfo(hits, misses)
+        return sieve
+    return decorate
+
+
+def _upto(table: np.ndarray, n: int) -> np.ndarray:
+    return table[: n + 1]
+
+
+def _primes_upto(primes: np.ndarray, n: int) -> np.ndarray:
+    return primes[: int(np.searchsorted(primes, n, side="right"))]
+
+
+@_grown(_primes_upto)
 def prime_sieve(n: int) -> np.ndarray:
     """Primes <= n as an int64 array."""
     if n < 2:
@@ -81,7 +130,7 @@ def _split_primes(n: int) -> tuple:
     return primes[:split].tolist(), k, p
 
 
-@lru_cache(maxsize=8)
+@_grown(_upto)
 def mobius_sieve(n: int) -> np.ndarray:
     """mu(k) for k = 0..n (index 0 unused, set to 0)."""
     mu = np.ones(n + 1, dtype=np.int64)
@@ -94,7 +143,7 @@ def mobius_sieve(n: int) -> np.ndarray:
     return read_only(mu)
 
 
-@lru_cache(maxsize=8)
+@_grown(_upto)
 def totient_sieve(n: int) -> np.ndarray:
     """phi(k) for k = 0..n (index 0 unused, set to 0)."""
     phi = np.arange(n + 1, dtype=np.int64)
@@ -107,7 +156,7 @@ def totient_sieve(n: int) -> np.ndarray:
     return read_only(phi)
 
 
-@lru_cache(maxsize=8)
+@_grown(_upto)
 def omega_sieve(n: int) -> np.ndarray:
     """Number of distinct prime factors of k, k = 0..n."""
     om = np.zeros(n + 1, dtype=np.int64)
@@ -118,7 +167,7 @@ def omega_sieve(n: int) -> np.ndarray:
     return read_only(om)
 
 
-@lru_cache(maxsize=8)
+@_grown(_upto)
 def liouville_sieve(n: int) -> np.ndarray:
     """Liouville lambda(k) = (-1)^Omega(k) for k = 0..n (index 0 set to 0)."""
     big_omega = np.zeros(n + 1, dtype=np.int64)

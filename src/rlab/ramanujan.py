@@ -6,8 +6,9 @@ p^e | n, -p^(e-1) when only p^(e-1) | n, and 0 otherwise, so it needs no
 gcd.  It reads a memoised per-modulus plan of the triples
 (p^e, p^(e-1), p^(e-1) (p - 1)), so repeated calls with one modulus factor
 it and take its prime powers once.  The divisor form sum_{d|q, d|n} d mu(q/d)
-and the defining cosine sum exist as independent cross-checking routes.
-c_q(0) = phi(q) and c_q(-n) = c_q(n).
+and the defining cosine sum exist as independent cross-checking routes; a
+row of cosine sums takes one correctly rounded sum per class gcd(n, q), on
+which the cosine sum depends.  c_q(0) = phi(q) and c_q(-n) = c_q(n).
 
 The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality and
 Carmichael averages answer a whole grid of x at once: the integrand has
@@ -17,7 +18,7 @@ every x.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, lcm, pi
+from math import fsum, gcd, lcm, pi
 
 import numpy as np
 
@@ -70,19 +71,26 @@ def csum_trig_form(q: int, n: int) -> float:
 def csum_trig_row(q: int, nmax: int) -> np.ndarray:
     """Cosine-sum values c_q(n) for n = 0..nmax.
 
-    The sum has period q in n, so it evaluates one period only: the cosines
-    cos(2 pi k / q), k < q, go into a table once, the coprime residues j are
-    summed for each r < min(q, nmax + 1), and the period is tiled by n % q.
-    Each term is the same float as in the cosine sum over every (j, n).
+    The sum has period q in n, so it evaluates one period r < q only, with
+    the cosines cos(2 pi k / q), k < q, in a table.  Within a period it
+    depends on r only through g = gcd(r, q): for every such r the terms
+    cos(2 pi (j r mod q) / q) over the residues j coprime to q form the same
+    multiset as for r = g.  So one `math.fsum` of table[j g mod q] per class
+    g that occurs among r <= nmax gives period[r] = sum[gcd(r, q)], and the
+    period is tiled by n % q.  fsum is correctly rounded, so each entry is
+    the correctly rounded sum of its own defining cosines, whatever their
+    order.  The route uses no factorisation, no mu and no closed form.
     """
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
-    j = np.arange(1, q + 1, dtype=np.int64)
-    coprime = j[np.gcd(j, q) == 1]
-    table = np.cos(2.0 * pi * np.arange(q, dtype=np.int64) / q)
-    r = np.arange(min(q, nmax + 1), dtype=np.int64)
-    period = table[(coprime[:, None] * r[None, :]) % q].sum(axis=0)
-    return period[np.arange(nmax + 1, dtype=np.int64) % q]
+    r = np.arange(q, dtype=np.int64)
+    g = np.gcd(r, q)   # gcd(0, q) = q
+    coprime = np.flatnonzero(g == 1)
+    table = np.cos(2.0 * pi * r / q)
+    classes = np.flatnonzero(np.bincount(g[: nmax + 1]))
+    sums = np.zeros(q + 1)
+    sums[classes] = [fsum(t) for t in table[np.outer(classes, coprime) % q].tolist()]
+    return sums[g][np.arange(nmax + 1, dtype=np.int64) % q]
 
 
 @lru_cache(maxsize=4096)

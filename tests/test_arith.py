@@ -237,6 +237,18 @@ def test_float_table_has_no_spec_and_no_convolution():
         dirichlet_convolve(f, ArithmeticFunction.builtin("one"), 2)
 
 
+def test_float_fprime_tds_is_refused():
+    # the exact binary Fractions of vonMangoldt's floats would make an exact t.d.s.
+    with pytest.raises(ValueError, match="floats"):
+        function_from_spec({'kind': 'tds', 'range': 3,
+                            'fprime': {'kind': 'builtin', 'name': 'vonMangoldt'}})
+    # a zero float is an exact 0
+    f = function_from_spec({"kind": "tds", "range": 3,
+                            "fprime": {"kind": "table", "values": [0.0, 1, 0.0]}})
+    assert f.is_exact and f.tds.fprime == [0, 1, 0]
+    assert all(type(v) is int for v in f.tds.fprime)
+
+
 def test_builtin_eval_range_matches_pointwise():
     for name in ("one", "id", "mu", "phi", "lambda", "indicator-squares", "d_3"):
         f = ArithmeticFunction.builtin(name)

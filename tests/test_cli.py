@@ -135,6 +135,13 @@ def test_expand_sfre_bad_input_is_usage_error(fn_file, capsys):
     assert "n >= 1" in captured.err and "reconstruction" not in captured.out
 
 
+def test_transform_float_fprime_tds_is_usage_error(fn_file, capsys):
+    path = fn_file({"kind": "tds", "range": 3,
+                    "fprime": {"kind": "builtin", "name": "vonMangoldt"}})
+    assert main(["transform", "--f", path, "--bound", "6"]) == 2
+    assert "floats" in capsys.readouterr().err
+
+
 def test_expand_eval_seq_file(tmp_path, capsys):
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"support": 2, "entries": {"1": "3/2", "2": "1/2"}}))

@@ -91,6 +91,41 @@ def test_sieves_brute_at_2000():
         assert lam[m] == (-1) ** sum(e for _, e in fs)
 
 
+SIEVES = (kernels.prime_sieve, kernels.mobius_sieve, kernels.totient_sieve,
+          kernels.omega_sieve, kernels.liouville_sieve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+@example([2000, 5, 2999, 0, 1, 2999, 64, 3000, 47 * 47])
+def test_grown_sieves_equal_fresh_builds(bounds):
+    # growing and shrinking bounds interleaved: every answer is a read-only
+    # view that equals a build at its own bound, of length n + 1 (prime_sieve:
+    # the primes <= n)
+    for n in bounds:
+        for sieve in SIEVES:
+            got = sieve(n)
+            assert not got.flags.writeable
+            assert np.array_equal(got, sieve.__wrapped__(n))
+            if sieve is not kernels.prime_sieve:
+                assert got.dtype == np.int64 and got.shape == (n + 1,)
+        brute = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert kernels.prime_sieve(n).tolist() == brute
+
+
+def test_grown_sieve_counts_hits_and_refuses_negative_bounds():
+    for sieve in SIEVES:
+        sieve(100)
+        before = sieve.cache_info()
+        sieve(10)
+        sieve(100)
+        after = sieve.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        with pytest.raises(ValueError, match="n >= 0"):
+            sieve(-1)
+        assert sieve.cache_info() == after
+
+
 def test_csum_row_against_closed_form():
     from rlab.ramanujan import csum
     for n in (1, 6, 12, 30):

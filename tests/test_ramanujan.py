@@ -96,16 +96,12 @@ def test_rejects_bad_modulus():
 
 def trig_row_by_definition(q, nmax):
     """sum_{j <= q, (j, q) = 1} cos(2 pi (j n mod q) / q) for n = 0..nmax,
-    every term evaluated on its own, summed in j order.  Each cosine comes
+    every term evaluated on its own and the terms summed by math.fsum, so
+    each entry is the correctly rounded defining sum.  Each cosine comes
     from np.cos, the ufunc the row uses, so equality is exact."""
-    row = []
-    for n in range(nmax + 1):
-        acc = 0.0
-        for j in range(1, q + 1):
-            if gcd(j, q) == 1:
-                acc += float(np.cos(2.0 * pi * ((j * n) % q) / q))
-        row.append(acc)
-    return np.array(row)
+    return np.array([math.fsum(float(np.cos(2.0 * pi * ((j * n) % q) / q))
+                               for j in range(1, q + 1) if gcd(j, q) == 1)
+                     for n in range(nmax + 1)])
 
 
 @PROPERTY
@@ -114,6 +110,22 @@ def trig_row_by_definition(q, nmax):
 def test_trig_row_equals_definition(qn):
     q, nmax = qn
     assert np.array_equal(csum_trig_row(q, nmax), trig_row_by_definition(q, nmax))
+
+
+@PROPERTY
+@given(st.integers(1, 600).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(0, 2 * q))))
+@example((512, 1024))
+@example((420, 839))
+def test_trig_row_constant_on_gcd_classes(qn):
+    # the cosine sum depends on n only through gcd(n, q), and the one
+    # correctly rounded sum per class lies within 1e-9 of the exact c_q(n)
+    q, nmax = qn
+    row = csum_trig_row(q, nmax)
+    first = {}
+    for n in range(nmax + 1):
+        assert row[first.setdefault(gcd(n, q), n)] == row[n]
+        assert abs(row[n] - csum(q, n)) < 1e-9
 
 
 def test_triple_agreement_grid():
