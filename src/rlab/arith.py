@@ -252,6 +252,10 @@ class ArithmeticFunction:
     yields zero or raises, per the table's `after` policy.  A table's
     `values` are frozen once (`rational.freeze`), so `is_exact` (False for the
     von Mangoldt builtin and a table holding a nonzero float) reads a shape.
+
+    `wintner_terms` is None until `expansions.standard_finite_expansion`
+    stores there (bound, terms, den), terms[d - 1] / den == fprime(d) / d for
+    d <= bound.  The values never change, so the held terms cannot go stale.
     """
 
     def __init__(self, kind, name=None, values=None, after="zero", tds=None):
@@ -261,6 +265,7 @@ class ArithmeticFunction:
         self.name = name
         self.after = after
         self.tds = tds
+        self.wintner_terms = None
         if kind == "builtin":
             if not _is_builtin(name):
                 raise ValueError(f"unknown builtin {name!r} (registry is closed)")

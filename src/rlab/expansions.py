@@ -205,35 +205,66 @@ class StandardFiniteExpansion:
     reconstruction: Fraction  # sum_l fhat(l, n) c_l(n); equals F(n) exactly
 
 
-def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
-    """Coefficients fhat(l, n) = sum_{d<=n, l|d} fprime(d)/d and their exact
-    reconstruction at the point n; the price of a finite expansion for every
-    exact arithmetic function is the n-dependence of the coefficients.
+def _wintner_terms(f, bound: int) -> tuple:
+    """(bound, terms, den) with terms[d - 1] / den == fprime(d) / d for d <= bound.
 
-    The path stays in integers until the output: the values f(1..n) go over
-    one denominator once, the Moebius transform runs on their numerators, each
-    term fprime(d)/d is reduced as an integer pair, and the Wintner partials
-    share one denominator.  Fractions are built only for the returned
-    coefficients and the reconstruction.  n < 1 and a function that is not
-    exact (the von Mangoldt builtin, a table or callable with a nonzero
-    float) raise ValueError.
+    The values f(1..bound) go over one denominator once, the Moebius
+    transform runs on their numerators, each term fprime(d)/d is reduced as
+    an integer pair, and the terms share one denominator.
     """
-    if n < 1:
-        raise ValueError(f"n >= 1 required, got {n}")
-    vals = f.eval_range(n) if isinstance(f, ArithmeticFunction) else \
-        freeze([f(k) for k in range(1, n + 1)])
+    vals = f.eval_range(bound) if isinstance(f, ArithmeticFunction) else \
+        freeze([f(k) for k in range(1, bound + 1)])
     if value_kind(vals) == "float":
         raise ValueError("standard finite expansion needs an exact function "
                          "(int or Fraction values)")
     nums, den = scale(vals)
     t = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0)).tolist()
     pairs = []
-    for d in range(1, n + 1):
+    for d in range(1, bound + 1):
         # fprime(d)/d = t[d] / (den d), reduced by one gcd
         g = gcd(t[d], den * d)
         pairs.append((t[d] // g, den * d // g))
-    terms, den = scale_pairs(pairs)
-    partials = [sum(terms[l - 1:: l]) for l in range(1, n + 1)]
+    return (bound, *scale_pairs(pairs))
+
+
+def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
+    """Coefficients fhat(l, n) = sum_{d<=n, l|d} fprime(d)/d and their exact
+    reconstruction at the point n; the price of a finite expansion for every
+    exact arithmetic function is the n-dependence of the coefficients.
+
+    Every point n reads the same terms fprime(d)/d, d <= n, so an
+    ArithmeticFunction holds them (`wintner_terms`, over one shared
+    denominator) and each call sums prefixes of them.  The first call builds
+    them up to n only; a point past the held bound rebuilds them up to
+    max(n, twice the held bound), for a table not past its end.  Points asked
+    in increasing order thus rebuild O(log n) times, and no sequence of calls
+    builds past twice its largest point: the shared denominator is near
+    lcm(1..bound), so the held terms cost about bound^2 digits.  A plain
+    callable rebuilds them on every call.  The path stays in integers until
+    the output: Fractions are built only for the returned coefficients and
+    the reconstruction, and each is reduced, so it does not depend on how far
+    the held terms reach.
+    n < 1 and a function that is not exact raise ValueError, and n past an
+    `after="error"` table raises IndexError, on every call.
+    """
+    if n < 1:
+        raise ValueError(f"n >= 1 required, got {n}")
+    if not isinstance(f, ArithmeticFunction):
+        _, terms, den = _wintner_terms(f, n)
+    else:
+        held = f.wintner_terms
+        if held is None or held[0] < n:
+            bound = n
+            if held is not None:   # double, but not past a table's end
+                grown = 2 * held[0]
+                if f.kind == "table":
+                    grown = min(grown, len(f.values))
+                bound = max(n, grown)
+            f.wintner_terms = _wintner_terms(f, bound)
+        _, terms, den = f.wintner_terms
+    # an l past n/2 has no multiple up to n but itself
+    h = n // 2
+    partials = [sum(terms[l - 1:n:l]) for l in range(1, h + 1)] + list(terms[h:n])
     row = kernels.csum_row(n, n).tolist()
     total = sum(map(mul, partials, row[1:]))
     coeffs = [Fraction(v, den) for v in partials]

@@ -60,12 +60,13 @@ def csum_divisor_form(q: int, n: int) -> int:
 
 
 def csum_trig_form(q: int, n: int) -> float:
-    """Defining cosine sum over residues coprime to q (float accumulation)."""
+    """Defining cosine sum over residues coprime to q, correctly rounded
+    (`math.fsum`), so it equals the entry of `csum_trig_row` at n."""
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
     j = np.arange(1, q + 1, dtype=np.int64)
     coprime = j[np.gcd(j, q) == 1]
-    return float(np.cos(2.0 * pi * ((coprime * (abs(n) % q)) % q) / q).sum())
+    return fsum(np.cos(2.0 * pi * ((coprime * (abs(n) % q)) % q) / q).tolist())
 
 
 def csum_trig_row(q: int, nmax: int) -> np.ndarray:

@@ -26,6 +26,12 @@ def test_csum_forms(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_csum_trig_form_prints_the_correctly_rounded_sum(capsys):
+    # the cosine row's value, not numpy's pairwise -1.0
+    assert main(["csum", "--form", "trig", "--q", "7", "--n", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "-1.0000000000000002"
+
+
 def test_csum_table(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code = main(["--out", str(out), "csum", "table", "--qmax", "6", "--nmax", "6"])

@@ -1,11 +1,13 @@
 """Expansion evaluation, reconstruction, and coefficient formulas."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rlab import kernels
 from rlab.arith import ArithmeticFunction, divisors, mu
 from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
                              divisor_power_coefficient, dk_local_series,
@@ -231,6 +233,127 @@ def test_standard_fre_refuses_bad_input():
     for n in (0, -3):
         with pytest.raises(ValueError, match="n >= 1"):
             standard_finite_expansion(ArithmeticFunction.builtin("one"), n)
+
+
+@st.composite
+def function_makers(draw):
+    """A zero-argument maker of one exact function, so that a fresh equal
+    copy is always at hand: a rational or integer table with either `after`
+    policy, a rational t.d.s. or a builtin."""
+    kind = draw(st.sampled_from(("rational", "int", "tds", "builtin")))
+    if kind in ("rational", "int"):
+        entries = RATIONALS if kind == "rational" else st.integers(-9, 9)
+        values = draw(st.lists(entries, max_size=40))
+        after = draw(st.sampled_from(("zero", "error")))
+        return lambda: ArithmeticFunction.table(values, after=after)
+    if kind == "tds":
+        fprime = draw(st.lists(RATIONALS, min_size=1, max_size=24))
+        return lambda: ArithmeticFunction.from_tds(TruncatedDivisorSum(len(fprime), fprime))
+    name = draw(st.sampled_from(BUILTINS))
+    return lambda: ArithmeticFunction.builtin(name)
+
+
+@PROPERTY
+@given(make=function_makers(), data=st.data())
+def test_standard_fre_held_terms_equal_a_fresh_build(make, data):
+    # points interleave growing and shrinking on both sides of a table's end
+    f = make()
+    size = len(f.values) if f.kind == "table" else 24
+    inside, past = st.integers(1, max(size, 1)), st.integers(size + 1, size + 40)
+    ns = data.draw(st.lists(st.one_of(inside, past), min_size=2, max_size=8))
+    for n in ns:
+        fresh = make()
+        try:
+            want = standard_finite_expansion(fresh, n)
+        except IndexError:      # past an after="error" table
+            with pytest.raises(IndexError):
+                standard_finite_expansion(f, n)
+            continue
+        got = standard_finite_expansion(f, n)
+        assert got.coefficients == want.coefficients
+        assert got.reconstruction == want.reconstruction == Fraction(f(n))
+        plain = standard_finite_expansion(lambda k: fresh(k), n)
+        assert got.coefficients == plain.coefficients
+        assert f.wintner_terms[0] >= n
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    transform = kernels.mobius_transform_int
+
+    def counted(c):
+        calls.append(len(c) - 1)
+        return transform(c)
+    monkeypatch.setattr(kernels, "mobius_transform_int", counted)
+    return calls
+
+
+def test_standard_fre_builds_at_n_then_doubles_within_a_table(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    f = ArithmeticFunction.table(rand_table(random.Random(5), 10), after="zero")
+    for n in (1, 2, 3, 5, 4, 7, 10, 1):
+        standard_finite_expansion(f, n)
+    assert builds == [1, 2, 4, 8, 10] and f.wintner_terms[0] == 10
+    standard_finite_expansion(f, 12)
+    standard_finite_expansion(f, 7)
+    assert builds == [1, 2, 4, 8, 10, 12]
+    g = ArithmeticFunction.builtin("phi")
+    for n in (4, 5, 8, 6, 9, 30):
+        standard_finite_expansion(g, n)
+    assert builds == [1, 2, 4, 8, 10, 12, 4, 8, 16, 32]
+
+
+def test_standard_fre_small_point_on_a_long_table_builds_n_terms(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    f = ArithmeticFunction.table(rand_table(random.Random(6), 5000), after="error")
+    got = standard_finite_expansion(f, 5)
+    assert builds == [5] and f.wintner_terms[0] == 5
+    assert got.reconstruction == Fraction(f(5))
+
+
+def test_equal_tables_hold_their_own_terms():
+    values = [Fraction(1, 2), 3, Fraction(-2, 7)]
+    f, g = ArithmeticFunction.table(values), ArithmeticFunction.table(values)
+    standard_finite_expansion(f, 2)
+    assert g.wintner_terms is None
+    standard_finite_expansion(g, 2)
+    assert f.wintner_terms == g.wintner_terms
+    assert f.wintner_terms is not g.wintner_terms
+    assert f.wintner_terms[1] is not g.wintner_terms[1]
+
+
+def test_plain_callable_stores_nothing():
+    evaluated = []
+
+    def f(k):
+        evaluated.append(k)
+        return Fraction(k, 3)
+    for _ in range(2):
+        assert standard_finite_expansion(f, 5).reconstruction == Fraction(5, 3)
+    assert evaluated == [1, 2, 3, 4, 5] * 2
+    assert vars(f) == {}
+
+
+def test_standard_fre_refusals_hold_after_terms_are_held():
+    f = ArithmeticFunction.builtin("one")
+    standard_finite_expansion(f, 6)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n >= 1"):
+            standard_finite_expansion(f, n)
+    t = ArithmeticFunction.table([1, Fraction(2, 3), 5], after="error")
+    standard_finite_expansion(t, 2)
+    assert t.wintner_terms[0] == 2
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            standard_finite_expansion(t, 4)
+    assert standard_finite_expansion(t, 3).reconstruction == 5
+    with pytest.raises(ValueError, match="n >= 1"):
+        standard_finite_expansion(t, 0)
+    floats = ArithmeticFunction.table([1, 0.5])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exact function"):
+            standard_finite_expansion(floats, 1)
+    assert floats.wintner_terms is None
 
 
 def test_dk_k1_is_classical():

@@ -92,6 +92,8 @@ def test_rejects_bad_modulus():
         csum_divisor_form(-2, 5)
     with pytest.raises(ValueError):
         csum_trig_row(0, 5)
+    with pytest.raises(ValueError):
+        csum_trig_form(0, 5)
 
 
 def trig_row_by_definition(q, nmax):
@@ -139,6 +141,13 @@ def test_triple_agreement_grid():
         trig = np.array([csum_trig_form(q, n) for n in range(0, 8)])
         exact = np.array([csum(q, n) for n in range(0, 8)])
         assert np.max(np.abs(trig - exact)) < 1e-6
+
+
+def test_trig_form_equals_trig_row():
+    # both cosine routes are correctly rounded sums of the same table entries
+    for q in range(1, 200):
+        row = csum_trig_row(q, q)
+        assert [csum_trig_form(q, n) for n in range(q)] == row[:q].tolist()
 
 
 def test_periodicity_and_multiplicativity():
