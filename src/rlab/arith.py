@@ -306,7 +306,7 @@ class ArithmeticFunction:
         if self.kind == "builtin":
             return self.name != "vonMangoldt"
         if self.kind == "tds":
-            return scale(self.tds.fprime)[1] == 1
+            return self.tds.scaled[1] == 1
         return value_kind(self.values) == "int"
 
     @property

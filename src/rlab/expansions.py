@@ -14,7 +14,7 @@ sums in float64 and the routines needing finite support refuse.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, log
+from math import comb, factorial, log
 from operator import mul
 
 import numpy as np
@@ -24,7 +24,7 @@ from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, build_estimate, check_grid
 from .rational import freeze, scale, scale_pairs, value_kind
 from .ramanujan import csum, cross_sum
-from .transforms import eratosthenes, wintner_scaled_table
+from .transforms import eratosthenes, reduced_terms, wintner_scaled_table
 from . import kernels
 
 
@@ -71,7 +71,7 @@ def evaluate_partial(expansion, n: int, q_cut: int):
         raise ValueError("n >= 1 required")
     if not callable(expansion):
         e = _finite(expansion)
-        nums, den = scale(e.fhat)
+        nums, den = e.scaled
         row = kernels.csum_row(n, min(q_cut, e.range)).tolist()
         return Fraction(sum(map(mul, nums, row[1:])), den)
     row = kernels.csum_row(n, q_cut).astype(np.float64)
@@ -115,14 +115,19 @@ def wintner_delange_reconstruct(f, n: int, cut: int, table=None) -> Reconstructi
 
     The double sum is assembled over one shared denominator.  The sum over l
     groups the numerators by the value of c_l(n), which takes few values
-    (mostly 0 and +-1): each group is one C-level sum of bignums times one
-    small integer, so no numerator is multiplied on its own.  The report
-    carries the gap against the direct evaluation F(n).
+    (mostly 0 and +-1): one stable argsort of the row puts each value's
+    numerators in one contiguous run, and each run is one C-level sum of
+    bignums times one small integer, so no numerator is multiplied on its
+    own.  The report carries the gap against the direct evaluation F(n).
     """
     nums, den = table if table is not None else wintner_delange_table(f, cut)
     row = kernels.csum_row(n, cut)[1:]
-    nums = np.array(nums, dtype=object)
-    total = sum(int(c) * nums[row == c].sum() for c in np.unique(row) if c)
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    nums = np.array(nums, dtype=object)[order]
+    starts = np.flatnonzero(np.diff(row, prepend=row[:1] - 1)).tolist()
+    total = sum(int(row[a]) * nums[a:b].sum()
+                for a, b in zip(starts, starts[1:] + [len(row)]) if row[a])
     value = Fraction(total, den)
     ref = Fraction(f(n))
     return Reconstruction(value, ref, value - ref)
@@ -138,7 +143,7 @@ def lucht_evaluate(fhat, a: int, cut: int):
 
     Both sides run on the coefficients' scaled numerators; the inner sums of
     the right-hand side are one Moebius transform over multiples."""
-    nums, den = scale(_finite(fhat).fhat)
+    nums, den = _finite(fhat).scaled
     nums = nums[:max(cut, 0)]   # fhat vanishes past Q, and so do both sides' terms
     lhs = sum(n * csum(q, a) for q, n in enumerate(nums, start=1) if n)
     inner = kernels.mobius_multiples(kernels.int_array((0, *nums)))
@@ -165,7 +170,7 @@ def invert_pure_coefficients(fhat) -> PureInversion:
     """
     e = _finite(fhat)
     t = fre_to_tds(e)
-    ok = tds_to_fre(t).fhat == e.fhat
+    ok = tds_to_fre(t) == e
     return PureInversion(list(t.fprime), ok)
 
 
@@ -185,7 +190,7 @@ def carmichael_formula_check(expansion, l: int, xgrid,
     xs = check_grid(xgrid)
     fl = phi(l)
     target = e.get(l)
-    nums, den = scale(e.fhat)
+    nums, den = e.scaled
     # inner[q - 1][i] = sum_{h <= xs[i]} c_q(h) c_l(h), one grid call per q
     inner = [cross_sum(q, l, 0, xs) for q in range(1, e.range + 1)]
     exact = [Fraction(sum(map(mul, nums, col)), den * fl * x)
@@ -209,8 +214,9 @@ def _wintner_terms(f, bound: int) -> tuple:
     """(bound, terms, den) with terms[d - 1] / den == fprime(d) / d for d <= bound.
 
     The values f(1..bound) go over one denominator once, the Moebius
-    transform runs on their numerators, each term fprime(d)/d is reduced as
-    an integer pair, and the terms share one denominator.
+    transform runs on their numerators, `transforms.reduced_terms` reduces
+    each term fprime(d)/d = t[d] / (den d), and the terms share one
+    denominator.
     """
     vals = f.eval_range(bound) if isinstance(f, ArithmeticFunction) else \
         freeze([f(k) for k in range(1, bound + 1)])
@@ -218,13 +224,8 @@ def _wintner_terms(f, bound: int) -> tuple:
         raise ValueError("standard finite expansion needs an exact function "
                          "(int or Fraction values)")
     nums, den = scale(vals)
-    t = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0)).tolist()
-    pairs = []
-    for d in range(1, bound + 1):
-        # fprime(d)/d = t[d] / (den d), reduced by one gcd
-        g = gcd(t[d], den * d)
-        pairs.append((t[d] // g, den * d // g))
-    return (bound, *scale_pairs(pairs))
+    t = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0)).tolist()[1:]
+    return (bound, *scale_pairs(reduced_terms(t, range(1, bound + 1), den)))
 
 
 def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:

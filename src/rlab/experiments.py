@@ -30,7 +30,6 @@ from .finite import (TruncatedDivisorSum, fre_to_tds, high_coefficient_check,
                      low_coefficient_report, tds_to_fre)
 from .ramanujan import (RamanujanSumTable, abs_csum_over_q_partial, csum,
                         csum_trig_row, orthogonality_estimate)
-from .rational import scale
 from .shift import (carmichael_vs_cc, cut_correlation, divisor_tail,
                     is_tail_free, qrc, shift_expansion_check, short_average,
                     weak_reef_check)
@@ -341,10 +340,10 @@ def _prop2(cfg, trials=500, qmax=64, nmax=512):
         q = rng.randint(1, qmax)
         t = TruncatedDivisorSum(q, _rand_table(rng, q))
         e = tds_to_fre(t)
-        if fre_to_tds(e) != t or tds_to_fre(fre_to_tds(e)).fhat != e.fhat:
+        if fre_to_tds(e) != t or tds_to_fre(fre_to_tds(e)) != e:
             bad_round += 1
-        tn, tden = scale(t.fprime)
-        en, eden = scale(e.fhat)
+        tn, tden = t.scaled
+        en, eden = e.scaled
         tds_vals = np.array(tn, dtype=object) @ divides[:q]
         fre_vals = np.array(en, dtype=object) @ ctab[:q]
         if np.any(tds_vals * eden != fre_vals * tden):

@@ -10,15 +10,19 @@ fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
 fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
 roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 
-Both objects are frozen and hold their sequence as a `rational.ExactList`,
-which works out its scaled form (nums, den) on first use and keeps it.  The
-kernels and dots read those numerators: `kernels.mobius_multiples` gives
-fprime, `kernels.divisor_scatter_int` gives the values of a t.d.s., one
-integer sum over the divisors of n gives one value, and one integer dot with
-the row c_q(n) gives a value of an expansion.  The Wintner sums for fhat
-reduce each term fprime(d)/d as an integer pair.  Each direction hands its
-(nums, den) straight to the new object, which builds its Fraction list once
-for `.fhat`/`.fprime`.
+Both objects are frozen and hold their sequence as a `rational.ExactList`
+together with its scaled form (nums, den), the `rational.canonical` pair;
+`scaled` reads that pair.  The kernels and dots read its numerators:
+`kernels.mobius_multiples` gives fprime, `kernels.divisor_scatter_int` gives
+the values of a t.d.s., one integer sum over the divisors of n gives one
+value, and one integer dot with the row c_q(n) gives a value of an expansion.
+The Wintner sums for fhat reduce each term fprime(d)/d as an integer pair.
+
+Each direction of the duality hands its (nums, den) straight to the new
+object, which holds only the pair: its `.fhat`/`.fprime` is built, once, the
+first time it is read.  So a chain of exact reads (`eval`, `fre_to_tds`,
+`FiniteExpansion.get`, equality) builds no Fraction list; an object built
+from values holds the ExactList, which works out the pair on first use.
 """
 
 from dataclasses import dataclass, field
@@ -28,8 +32,8 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors
-from .rational import ExactList, freeze, head, ratio, scale, value_kind
-from .transforms import decay_tail_bound, eratosthenes, wintner_table
+from .rational import ExactList, canonical, freeze, head, ratio, scale, value_kind
+from .transforms import decay_tail_bound, eratosthenes, wintner_scaled_table
 from . import kernels
 
 
@@ -42,12 +46,69 @@ def _trimmed(values) -> list:
     return values[:r]
 
 
-@dataclass(frozen=True)
-class TruncatedDivisorSum:
+class _BuiltOnRead:
+    """The sequence field of an object built by `_Scaled._over`, which holds
+    only its canonical (nums, den): the first read builds the ExactList of
+    Fractions nums[i] / den, which keeps the pair as its scaled form, and
+    stores it as the field.  A non-data descriptor, so a field already set
+    (by __init__ or a first read) is read without it; the class itself has
+    no value for the field, so the dataclass field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        held = None if obj is None else obj.__dict__.get("_scaled")
+        if held is None:
+            raise AttributeError(self.name)
+        values = obj.__dict__[self.name] = ExactList.over(*held)
+        return values
+
+
+class _Scaled:
+    """The exact sequence of a frozen value object (the field named `_seq`)
+    and its scaled form.  An object built by `_over` holds only the
+    canonical pair as `_scaled` until the field is read (`_BuiltOnRead`)."""
+    _seq = ""
+
+    @classmethod
+    def _over(cls, q: int, nums, den: int):
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "range", q)
+        object.__setattr__(obj, "_scaled", canonical(nums, den))
+        return obj
+
+    @property
+    def scaled(self) -> tuple:
+        """(nums, den) with nums[i] / den the entry i, never building Fractions."""
+        return self.__dict__.get("_scaled") or scale(getattr(self, self._seq))
+
+    def _held(self):
+        """The scaled pair if it is known without work (held by the object or
+        cached by its ExactList), else None."""
+        return self.__dict__.get("_scaled") or getattr(self, self._seq)._scaled
+
+    def __eq__(self, other):
+        # equality follows the values: trailing zeros do not count.  Canonical
+        # pairs are equal exactly when the values are, and a trailing zero
+        # adds no prime to den, so once one side holds its pair the two
+        # compare as pairs and no Fraction list is built.
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self._held(), other._held()
+        if a is None and b is None:
+            return _trimmed(getattr(self, self._seq)) == _trimmed(getattr(other, other._seq))
+        (a, aden), (b, bden) = a or self.scaled, b or other.scaled
+        return aden == bden and _trimmed(a) == _trimmed(b)
+
+
+@dataclass(frozen=True, eq=False)
+class TruncatedDivisorSum(_Scaled):
     """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q and
     exact: a nonzero float raises ValueError, a zero float is an exact 0."""
     range: int
-    fprime: list
+    fprime: list = _BuiltOnRead()     # no default: built on first read
+    _seq = "fprime"
 
     def __post_init__(self):
         if self.range < 1:
@@ -61,31 +122,27 @@ class TruncatedDivisorSum:
             raise ValueError("a t.d.s. needs exact fprime values, not floats")
         object.__setattr__(self, "fprime", ExactList.of(fprime))
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedDivisorSum):
-            return NotImplemented
-        return _trimmed(self.fprime) == _trimmed(other.fprime)
-
     def eval(self, n: int):
         if n < 1:
             raise ValueError("t.d.s. evaluation is 1-based")
-        nums, den = scale(self.fprime)
+        nums, den = self.scaled
         return ratio(sum(nums[d - 1] for d in divisors(n) if d <= self.range), den)
 
     def eval_range(self, nmax: int):
         """Values on 1..nmax via divisor scatter as a `rational.freeze` shape:
         an integer array when integral, else an ExactList of Fractions."""
-        nums, den = scale(self.fprime)
+        nums, den = self.scaled
         w = head(kernels.int_array((0, *nums[:nmax])), nmax + 1)
         out = kernels.divisor_scatter_int(w)[1:]
         return freeze(out) if den == 1 else ExactList.over(out.tolist(), den)
 
 
-@dataclass(frozen=True)
-class FiniteExpansion:
+@dataclass(frozen=True, eq=False)
+class FiniteExpansion(_Scaled):
     """F(n) = sum_{q<=Q} fhat(q) c_q(n); fhat is 1-based of length Q."""
     range: int
-    fhat: list
+    fhat: list = _BuiltOnRead()       # no default: built on first read
+    _seq = "fhat"
 
     def __post_init__(self):
         if self.range < 1:
@@ -94,35 +151,36 @@ class FiniteExpansion:
             raise ValueError("fhat must have exactly Q entries")
         object.__setattr__(self, "fhat", ExactList.of(self.fhat))
 
-    def __eq__(self, other):
-        # equality follows get: trailing zero coefficients do not count
-        if not isinstance(other, FiniteExpansion):
-            return NotImplemented
-        return _trimmed(self.fhat) == _trimmed(other.fhat)
-
     def get(self, q: int):
-        """fhat(q), zero past the range Q."""
+        """fhat(q), zero past the range Q; read from the scaled pair, as the
+        entry fhat would build, while fhat is not built."""
         if q < 1:
             raise ValueError("coefficient index q >= 1 required")
-        return self.fhat[q - 1] if q <= self.range else 0
+        if q > self.range:
+            return 0
+        if "fhat" in self.__dict__:
+            return self.fhat[q - 1]
+        nums, den = self._scaled
+        return Fraction(nums[q - 1], den)
 
     def eval(self, n: int):
-        nums, den = scale(self.fhat)
+        nums, den = self.scaled
         row = kernels.csum_row(n, self.range).tolist()
         return ratio(sum(map(mul, nums, row[1:])), den)
 
 
 def tds_to_fre(t: TruncatedDivisorSum) -> FiniteExpansion:
-    """Finite Ramanujan coefficients of a truncated divisor sum (exact)."""
-    return FiniteExpansion(t.range, wintner_table(t.fprime, t.range))
+    """Finite Ramanujan coefficients of a truncated divisor sum (exact), held
+    as the scaled Wintner table until fhat is read."""
+    return FiniteExpansion._over(t.range, *wintner_scaled_table(t.fprime, t.range))
 
 
 def fre_to_tds(e: FiniteExpansion) -> TruncatedDivisorSum:
-    """Truncated Eratosthenes transform of a finite expansion (exact inverse)."""
-    nums, den = scale(e.fhat)
+    """Truncated Eratosthenes transform of a finite expansion (exact inverse),
+    held as its scaled pair until fprime is read."""
+    nums, den = e.scaled
     inner = kernels.mobius_multiples(kernels.int_array((0, *nums))).tolist()
-    return TruncatedDivisorSum(e.range, ExactList.over(
-        [d * inner[d] for d in range(1, e.range + 1)], den))
+    return TruncatedDivisorSum._over(e.range, [d * inner[d] for d in range(1, e.range + 1)], den)
 
 
 def truncate(f, q: int) -> TruncatedDivisorSum:
@@ -152,7 +210,7 @@ def high_coefficient_check(f, q_range: int) -> HighCoefficientReport:
     report = HighCoefficientReport(q_range)
     for q in range(q_range // 2 + 1, q_range + 1):
         expected = Fraction(t.fprime[q - 1], q)
-        got = e.fhat[q - 1]
+        got = e.get(q)
         report.checked.append((q, got, expected))
         if got != expected:
             report.violations.append((q, got, expected))
@@ -176,7 +234,7 @@ def low_coefficient_report(f, q_range: int, q0: int, decay_hint=None,
     """
     if deep_cut is None:
         deep_cut = 4 * q_range
-    fhat_q = tds_to_fre(truncate(f, q_range))
+    nums, den = tds_to_fre(truncate(f, q_range)).scaled
     deep = np.array([float(v) for v in eratosthenes(f, deep_cut).values])
     d = np.arange(1, deep_cut + 1, dtype=np.float64)
     rows = []
@@ -185,7 +243,7 @@ def low_coefficient_report(f, q_range: int, q0: int, decay_hint=None,
         # deep reference partial in float: the property is heuristic, only the
         # at-cut coefficient needs exactness
         partial = float((deep[q - 1:: q] / d[q - 1:: q]).sum())
-        at_cut = fhat_q.fhat[q - 1]
+        at_cut = Fraction(nums[q - 1], den)
         gap = abs(float(at_cut) - float(partial))
         # the gap between the Q-cut and deep-cut partials is a tail beyond Q
         bound = decay_tail_bound(decay_hint, q, q_range)

@@ -95,14 +95,22 @@ def decay_tail_bound(decay_hint, q: int, cut: int) -> float | None:
     return float(c) * q ** -(s + 1.0) * m ** (-float(s)) / float(s)
 
 
-def _reduced_terms(vals, ds) -> list:
-    """The terms fprime(d)/d, d in ds, of exact fprime values as reduced
-    integer pairs (one gcd against d each), with no Fraction built."""
+def reduced_terms(vals, ds, den: int = 1) -> list:
+    """The terms fprime(d)/d, d in ds, as reduced integer pairs, where
+    fprime(d) = vals[d - 1] / den for exact values (ints and reduced
+    Fractions) and a common den, with no Fraction built.
+
+    The one place a Wintner term fprime(d)/d is reduced: the Wintner sums of
+    a t.d.s. pass its values over 1, and `expansions.standard_finite_expansion`
+    passes the integer Moebius transform of a function's scaled values over
+    their denominator.  A value n/m has gcd(n, m) = 1, so one gcd of n
+    against den * d reduces n / (m den d)."""
     pairs = []
     for d in ds:
-        n, m = vals[d - 1].numerator, vals[d - 1].denominator
-        g = gcd(n, d)
-        pairs.append((n // g, m * (d // g)))
+        v = vals[d - 1]
+        n, m = v.numerator, den * d
+        g = gcd(n, m)
+        pairs.append((n // g, v.denominator * (m // g)))
     return pairs
 
 
@@ -114,7 +122,7 @@ def wintner_coefficient(fprime, q: int, cut: int, decay_hint=None):
         raise ValueError("need q >= 1 and cut >= q")
     vals = _fprime_values(fprime, cut)
     if not isinstance(vals, np.ndarray):
-        nums, den = scale_pairs(_reduced_terms(vals, range(q, cut + 1, q)))
+        nums, den = scale_pairs(reduced_terms(vals, range(q, cut + 1, q)))
         partial = Fraction(sum(nums), den)
     else:
         partial = float(np.sum([float(vals[d - 1]) / d for d in range(q, cut + 1, q)]))
@@ -130,7 +138,7 @@ def wintner_scaled_table(fprime, cut: int):
     integers until a single final reduction.
     """
     vals = _fprime_values(fprime, cut)
-    terms, den = scale_pairs(_reduced_terms(vals, range(1, cut + 1)))
+    terms, den = scale_pairs(reduced_terms(vals, range(1, cut + 1)))
     return [sum(terms[q - 1:: q]) for q in range(1, cut + 1)], den
 
 
@@ -197,7 +205,7 @@ def _csum_weighted_sums(f, qs, xs: list, values=None):
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         return None   # float path handled by caller
     if f.kind == "tds" and not f.is_integer:
-        nums, den = scale(f.tds.fprime)
+        nums, den = f.tds.scaled
         return [[Fraction(sum(map(mul, nums, csum_multiple_sums(q, len(nums), x).tolist()[1:])),
                           den) for x in xs] for q in qs]
     nums, den = scale(f.eval_range(xs[-1]) if values is None else values)

@@ -100,6 +100,20 @@ def test_wd_reconstruct_double_sum_oracle(rng):
         assert rec.value == Fraction(f(n))   # finite support inside the cut
 
 
+@PROPERTY
+@given(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=1, max_size=120),
+       st.integers(1, 10 ** 12), st.integers(1, 400))
+def test_wd_grouped_sum_is_the_plain_dot(nums, den, n):
+    # the table need not come from a function: the grouped sum over the runs
+    # of equal c_l(n) is the plain dot sum_l w_l c_l(n) for any integers w
+    cut = len(nums)
+    row = kernels.csum_row(n, cut)[1:].tolist()
+    rec = wintner_delange_reconstruct(ArithmeticFunction.builtin("one"), n, cut,
+                                      table=(nums, den))
+    assert rec.value == Fraction(sum(w * c for w, c in zip(nums, row)), den)
+    assert rec.reference == 1
+
+
 def test_wd_reconstruct_inverse_square():
     cut = 1000
     t = TruncatedDivisorSum(cut, [Fraction(1, d * d) for d in range(1, cut + 1)])

@@ -1,6 +1,8 @@
 """Duality between truncated divisor sums and pure finite expansions."""
 
+import dataclasses
 from fractions import Fraction
+import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,6 +12,8 @@ from rlab.finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                          high_coefficient_check, low_coefficient_report,
                          tds_to_fre, truncate)
 from rlab.ramanujan import csum_divisor_form
+from rlab.rational import ExactList, scale
+from rlab.transforms import wintner_table
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -197,3 +201,89 @@ def test_constructor_validation():
         TruncatedDivisorSum(3, [1, 2])
     with pytest.raises(ValueError):
         FiniteExpansion(2, [1])
+    # the sequence field has no default, though it is built on first read
+    with pytest.raises(TypeError):
+        FiniteExpansion(2)
+    with pytest.raises(TypeError):
+        TruncatedDivisorSum(2)
+
+
+# ---------------------------------------------------------------------------
+# the duality's results hold their scaled pair; the Fraction list is built on
+# first read
+# ---------------------------------------------------------------------------
+
+def built(obj) -> bool:
+    """Whether obj's Fraction list (fhat or fprime) has been built."""
+    return obj._seq in vars(obj)
+
+
+def lazy_pairs():
+    t = TruncatedDivisorSum(4, [1, Fraction(1, 2), 0, Fraction(-3, 4)])
+    e = tds_to_fre(t)
+    return [(e, "fhat", FiniteExpansion), (fre_to_tds(e), "fprime", TruncatedDivisorSum)]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["fre", "tds"])
+def test_lazy_object_equals_the_eager_one(index):
+    lazy, name, cls = lazy_pairs()[index]
+    nums, den = lazy.scaled
+    values = [Fraction(n, den) for n in nums]
+    eager = cls(lazy.range, values)
+    assert not built(lazy)
+    # equality, both ways and against a zero-padded copy, builds nothing
+    padded = cls(lazy.range + 3, values + [0, 0, 0])
+    assert lazy == eager and eager == lazy and lazy == padded and padded == lazy
+    assert lazy != cls(lazy.range, values[:-1] + [values[-1] + 1])
+    assert not built(lazy)
+    # a pickle round trip keeps the object lazy and equal
+    back = pickle.loads(pickle.dumps(lazy))
+    assert back == eager and not built(back)
+    # reading the field builds it once, as the eager object holds it
+    seq = getattr(lazy, name)
+    assert built(lazy) and getattr(lazy, name) is seq
+    assert isinstance(seq, ExactList) and seq == values
+    assert all(type(v) is Fraction for v in seq)
+    assert scale(seq) == lazy.scaled
+    assert repr(lazy) == repr(eager) == repr(back)
+    assert pickle.loads(pickle.dumps(lazy)) == eager
+    moved = dataclasses.replace(lazy)
+    assert moved == eager and getattr(moved, name) is seq
+    assert dataclasses.replace(lazy, range=lazy.range + 1, **{name: values + [0]}) == eager
+    with pytest.raises(AttributeError):
+        lazy.no_such_field
+
+
+def test_exact_readers_build_no_fraction_list():
+    t = TruncatedDivisorSum(6, [Fraction(1, d) for d in range(1, 7)])
+    e = tds_to_fre(t)
+    back = fre_to_tds(e)
+    points = range(1, 13)
+    assert [e.eval(n) for n in points] == [back.eval(n) for n in points] == \
+        [t.eval(n) for n in points]
+    assert back.eval_range(12) == t.eval_range(12)
+    assert back == t and fre_to_tds(e) == back
+    gets = [e.get(q) for q in range(1, 8)]
+    assert not built(e) and not built(back)
+    assert gets == list(e.fhat) + [0] and all(type(v) is Fraction for v in gets[:6])
+
+
+@PROPERTY
+@given(fprime=st.lists(RATIONALS, min_size=1, max_size=64))
+def test_lazy_roundtrip_is_the_identity(fprime):
+    t = TruncatedDivisorSum(len(fprime), fprime)
+    back = fre_to_tds(tds_to_fre(t))
+    assert back == t and not built(back)
+    assert back.fprime == t.fprime
+
+
+@pytest.mark.parametrize("name, q_range", [("d_2", 10), ("id", 17), ("one", 16)])
+def test_high_coefficient_check_output_unchanged(name, q_range):
+    f = ArithmeticFunction.builtin(name)
+    t = truncate(f, q_range)
+    table = wintner_table(t.fprime, q_range)
+    want = [(q, table[q - 1], Fraction(t.fprime[q - 1], q))
+            for q in range(q_range // 2 + 1, q_range + 1)]
+    rep = high_coefficient_check(f, q_range)
+    assert rep.checked == want and rep.violations == []
+    assert all(type(got) is Fraction for _, got, _ in rep.checked)

@@ -2,11 +2,12 @@
 
 import dataclasses
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rlab import rational
 from rlab.arith import (ArithmeticFunction, divisors, function_from_spec, function_to_spec,
@@ -156,6 +157,52 @@ def test_exact_list_copies_are_plain_and_pickle():
     ys = xs.copy()
     ys.append(1)                                  # a copy is an ordinary list
     assert xs == [Fraction(1, 2), 1, Fraction(3, 2)]
+
+
+def lcm_and_rescale(pairs) -> tuple:
+    """The definition `scale_pairs` must meet: one `math.lcm` over every
+    denominator, then each numerator rescaled on its own."""
+    den = lcm(*(d for _, d in pairs))
+    return tuple(n * (den // d) for n, d in pairs), den
+
+
+def reduced(pairs) -> list:
+    return [(n // gcd(n, d), d // gcd(n, d)) for n, d in pairs]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 6)),
+                max_size=300))
+@example([])
+@example([(3, 7)])
+@example([(1, 6), (5, 6), (-1, 6), (1, 4)])
+@example([(1, d) for d in range(1, 34)])
+def test_scale_pairs_is_lcm_and_rescale(pairs):
+    pairs = reduced(pairs)
+    assert rational.scale_pairs(pairs) == lcm_and_rescale(pairs)
+
+
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 64, 1024, 1025, 2000])
+def test_scale_pairs_tree_at_chunk_boundaries(count):
+    # the denominators d^3, d <= count, each once as 1/d^3 and a third of them
+    # again with a random numerator, shuffled: across the chunk size of the
+    # lcm tree and of its second level
+    rng = random.Random(count)
+    pairs = [(1, d ** 3) for d in range(1, count + 1)]
+    pairs += reduced([(rng.randint(-9, 9), d ** 3)
+                      for d in rng.sample(range(1, count + 1), count // 3)])
+    rng.shuffle(pairs)
+    nums, den = rational.scale_pairs(pairs)
+    assert (nums, den) == lcm_and_rescale(pairs)
+    assert den == lcm(*range(1, count + 1)) ** 3
+
+
+def test_canonical_is_the_scaled_form_of_the_values():
+    nums, den = rational.canonical([6, -4, 0, 10], 12)
+    assert (nums, den) == ((3, -2, 0, 5), 6) == scale([Fraction(1, 2), Fraction(-1, 3), 0,
+                                                        Fraction(5, 6)])
+    assert rational.canonical([0, 0], 5) == ((0, 0), 1)
+    assert rational.canonical((1, 2), 3) == ((1, 2), 3)
 
 
 def test_carmichael_estimates_scale_fprime_once(monkeypatch):
