@@ -146,7 +146,7 @@ def lucht_evaluate(fhat, a: int, cut: int):
     nums, den = _finite(fhat).scaled
     nums = nums[:max(cut, 0)]   # fhat vanishes past Q, and so do both sides' terms
     lhs = sum(n * csum(q, a) for q, n in enumerate(nums, start=1) if n)
-    inner = kernels.mobius_multiples(kernels.int_array((0, *nums)))
+    inner = kernels.mobius_multiples(kernels.one_based(nums))
     rhs = sum(d * int(inner[d]) for d in divisors(a) if d <= len(nums))
     return Fraction(lhs, den), Fraction(rhs, den)
 
@@ -224,7 +224,7 @@ def _wintner_terms(f, bound: int) -> tuple:
         raise ValueError("standard finite expansion needs an exact function "
                          "(int or Fraction values)")
     nums, den = scale(vals)
-    t = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0)).tolist()[1:]
+    t = kernels.mobius_transform_int(kernels.one_based(nums)).tolist()[1:]
     return (bound, *scale_pairs(reduced_terms(t, range(1, bound + 1), den)))
 
 

@@ -132,7 +132,7 @@ class TruncatedDivisorSum(_Scaled):
         """Values on 1..nmax via divisor scatter as a `rational.freeze` shape:
         an integer array when integral, else an ExactList of Fractions."""
         nums, den = self.scaled
-        w = head(kernels.int_array((0, *nums[:nmax])), nmax + 1)
+        w = head(kernels.one_based(nums[:nmax]), nmax + 1)
         out = kernels.divisor_scatter_int(w)[1:]
         return freeze(out) if den == 1 else ExactList.over(out.tolist(), den)
 
@@ -179,7 +179,7 @@ def fre_to_tds(e: FiniteExpansion) -> TruncatedDivisorSum:
     """Truncated Eratosthenes transform of a finite expansion (exact inverse),
     held as its scaled pair until fprime is read."""
     nums, den = e.scaled
-    inner = kernels.mobius_multiples(kernels.int_array((0, *nums))).tolist()
+    inner = kernels.mobius_multiples(kernels.one_based(nums)).tolist()
     return TruncatedDivisorSum._over(e.range, [d * inner[d] for d in range(1, e.range + 1)], den)
 
 

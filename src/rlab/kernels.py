@@ -26,12 +26,13 @@ since no entry depends on the bound, the view equals a fresh build bit for
 bit; a larger bound rebuilds the table there and drops the old one.
 
 Exact rational sequences reach the integer kernels as scaled numerators
-(`rational.scale`, then `int_array`): `fre_to_tds` and the values of a
-t.d.s. in finite, the right-hand side of Lucht's identity in expansions, the
-correlations, their Moebius transforms, Carmichael averages and L(q)
-estimates in shift, and the Eratosthenes transform and Carmichael sums in
-transforms.  Floats reach a transform only in an object array of Python
-floats; a float array raises TypeError rather than be truncated to int64.
+(`rational.scale`, then `int_array`, or `one_based` for a transform's 1-based
+input): `fre_to_tds` and the values of a t.d.s. in finite, the right-hand side
+of Lucht's identity and the Wintner terms in expansions, the correlations,
+their Moebius transforms, Carmichael averages and L(q) estimates in shift,
+and the Eratosthenes transform and Carmichael sums in transforms.  Floats
+reach a transform only in an object array of Python floats; a float array
+raises TypeError rather than be truncated to int64.
 """
 
 from collections import namedtuple
@@ -229,7 +230,12 @@ def csum_block(qmax: int, nmax: int, mu: np.ndarray | None = None) -> np.ndarray
 
 # ---------------------------------------------------------------------------
 # int64 headroom: every integer kernel's partial sums are bounded by
-# length * prod(max|a|) over its inputs
+# length * prod(max|a|) over its inputs.  Where max|a| is known in closed
+# form, a caller reads it instead of scanning: a Ramanujan-sum period has
+# max|c_q| = c_q(0) = phi(q), its entry 0 (`ramanujan.cross_sum`), and
+# sum_{m<=x/d} c_q(dm) is at most sigma(q) x (`ramanujan.csum_multiple_sums`).
+# Such a caller still takes the guard on every call; only its bound comes
+# from the closed form.
 # ---------------------------------------------------------------------------
 
 def _amax(a: np.ndarray) -> int:
@@ -245,6 +251,18 @@ def int_array(values) -> np.ndarray:
     vals = [int(v) for v in values]
     big = bool(vals) and max(max(vals), -min(vals)) >= INT64_LIMIT
     return np.array(vals, dtype=object if big else np.int64)
+
+
+def one_based(nums) -> np.ndarray:
+    """The 1-based input of the Dirichlet transforms: nums behind a zero
+    slot 0, as `int_array((0, *nums))` gives it.  An int64 array whose
+    entries all lie above -2**63 gets its slot 0 from one concatenate;
+    anything else goes through `int_array`, which moves to Python ints at
+    2**63."""
+    if isinstance(nums, np.ndarray) and nums.dtype == np.int64 and \
+            not (nums.size and nums.min() == -INT64_LIMIT):
+        return np.concatenate((np.zeros(1, dtype=np.int64), nums))
+    return int_array((0, *nums))
 
 
 def _int64_fits(length: int, *arrays: np.ndarray) -> bool:

@@ -96,7 +96,10 @@ def csum_trig_row(q: int, nmax: int) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def csum_period(q: int) -> np.ndarray:
-    """One-period table t[r] = c_q(r) for residues r = 0..q-1."""
+    """One-period table t[r] = c_q(r) for residues r = 0..q-1; its entry 0 is
+    c_q(0) = phi(q), the largest |c_q(r)|."""
+    if q < 1:
+        raise ValueError(f"modulus q >= 1 required, got {q}")
     row = np.empty(q, dtype=np.int64)
     for r in range(q):
         row[r] = csum(q, r)
@@ -148,16 +151,19 @@ def cross_sum(q: int, l: int, n: int, xs) -> list:
     (x // P) * (full-period sum) + (sum of the first x % P products).  The
     first min(P, max xs) products are formed once and their prefix sums
     answer every x.  The prefix sums are bounded by
-    min(P, max xs) * max|c_q| * max|c_l|; when that bound reaches 2**63 they
-    run on Python ints, like the integer kernels.
+    m * max|c_q| * max|c_l| with m = min(P, max xs); when that bound reaches
+    2**63 they run on Python ints, like the integer kernels.  The bound is
+    known in closed form, max|c_q| = c_q(0) = phi(q), so the guard reads it
+    from entry 0 of each period table instead of scanning the tables, and
+    takes the same path as `kernels._int64_fits(m, c_q, c_l)`.
     """
+    cq, cl = csum_period(q), csum_period(l)   # rejects a modulus below 1
     xs = list(xs)
     if any(x < 0 for x in xs):
         raise ValueError("grid values x >= 0 required")
     p = lcm(q, l)
     m = min(p, max(xs, default=0))
-    cq, cl = csum_period(q), csum_period(l)
-    if not kernels._int64_fits(m, cq, cl):
+    if m * int(cq[0]) * int(cl[0]) >= kernels.INT64_LIMIT:
         cq, cl = cq.astype(object), cl.astype(object)
     a = np.arange(1, m + 1, dtype=np.int64)
     prefix = np.zeros(m + 1, dtype=cq.dtype)
@@ -223,9 +229,11 @@ def abs_csum_over_q_partial(n: int, cuts) -> list:
     """
     cuts = check_grid(cuts)
     xmax = cuts[-1]
-    row = kernels.csum_row(n, xmax)
-    absrow = np.abs(row[1:]).astype(np.float64)
-    weights = absrow / np.arange(1, xmax + 1, dtype=np.float64)
+    # one float64 buffer: q, then c_q(n) / q, then its absolute value (equal
+    # bit for bit to |c_q(n)| / q, since rounding is symmetric in sign)
+    weights = np.arange(1, xmax + 1, dtype=np.float64)
+    np.divide(kernels.csum_row(n, xmax)[1:], weights, out=weights)
+    np.abs(weights, out=weights)
     out = []
     prev = 0.0
     prev_cut = 0

@@ -87,7 +87,7 @@ class Correlation:
         if self._transform is not None:
             return self._transform
         nums, den = scale(self.values)
-        tr = kernels.mobius_transform_int(kernels.int_array((0, *nums)))
+        tr = kernels.mobius_transform_int(kernels.one_based(nums))
         self._transform = tr if self.is_integer else ExactList.over(tr.tolist(), den)
         return self._transform
 

@@ -56,7 +56,7 @@ def eratosthenes(f, bound: int) -> EratosthenesTransform:
         c = np.array([0.0, *fv.tolist()], dtype=object)
         return EratosthenesTransform(f, bound, freeze(kernels.mobius_transform_int(c)[1:]))
     nums, den = scale(fv)
-    out = kernels.mobius_transform_int(np.insert(kernels.int_array(nums), 0, 0))[1:]
+    out = kernels.mobius_transform_int(kernels.one_based(nums))[1:]
     return EratosthenesTransform(f, bound, freeze(out) if den == 1 else
                                  ExactList(ratio(v, den) for v in out.tolist()))
 

@@ -237,6 +237,44 @@ def test_int_array_is_int64_exactly_below_2_63(vals):
     assert (arr.dtype == np.int64) == all(abs(v) < 2 ** 63 for v in vals)
 
 
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
+
+
+INT64_VALUES = st.one_of(st.integers(-10 ** 6, 10 ** 6), NEAR_2_62,
+                         st.integers(-(2 ** 63), 2 ** 63 - 1))
+
+
+@KERNEL_SETTINGS
+@given(vals=st.lists(INT64_VALUES, max_size=20))
+@example(vals=[-(2 ** 63), 5])   # int_array moves -2**63 to Python ints
+def test_one_based_equals_int_array_on_int64_arrays(vals):
+    nums = np.array(vals, dtype=np.int64)
+    assert_same_array(kernels.one_based(nums), kernels.int_array((0, *nums)))
+
+
+@KERNEL_SETTINGS
+@given(vals=st.lists(st.one_of(INT64_VALUES, st.integers(2 ** 63, 2 ** 70),
+                               st.integers(-(2 ** 70), -(2 ** 63))), max_size=20))
+def test_one_based_equals_int_array_on_python_ints(vals):
+    want = kernels.int_array((0, *vals))
+    assert_same_array(kernels.one_based(tuple(vals)), want)
+    assert_same_array(kernels.one_based(vals), want)
+    assert_same_array(kernels.one_based(np.array(vals, dtype=object)), want)
+
+
+def test_one_based_empty_and_past_2_63():
+    for empty in ((), [], np.empty(0, dtype=np.int64)):
+        got = kernels.one_based(empty)
+        assert_same_array(got, kernels.int_array((0, *empty)))
+        assert got.tolist() == [0] and got.dtype == np.int64
+    big = (2 ** 63, -3)
+    got = kernels.one_based(big)
+    assert_same_array(got, kernels.int_array((0, *big)))
+    assert got.dtype == object and got.tolist() == [0, 2 ** 63, -3]
+
+
 @pytest.mark.parametrize("kind", INT_KINDS)
 @KERNEL_SETTINGS
 @given(data=st.data())

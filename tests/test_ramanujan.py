@@ -246,6 +246,71 @@ def test_cross_sum_guard_keeps_large_periods_exact(monkeypatch):
     assert cross_sum(q, l, n, xs) == want
 
 
+def test_csum_period_rejects_zero_modulus():
+    # an empty table would be cached, and cross_sum's guard reads entry 0
+    with pytest.raises(ValueError, match="modulus q >= 1 required"):
+        csum_period(0)
+
+
+def test_csum_period_rejects_negative_modulus():
+    with pytest.raises(ValueError, match="modulus q >= 1 required"):
+        csum_period(-4)
+
+
+def test_cross_sum_rejects_zero_modulus():
+    for q, l in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match="modulus q >= 1 required"):
+            cross_sum(q, l, 1, [5])
+
+
+def test_cross_sum_rejects_negative_modulus():
+    for q, l in ((-6, 4), (6, -4)):
+        with pytest.raises(ValueError, match="modulus q >= 1 required"):
+            cross_sum(q, l, 1, [5])
+
+
+def assert_period_bound(q):
+    tab = csum_period(q)
+    assert tab[0] == phi(q) == np.abs(tab).max()
+
+
+def test_csum_period_entry_zero_is_max():
+    # the fact cross_sum's int64 guard rests on: max|c_q| = c_q(0) = phi(q)
+    for q in range(1, 301):
+        assert_period_bound(q)
+
+
+@PROPERTY
+@given(q=st.integers(1, 5000))
+def test_csum_period_entry_zero_is_max_property(q):
+    assert_period_bound(q)
+
+
+@pytest.mark.parametrize("q, l, n, xs", [
+    (12, 18, 3, [5, 36, 100, 360]),   # m = P = 36
+    (12, 18, 3, [5, 20]),             # m = max xs < P
+    (30, 30, 0, [30, 1000]),
+    (7, 11, 2, [76, 77, 500]),
+    (1, 1, 7, [500]),
+    (6, 4, 1, [0]),                   # m = 0
+])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_cross_sum_guard_boundary(monkeypatch, q, l, n, xs, extra):
+    # at the limit m phi(q) phi(l) the prefix sums move to Python ints, one
+    # above it they stay int64: exactly where _int64_fits says they fit
+    m = min(math.lcm(q, l), max(xs))
+    want = direct_cross_sums(q, l, n, xs)
+    monkeypatch.setattr(kernels, "INT64_LIMIT", m * phi(q) * phi(l) + extra)
+    fits = kernels._int64_fits(m, csum_period(q), csum_period(l))
+    assert fits == bool(extra)
+    dtypes = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda a, out: (dtypes.append(out.dtype),
+                                                      cumsum(a, out=out))[1])
+    assert cross_sum(q, l, n, xs) == want
+    assert dtypes == [np.dtype(np.int64 if fits else object)]
+
+
 def test_csum_prefix_sum_brute():
     for q in (1, 2, 6, 12, 30):
         for a_max in (1, 7, 50, 101):
@@ -286,6 +351,18 @@ def test_divergence_partials():
     for n in (1, 2, 3):
         lo, hi = abs_csum_over_q_partial(n, [100, 10000])
         assert hi > lo + 0.3
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_divergence_partials_bit_identical(n):
+    # the in-place weights give the partials of the plain expression bit for bit
+    cuts = [10 ** 3, 10 ** 5]
+    row = kernels.csum_row(n, cuts[-1])
+    weights = np.abs(row[1:]).astype(np.float64) / np.arange(1, cuts[-1] + 1, dtype=np.float64)
+    want = [float(weights[:cuts[0]].sum())]
+    want.append(want[0] + float(weights[cuts[0]:].sum()))
+    got = abs_csum_over_q_partial(n, cuts)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_table_invariants():

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rlab import kernels
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, truncate
 from rlab.ramanujan import csum
@@ -50,6 +52,18 @@ def test_correlate_past_int64():
     c = correlate(f, f, 3, 1)
     assert c.value(1) == 2 ** 81
     assert c.transform(1)[1] == 2 ** 81
+
+
+def test_deep_integer_transform_stays_int64():
+    # an integer correlation deepened to 10**5 shifts keeps an int64
+    # transform, equal to the transform of its values as Python ints
+    c = correlate(ArithmeticFunction.builtin("d_2"), ArithmeticFunction.builtin("mu"), 60, 10)
+    tr = c.transform(10 ** 5)
+    assert c.amax == 10 ** 5 and c.values.dtype == np.int64
+    want = kernels.mobius_transform_int(kernels.int_array((0, *c.values.tolist())))
+    assert tr.dtype == want.dtype == np.int64
+    assert np.array_equal(tr, want)
+    assert tr[1] == c.value(1)
 
 
 def test_correlate_tds_past_int64():
