@@ -1,16 +1,14 @@
 """rlab: exact and numerical laboratory for Ramanujan expansions."""
 
-from .arith import (ArithmeticFunction, FactoredInteger, d_k, dirichlet_convolve,
-                    divisors, factor, function_from_spec, function_to_spec,
-                    mu, omega, phi)
+from .arith import (ArithmeticFunction, FactoredInteger, d_k, divisors, factor,
+                    function_from_spec, mu, omega, phi)
 from .finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                      high_coefficient_check, low_coefficient_report,
                      tds_to_fre, truncate)
 from .kernels import BACKEND
 from .limits import LimitEstimate
 from .ramanujan import (RamanujanSumTable, csum, csum_divisor_form,
-                        csum_trig_form, delange_bound_check,
-                        divisibility_indicator_check, orthogonality_estimate)
+                        csum_trig_form, orthogonality_estimate)
 from .rational import exact_sum, format_rational, parse_rational
 from .transforms import (ConditionReport, EratosthenesTransform, carmichael_estimate,
                          condition_check, cw_formula_check, eratosthenes,

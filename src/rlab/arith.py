@@ -20,8 +20,7 @@ import random
 import numpy as np
 
 from . import kernels
-from .rational import (ExactList, format_rational, freeze, head, parse_rational, scale,
-                       value_kind)
+from .rational import freeze, head, parse_rational, value_kind
 
 _SIEVE_LIMIT = 10 ** 6
 _FACTOR_LIMIT = 10 ** 12
@@ -354,43 +353,9 @@ class ArithmeticFunction:
         return self.tds.eval_range(nmax)
 
 
-def dirichlet_convolve(f: ArithmeticFunction, g: ArithmeticFunction,
-                       bound: int) -> ArithmeticFunction:
-    """(f*g)(n) = sum_{d|n} f(d) g(n/d) on 1..bound, exact on scaled numerators."""
-    if not (f.is_exact and g.is_exact):
-        raise ValueError("exact arithmetic functions required")
-    fv, fden = scale(f.eval_range(bound))
-    gv, gden = scale(g.eval_range(bound))
-    fv, gv = [int(v) for v in fv], [int(v) for v in gv]
-    out = [0] * bound
-    for d in range(1, bound + 1):
-        a = fv[d - 1]
-        if not a:
-            continue
-        for m in range(d, bound + 1, d):
-            out[m - 1] += a * gv[m // d - 1]
-    return ArithmeticFunction.table(ExactList.over(out, fden * gden), after="error")
-
-
 # ---------------------------------------------------------------------------
 # function-registry JSON (rationals travel as "p/q" strings)
 # ---------------------------------------------------------------------------
-
-def _spec_values(values) -> list:
-    return [v if isinstance(v, int) else format_rational(v) for v in values.tolist()]
-
-
-def function_to_spec(f: ArithmeticFunction) -> dict:
-    if f.kind == "builtin":
-        return {"kind": "builtin", "name": f.name}
-    if f.kind == "table":
-        if not f.is_exact:
-            raise ValueError("a float table has no spec: p/q strings would reload it exact")
-        return {"kind": "table", "values": _spec_values(f.values), "after": f.after}
-    return {"kind": "tds", "range": f.tds.range,
-            "fprime": {"kind": "table", "values": _spec_values(f.tds.fprime),
-                       "after": "zero"}}
-
 
 def function_from_spec(spec: dict) -> ArithmeticFunction:
     kind = spec.get("kind")

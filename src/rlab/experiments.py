@@ -120,17 +120,28 @@ def _rand_table(rng: random.Random, length: int) -> list:
 
 
 _REGISTRY = {}
+_ACCEPTANCE = {}    # criterion number -> (label, experiment name)
 
 
-def experiment(name):
+def experiment(name, criterion=None):
+    """Register fn as experiment `name`; `criterion=(number, label)` also
+    makes it acceptance criterion `number`, run at its default params."""
     def reg(fn):
         _REGISTRY[name] = fn
+        if criterion is not None:
+            num, label = criterion
+            _ACCEPTANCE[num] = (label, name)
         return fn
     return reg
 
 
 def experiment_names() -> list:
     return sorted(_REGISTRY)
+
+
+def criteria() -> dict:
+    """{criterion number: (label, experiment name)}, in number order."""
+    return dict(sorted(_ACCEPTANCE.items()))
 
 
 def _expects(default) -> str:
@@ -200,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 # ramanujan-sum identities
 # ---------------------------------------------------------------------------
 
-@experiment("lemma1-grid")
+@experiment("lemma1-grid", criterion=(1, "triple_agreement"))
 def _lemma1(cfg, qmax=512, nmax=512):
     cfg.check_caps(x=(qmax + 1) * (nmax + 1))    # the int64 table's cells
     tab = RamanujanSumTable.build(qmax, nmax)
@@ -222,7 +233,7 @@ def _lemma1(cfg, qmax=512, nmax=512):
     return out, {}
 
 
-@experiment("eq2-grid")
+@experiment("eq2-grid", criterion=(2, "indicator_identities"))
 def _eq2(cfg, qmax=512, nmax=512):
     cfg.check_caps(x=(qmax + 1) * (nmax + 1))    # the int64 table's cells
     tab = RamanujanSumTable.build(qmax, nmax)
@@ -238,7 +249,7 @@ def _eq2(cfg, qmax=512, nmax=512):
     return [_ok("divisor-sum-indicator", bad == 0, f"{bad} bad rows")], {}
 
 
-@experiment("delange-bound")
+@experiment("delange-bound", criterion=(3, "delange_bound"))
 def _delange(cfg, dmax=300, nmax=300):
     cfg.check_caps(x=(dmax + 1) * (nmax + 1))    # the int64 table's cells
     tab = RamanujanSumTable.build(dmax, nmax)
@@ -255,7 +266,7 @@ def _delange(cfg, dmax=300, nmax=300):
     return [_ok("divisor-abs-bound", not bad, f"violations: {bad[:3]}")], {}
 
 
-@experiment("orthogonality")
+@experiment("orthogonality", criterion=(5, "orthogonality"))
 def _orthogonality(cfg, qmax=20, nmax=10, x=10 ** 6, tol=1e-2):
     cfg.check_caps(x=x)
     grid = [x // 4, x // 2, x]
@@ -277,7 +288,7 @@ def _orthogonality(cfg, qmax=20, nmax=10, x=10 ** 6, tol=1e-2):
         {"estimates": t}
 
 
-@experiment("prop1-divergence")
+@experiment("prop1-divergence", criterion=(4, "divergence_trend"))
 def _prop1(cfg, nmax=10, cut_lo=10 ** 3, cut_hi=10 ** 5, margin=0.3):
     cfg.check_caps(d=cut_hi)
     bad = []
@@ -299,7 +310,7 @@ def _inverse_square_tds(cut: int) -> ArithmeticFunction:
         TruncatedDivisorSum(cut, [Fraction(1, d * d) for d in range(1, cut + 1)]))
 
 
-@experiment("wintner-delange")
+@experiment("wintner-delange", criterion=(6, "reconstruction"))
 def _wintner_delange(cfg, cut=10 ** 4, nmax=50, tol=1e-6):
     cfg.check_caps(d=cut)
     f = _inverse_square_tds(cut)
@@ -312,7 +323,7 @@ def _wintner_delange(cfg, cut=10 ** 4, nmax=50, tol=1e-6):
                 f"max |gap| = {worst:.3g}")], {}
 
 
-@experiment("standard-fre")
+@experiment("standard-fre", criterion=(8, "standard_finite_expansion"))
 def _standard_fre(cfg, trials=100, nmax=200):
     rng = random.Random(cfg.seed)
     bad = 0
@@ -326,7 +337,7 @@ def _standard_fre(cfg, trials=100, nmax=200):
                 f"{bad}/{trials} tables failed at 12 random points and 1, {nmax}")], {}
 
 
-@experiment("prop2-roundtrip")
+@experiment("prop2-roundtrip", criterion=(9, "duality_roundtrip"))
 def _prop2(cfg, trials=500, qmax=64, nmax=512):
     rng = random.Random(cfg.seed)
     # pointwise oracle on scaled numerators, independent of t.eval / e.eval:
@@ -353,7 +364,7 @@ def _prop2(cfg, trials=500, qmax=64, nmax=512):
                 f"{bad_point} instances fail at some n <= {nmax}")], {}
 
 
-@experiment("property-H")
+@experiment("property-H", criterion=(10, "high_coefficients"))
 def _prop_h(cfg, trials=40, qmax=128):
     rng = random.Random(cfg.seed)
     bad = 0
@@ -377,7 +388,7 @@ def _prop_l(cfg, cut=10 ** 4, q0=100):
                 rep.verdict)], {"low": t}
 
 
-@experiment("theorem4-roundtrip")
+@experiment("theorem4-roundtrip", criterion=(11, "pure_inversion_roundtrip"))
 def _thm4(cfg, trials=60, support=64):
     rng = random.Random(cfg.seed)
     bad = 0
@@ -390,7 +401,7 @@ def _thm4(cfg, trials=60, support=64):
     return [_ok("coefficients-recovered", bad == 0, f"{bad}/{trials} failed")], {}
 
 
-@experiment("lucht-identity")
+@experiment("lucht-identity", criterion=(12, "lucht_identity"))
 def _lucht(cfg, trials=60, support=128, amax=64):
     rng = random.Random(cfg.seed)
     bad = 0
@@ -405,7 +416,7 @@ def _lucht(cfg, trials=60, support=128, amax=64):
     return [_ok("resummation-exact", bad == 0, f"{bad}/{trials} failed")], {}
 
 
-@experiment("dK-coefficients")
+@experiment("dK-coefficients", criterion=(13, "divisor_coefficients"))
 def _dk(cfg, nmax=100, kmax=4):
     if nmax < 2:
         raise ValueError(f"nmax={nmax} checks no n: the k = 1 formula starts at n = 2")
@@ -444,7 +455,7 @@ def _zero_cloud(cfg, nmax=10, x_lo=10 ** 2, x_hi=10 ** 6):
     return [_ok("partials-shrink", not bad, f"failing: {bad[:3]}")], {"trend": t}
 
 
-@experiment("cw-formula")
+@experiment("cw-formula", criterion=(17, "cw_ratio_bounded"))
 def _cw(cfg, qmax=5,
         grid=[10 ** 3, 2 * 10 ** 3, 10 ** 4, 2 * 10 ** 4, 10 ** 5, 2 * 10 ** 5],
         functions=["one", "d_2", "id"]):
@@ -467,7 +478,7 @@ def _cw(cfg, qmax=5,
     return out, {"ratios": t}
 
 
-@experiment("lemma2")
+@experiment("lemma2", criterion=(18, "nonneg_mean_dominance"))
 def _lemma2(cfg, qmax=10, grid=[10 ** 4, 10 ** 5, 10 ** 6]):
     cfg.check_caps(x=max(grid))
     f = ArithmeticFunction.builtin("indicator-squares")
@@ -475,7 +486,7 @@ def _lemma2(cfg, qmax=10, grid=[10 ** 4, 10 ** 5, 10 ** 6]):
     return [_ok("mean-dominance-exact", rep.ok, f"{len(rep.rows)} inequalities")], {}
 
 
-@experiment("conjecture1")
+@experiment("conjecture1", criterion=(19, "vanishing_tail_search"))
 def _conj1(cfg, q_lo=2, q_hi=8, depth=32, trials=40):
     if q_lo > q_hi:
         raise ValueError(f"q_lo={q_lo} must not exceed q_hi={q_hi}")
@@ -512,7 +523,7 @@ def _rand_int_tds(rng: random.Random, q: int) -> ArithmeticFunction:
     return ArithmeticFunction.from_tds(TruncatedDivisorSum(q, vals))
 
 
-@experiment("identity12")
+@experiment("identity12", criterion=(14, "split_identity"))
 def _identity12(cfg, trials=12):
     amax = 256
     rng = random.Random(cfg.seed)
@@ -531,7 +542,7 @@ def _identity12(cfg, trials=12):
                 f"first failing (instance, a <= {amax}): {bad[:3]}")], {}
 
 
-@experiment("cc")
+@experiment("cc", criterion=(15, "cc_vs_numerical"))
 def _cc(cfg, x=10 ** 5):
     cfg.check_caps(x=x)
     rng = random.Random(cfg.seed)
@@ -553,7 +564,7 @@ def _cc(cfg, x=10 ** 5):
     return out, {}
 
 
-@experiment("reef")
+@experiment("reef", criterion=(16, "reef_exactness"))
 def _reef(cfg, lgrid=[10 ** 3, 10 ** 4]):
     out = []
     # tail-free: even indicator against itself, even length
@@ -615,7 +626,7 @@ def _short_avg(cfg, lgrid=[10 ** 3, 10 ** 4]):
 # concordance experiments
 # ---------------------------------------------------------------------------
 
-@experiment("concordance-thm8")
+@experiment("concordance-thm8", criterion=(7, "coefficient_concordance"))
 def _thm8(cfg, cut=10 ** 4, grid=[10 ** 6 // 4, 10 ** 6 // 2, 10 ** 6],
           log_grid=[10 ** 3, 10 ** 4, 10 ** 5]):
     # the log part allocates and loops over log_grid[-1] floats: cap it too

@@ -1,4 +1,4 @@
-"""Ramanujan sums c_q(n) and their fundamental identities.
+"""Ramanujan sums c_q(n): evaluation routes, tables and exact cross sums.
 
 The canonical evaluation is the multiplicative closed form: c_q(n) is the
 product over the prime powers p^e exactly dividing q of p^(e-1) (p - 1) when
@@ -22,7 +22,7 @@ from math import fsum, gcd, lcm, pi
 
 import numpy as np
 
-from .arith import divisors, factor, mu, omega
+from .arith import divisors, factor, mu
 from .limits import build_estimate, check_grid
 from . import kernels
 
@@ -121,23 +121,6 @@ class RamanujanSumTable:
     def __getitem__(self, qn):
         q, n = qn
         return int(self.values[q, n % q])   # c_q has period q, for any sign of n
-
-
-def divisibility_indicator_check(q: int, n: int) -> bool:
-    """q * 1_{q|n} == sum_{d|q} c_d(n); holds exactly for all inputs."""
-    if q < 1 or n < 0:
-        raise ValueError("q >= 1 and n >= 0 required")
-    s = sum(csum(d, n) for d in divisors(q))
-    return s == (q if n % q == 0 else 0)
-
-
-def delange_bound_check(d: int, n: int):
-    """(lhs, rhs, holds) for sum_{l|d} |c_l(n)| <= n * 2^omega(d)."""
-    if d < 1 or n < 1:
-        raise ValueError("d >= 1 and n >= 1 required")
-    lhs = sum(abs(csum(l, n)) for l in divisors(d))
-    rhs = n * 2 ** omega(d)
-    return lhs, rhs, lhs <= rhs
 
 
 # ---------------------------------------------------------------------------

@@ -207,20 +207,27 @@ def cc_coefficients(cut: CutCorrelation, lmax: int | None = None) -> list:
     return out
 
 
+def _exact_average(w, den: int, q: int, xs: list, tol: float,
+                   target=None) -> LimitEstimate:
+    """(1/phi(q)) (1/x) sum_{m<=x} c_q(m) w[m-1] / den at every x in xs,
+    exact per x; w is an integer array over the shared denominator den."""
+    tab = csum_period(q)
+    fq = phi(q)
+    exact = [Fraction(kernels.weighted_periodic_int(w, tab, x), fq * x * den)
+             for x in xs]
+    return build_estimate(xs, [float(e) for e in exact], tol,
+                          target=target, exact=exact)
+
+
 def carmichael_vs_cc(cut: CutCorrelation, l: int, xgrid,
                      tol: float = 1e-2) -> LimitEstimate:
     """Numerical Carmichael average over shifts against the exact CC value."""
     xs = check_grid(xgrid)
     target = cc_coefficients(cut, l)[l - 1]
     cut.base.ensure_depth(xs[-1])
-    fl = phi(l)
-    tab = csum_period(l)
     nums, den = scale(cut.base.values)
-    vals = kernels.int_array(nums)
-    exact = [Fraction(kernels.weighted_periodic_int(vals, tab, x), fl * x * den)
-             for x in xs]
-    return build_estimate(xs, [float(e) for e in exact], tol,
-                          target=float(target), exact=exact)
+    return _exact_average(kernels.int_array(nums), den, l, xs, tol,
+                          target=float(target))
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +235,14 @@ def carmichael_vs_cc(cut: CutCorrelation, l: int, xgrid,
 # ---------------------------------------------------------------------------
 
 def _tail_divisor_array(cut: CutCorrelation, xmax: int, split: int):
-    """(T, den): den * T(m) = den * sum_{d|m, d>split} C'(N,d) for m = 0..xmax,
+    """(T, den): den * T[m-1] = den * sum_{d|m, d>split} C'(N,d) for m = 1..xmax,
     an integer array over the transform's shared denominator.  It does not
     depend on q: a check that needs L(q) for many q builds it once."""
     nums, den = scale(cut.base.transform(xmax))
     nums = kernels.int_array(nums[split + 1: xmax + 1])
     w = np.zeros(xmax + 1, dtype=nums.dtype)
     w[split + 1:] = nums
-    return kernels.divisor_scatter_int(w), den
-
-
-def _tail_estimate(tail, q: int, xs: list, tol: float) -> LimitEstimate:
-    """L(q) estimate per grid point from a tail (T, den) built to xs[-1]."""
-    td, den = tail
-    tab = csum_period(q)
-    fl = phi(q)
-    exact = [Fraction(kernels.weighted_periodic_int(td[1:], tab, x), fl * x * den)
-             for x in xs]
-    return build_estimate(xs, [float(e) for e in exact], tol, exact=exact)
+    return kernels.divisor_scatter_int(w)[1:], den
 
 
 def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
@@ -258,7 +255,7 @@ def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
     xs = check_grid(xgrid)
     if split is None:
         split = cut.length
-    return _tail_estimate(_tail_divisor_array(cut, xs[-1], split), q, xs, tol)
+    return _exact_average(*_tail_divisor_array(cut, xs[-1], split), q, xs, tol)
 
 
 def is_tail_free(cut: CutCorrelation, depth: int) -> bool:
@@ -301,7 +298,7 @@ def weak_reef_check(cut: CutCorrelation, a: int, lgrid) -> WeakReefReport:
     tail_free = is_tail_free(cut, xs[-1])
     c_row = [csum(q, a) for q in range(1, n + 1)]
     tail_t = _tail_divisor_array(cut, xs[-1], n)
-    l_ests = {q: _tail_estimate(tail_t, q, xs, 1e-2) for q in range(1, n + 1)}
+    l_ests = {q: _exact_average(*tail_t, q, xs, 1e-2) for q in range(1, n + 1)}
     rows = []
     for i, x in enumerate(xs):
         rhs = tail
@@ -340,7 +337,7 @@ def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageRe
     rows = []
     rhs = Fraction(0)
     for q in range(1, n + 1):
-        lq = _tail_estimate(tail_t, q, xs, 1e-2).exact[-1]
+        lq = _exact_average(*tail_t, q, xs, 1e-2).exact[-1]
         w = csum_prefix_sum(q, a_cut)
         rows.append((q, cc[q - 1], lq, w))
         rhs += (cc[q - 1] - lq) * w

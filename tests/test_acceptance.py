@@ -1,37 +1,15 @@
 """Acceptance suite: every exit criterion at its stated scale and tolerance.
 
-Criteria 01-19 are registry experiments run at their default params, so
-`rlab experiment run --name <name>` is the same check as the criterion.  Each
-test prints one pass/fail line plus the record's outcome lines (run with -s to
-watch them stream).
+Criteria 01-19 are registry experiments run at their default params; each
+declares its number and label on its `@experiment`, and `criteria()` reads
+them back, so `rlab experiment run --name <name>` is the same check as the
+criterion.  Each test prints one pass/fail line plus the record's outcome
+lines (run with -s to watch them stream).
 """
 
-from rlab.experiments import ExperimentConfig, run_experiment
+from rlab.experiments import ExperimentConfig, criteria, run_experiment
 
 SEED = 20170919
-
-# criterion number -> (test name, experiment name)
-CRITERIA = {
-    1: ("triple_agreement", "lemma1-grid"),
-    2: ("indicator_identities", "eq2-grid"),
-    3: ("delange_bound", "delange-bound"),
-    4: ("divergence_trend", "prop1-divergence"),
-    5: ("orthogonality", "orthogonality"),
-    6: ("reconstruction", "wintner-delange"),
-    7: ("coefficient_concordance", "concordance-thm8"),
-    8: ("standard_finite_expansion", "standard-fre"),
-    9: ("duality_roundtrip", "prop2-roundtrip"),
-    10: ("high_coefficients", "property-H"),
-    11: ("pure_inversion_roundtrip", "theorem4-roundtrip"),
-    12: ("lucht_identity", "lucht-identity"),
-    13: ("divisor_coefficients", "dK-coefficients"),
-    14: ("split_identity", "identity12"),
-    15: ("cc_vs_numerical", "cc"),
-    16: ("reef_exactness", "reef"),
-    17: ("cw_ratio_bounded", "cw-formula"),
-    18: ("nonneg_mean_dominance", "lemma2"),
-    19: ("vanishing_tail_search", "conjecture1"),
-}
 
 
 def report(num, name, ok, detail=""):
@@ -50,7 +28,7 @@ def _criterion(num, name):
     return test
 
 
-for _num, (_label, _name) in CRITERIA.items():
+for _num, (_label, _name) in criteria().items():
     _test = _criterion(_num, _name)
     _test.__name__ = f"test_c{_num:02d}_{_label}"
     globals()[_test.__name__] = _test

@@ -8,11 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rlab.arith import (ArithmeticFunction, d_k, dirichlet_convolve, divisors,
-                        factor, function_from_spec, function_to_spec, mu,
-                        omega, phi)
+from rlab.arith import (ArithmeticFunction, d_k, divisors, factor,
+                        function_from_spec, mu, omega, phi)
 from rlab.rational import ExactList, scale
-from conftest import rand_table
+from rlab.transforms import eratosthenes
 
 
 def trial_division(n):
@@ -159,37 +158,26 @@ def test_exact_rational_arithmetic(rng):
 
 
 def test_dirichlet_mobius_inversion():
-    one = ArithmeticFunction.builtin("one")
-    conv = dirichlet_convolve(ArithmeticFunction.builtin("mu"), one, 100)
+    # mu * 1 = delta: the Eratosthenes transform of `one` is delta
+    tr = eratosthenes(ArithmeticFunction.builtin("one"), 100)
     for n in range(1, 101):
-        assert conv(n) == (1 if n == 1 else 0)
+        assert tr(n) == sum(mu(d) for d in divisors(n)) == (1 if n == 1 else 0)
 
 
 def test_dirichlet_phi_identity():
-    one = ArithmeticFunction.builtin("one")
-    conv = dirichlet_convolve(ArithmeticFunction.builtin("phi"), one, 100)
+    # phi * 1 = id: the transform of `id` is phi
+    tr = eratosthenes(ArithmeticFunction.builtin("id"), 100)
     for n in range(1, 101):
-        assert conv(n) == sum(phi(d) for d in divisors(n)) == n
+        assert tr(n) == phi(n)
+        assert sum(phi(d) for d in divisors(n)) == n
 
 
 def test_dirichlet_one_one_is_divisor_count():
-    one = ArithmeticFunction.builtin("one")
-    conv = dirichlet_convolve(one, one, 100)
+    # 1 * 1 = d_2: the transform of `d_2` is `one`
+    tr = eratosthenes(ArithmeticFunction.builtin("d_2"), 100)
     for n in range(1, 101):
-        assert conv(n) == len(divisors(n)) == d_k(n, 2)
-
-
-def test_dirichlet_assoc_comm(rng):
-    n = 200
-    f = ArithmeticFunction.table(rand_table(rng, n))
-    g = ArithmeticFunction.table(rand_table(rng, n))
-    h = ArithmeticFunction.table(rand_table(rng, n))
-    fg = dirichlet_convolve(f, g, n)
-    gf = dirichlet_convolve(g, f, n)
-    assert [fg(k) for k in range(1, n + 1)] == [gf(k) for k in range(1, n + 1)]
-    left = dirichlet_convolve(fg, h, n)
-    right = dirichlet_convolve(f, dirichlet_convolve(g, h, n), n)
-    assert [left(k) for k in range(1, n + 1)] == [right(k) for k in range(1, n + 1)]
+        assert tr(n) == 1
+        assert len(divisors(n)) == d_k(n, 2)
 
 
 def test_table_after_policies():
@@ -214,27 +202,21 @@ def test_closed_registry():
         ArithmeticFunction.builtin("sigma")
 
 
-def test_registry_roundtrip(rng):
-    specs = [
-        {"kind": "builtin", "name": "mu"},
-        {"kind": "table", "values": ["3/2", 1, "-2/7"], "after": "zero"},
-        {"kind": "tds", "range": 4,
-         "fprime": {"kind": "table", "values": [1, 0, "1/3", 2], "after": "zero"}},
+def test_registry_roundtrip():
+    # hand-written JSON specs read back as the functions they spell out
+    fprime = [1, 0, Fraction(1, 3), 2]
+    cases = [
+        ({"kind": "builtin", "name": "mu"}, mu),
+        ({"kind": "table", "values": ["3/2", 1, "-2/7"], "after": "zero"},
+         lambda n: [Fraction(3, 2), 1, Fraction(-2, 7), 0][min(n, 4) - 1]),
+        ({"kind": "tds", "range": 4,
+          "fprime": {"kind": "table", "values": [1, 0, "1/3", 2], "after": "zero"}},
+         lambda n: sum(fprime[d - 1] for d in divisors(n) if d <= 4)),
     ]
-    for spec in specs:
+    for spec, want in cases:
         f = function_from_spec(spec)
-        again = function_from_spec(function_to_spec(f))
         for n in range(1, 20):
-            assert f(n) == again(n)
-
-
-def test_float_table_has_no_spec_and_no_convolution():
-    # "p/q" strings of the floats' exact values would reload as an exact table
-    f = ArithmeticFunction.table([0.1, 1])
-    with pytest.raises(ValueError, match="float"):
-        function_to_spec(f)
-    with pytest.raises(ValueError, match="exact"):
-        dirichlet_convolve(f, ArithmeticFunction.builtin("one"), 2)
+            assert f(n) == want(n)
 
 
 def test_float_fprime_tds_is_refused():

@@ -6,17 +6,20 @@ import inspect
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab import experiments, shift
+from rlab import experiments, kernels, shift
 from rlab.emit import Table, emit, format_cell
 from rlab.experiments import (ConfigError, ExperimentConfig, ResourceCapError,
-                              UnknownExperimentError, experiment_names,
+                              UnknownExperimentError, criteria, experiment_names,
                               resolve_params, run_experiment)
 from rlab.finite import FiniteExpansion
 from rlab.rational import parse_rational
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REQUIRED = [
     "lemma1-grid", "eq2-grid", "delange-bound", "orthogonality",
@@ -241,6 +244,36 @@ def test_identity12_detects_perturbed_qrc(monkeypatch):
     rec = run_experiment(ExperimentConfig(
         name="identity12", seed=3, params={"trials": 1}))
     assert [o["status"] for o in rec.outcomes] == ["fail"]
+
+
+def test_eq2_and_delange_detect_a_perturbed_table(monkeypatch):
+    # the two grid experiments are the only checks of eq. (2) and of
+    # Delange's bound: one entry off by one must fail both
+    real = kernels.csum_block
+
+    def perturbed(qmax, nmax):
+        t = real(qmax, nmax).copy()
+        t[2, 1] -= 1           # c_2(1) = -1 -> -2; the bound is tight there
+        return t
+
+    monkeypatch.setattr(kernels, "csum_block", perturbed)
+    for name, params in (("eq2-grid", {"qmax": 16, "nmax": 16}),
+                         ("delange-bound", {"dmax": 16, "nmax": 16})):
+        rec = run_experiment(ExperimentConfig(name, params=params))
+        assert [o["status"] for o in rec.outcomes] == ["fail"], name
+
+
+def test_docs_and_ci_name_real_experiments():
+    # the README acceptance table lists exactly the registry's criteria
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("## Acceptance suite"):readme.index("## Layout")]
+    pairs = re.findall(r"\|\s*(\d\d)\s*\|\s*([\w-]+)\s*(?=\|)", table)
+    assert sorted((int(num), name) for num, name in pairs) == \
+        [(num, name) for num, (_, name) in criteria().items()]
+    # every experiment the CI workflow runs by name exists
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    names = re.findall(r"--name\s+([\w-]+)", workflow)
+    assert names and set(names) <= set(experiment_names())
 
 
 def test_emit_formats(tmp_path):

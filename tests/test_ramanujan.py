@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rlab import kernels
-from rlab.arith import divisors, mu, phi
+from rlab.arith import divisors, mu, omega, phi
+from rlab.experiments import ExperimentConfig, run_experiment
 from rlab.ramanujan import (RamanujanSumTable, abs_csum_over_q_partial,
                             cross_sum, csum, csum_divisor_form,
                             csum_period, csum_prefix_sum,
-                            csum_trig_form, csum_trig_row, delange_bound_check,
-                            divisibility_indicator_check,
+                            csum_trig_form, csum_trig_row,
                             orthogonality_estimate)
 from conftest import PROPERTY
 
@@ -169,24 +169,22 @@ def test_gcd_bound():
 
 
 def test_indicator_identity():
-    assert divisibility_indicator_check(6, 12)
+    # eq. (2), q 1_{q|n} = sum_{d|q} c_d(n): eq2-grid is its one
+    # implementation, here on the grid q <= 59, 0 <= n <= 59
     assert sum(csum(d, 12) for d in divisors(6)) == 6
-    assert divisibility_indicator_check(5, 7)
     assert sum(csum(d, 7) for d in divisors(5)) == 0
-    for n in range(0, 20):
-        assert divisibility_indicator_check(1, n)
-    for q in range(1, 60):
-        for n in range(0, 60):
-            assert divisibility_indicator_check(q, n)
+    assert all(csum(1, n) == 1 for n in range(20))
+    rec = run_experiment(ExperimentConfig("eq2-grid", params={"qmax": 59, "nmax": 59}))
+    assert rec.passed
 
 
 def test_delange_bound():
-    assert delange_bound_check(1, 1) == (1, 1, True)
-    lhs, rhs, ok = delange_bound_check(6, 6)
-    assert (lhs, rhs, ok) == (6, 6 * 4, True)
-    for d in range(1, 60):
-        for n in range(1, 60):
-            assert delange_bound_check(d, n)[2]
+    # sum_{l|d} |c_l(n)| <= n 2^omega(d): delange-bound is its one
+    # implementation, here on the grid d, n <= 59
+    assert abs(csum(1, 1)) == 1 * 2 ** omega(1) == 1
+    assert sum(abs(csum(l, 6)) for l in divisors(6)) == 6 < 6 * 2 ** omega(6) == 24
+    rec = run_experiment(ExperimentConfig("delange-bound", params={"dmax": 59, "nmax": 59}))
+    assert rec.passed
 
 
 def direct_cross_sums(q, l, n, xs):
