@@ -21,10 +21,11 @@ import numpy as np
 
 from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
-from .limits import LimitEstimate, build_estimate, check_grid
+from .limits import LimitEstimate, check_grid
 from .rational import freeze, scale, scale_pairs, value_kind
 from .ramanujan import csum, cross_sum
-from .transforms import eratosthenes, reduced_terms, wintner_scaled_table
+from .transforms import (carmichael_average, eratosthenes, reduced_terms,
+                         wintner_scaled_table)
 from . import kernels
 
 
@@ -188,15 +189,12 @@ def carmichael_formula_check(expansion, l: int, xgrid,
     """
     e = _finite(expansion)
     xs = check_grid(xgrid)
-    fl = phi(l)
-    target = e.get(l)
+    target = float(e.get(l))
     nums, den = e.scaled
     # inner[q - 1][i] = sum_{h <= xs[i]} c_q(h) c_l(h), one grid call per q
     inner = [cross_sum(q, l, 0, xs) for q in range(1, e.range + 1)]
-    exact = [Fraction(sum(map(mul, nums, col)), den * fl * x)
-             for x, col in zip(xs, zip(*inner))]
-    ests = [float(v) for v in exact]
-    return build_estimate(xs, ests, tol, target=float(target), exact=exact)
+    sums = [Fraction(sum(map(mul, nums, col)), den) for col in zip(*inner)]
+    return carmichael_average(sums, l, xs, tol, target=target)
 
 
 # ---------------------------------------------------------------------------

@@ -223,17 +223,16 @@ class LowCoefficientReport:
     verdict: str        # "consistent" | "inconsistent" | "no-hint"
 
 
-def low_coefficient_report(f, q_range: int, q0: int, decay_hint=None,
-                           deep_cut: int | None = None) -> LowCoefficientReport:
+def low_coefficient_report(f, q_range: int, q0: int,
+                           decay_hint=None) -> LowCoefficientReport:
     """Compare low truncation coefficients (q <= q0) against deeper partials.
 
     The two sides coincide identically at equal cuts, so the deeper partial
-    uses deep_cut (default 4*Q).  With a decay hint |fprime(d)| <= C*d^-s the
+    uses the cut 4*Q.  With a decay hint |fprime(d)| <= C*d^-s the
     gap is bounded by the tail beyond Q; verdict "consistent" means every gap
     sits inside that bound.  Without a hint only raw rows are reported.
     """
-    if deep_cut is None:
-        deep_cut = 4 * q_range
+    deep_cut = 4 * q_range
     nums, den = tds_to_fre(truncate(f, q_range)).scaled
     deep = np.array([float(v) for v in eratosthenes(f, deep_cut).values])
     d = np.arange(1, deep_cut + 1, dtype=np.float64)

@@ -188,15 +188,14 @@ def liouville_sieve(n: int) -> np.ndarray:
 # Ramanujan sum rows and tables (divisor-form sieve)
 # ---------------------------------------------------------------------------
 
-def csum_row(n: int, qmax: int, mu: np.ndarray | None = None) -> np.ndarray:
+def csum_row(n: int, qmax: int) -> np.ndarray:
     """c_q(n) for q = 0..qmax (entry 0 unused) via the divisor form.
 
     c_q(n) = sum over d | gcd(q,n) of d*mu(q/d): for each divisor d of n we
     scatter d*mu(q/d) onto the multiples q of d.  n = 0 means every d <= qmax
     divides n.
     """
-    if mu is None:
-        mu = mobius_sieve(qmax)
+    mu = mobius_sieve(qmax)
     out = np.zeros(qmax + 1, dtype=np.int64)
     if n == 0:
         divs = range(1, qmax + 1)
@@ -209,14 +208,13 @@ def csum_row(n: int, qmax: int, mu: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def csum_block(qmax: int, nmax: int, mu: np.ndarray | None = None) -> np.ndarray:
+def csum_block(qmax: int, nmax: int) -> np.ndarray:
     """Dense table t[q, n] = c_q(n) for 1 <= q <= qmax, 0 <= n <= nmax.
 
     Row 0 is unused.  Built by scattering d*mu(q/d) over q multiples of d and
     n multiples of d; the n = 0 column picks up every d, giving c_q(0) = phi(q).
     """
-    if mu is None:
-        mu = mobius_sieve(qmax)
+    mu = mobius_sieve(qmax)
     t = np.zeros((qmax + 1, nmax + 1), dtype=np.int64)
     for d in range(1, qmax + 1):
         md = mu[1: qmax // d + 1]

@@ -18,7 +18,6 @@ class LimitEstimate:
     deltas: list                    # successive differences, len(grid)-1
     verdict: str                    # "converged" | "undetermined"
     tol: float
-    value: float | None = None      # final estimate when converged
     target: float | None = None     # exact limit when known
     exact: list | None = None       # per-point Fractions when the path is exact
 
@@ -49,8 +48,7 @@ def build_estimate(grid, estimates, tol, target=None, exact=None,
         ok = ok and math.log10(grid[-1] / grid[0]) >= min_decades - 1e-12
     return LimitEstimate(grid=grid, estimates=estimates, deltas=deltas,
                          verdict="converged" if ok and deltas else "undetermined",
-                         tol=tol, value=estimates[-1] if ok else None,
-                         target=target, exact=exact)
+                         tol=tol, target=target, exact=exact)
 
 
 def check_grid(xgrid) -> list:

@@ -13,9 +13,12 @@ finite expansion of the t.d.s. whose fprime is C'(N, .) cut at Q.  They, the
 values of a rational correlation and its Moebius transform are
 `rational.ExactList`s, so each goes over its denominator once: the split
 identity at every shift is the expansion's value at a (one integer dot of its
-cached numerators with the row c_q(a)), and the L(q) sums read the
-transform's numerators.  A Weak-Reef or short-average check builds
-the divisor tail T(m) once and sums it against c_q(m) for every q.
+cached numerators with the row c_q(a)).  Every Carmichael quantity here is
+the one exact sum S_q(x) = sum_{n<=x} w(n) c_q(n) of
+`transforms.carmichael_sums`, or its average S_q(x) / (phi(q) x) from
+`transforms.carmichael_average`: w is f for the CC formula (at x = N), the
+correlation for the average over shifts, and the divisor tail T(m) behind
+L(q), which a Weak-Reef or short-average check scatters once for every q.
 """
 
 from dataclasses import dataclass, field
@@ -25,10 +28,10 @@ import numpy as np
 
 from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
-from .limits import LimitEstimate, build_estimate, check_grid
+from .limits import LimitEstimate, check_grid
 from .rational import ExactList, exact_sum, scale
-from .ramanujan import csum, csum_period, csum_prefix_sum
-from .transforms import eratosthenes
+from .ramanujan import csum, csum_prefix_sum
+from .transforms import carmichael_average, carmichael_sums, eratosthenes
 from . import kernels
 
 DEPTH_CAP = 10 ** 6     # transform depth never exceeds this without a flag
@@ -63,14 +66,14 @@ class Correlation:
             raise IndexError(f"correlation cached to a={self.amax}, asked for {a}")
         return self.values.item(a - 1)
 
-    def ensure_depth(self, amax: int, cap: int = DEPTH_CAP):
-        """Extend the shift cache; refuses past the cap rather than silently
+    def ensure_depth(self, amax: int):
+        """Extend the shift cache; refuses past DEPTH_CAP rather than silently
         grinding through arbitrarily deep transforms."""
         if amax <= self.amax:
             return self
-        if amax > cap:
+        if amax > DEPTH_CAP:
             raise ValueError(
-                f"requested correlation depth {amax} exceeds cap {cap}")
+                f"requested correlation depth {amax} exceeds cap {DEPTH_CAP}")
         deeper = correlate(self.f, self.g, self.length, amax, fair=self.fair)
         self.amax = amax
         self.values = deeper.values
@@ -92,14 +95,13 @@ class Correlation:
         return self._transform
 
 
-def correlate(f, g, length: int, amax: int, fair=None) -> Correlation:
+def correlate(f, g, length: int, amax: int, fair: bool = True) -> Correlation:
     """Exact C(N, a) for 1 <= a <= amax: the correlation kernel runs on the
     scaled numerators of f and g, and the values are an integer array when
-    both denominators are 1, else Fractions over their product."""
+    both denominators are 1, else Fractions over their product.  fair holds
+    for point-independent specs only; shift-dependent families pass False."""
     if length < 1 or amax < 1:
         raise ValueError("N >= 1 and amax >= 1 required")
-    if fair is None:
-        fair = True   # point-independent specs only; override for shift-dependent families
     fv, fden = scale(f.eval_range(length))
     gv, gden = scale(g.eval_range(length + amax))
     vals = kernels.correlate_int(kernels.int_array(fv), kernels.int_array(gv), amax)
@@ -136,14 +138,13 @@ class CutCorrelation:
         return self._coeffs
 
 
-def cut_correlation(f, g, length: int, amax: int, fair=None) -> CutCorrelation:
+def cut_correlation(f, g, length: int, amax: int, fair: bool = True) -> CutCorrelation:
     """Split C_{f,g} = C_{f,g_N} + remainder by truncating g at N.
 
     The remainder is returned exactly per shift; no asymptotic bound is
     claimed, only observed magnitudes.
     """
-    gprime = eratosthenes(g, length + amax).values
-    g_n = TruncatedDivisorSum(length, gprime[:length])
+    g_n = TruncatedDivisorSum(length, eratosthenes(g, length).values)
     gn_fun = ArithmeticFunction.from_tds(g_n)
     base = correlate(f, gn_fun, length, amax, fair=fair)
     full = correlate(f, g, length, amax, fair=fair)
@@ -186,9 +187,9 @@ def divisor_tail(cut: CutCorrelation, a: int) -> Fraction:
 def cc_coefficients(cut: CutCorrelation, lmax: int | None = None) -> list:
     """Exact table l -> (ghat_N(l)/phi(l)) sum_{n<=N} f(n) c_l(n), 1-based.
 
-    Vanishes for l > N since ghat_N does.  Requires the fair flag: with shift
-    dependence hiding anywhere but in the g argument, the sum exchange behind
-    this formula is unsound.
+    The sum is taken only where ghat_N(l) != 0, so never for l > N.  Requires
+    the fair flag: with shift dependence hiding anywhere but in the g
+    argument, the sum exchange behind this formula is unsound.
     """
     if not cut.fair:
         raise FairnessError(
@@ -197,65 +198,51 @@ def cc_coefficients(cut: CutCorrelation, lmax: int | None = None) -> list:
     n = cut.length
     if lmax is None:
         lmax = n
+    if lmax < 1:
+        raise ValueError(f"need lmax >= 1, got lmax={lmax}")
     ghat = cut.ghat()
-    nums, den = scale(cut.base.f.eval_range(n))
-    out = []
-    for l in range(1, lmax + 1):
-        gl = ghat[l - 1] if l <= n else 0
-        s = gl and sum(int(v) * csum(l, m) for m, v in enumerate(nums, start=1) if v)
-        out.append(gl * Fraction(s, den) / phi(l))
-    return out
-
-
-def _exact_average(w, den: int, q: int, xs: list, tol: float,
-                   target=None) -> LimitEstimate:
-    """(1/phi(q)) (1/x) sum_{m<=x} c_q(m) w[m-1] / den at every x in xs,
-    exact per x; w is an integer array over the shared denominator den."""
-    tab = csum_period(q)
-    fq = phi(q)
-    exact = [Fraction(kernels.weighted_periodic_int(w, tab, x), fq * x * den)
-             for x in xs]
-    return build_estimate(xs, [float(e) for e in exact], tol,
-                          target=target, exact=exact)
+    ls = [l for l in range(1, min(lmax, n) + 1) if ghat[l - 1]]
+    sums = dict(zip(ls, carmichael_sums(*scale(cut.base.f.eval_range(n)), ls, [n])))
+    return [ghat[l - 1] * sums[l][0] / phi(l) if l in sums else Fraction(0)
+            for l in range(1, lmax + 1)]
 
 
 def carmichael_vs_cc(cut: CutCorrelation, l: int, xgrid,
                      tol: float = 1e-2) -> LimitEstimate:
     """Numerical Carmichael average over shifts against the exact CC value."""
+    if l < 1:
+        raise ValueError(f"need l >= 1, got l={l}")
     xs = check_grid(xgrid)
     target = cc_coefficients(cut, l)[l - 1]
     cut.base.ensure_depth(xs[-1])
-    nums, den = scale(cut.base.values)
-    return _exact_average(kernels.int_array(nums), den, l, xs, tol,
-                          target=float(target))
+    sums = carmichael_sums(*scale(cut.base.values), [l], xs)[0]
+    return carmichael_average(sums, l, xs, tol, target=float(target))
 
 
 # ---------------------------------------------------------------------------
 # the correction limits L(q)
 # ---------------------------------------------------------------------------
 
-def _tail_divisor_array(cut: CutCorrelation, xmax: int, split: int):
-    """(T, den): den * T[m-1] = den * sum_{d|m, d>split} C'(N,d) for m = 1..xmax,
-    an integer array over the transform's shared denominator.  It does not
-    depend on q: a check that needs L(q) for many q builds it once."""
+def _tail_sums(cut: CutCorrelation, qs, xs: list) -> list:
+    """S_q(x) = sum_{m<=x} c_q(m) T(m) for each q in qs over the grid xs,
+    where T(m) = sum_{d|m, d>N} C'(N,d).  T does not depend on q: it is
+    scattered once, over the transform's shared denominator, for every q."""
+    n, xmax = cut.length, xs[-1]
     nums, den = scale(cut.base.transform(xmax))
-    nums = kernels.int_array(nums[split + 1: xmax + 1])
+    nums = kernels.int_array(nums[n + 1: xmax + 1])
     w = np.zeros(xmax + 1, dtype=nums.dtype)
-    w[split + 1:] = nums
-    return kernels.divisor_scatter_int(w)[1:], den
+    w[n + 1:] = nums
+    return carmichael_sums(kernels.divisor_scatter_int(w)[1:], den, qs, xs)
 
 
-def l_estimate(cut: CutCorrelation, q: int, xgrid, split: int | None = None,
+def l_estimate(cut: CutCorrelation, q: int, xgrid,
                tol: float = 1e-2) -> LimitEstimate:
     """Estimate L(q) = (1/phi(q)) lim (1/x) sum_{m<=x} c_q(m) T(m), where
-    T(m) collects the transform values past the split (default N) on divisors
-    of m.  Exact per-x sums on the scaled tail; estimates vanish for q > N in
-    the limit.
+    T(m) collects the transform values past N on divisors of m.  Exact
+    per-x sums on the scaled tail; estimates vanish for q > N in the limit.
     """
     xs = check_grid(xgrid)
-    if split is None:
-        split = cut.length
-    return _exact_average(*_tail_divisor_array(cut, xs[-1], split), q, xs, tol)
+    return carmichael_average(_tail_sums(cut, [q], xs)[0], q, xs, tol)
 
 
 def is_tail_free(cut: CutCorrelation, depth: int) -> bool:
@@ -296,14 +283,15 @@ def weak_reef_check(cut: CutCorrelation, a: int, lgrid) -> WeakReefReport:
     lhs = Fraction(cut.base.value(a))
     tail = divisor_tail(cut, a)
     tail_free = is_tail_free(cut, xs[-1])
-    c_row = [csum(q, a) for q in range(1, n + 1)]
-    tail_t = _tail_divisor_array(cut, xs[-1], n)
-    l_ests = {q: _exact_average(*tail_t, q, xs, 1e-2) for q in range(1, n + 1)}
+    qs = range(1, n + 1)
+    c_row = [csum(q, a) for q in qs]
+    fq = [phi(q) for q in qs]
+    sums = _tail_sums(cut, qs, xs)
     rows = []
     for i, x in enumerate(xs):
-        rhs = tail
-        for q in range(1, n + 1):
-            rhs += (cc[q - 1] - l_ests[q].exact[i]) * c_row[q - 1]
+        # L_x(q) = S_q(x) / (phi(q) x), read straight from the tail sums
+        rhs = tail + sum((c - s[i] / (f * x)) * cq
+                         for c, s, f, cq in zip(cc, sums, fq, c_row))
         rows.append((x, rhs, lhs - rhs))
     exact_reef = tail_free and all(r[2] == 0 for r in rows)
     return WeakReefReport(a, lhs, rows, tail, tail_free, exact_reef)
@@ -322,23 +310,19 @@ def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageRe
     """sum_{a<=A} C(N,a) against sum_{q<=N} (cc(q) - L(q)) sum_{a<=A} c_q(a).
 
     Valid for A <= N, where the divisor tail contributes nothing (divisors of
-    a <= N cannot exceed N).  Exact agreement whenever the transform is
-    tail-free; otherwise the residual reflects the finite-grid L estimates.
+    a <= N cannot exceed N).  L(q) enters as its exact estimate at the last
+    grid point, the only one read.  Exact agreement whenever the transform
+    is tail-free; otherwise the residual reflects that finite-grid estimate.
     """
     n = cut.length
     if a_cut > n:
         raise ValueError(f"short averages need A <= N, got A={a_cut}, N={n}")
     if lgrid is None:
         lgrid = [10 ** 3, 10 ** 4]
-    xs = check_grid(lgrid)
+    x = check_grid(lgrid)[-1]
     cc = cc_coefficients(cut)
     lhs = exact_sum(Fraction(cut.base.value(a)) for a in range(1, a_cut + 1))
-    tail_t = _tail_divisor_array(cut, xs[-1], n)
-    rows = []
-    rhs = Fraction(0)
-    for q in range(1, n + 1):
-        lq = _exact_average(*tail_t, q, xs, 1e-2).exact[-1]
-        w = csum_prefix_sum(q, a_cut)
-        rows.append((q, cc[q - 1], lq, w))
-        rhs += (cc[q - 1] - lq) * w
+    rows = [(q, cc[q - 1], s / (phi(q) * x), csum_prefix_sum(q, a_cut))
+            for q, (s,) in enumerate(_tail_sums(cut, range(1, n + 1), [x]), start=1)]
+    rhs = sum(((c - lq) * w for _, c, lq, w in rows), Fraction(0))
     return ShortAverageReport(a_cut, lhs, rhs, lhs - rhs, rows)

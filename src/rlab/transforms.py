@@ -185,16 +185,38 @@ def wintner_cm_shortcut(fprime, q: int, cut: int):
 
 
 # ---------------------------------------------------------------------------
-# Carmichael coefficients (finite-x averages)
+# Carmichael coefficients (finite-x averages): every exact Carmichael check,
+# here and in `shift` and `expansions`, reads the one exact sum
+# S_q(x) = sum_{n<=x} w(n) c_q(n) (`carmichael_sums`) and the one estimate of
+# its averages S_q(x) / (phi(q) x) (`carmichael_average`)
 # ---------------------------------------------------------------------------
+
+def carmichael_sums(w, den: int, qs, xs: list) -> list:
+    """Exact S_q(x) = sum_{n<=x} w[n-1] c_q(n) / den: one list of Fractions
+    over the grid xs for each modulus q in qs.  w holds integer numerators
+    over the one denominator den (at least xs[-1] of them)."""
+    w = kernels.int_array(w)
+    return [[Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]
+            for tab in map(csum_period, qs)]
+
+
+def carmichael_average(sums, q: int, xs: list, tol: float, target=None,
+                       min_decades: float = 0.0) -> LimitEstimate:
+    """The estimate of the exact averages S_q(x) / (phi(q) x) over the grid
+    xs from the sums S_q(x), one per x; folded to float only in the report."""
+    fq = phi(q)
+    exact = [s / (fq * x) for s, x in zip(sums, xs)]
+    return build_estimate(xs, [float(e) for e in exact], tol, target=target,
+                          exact=exact, min_decades=min_decades)
+
 
 def _csum_weighted_sums(f, qs, xs: list, values=None):
     """Exact S_q(x) = sum_{n<=x} f(n) c_q(n): one list of Fractions over the
     grid xs for each modulus q in qs.
 
     The values of f (`values` when the caller already holds
-    f.eval_range(xs[-1])) go over one denominator once, and their numerators
-    run through the weighted-periodic kernel for every q.  A rational t.d.s.
+    f.eval_range(xs[-1])) go over one denominator once, and `carmichael_sums`
+    runs their numerators through the kernel for every q.  A rational t.d.s.
     is summed on its divisor lattice instead: S(x) = sum_{d<=Q} fprime(d) T(d)
     with T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for
     every d <= Q in one array operation per divisor of q.  Only the Q values
@@ -208,10 +230,8 @@ def _csum_weighted_sums(f, qs, xs: list, values=None):
         nums, den = f.tds.scaled
         return [[Fraction(sum(map(mul, nums, csum_multiple_sums(q, len(nums), x).tolist()[1:])),
                           den) for x in xs] for q in qs]
-    nums, den = scale(f.eval_range(xs[-1]) if values is None else values)
-    w = kernels.int_array(nums)
-    return [[Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]
-            for tab in map(csum_period, qs)]
+    return carmichael_sums(*scale(f.eval_range(xs[-1]) if values is None else values),
+                           qs, xs)
 
 
 def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
@@ -222,12 +242,10 @@ def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
     additionally requires the grid to span at least two decades.
     """
     xs = check_grid(xgrid)
-    fq = phi(q)
     sums = _csum_weighted_sums(f, [q], xs)
     if sums is not None:
-        exact = [s / (fq * x) for s, x in zip(sums[0], xs)]
-        ests = [float(e) for e in exact]
-        return build_estimate(xs, ests, tol, exact=exact, min_decades=2.0)
+        return carmichael_average(sums[0], q, xs, tol, min_decades=2.0)
+    fq = phi(q)
     w = np.asarray(f.eval_range(xs[-1]), dtype=np.float64)
     tab = csum_period(q).astype(np.float64)
     ests = [kernels.weighted_periodic_float(w, tab, x) / (fq * x) for x in xs]

@@ -191,6 +191,10 @@ def test_shift_commands(fn_file, capsys):
                  "--amax", "10", "--lmax", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[2] == "2,5/2"
+    for lmax in ("0", "-3"):
+        assert main(["shift", "cc", "--f", g, "--g", g, "--N", "10",
+                     "--amax", "10", "--lmax", lmax]) == 2
+        assert f"lmax={lmax}" in capsys.readouterr().err
     assert main(["shift", "avg", "--f", g, "--g", g, "--N", "10",
                  "--amax", "10", "--A", "10", "--lgrid", "100,1000"]) == 0
     assert "residual = 0" in capsys.readouterr().out

@@ -200,6 +200,8 @@ def test_cc_requires_fair_flag():
     cut = cut_correlation(f, f, 10, 10, fair=False)
     with pytest.raises(FairnessError):
         cc_coefficients(cut, 2)
+    with pytest.raises(FairnessError):
+        carmichael_vs_cc(cut, 2, [100, 1000])
 
 
 def test_cc_vanishes_past_length():
@@ -207,6 +209,81 @@ def test_cc_vanishes_past_length():
     cut = cut_correlation(one, one, 6, 6)
     table = cc_coefficients(cut, 10)
     assert all(v == 0 for v in table[6:])
+
+
+def _brute_cc(cut, lmax):
+    """(ghat_N(l)/phi(l)) sum_{n<=N} f(n) c_l(n) for l = 1..lmax, from the
+    definition: ghat_N(l) = sum_{d<=N, l|d} g'(d)/d, zero past N."""
+    n, gn = cut.length, cut.g_truncated.fprime
+    fv = [Fraction(cut.base.f(m)) for m in range(1, n + 1)]
+    out = []
+    for l in range(1, lmax + 1):
+        ghat = sum((Fraction(gn[d - 1]) / d for d in range(l, n + 1, l)), Fraction(0))
+        out.append(ghat / phi(l) * sum(fv[m - 1] * csum(l, m) for m in range(1, n + 1)))
+    return out
+
+
+INT_TABLES = st.lists(st.integers(-9, 9), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(f=INT_TABLES | st.lists(RATIONALS, min_size=1, max_size=5),
+       g=INT_TABLES | st.lists(RATIONALS, min_size=1, max_size=5),
+       n_len=st.integers(1, 8), extra=st.integers(0, 3), data=st.data())
+def test_cc_coefficients_match_definition(f, g, n_len, extra, data):
+    # lmax runs from 1 to N + 3: the zeros where ghat_N(l) = 0 and past N
+    cut = cut_correlation(_rational_tds(f), _rational_tds(g), n_len, n_len)
+    lmax = data.draw(st.integers(1, n_len + 3))
+    assert cc_coefficients(cut, lmax) == _brute_cc(cut, lmax)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cut_correlation(ArithmeticFunction.builtin("d_2"),
+                            _rational_tds([0, 0, 1, 0, -2]), 12, 12),
+    lambda: cut_correlation(_rational_tds([Fraction(1, 2), 0, 3, Fraction(-2, 7)]),
+                            _rational_tds([0, Fraction(1, 3), 0, 0, 1, 0]), 9, 9)],
+    ids=["integer", "rational tds"])
+def test_cc_coefficients_call_the_kernel_once_per_nonzero_ghat(make, monkeypatch):
+    # the period tables c_q(0..q-1) are cached across calls; with them built,
+    # cc_coefficients evaluates no Ramanujan sum of its own
+    from rlab import ramanujan
+    cut = make()
+    n = cut.length
+    ghat = cut.ghat()
+    for l in range(1, n + 1):
+        ramanujan.csum_period(l)
+    csums, kernel_calls = [], []
+    real_csum, real_kernel = ramanujan.csum, kernels.weighted_periodic_int
+
+    def counting_csum(*args):
+        csums.append(args)
+        return real_csum(*args)
+
+    def counting_kernel(w, tab, x):
+        kernel_calls.append((tab.shape[0], x))
+        return real_kernel(w, tab, x)
+
+    monkeypatch.setattr(ramanujan, "csum", counting_csum)
+    monkeypatch.setattr(kernels, "weighted_periodic_int", counting_kernel)
+    table = cc_coefficients(cut, n + 2)
+    assert csums == []
+    assert kernel_calls == [(l, n) for l in range(1, n + 1) if ghat[l - 1]]
+    assert 0 < len(kernel_calls) < n      # some ghat_N(l) vanish
+    assert table == _brute_cc(cut, n + 2)
+
+
+@pytest.mark.parametrize("lmax", [0, -3])
+def test_cc_coefficients_reject_lmax_below_one(lmax):
+    cut = cut_correlation(even_indicator(), even_indicator(), 10, 10)
+    with pytest.raises(ValueError, match=f"lmax={lmax}"):
+        cc_coefficients(cut, lmax)
+
+
+@pytest.mark.parametrize("l", [0, -3])
+def test_carmichael_vs_cc_rejects_l_below_one(l):
+    cut = cut_correlation(even_indicator(), even_indicator(), 10, 10)
+    with pytest.raises(ValueError, match=f"l={l}"):
+        carmichael_vs_cc(cut, l, [100, 1000])
 
 
 def test_carmichael_vs_cc_constant():
@@ -396,6 +473,17 @@ def test_reef_deviation_equals_tail():
         lhs = Fraction(cut.base.value(a))
         main = sum(coeffs.get(q) * csum(q, a) for q in range(1, n_len + 1))
         assert lhs - main == divisor_tail(cut, a)
+
+
+@pytest.mark.parametrize("make", [_tail_instance, _rational_tail_instance])
+def test_short_average_reads_l_at_the_last_grid_point(make):
+    cut = make()
+    n = cut.length
+    tr = _brute_transform(cut, 60)
+    rep = short_average(cut, n, [20, 45, 60])
+    assert [row[2] for row in rep.rows] == [_brute_l(tr, q, 60, n) for q in range(1, n + 1)]
+    for grid in ([45, 60], [60]):
+        assert short_average(cut, n, grid) == rep
 
 
 def test_short_average_tail_free_exact():
