@@ -2,13 +2,15 @@
 
 The canonical evaluation is the multiplicative closed form: c_q(n) is the
 product over the prime powers p^e exactly dividing q of p^(e-1) (p - 1) when
-p^e | n, -p^(e-1) when only p^(e-1) | n, and 0 otherwise, so it needs no
-gcd.  It reads a memoised per-modulus plan of the triples
-(p^e, p^(e-1), p^(e-1) (p - 1)), so repeated calls with one modulus factor
-it and take its prime powers once.  The divisor form sum_{d|q, d|n} d mu(q/d)
-and the defining cosine sum exist as independent cross-checking routes; a
-row of cosine sums takes one correctly rounded sum per class gcd(n, q), on
-which the cosine sum depends.  c_q(0) = phi(q) and c_q(-n) = c_q(n).
+p^e | n, -p^(e-1) when only p^(e-1) | n, and 0 otherwise.  c_q(n) depends
+on n only through the class g = gcd(n, q), so `csum` reads the closed form
+per class: a bounded cache holds, per modulus, the values c_q(g) for the
+classes seen so far, and a call costs one gcd and two dict reads once its
+class is known.  The one-period tables `csum_period` are built by class as
+well, with tau(q) closed forms per table.  The divisor form
+sum_{d|q, d|n} d mu(q/d) and the defining cosine sum exist as independent
+cross-checking routes; a row of cosine sums takes one correctly rounded sum
+per class gcd(n, q).  c_q(0) = phi(q) and c_q(-n) = c_q(n).
 
 The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality and
 Carmichael averages answer a whole grid of x at once: the integrand has
@@ -19,6 +21,7 @@ every x.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, gcd, lcm, pi
+from operator import index
 
 import numpy as np
 
@@ -27,25 +30,53 @@ from .limits import build_estimate, check_grid
 from . import kernels
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _csum_plan(q: int) -> tuple:
-    """(p^e, p^(e-1), p^(e-1) (p - 1)) for each prime power p^e exactly
-    dividing q (memoised, like `factor`)."""
-    return tuple((p ** e, p ** (e - 1), p ** (e - 1) * (p - 1)) for p, e in factor(q))
-
-
-def csum(q: int, n: int) -> int:
-    """c_q(n) by the closed form; exact integer, any integer n."""
-    if q < 1:
-        raise ValueError(f"modulus q >= 1 required, got {q}")
+def _csum_closed(q: int, n: int) -> int:
+    """c_q(n) by the closed form (q >= 1, any integer n)."""
     out = 1
-    for pe, pk, local_phi in _csum_plan(q):
-        if n % pe == 0:   # every p^e divides 0, so c_q(0) = phi(q)
-            out *= local_phi
+    for p, e in factor(q):
+        pk = p ** (e - 1)
+        if n % (pk * p) == 0:   # every p^e divides 0, so c_q(0) = phi(q)
+            out *= pk * (p - 1)
         elif n % pk == 0:
             out *= -pk
         else:
             return 0
+    return out
+
+
+# moduli whose class table `csum` keeps, like the `factor` and `csum_period`
+# caches; the cache is emptied when it is full
+_CSUM_MODULI = 4096
+# q -> {g: c_q(g)} for the classes g = gcd(n, q) seen so far
+_csum_classes = {}
+
+
+def csum(q: int, n: int) -> int:
+    """c_q(n), exact, for integers q >= 1 and any integer n (a float
+    raises TypeError).
+
+    c_q(n) depends on n only through g = gcd(n, q): p^e | n exactly when
+    p^e | g for every prime power p^e dividing q, so the closed form at g
+    equals the closed form at n, and n = 0 gives g = q, c_q(0) = phi(q).
+    The value is read from the class table of q, which the closed form
+    fills once per class."""
+    try:
+        return _csum_classes[q][gcd(n, q)]
+    except KeyError:
+        return _csum_class_miss(q, n)
+
+
+def _csum_class_miss(q, n) -> int:
+    q = index(q)   # a numpy integer modulus keys the cache as a Python int
+    if q < 1:
+        raise ValueError(f"modulus q >= 1 required, got {q}")
+    classes = _csum_classes.get(q)
+    if classes is None:
+        if len(_csum_classes) >= _CSUM_MODULI:
+            _csum_classes.clear()
+        classes = _csum_classes[q] = {}
+    g = gcd(n, q)
+    out = classes[g] = _csum_closed(q, g)
     return out
 
 
@@ -97,12 +128,16 @@ def csum_trig_row(q: int, nmax: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def csum_period(q: int) -> np.ndarray:
     """One-period table t[r] = c_q(r) for residues r = 0..q-1; its entry 0 is
-    c_q(0) = phi(q), the largest |c_q(r)|."""
+    c_q(0) = phi(q), the largest |c_q(r)|.
+
+    The table is built by class: c_q(r) = c_q(gcd(r, q)), so one `csum` per
+    divisor g of q and one gather by gcd(r, q) fill it."""
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
-    row = np.empty(q, dtype=np.int64)
-    for r in range(q):
-        row[r] = csum(q, r)
+    vals = np.zeros(q + 1, dtype=np.int64)
+    for g in divisors(q):
+        vals[g] = csum(q, g)
+    row = vals[np.gcd(np.arange(q, dtype=np.int64), q)]   # gcd(0, q) = q
     row.setflags(write=False)
     return row
 
@@ -120,7 +155,12 @@ class RamanujanSumTable:
 
     def __getitem__(self, qn):
         q, n = qn
-        return int(self.values[q, n % q])   # c_q has period q, for any sign of n
+        if not 1 <= q <= self.qmax:
+            raise ValueError(f"modulus q in 1..{self.qmax} required, got {q}")
+        r = n % q   # c_q has period q, for any sign of n
+        if r > self.nmax:
+            raise IndexError(f"residue n mod q = {r} of n = {n} is past nmax = {self.nmax}")
+        return int(self.values[q, r])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +219,12 @@ def csum_multiple_sums(q: int, dmax: int, x: int) -> np.ndarray:
 
 
 def csum_prefix_sum(q: int, a_max: int) -> int:
-    """Exact sum_{a<=A} c_q(a) = sum_{d|q} d mu(q/d) floor(A/d) (divisor form)."""
+    """Exact sum_{a<=A} c_q(a) = sum_{d|q} d mu(q/d) floor(A/d) (divisor form);
+    0 for A = 0, the empty sum."""
+    if q < 1:
+        raise ValueError(f"modulus q >= 1 required, got {q}")
+    if a_max < 0:
+        raise ValueError(f"A >= 0 required, got {a_max}")
     return sum(d * mu(q // d) * (a_max // d) for d in divisors(q))
 
 

@@ -169,6 +169,30 @@ def scale_pairs(pairs) -> tuple:
     return tuple(n * (den // d) for n, d in pairs), den
 
 
+def sum_pairs(pairs) -> tuple:
+    """(num, den) with num / den the sum of the rationals n / d given as
+    reduced integer pairs (n, d), d > 0, and den the lcm of the d ((0, 1)
+    for no pairs); num / den need not be reduced.
+
+    The pairs are summed pairwise, level by level: each node merges
+    a/b + c/d over lcm(b, d) with one gcd, so the bignums grow only towards
+    the root.  For one sum over many large denominators this is cheaper than
+    putting every term over the full lcm first; `scale_pairs` stays the
+    route where many partials share one scaling."""
+    level = list(pairs)
+    if not level:
+        return 0, 1
+    while len(level) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(level[::2], level[1::2]):
+            g = gcd(b, d)
+            merged.append((a * (d // g) + c * (b // g), b // g * d))
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return level[0]
+
+
 def canonical(nums, den) -> tuple:
     """(nums, den) divided by their one common gcd.  Afterwards each prime of
     den misses some numerator, so den is the lcm of the reduced denominators

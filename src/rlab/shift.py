@@ -309,12 +309,15 @@ class ShortAverageReport:
 def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageReport:
     """sum_{a<=A} C(N,a) against sum_{q<=N} (cc(q) - L(q)) sum_{a<=A} c_q(a).
 
-    Valid for A <= N, where the divisor tail contributes nothing (divisors of
-    a <= N cannot exceed N).  L(q) enters as its exact estimate at the last
-    grid point, the only one read.  Exact agreement whenever the transform
-    is tail-free; otherwise the residual reflects that finite-grid estimate.
+    Valid for 1 <= A <= N, where the divisor tail contributes nothing
+    (divisors of a <= N cannot exceed N).  L(q) enters as its exact estimate
+    at the last grid point, the only one read.  Exact agreement whenever the
+    transform is tail-free; otherwise the residual reflects that finite-grid
+    estimate.
     """
     n = cut.length
+    if a_cut < 1:
+        raise ValueError(f"short averages need A >= 1, got A={a_cut}")
     if a_cut > n:
         raise ValueError(f"short averages need A <= N, got A={a_cut}, N={n}")
     if lgrid is None:

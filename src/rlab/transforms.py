@@ -21,7 +21,8 @@ import numpy as np
 
 from .arith import ArithmeticFunction, phi
 from .limits import LimitEstimate, build_estimate, check_grid
-from .rational import ExactList, exact_sum, freeze, head, ratio, scale, scale_pairs, value_kind
+from .rational import (ExactList, exact_sum, freeze, head, ratio, scale, scale_pairs,
+                       sum_pairs, value_kind)
 from .ramanujan import csum_multiple_sums, csum_period
 from . import kernels
 
@@ -122,8 +123,7 @@ def wintner_coefficient(fprime, q: int, cut: int, decay_hint=None):
         raise ValueError("need q >= 1 and cut >= q")
     vals = _fprime_values(fprime, cut)
     if not isinstance(vals, np.ndarray):
-        nums, den = scale_pairs(reduced_terms(vals, range(q, cut + 1, q)))
-        partial = Fraction(sum(nums), den)
+        partial = Fraction(*sum_pairs(reduced_terms(vals, range(q, cut + 1, q))))
     else:
         partial = float(np.sum([float(vals[d - 1]) / d for d in range(q, cut + 1, q)]))
     return partial, decay_tail_bound(decay_hint, q, cut)

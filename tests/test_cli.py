@@ -84,6 +84,21 @@ def test_csum_bad_modulus_is_usage_error(capsys):
     assert "modulus" in capsys.readouterr().err
 
 
+def test_csum_closed_and_divisor_forms_agree_on_a_composite_modulus(capsys):
+    for n in ("5", "7", "360360", "-720720"):
+        assert main(["csum", "--q", "720720", "--n", n]) == 0
+        closed = capsys.readouterr().out
+        assert main(["csum", "--q", "720720", "--n", n, "--form", "divisor"]) == 0
+        assert capsys.readouterr().out == closed
+
+
+def test_shift_avg_rejects_a_below_one(fn_file, capsys):
+    f = fn_file({"kind": "table", "values": [1, 0, 2, -1], "after": "zero"})
+    assert main(["shift", "avg", "--f", f, "--g", f, "--N", "8", "--A", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert "A=-5" in err
+
+
 def test_check_command(fn_file, capsys):
     # the transform of d_2 is the constant one, whose mean never decays
     path = fn_file({"kind": "builtin", "name": "d_2"})

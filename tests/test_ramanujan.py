@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab import kernels
+from rlab import kernels, ramanujan
 from rlab.arith import divisors, mu, omega, phi
 from rlab.experiments import ExperimentConfig, run_experiment
 from rlab.ramanujan import (RamanujanSumTable, abs_csum_over_q_partial,
@@ -51,14 +51,6 @@ def test_prime_modulus_two_cases():
         for n in range(1, 60):
             want = p - 1 if n % p == 0 else -1
             assert csum_divisor_form(p, n) == want
-
-
-@PROPERTY
-@given(q=st.integers(1, 5000), n=st.integers(-10 ** 7, 10 ** 7))
-@example(q=5000, n=0)
-@example(q=4096, n=-2048)
-def test_closed_form_equals_divisor_form(q, n):
-    assert csum(q, n) == csum_divisor_form(q, n)
 
 
 def test_zero_argument_is_totient():
@@ -375,3 +367,121 @@ def test_table_invariants():
     for q in range(1, 11):
         for n in range(-25, 0):
             assert small[q, n] == csum(q, n)
+
+
+# moduli up to 10^6 for the class cache: random ones, prime powers and
+# highly composite numbers (many classes gcd(n, q))
+PRIME_POWERS = [2 ** 19, 3 ** 12, 5 ** 8, 7 ** 7, 997 ** 2, 999983]
+HIGHLY_COMPOSITE = [5040, 55440, 720720, 831600, 942480, 997920]
+MODULI = st.integers(1, 10 ** 6) | st.sampled_from(PRIME_POWERS + HIGHLY_COMPOSITE)
+
+
+@PROPERTY
+@given(qs=st.lists(MODULI, min_size=1, max_size=4), data=st.data())
+def test_csum_classes_equal_divisor_form(qs, data):
+    # calls in random order on a few moduli, so that misses (a new modulus or
+    # a new class) and hits interleave; n = m * (a divisor of q) reaches
+    # every class, plain n the small ones
+    picks = data.draw(st.lists(st.integers(0, len(qs) - 1), min_size=1, max_size=30))
+    for i in picks:
+        q = qs[i]
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(-10 ** 12, 10 ** 12))
+        else:
+            n = data.draw(st.integers(-10 ** 6, 10 ** 6)) * data.draw(st.sampled_from(divisors(q)))
+        assert csum(q, n) == csum_divisor_form(q, n)
+        assert csum(q, -n) == csum(q, n)
+
+
+def test_csum_reads_the_closed_form_once_per_class(monkeypatch):
+    calls = []
+    closed = ramanujan._csum_closed
+    monkeypatch.setattr(ramanujan, "_csum_classes", {})
+    monkeypatch.setattr(ramanujan, "_csum_closed",
+                        lambda q, n: (calls.append((q, n)), closed(q, n))[1])
+    assert csum(12, 8) == csum_divisor_form(12, 8) == -2
+    assert calls == [(12, 4)]
+    # a second n with the same gcd runs no closed form
+    assert csum(12, 4) == csum(12, -20) == csum(12, 10 ** 12 + 4) == -2
+    assert calls == [(12, 4)]
+    assert csum(12, 0) == phi(12)
+    assert calls == [(12, 4), (12, 12)]
+    assert ramanujan._csum_classes == {12: {4: -2, 12: 4}}
+
+
+def test_csum_class_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(ramanujan, "_csum_classes", {})
+    sizes = []
+    for q in range(1, 5001):
+        assert csum(q, 6) == csum_divisor_form(q, 6)
+        sizes.append(len(ramanujan._csum_classes))
+    assert max(sizes) <= ramanujan._CSUM_MODULI == 4096
+    # evicted and kept moduli alike give correct values afterwards
+    for q in range(1, 5001, 7):
+        for n in (0, 1, 6, q, -q - 4):
+            assert csum(q, n) == csum_divisor_form(q, n)
+    assert len(ramanujan._csum_classes) <= 4096
+    for q, classes in ramanujan._csum_classes.items():
+        assert set(classes) <= set(divisors(q))
+
+
+def test_csum_bad_modulus_is_not_cached(monkeypatch):
+    monkeypatch.setattr(ramanujan, "_csum_classes", {})
+    for q in (0, -3):
+        with pytest.raises(ValueError, match=f"got {q}"):
+            csum(q, 1)
+    assert ramanujan._csum_classes == {}
+
+
+def test_csum_takes_integers_and_returns_python_ints(monkeypatch):
+    monkeypatch.setattr(ramanujan, "_csum_classes", {})
+    assert csum(5, 1) == -1 and csum(6, 2) == -1
+    # a float raises whether or not its modulus is cached
+    for q, n in ((5.0, 1), (6, 2.0), (7.0, 3), (10, 2.5)):
+        with pytest.raises(TypeError):
+            csum(q, n)
+    v = csum(np.int64(6), 4)
+    assert v == -1 and type(v) is int
+    w = csum(np.int64(10), np.int64(5))   # a new modulus given as a numpy int
+    assert w == csum_divisor_form(10, 5) and type(w) is int
+    assert all(type(q) is int and all(type(v) is int for v in classes.values())
+               for q, classes in ramanujan._csum_classes.items())
+
+
+@PROPERTY
+@given(q=st.integers(1, 2000))
+@example(q=1)
+@example(q=1024)
+@example(q=1680)
+@example(q=1999)
+@example(q=2000)
+def test_csum_period_is_the_csum_row(q):
+    tab = csum_period(q)
+    assert tab.dtype == np.int64 and not tab.flags.writeable
+    assert tab.tolist() == [csum(q, r) for r in range(q)]
+    with pytest.raises(ValueError):
+        tab[0] = 0
+
+
+def test_csum_prefix_sum_rejects_bad_input():
+    assert csum_prefix_sum(3, 0) == 0   # the empty sum
+    with pytest.raises(ValueError, match="-5"):
+        csum_prefix_sum(3, -5)
+    for q in (0, -2):
+        with pytest.raises(ValueError, match="modulus q >= 1 required"):
+            csum_prefix_sum(q, 5)
+
+
+def test_table_rejects_modulus_outside_its_range():
+    tab = RamanujanSumTable.build(6, 6)
+    for q in (-1, 0, 7):
+        with pytest.raises(ValueError, match=f"got {q}"):
+            tab[q, 3]
+
+
+def test_table_rejects_residue_past_nmax():
+    tab = RamanujanSumTable.build(6, 2)
+    assert tab[6, 8] == csum(6, 8)   # residue 2 is in the table
+    for n, r in ((5, 5), (-1, 5), (9, 3)):
+        with pytest.raises(IndexError, match=f"= {r} of n = {n} is past nmax = 2"):
+            tab[6, n]

@@ -196,6 +196,28 @@ def test_scale_pairs_tree_at_chunk_boundaries(count):
     assert den == lcm(*range(1, count + 1)) ** 3
 
 
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-10 ** 20, 10 ** 20),
+                          st.integers(1, 10 ** 6) | st.sampled_from([1, 2, 3, 4, 6, 12])),
+                max_size=300))
+@example([])
+@example([(3, 7)])
+@example([(1, 6), (5, 6), (-1, 6), (1, 4)])
+@example([(1, 6), (-1, 6)])
+@example([(1, d ** 3) for d in range(1, 301)])
+def test_sum_pairs_is_the_fraction_sum(pairs):
+    # repeated denominators come from the sampled ones; den is the lcm of
+    # the denominators, num / den need not be reduced
+    pairs = reduced(pairs)
+    num, den = rational.sum_pairs(pairs)
+    assert Fraction(num, den) == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+    assert den == lcm(*(d for _, d in pairs))
+    if not pairs:
+        assert (num, den) == (0, 1)
+    if len(pairs) == 1:
+        assert (num, den) == pairs[0]
+
+
 def test_canonical_is_the_scaled_form_of_the_values():
     nums, den = rational.canonical([6, -4, 0, 10], 12)
     assert (nums, den) == ((3, -2, 0, 5), 6) == scale([Fraction(1, 2), Fraction(-1, 3), 0,

@@ -509,6 +509,14 @@ def test_short_average_depth_guard():
         short_average(cut, 6)
 
 
+@pytest.mark.parametrize("a_cut", [0, -5])
+def test_short_average_rejects_a_below_one(a_cut):
+    one = ArithmeticFunction.builtin("one")
+    cut = cut_correlation(one, one, 5, 5)
+    with pytest.raises(ValueError, match=f"A={a_cut}"):
+        short_average(cut, a_cut)
+
+
 def test_short_average_matches_pointwise_residuals():
     cut = _tail_instance()
     grid = [500, 1500]

@@ -143,6 +143,16 @@ def test_wintner_table_matches_single():
         assert tab[q - 1] == partial
 
 
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=60), st.integers(1, 60))
+def test_wintner_coefficient_is_the_exact_sum(fp, q):
+    cut = len(fp)
+    q = min(q, cut)
+    partial, _ = wintner_coefficient(fp, q, cut)
+    assert partial == sum((Fraction(fp[d - 1]) / d for d in range(q, cut + 1, q)), Fraction(0))
+    assert partial == wintner_table(fp, cut)[q - 1]
+
+
 def test_cm_check():
     assert is_completely_multiplicative([1, 2, 3, 4, 6, 6, 7, 8][:4], 4)
     lam = ArithmeticFunction.builtin("lambda").eval_range(200).tolist()
