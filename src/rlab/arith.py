@@ -1,8 +1,10 @@
 """Integer and multiplicative-function primitives.
 
-Factorization is deterministic trial division against a sieved prime list
-(covers n <= 1e12, since the cofactor left after dividing out primes <= 1e6
-is prime), with Pollard rho above that.  `factor` is memoised: one bounded
+Factorization is trial division against a sieved prime list (complete for
+n <= 1e12, since the cofactor left after dividing out primes <= 1e6 is
+prime), with Pollard rho above that; a larger part is proven prime by
+Miller-Rabin to the bases 2..41, deterministic below psi_13 ~ 3.3e24, and a
+part at or above psi_13 that passes raises ValueError.  `factor` is memoised: one bounded
 `lru_cache` keeps the 4096 most recently factored values, so callers such as
 `mu`, `phi` and the closed form of c_q(n) factor each modulus once; the
 shared `FactoredInteger` results are frozen.  Arithmetic functions are
@@ -23,7 +25,10 @@ from . import kernels
 from .rational import freeze, head, parse_rational, value_kind
 
 _SIEVE_LIMIT = 10 ** 6
-_FACTOR_LIMIT = 10 ** 12
+# the smallest strong pseudoprime to the 13 bases 2..41 (Sorenson and
+# Webster, Math. Comp. 86 (2017)): Miller-Rabin to them decides primality below
+_PSI_13 = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=1)
@@ -42,9 +47,10 @@ class FactoredInteger:
 
 
 def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41; a pass at or above psi_13 raises."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -52,8 +58,7 @@ def _is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    # deterministic witness set for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -63,6 +68,9 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValueError(f"{n} is a strong probable prime to the bases 2..41, which "
+                         f"prove primality only below psi_13 = {_PSI_13}")
     return True
 
 
@@ -82,7 +90,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 
 @lru_cache(maxsize=4096, typed=True)
 def factor(n: int) -> FactoredInteger:
-    """Deterministic factorization of n >= 1 (memoised)."""
+    """Factorization of n >= 1 (memoised), exact wherever it returns: a part
+    at or above psi_13 ~ 3.3e24 that Miller-Rabin cannot prove prime raises
+    ValueError."""
     if n < 1:
         raise ValueError(f"factor requires n >= 1, got {n}")
     m = n

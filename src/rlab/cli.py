@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--cut", type=int, required=True)
     ch.set_defaults(fn=_cmd_check)
 
-    cj = sub.add_parser("conjecture1", help="vanishing-tail search")
+    cj = sub.add_parser("conjecture1", help="finite-depth inversion check of "
+                        "Conjecture 1: partials above Q invert back to fprime on (Q, D]")
     cj.add_argument("--family", choices=("free", "completely-multiplicative",
                                          "nonnegative"), required=True)
     cj.add_argument("--Q", type=int, required=True)

@@ -25,7 +25,7 @@ from .limits import LimitEstimate, check_grid
 from .rational import freeze, scale, scale_pairs, value_kind
 from .ramanujan import csum, cross_sum
 from .transforms import (carmichael_average, eratosthenes, reduced_terms,
-                         wintner_scaled_table)
+                         wintner_inverse, wintner_scaled_table)
 from . import kernels
 
 
@@ -142,13 +142,14 @@ def lucht_evaluate(fhat, a: int, cut: int):
     """(lhs, rhs): sum_{q<=cut} fhat(q) c_q(a)  versus
     sum_{d|a} d sum_{K<=cut/d} fhat(dK) mu[K].  Equal at every finite cut.
 
-    Both sides run on the coefficients' scaled numerators; the inner sums of
-    the right-hand side are one Moebius transform over multiples."""
+    Both sides run on the coefficients' scaled numerators; the right-hand
+    side sums the numerators of their inverse (`transforms.wintner_inverse`)
+    over the divisors of a."""
     nums, den = _finite(fhat).scaled
     nums = nums[:max(cut, 0)]   # fhat vanishes past Q, and so do both sides' terms
     lhs = sum(n * csum(q, a) for q, n in enumerate(nums, start=1) if n)
-    inner = kernels.mobius_multiples(kernels.one_based(nums))
-    rhs = sum(d * int(inner[d]) for d in divisors(a) if d <= len(nums))
+    fprime, _ = wintner_inverse(nums, den)
+    rhs = sum(fprime[d - 1] for d in divisors(a) if d <= len(fprime))
     return Fraction(lhs, den), Fraction(rhs, den)
 
 

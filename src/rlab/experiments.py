@@ -486,6 +486,11 @@ def _lemma2(cfg, qmax=10, grid=[10 ** 4, 10 ** 5, 10 ** 6]):
     return [_ok("mean-dominance-exact", rep.ok, f"{len(rep.rows)} inequalities")], {}
 
 
+# why c19 passes at every finite depth, and what it leaves open
+_CONJ1_WHY = ("F'(d)/d = sum_K mu(K) P(dK) reads only P above Q for d > Q, so this "
+              "holds at every depth D; no finite depth decides the full series")
+
+
 @experiment("conjecture1", criterion=(19, "vanishing_tail_search"))
 def _conj1(cfg, q_lo=2, q_hi=8, depth=32, trials=40):
     if q_lo > q_hi:
@@ -498,13 +503,16 @@ def _conj1(cfg, q_lo=2, q_hi=8, depth=32, trials=40):
               len(rep.faults))
         out.append(_ok(f"free-q{q_cut}-trivial-nullspace",
                        rep.nullspace_dim == 0 and not rep.candidates,
-                       f"dim {rep.nullspace_dim}"))
+                       f"dim {rep.nullspace_dim}: {rep.trials - len(rep.candidates)}/"
+                       f"{rep.trials} unit vectors on ({q_cut}, {depth}] invert back; "
+                       f"{_CONJ1_WHY}"))
     for family in ("completely-multiplicative", "nonnegative"):
         rep = vanishing_tail_search(family, q_lo, depth, trials=trials,
                                     seed=cfg.seed)
         t.add(family, q_lo, depth, "", len(rep.candidates), len(rep.faults))
         out.append(_ok(f"{family}-no-counterexample", not rep.faults,
-                       rep.verdict))
+                       f"{rep.verdict}: {rep.trials - len(rep.faults)}/{rep.trials} "
+                       f"draws invert back on ({q_lo}, {depth}]; {_CONJ1_WHY}"))
     return out, {"search": t}
 
 

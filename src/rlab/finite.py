@@ -13,7 +13,7 @@ roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 Both objects are frozen and hold their sequence as a `rational.ExactList`
 together with its scaled form (nums, den), the `rational.canonical` pair;
 `scaled` reads that pair.  The kernels and dots read its numerators:
-`kernels.mobius_multiples` gives fprime, `kernels.divisor_scatter_int` gives
+`transforms.wintner_inverse` gives fprime, `kernels.divisor_scatter_int` gives
 the values of a t.d.s., one integer sum over the divisors of n gives one
 value, and one integer dot with the row c_q(n) gives a value of an expansion.
 The Wintner sums for fhat reduce each term fprime(d)/d as an integer pair.
@@ -33,7 +33,8 @@ import numpy as np
 
 from .arith import divisors
 from .rational import ExactList, canonical, freeze, head, ratio, scale, value_kind
-from .transforms import decay_tail_bound, eratosthenes, wintner_scaled_table
+from .transforms import (decay_tail_bound, eratosthenes, wintner_inverse,
+                         wintner_scaled_table)
 from . import kernels
 
 
@@ -178,9 +179,7 @@ def tds_to_fre(t: TruncatedDivisorSum) -> FiniteExpansion:
 def fre_to_tds(e: FiniteExpansion) -> TruncatedDivisorSum:
     """Truncated Eratosthenes transform of a finite expansion (exact inverse),
     held as its scaled pair until fprime is read."""
-    nums, den = e.scaled
-    inner = kernels.mobius_multiples(kernels.one_based(nums)).tolist()
-    return TruncatedDivisorSum._over(e.range, [d * inner[d] for d in range(1, e.range + 1)], den)
+    return TruncatedDivisorSum._over(e.range, *wintner_inverse(*e.scaled))
 
 
 def truncate(f, q: int) -> TruncatedDivisorSum:

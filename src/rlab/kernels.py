@@ -27,10 +27,10 @@ bit; a larger bound rebuilds the table there and drops the old one.
 
 Exact rational sequences reach the integer kernels as scaled numerators
 (`rational.scale`, then `int_array`, or `one_based` for a transform's 1-based
-input): `fre_to_tds` and the values of a t.d.s. in finite, the right-hand side
-of Lucht's identity and the Wintner terms in expansions, the correlations,
-their Moebius transforms, Carmichael averages and L(q) estimates in shift,
-and the Eratosthenes transform and Carmichael sums in transforms.  Floats
+input): the values of a t.d.s. in finite, the Wintner terms in expansions,
+the correlations, their Moebius transforms, Carmichael averages and L(q)
+estimates in shift, and the Eratosthenes transform, the Wintner inverse
+(behind `fre_to_tds` and Lucht's identity) and Carmichael sums in transforms.  Floats
 reach a transform only in an object array of Python floats; a float array
 raises TypeError rather than be truncated to int64.
 """

@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rlab.arith import (ArithmeticFunction, d_k, divisors, factor,
+from rlab import kernels
+from rlab.arith import (ArithmeticFunction, _is_probable_prime, d_k, divisors, factor,
                         function_from_spec, mu, omega, phi)
+from rlab.ramanujan import csum
 from rlab.rational import ExactList, scale
 from rlab.transforms import eratosthenes
 
@@ -93,6 +96,51 @@ def test_factor_zero_raises_after_cached_calls():
 def test_factor_large_semiprime():
     n = 999983 * 999979          # both prime, just below the sieve bound
     assert factor(n).factors == ((999979, 1), (999983, 1))
+
+
+PSI_12 = 318665857834031151167461   # strong pseudoprime to the 12 bases 2..37
+
+
+def test_factor_splits_the_twelve_base_pseudoprime():
+    assert factor(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+    assert mu(PSI_12) == 1 and csum(PSI_12, 1) == 1
+
+
+def test_factor_refuses_a_prime_it_cannot_prove():
+    # 2^89 - 1 is prime but lies above psi_13, where the bases 2..41 prove nothing
+    with pytest.raises(ValueError, match=str(2 ** 89 - 1)):
+        factor(2 ** 89 - 1)
+
+
+def _next_prime(n: int) -> int:
+    while not _is_probable_prime(n):
+        n += 1
+    return n
+
+
+SMALL_PRIMES = kernels.prime_sieve(10 ** 6)
+
+
+def _is_prime_checked(p: int) -> bool:
+    """Primality by trial division up to 1e12, else by Miller-Rabin to the
+    bases 2..41, which is deterministic in the range the test draws from."""
+    if p <= 10 ** 12:
+        ps = SMALL_PRIMES[SMALL_PRIMES ** 2 <= p]
+        return p > 1 and bool(np.all(p % ps))
+    return _is_probable_prime(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(2, 10 ** 6), max_size=3), st.integers(2, 10 ** 8),
+       st.integers(2, 10 ** 18))
+def test_factor_products_of_random_primes(small, mid, big):
+    # at most two primes above the 1e6 sieve, the smaller below 1e8, keeps rho fast
+    primes = sorted(_next_prime(v) for v in (*small, mid, big))
+    n = math.prod(primes)
+    fs = factor(n)
+    assert math.prod(p ** e for p, e in fs) == n
+    assert all(_is_prime_checked(p) for p, _ in fs)
+    assert [p for p, e in fs for _ in range(e)] == primes
 
 
 def test_mu_phi_omega_conventions():

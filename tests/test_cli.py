@@ -49,6 +49,15 @@ def test_csum_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_csum_past_the_deterministic_prime_range(capsys):
+    # psi_12 fools Miller-Rabin to the bases 2..37: mu(psi_12) = +1
+    assert main(["csum", "--q", "318665857834031151167461", "--n", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    # 2^89 - 1 lies above psi_13, so its primality cannot be proven: usage error
+    assert main(["csum", "--q", str(2 ** 89 - 1), "--n", "1"]) == 2
+    assert str(2 ** 89 - 1) in capsys.readouterr().err
+
+
 def test_transform_command(fn_file, capsys):
     path = fn_file({"kind": "builtin", "name": "id"})
     assert main(["transform", "--f", path, "--bound", "6"]) == 0

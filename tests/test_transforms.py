@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from rlab import transforms
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
+from rlab.cli import main
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum
-from rlab.rational import ExactList
+from rlab.rational import ExactList, canonical, scale
 from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
 from rlab.transforms import (_csum_weighted_sums, carmichael_estimate, condition_check,
                              cw_formula_check, eratosthenes,
                              is_completely_multiplicative,
-                             nonneg_carmichael_bound, rational_nullspace,
-                             vanishing_tail_search, wintner_cm_shortcut,
-                             wintner_coefficient, wintner_table)
+                             nonneg_carmichael_bound, vanishing_tail_search,
+                             wintner_cm_shortcut, wintner_coefficient, wintner_inverse,
+                             wintner_scaled_table, wintner_table)
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -385,22 +387,48 @@ def test_nonneg_bound_rejects_negative():
         nonneg_carmichael_bound(f, [3])
 
 
-def test_nullspace_hand_cases():
-    # x + y = 0 over two unknowns: one-dimensional nullspace
-    basis = rational_nullspace([[Fraction(1), Fraction(1)]], 2)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] + v[1] == 0 and any(v)
-    # full-rank 2x2: trivial nullspace
-    basis2 = rational_nullspace([[Fraction(1, 3), Fraction(0)],
-                                 [Fraction(0), Fraction(1, 4)]], 2)
-    assert basis2 == []
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=64))
+def test_wintner_inverse_undoes_the_scaled_table(vals):
+    assert canonical(*wintner_inverse(*wintner_scaled_table(vals, len(vals)))) == scale(vals)
+
+
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=2, max_size=64), st.data())
+def test_partials_above_q_invert_to_the_tail(vals, data):
+    # F'(d)/d = sum_K mu(K) P(dK) reads only partials above q_cut for d > q_cut
+    q_cut = data.draw(st.integers(1, len(vals) - 1))
+    nums, den = wintner_scaled_table(vals, len(vals))
+    back, den = wintner_inverse([0] * q_cut + list(nums[q_cut:]), den)
+    assert [Fraction(n, den) for n in back[q_cut:]] == vals[q_cut:]
+
+
+def test_conjecture1_check_catches_a_broken_inverse(monkeypatch, capsys):
+    inverse = transforms.wintner_inverse
+
+    def without_k2(nums, den):
+        # drop the K = 2 term mu(2) fhat(2d) = -fhat(2d) of every fprime(d)
+        fprime, den = inverse(nums, den)
+        return [v + d * nums[2 * d - 1] if 2 * d <= len(nums) else v
+                for d, v in enumerate(fprime, start=1)], den
+
+    monkeypatch.setattr(transforms, "wintner_inverse", without_k2)
+    for q_cut in range(2, 9):
+        rep = vanishing_tail_search("free", q_cut, 32)
+        assert rep.candidates and rep.nullspace_dim is None
+        assert rep.verdict == "counterexample-candidate-found"
+    for family in ("completely-multiplicative", "nonnegative"):
+        rep = vanishing_tail_search(family, 2, 32, trials=10, seed=5)
+        assert rep.faults and rep.verdict == "counterexample-candidate-found"
+    for family in ("free", "completely-multiplicative", "nonnegative"):
+        assert main(["conjecture1", "--family", family, "--Q", "2", "--D", "16",
+                     "--trials", "10"]) == 1
 
 
 def test_free_family_search_trivial():
     # unknowns fprime(3), fprime(4); equations fprime(3)/3 = fprime(4)/4 = 0
     rep = vanishing_tail_search("free", 2, 4)
-    assert rep.nullspace_dim == 0
+    assert rep.nullspace_dim == 0 and rep.trials == 2
     assert rep.candidates == [] and rep.verdict == "no-counterexample"
     for q_cut in range(2, 9):
         rep = vanishing_tail_search("free", q_cut, 32)
