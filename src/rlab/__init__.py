@@ -10,17 +10,17 @@ from .limits import LimitEstimate
 from .ramanujan import (RamanujanSumTable, csum, csum_divisor_form,
                         csum_trig_form, orthogonality_estimate)
 from .rational import exact_sum, format_rational, parse_rational
-from .transforms import (ConditionReport, EratosthenesTransform, carmichael_estimate,
-                         condition_check, cw_formula_check, eratosthenes,
-                         nonneg_carmichael_bound, vanishing_tail_search,
-                         wintner_cm_shortcut, wintner_coefficient, wintner_table)
+from .transforms import (ConditionReport, carmichael_estimate, condition_check,
+                         cw_formula_check, eratosthenes, nonneg_carmichael_bound,
+                         vanishing_tail_search, wintner_cm_shortcut,
+                         wintner_coefficient)
 from .expansions import (ZeroCloudElement, carmichael_formula_check,
                          divisor_power_coefficient, evaluate_partial,
                          invert_pure_coefficients, lucht_evaluate,
                          standard_finite_expansion, wintner_delange_reconstruct,
                          zero_cloud_partial)
-from .shift import (Correlation, CutCorrelation, FairnessError, cc_coefficients,
-                    carmichael_vs_cc, correlate, cut_correlation, l_estimate, qrc,
+from .shift import (Correlation, CutCorrelation, cc_coefficients, carmichael_vs_cc,
+                    correlate, cut_correlation, l_estimate, qrc,
                     shift_expansion_check, short_average, weak_reef_check)
 
 __version__ = "0.1.0"

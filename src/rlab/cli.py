@@ -120,7 +120,7 @@ def _cmd_csum(args) -> int:
 def _cmd_transform(args) -> int:
     f = _load_function(args.f)
     tr = eratosthenes(f, args.bound)
-    t = Table(["d", "fprime"], list(enumerate(tr.values.tolist(), start=1)))
+    t = Table(["d", "fprime"], list(enumerate(tr.tolist(), start=1)))
     _emit_or_print(t, args)
     return 0
 
@@ -356,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser("check", help="summability/decay condition checks")
     ch.add_argument("--cond", choices=("WA", "DH", "DD7", "SD", "DI"),
                     required=True)
-    ch.add_argument("--f", required=True)
+    ch.add_argument("--f", required=True,
+                    help="function file: F for WA, DH and SD (checked on its "
+                         "transform F') and for DI; for DD7 the coefficient "
+                         "table fhat(1..cut), read as given")
     ch.add_argument("--cut", type=int, required=True)
     ch.set_defaults(fn=_cmd_check)
 

@@ -22,10 +22,10 @@ import numpy as np
 from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, check_grid
-from .rational import freeze, scale, scale_pairs, value_kind
+from .rational import scale, scale_pairs, value_kind
 from .ramanujan import csum, cross_sum
-from .transforms import (carmichael_average, eratosthenes, reduced_terms,
-                         wintner_inverse, wintner_scaled_table)
+from .transforms import (carmichael_average, eratosthenes, function_values,
+                         reduced_terms, wintner_inverse, wintner_scaled_table)
 from . import kernels
 
 
@@ -217,8 +217,7 @@ def _wintner_terms(f, bound: int) -> tuple:
     each term fprime(d)/d = t[d] / (den d), and the terms share one
     denominator.
     """
-    vals = f.eval_range(bound) if isinstance(f, ArithmeticFunction) else \
-        freeze([f(k) for k in range(1, bound + 1)])
+    vals = function_values(f, bound)
     if value_kind(vals) == "float":
         raise ValueError("standard finite expansion needs an exact function "
                          "(int or Fraction values)")

@@ -184,7 +184,7 @@ def fre_to_tds(e: FiniteExpansion) -> TruncatedDivisorSum:
 
 def truncate(f, q: int) -> TruncatedDivisorSum:
     """Q-truncated counterpart of an arithmetic function: keep fprime(1..Q)."""
-    return TruncatedDivisorSum(q, eratosthenes(f, q).values)
+    return TruncatedDivisorSum(q, eratosthenes(f, q))
 
 
 @dataclass
@@ -233,7 +233,7 @@ def low_coefficient_report(f, q_range: int, q0: int,
     """
     deep_cut = 4 * q_range
     nums, den = tds_to_fre(truncate(f, q_range)).scaled
-    deep = np.array([float(v) for v in eratosthenes(f, deep_cut).values])
+    deep = np.array([float(v) for v in eratosthenes(f, deep_cut)])
     d = np.arange(1, deep_cut + 1, dtype=np.float64)
     rows = []
     consistent = True

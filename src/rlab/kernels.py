@@ -29,8 +29,10 @@ Exact rational sequences reach the integer kernels as scaled numerators
 (`rational.scale`, then `int_array`, or `one_based` for a transform's 1-based
 input): the values of a t.d.s. in finite, the Wintner terms in expansions,
 the correlations, their Moebius transforms, Carmichael averages and L(q)
-estimates in shift, and the Eratosthenes transform, the Wintner inverse
-(behind `fre_to_tds` and Lucht's identity) and Carmichael sums in transforms.  Floats
+estimates in shift, and in transforms the Eratosthenes transform (the one
+table behind `finite.truncate`, the cut of a correlation, the Wintner-Delange
+table and the condition and Carmichael-Wintner checks), the Wintner inverse
+(behind `fre_to_tds` and Lucht's identity) and the Carmichael sums.  Floats
 reach a transform only in an object array of Python floats; a float array
 raises TypeError rather than be truncated to int64.
 """

@@ -17,10 +17,10 @@ scaled result goes through `canonical` (one common gcd), which makes it the
 pair `scale` would give for its values; the two duality objects hold only
 that pair until their `.fprime`/`.fhat` is first read.
 `freeze` decides once whether a value sequence is integer, rational or
-float; table values, `eval_range` and Eratosthenes transforms are its
-shapes.  Fraction lists are built only where a function returns Fraction
-values (`ExactList.over`, `wintner_table`, ...), where such a field is read,
-and at the CSV/JSON boundary.
+float; table values, `eval_range` and the tables of `transforms.eratosthenes`
+are its shapes.  Fraction lists are built only where a function returns
+Fraction values (`ExactList.over`, as a rational Eratosthenes table does),
+where such a field is read, and at the CSV/JSON boundary.
 """
 
 from decimal import Decimal

@@ -1,12 +1,12 @@
 """Shifted convolution sums and their expansions in the shift.
 
 C(N, a) = sum_{n<=N} f(n) g(n+a) is an arithmetic function of the shift a.
-Cutting g at N makes the correlation a fair object whose finite expansion in
-a obeys an exact split identity: the Q-truncated coefficients against c_q(a)
-plus a divisor tail over d | a, d > N.  The Carmichael coefficients of a fair
-cut correlation factor exactly through the coefficients of g_N; the gap
-between those and the truncated coefficients is the limit L(q), estimated
-here on finite grids.
+Cutting g at N gives a correlation whose finite expansion in a obeys an
+exact split identity: the Q-truncated coefficients against c_q(a) plus a
+divisor tail over d | a, d > N.  The Carmichael coefficients of a cut
+correlation factor exactly through the coefficients of g_N; the gap between
+those and the truncated coefficients is the limit L(q), estimated here on
+finite grids.
 
 The shift coefficients of a cut are a `finite.FiniteExpansion` in a: the
 finite expansion of the t.d.s. whose fprime is C'(N, .) cut at Q.  They, the
@@ -27,34 +27,24 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import ArithmeticFunction, divisors, phi
-from .finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
+from .finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre, truncate
 from .limits import LimitEstimate, check_grid
 from .rational import ExactList, exact_sum, scale
 from .ramanujan import csum, csum_prefix_sum
-from .transforms import carmichael_average, carmichael_sums, eratosthenes
+from .transforms import carmichael_average, carmichael_sums
 from . import kernels
 
-DEPTH_CAP = 10 ** 6     # transform depth never exceeds this without a flag
-
-
-class FairnessError(ValueError):
-    """Raised when an operation requires the fair flag and it is unset."""
+DEPTH_CAP = 10 ** 6     # deepest shift cache a correlation builds; nothing lifts it
 
 
 @dataclass
 class Correlation:
-    """Cached values of C(N, a) with a lazily deepened Moebius transform.
-
-    Fairness is declared, not inferred: functions built from point-independent
-    specs (builtin / table / t.d.s.) produce fair correlations; shift-dependent
-    families must be flagged unfair by their constructor.
-    """
+    """Cached values of C(N, a) with a lazily deepened Moebius transform."""
     f: ArithmeticFunction
     g: ArithmeticFunction
     length: int                      # N
     amax: int
     values: object                   # int64 array or ExactList of Fractions, index a-1
-    fair: bool = True
     _transform: object = field(default=None, repr=False)
 
     @property
@@ -74,7 +64,7 @@ class Correlation:
         if amax > DEPTH_CAP:
             raise ValueError(
                 f"requested correlation depth {amax} exceeds cap {DEPTH_CAP}")
-        deeper = correlate(self.f, self.g, self.length, amax, fair=self.fair)
+        deeper = correlate(self.f, self.g, self.length, amax)
         self.amax = amax
         self.values = deeper.values
         self._transform = None
@@ -95,11 +85,10 @@ class Correlation:
         return self._transform
 
 
-def correlate(f, g, length: int, amax: int, fair: bool = True) -> Correlation:
+def correlate(f, g, length: int, amax: int) -> Correlation:
     """Exact C(N, a) for 1 <= a <= amax: the correlation kernel runs on the
     scaled numerators of f and g, and the values are an integer array when
-    both denominators are 1, else Fractions over their product.  fair holds
-    for point-independent specs only; shift-dependent families pass False."""
+    both denominators are 1, else Fractions over their product."""
     if length < 1 or amax < 1:
         raise ValueError("N >= 1 and amax >= 1 required")
     fv, fden = scale(f.eval_range(length))
@@ -107,7 +96,7 @@ def correlate(f, g, length: int, amax: int, fair: bool = True) -> Correlation:
     vals = kernels.correlate_int(kernels.int_array(fv), kernels.int_array(gv), amax)
     if fden * gden != 1:
         vals = ExactList.over(vals.tolist(), fden * gden)
-    return Correlation(f, g, length, amax, vals, fair)
+    return Correlation(f, g, length, amax, vals)
 
 
 @dataclass
@@ -116,7 +105,6 @@ class CutCorrelation:
     base: Correlation                 # C_{f, g_N}
     g_truncated: TruncatedDivisorSum  # g_N
     remainder: list                   # C_{f,g}(N,a) - C_{f,g_N}(N,a), per a
-    fair: bool = True
     _ghat: list = field(default=None, repr=False)
     _coeffs: FiniteExpansion = field(default=None, repr=False)
 
@@ -138,18 +126,17 @@ class CutCorrelation:
         return self._coeffs
 
 
-def cut_correlation(f, g, length: int, amax: int, fair: bool = True) -> CutCorrelation:
+def cut_correlation(f, g, length: int, amax: int) -> CutCorrelation:
     """Split C_{f,g} = C_{f,g_N} + remainder by truncating g at N.
 
     The remainder is returned exactly per shift; no asymptotic bound is
     claimed, only observed magnitudes.
     """
-    g_n = TruncatedDivisorSum(length, eratosthenes(g, length).values)
-    gn_fun = ArithmeticFunction.from_tds(g_n)
-    base = correlate(f, gn_fun, length, amax, fair=fair)
-    full = correlate(f, g, length, amax, fair=fair)
+    g_n = truncate(g, length)
+    base = correlate(f, ArithmeticFunction.from_tds(g_n), length, amax)
+    full = correlate(f, g, length, amax)
     remainder = [a - b for a, b in zip(full.values.tolist(), base.values.tolist())]
-    return CutCorrelation(base, g_n, remainder, fair=base.fair)
+    return CutCorrelation(base, g_n, remainder)
 
 
 def qrc(cut: CutCorrelation, q_cut: int) -> FiniteExpansion:
@@ -181,20 +168,18 @@ def divisor_tail(cut: CutCorrelation, a: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Carmichael coefficients of a fair cut correlation
+# Carmichael coefficients of a cut correlation
 # ---------------------------------------------------------------------------
 
 def cc_coefficients(cut: CutCorrelation, lmax: int | None = None) -> list:
     """Exact table l -> (ghat_N(l)/phi(l)) sum_{n<=N} f(n) c_l(n), 1-based.
 
-    The sum is taken only where ghat_N(l) != 0, so never for l > N.  Requires
-    the fair flag: with shift dependence hiding anywhere but in the g
-    argument, the sum exchange behind this formula is unsound.
+    The sum is taken only where ghat_N(l) != 0, so never for l > N.  The
+    formula always holds: a correlation here is sum_{n<=N} f(n) g_N(n+a) with
+    f and g fixed arithmetic functions, so the shift a enters only through
+    the argument of g_N = sum_{l<=N} ghat_N(l) c_l, and the finite sum over n
+    exchanges with the Carmichael average over a.
     """
-    if not cut.fair:
-        raise FairnessError(
-            "correlation is not fair: the shift must enter only through the "
-            "g argument for the Carmichael computation to factor")
     n = cut.length
     if lmax is None:
         lmax = n

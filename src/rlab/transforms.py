@@ -32,49 +32,42 @@ from . import kernels
 # Eratosthenes transform
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EratosthenesTransform:
-    """Exact table fprime(d) = sum_{t|d} F(t) mu(d/t) on 1..bound, a frozen shape."""
-    source: object
-    bound: int
-    values: object
-
-    def __call__(self, d: int):
-        if not 1 <= d <= self.bound:
-            raise IndexError(f"transform computed to {self.bound}, asked for d={d}")
-        return self.values.item(d - 1)
+def function_values(f, n: int):
+    """The values f(1..n) of an ArithmeticFunction or a callable as a
+    `rational.freeze` shape: the one place either kind of function is read."""
+    if isinstance(f, ArithmeticFunction):
+        return f.eval_range(n)
+    return freeze([f(k) for k in range(1, n + 1)])
 
 
-def eratosthenes(f, bound: int) -> EratosthenesTransform:
-    """Moebius inversion of f on 1..bound in the kind of f's frozen values: ints
-    where integral, else Fractions, for exact f; floats never pass through Fraction."""
+def eratosthenes(f, bound: int):
+    """The table fprime(d) = sum_{t|d} F(t) mu(d/t) on 1..bound of an
+    ArithmeticFunction or a callable, as a `rational.freeze` shape in the kind
+    of f's values: ints where integral, else Fractions, for exact f; floats
+    never pass through Fraction."""
     if isinstance(f, ArithmeticFunction) and f.kind == "tds":
         # the transform of a divisor sum is its own fprime, zero past the range
-        return EratosthenesTransform(f, bound, head(freeze(f.tds.fprime), bound))
-    fv = f.eval_range(bound) if isinstance(f, ArithmeticFunction) else \
-        freeze([f(n) for n in range(1, bound + 1)])
+        return head(freeze(f.tds.fprime), bound)
+    fv = function_values(f, bound)
     if value_kind(fv) == "float":
         # the integer kernel runs on Python floats in an object array
         c = np.array([0.0, *fv.tolist()], dtype=object)
-        return EratosthenesTransform(f, bound, freeze(kernels.mobius_transform_int(c)[1:]))
+        return freeze(kernels.mobius_transform_int(c)[1:])
     nums, den = scale(fv)
     out = kernels.mobius_transform_int(kernels.one_based(nums))[1:]
-    return EratosthenesTransform(f, bound, freeze(out) if den == 1 else
-                                 ExactList(ratio(v, den) for v in out.tolist()))
+    return freeze(out) if den == 1 else ExactList(ratio(v, den) for v in out.tolist())
 
 
 def _fprime_values(fprime, cut: int):
     """The first cut values of an F' source (`rational.freeze`): a float64
-    array, or a list of Python ints and Fractions (an ExactList of length cut
-    passes through untouched, keeping its scaled form)."""
-    if isinstance(fprime, ArithmeticFunction):
-        vals = fprime.eval_range(cut)
-    elif isinstance(fprime, EratosthenesTransform):
-        vals = fprime.values
-    elif callable(fprime):
-        vals = freeze([fprime(d) for d in range(1, cut + 1)])
+    array, or a list of Python ints and Fractions.  An ExactList or a numpy
+    array (a table of `eratosthenes`) is frozen as it stands, so an ExactList
+    of length cut passes through untouched, keeping its scaled form."""
+    if callable(fprime):
+        vals = function_values(fprime, cut)
     else:
-        vals = freeze(fprime if isinstance(fprime, ExactList) else list(fprime)[:cut])
+        vals = freeze(fprime if isinstance(fprime, (ExactList, np.ndarray))
+                      else list(fprime)[:cut])
     if len(vals) < cut:
         raise IndexError(f"fprime source provides {len(vals)} values, cut is {cut}")
     vals = head(vals, cut)
@@ -151,17 +144,6 @@ def wintner_inverse(nums, den: int) -> tuple:
     through, so the pair need not be canonical."""
     inner = kernels.mobius_multiples(kernels.one_based(nums)).tolist()
     return [d * inner[d] for d in range(1, len(inner))], den
-
-
-def wintner_table(fprime, cut: int) -> list:
-    """All partials sum_{d<=cut, q|d} fprime(d)/d for q = 1..cut at once:
-    an ExactList of Fractions (carrying its scaled form) for exact fprime,
-    floats otherwise."""
-    vals = _fprime_values(fprime, cut)
-    if isinstance(vals, np.ndarray):
-        w = vals / np.arange(1, cut + 1)
-        return [float(w[q - 1:: q].sum()) for q in range(1, cut + 1)]
-    return ExactList.over(*wintner_scaled_table(vals, cut))
 
 
 def is_completely_multiplicative(values, bound: int) -> bool:
@@ -333,7 +315,7 @@ def condition_check(kind: str, source, cut: int) -> ConditionReport:
         partials = [float(csums[c - 1]) for c in cuts]
         trend = list(zip(cuts, partials))
         decade = [float(csums[c - 1]) for c in full]
-        incs = [decade[0]] + [b - a for a, b in zip(decade, decade[1:])]
+        incs = decade[:1] + [b - a for a, b in zip(decade, decade[1:])]
         verdict = "undetermined"
         if len(incs) >= 2:
             prev, last = incs[-2], incs[-1]
@@ -341,8 +323,6 @@ def condition_check(kind: str, source, cut: int) -> ConditionReport:
                 verdict = "satisfied-at-cut"
             elif prev > 0 and last / prev > _SERIES_DECAY_BAD:
                 verdict = "violated-at-cut"
-            elif prev == 0 and last == 0:
-                verdict = "satisfied-at-cut"
         return ConditionReport(kind, cut, partials[-1], trend, verdict)
     # SD / DI: per-decade means
     means = [float(csums[c - 1]) / c for c in cuts]
@@ -395,8 +375,10 @@ def cw_formula_check(f, q: int, xgrid) -> CwReport:
         raise ValueError("exact arithmetic function required")
     xs = check_grid(xgrid)
     xmax = xs[-1]
+    # ft lives to the end of the call: freed before the arrays below are
+    # built, it moves them in the heap, and they cost more page faults
     ft = eratosthenes(f, xmax)
-    fpv = np.array(ft.values, dtype=np.float64)
+    fpv = np.array(ft, dtype=np.float64)
     d = np.arange(1, xmax + 1, dtype=np.float64)
     abs_cum = np.cumsum(np.abs(fpv))
     win_terms = np.zeros(xmax + 1)

@@ -209,14 +209,14 @@ def test_dirichlet_mobius_inversion():
     # mu * 1 = delta: the Eratosthenes transform of `one` is delta
     tr = eratosthenes(ArithmeticFunction.builtin("one"), 100)
     for n in range(1, 101):
-        assert tr(n) == sum(mu(d) for d in divisors(n)) == (1 if n == 1 else 0)
+        assert tr[n - 1] == sum(mu(d) for d in divisors(n)) == (1 if n == 1 else 0)
 
 
 def test_dirichlet_phi_identity():
     # phi * 1 = id: the transform of `id` is phi
     tr = eratosthenes(ArithmeticFunction.builtin("id"), 100)
     for n in range(1, 101):
-        assert tr(n) == phi(n)
+        assert tr[n - 1] == phi(n)
         assert sum(phi(d) for d in divisors(n)) == n
 
 
@@ -224,7 +224,7 @@ def test_dirichlet_one_one_is_divisor_count():
     # 1 * 1 = d_2: the transform of `d_2` is `one`
     tr = eratosthenes(ArithmeticFunction.builtin("d_2"), 100)
     for n in range(1, 101):
-        assert tr(n) == 1
+        assert tr[n - 1] == 1
         assert len(divisors(n)) == d_k(n, 2)
 
 

@@ -118,6 +118,14 @@ def test_check_command(fn_file, capsys):
     assert "satisfied-at-cut" in capsys.readouterr().out
 
 
+def test_check_dd7_reads_the_coefficient_table(fn_file, capsys):
+    # DD7 sums 2^omega(q) |fhat(q)| over the table as given: 1 + 2 * 1/2;
+    # a cut below one full decade has no trend to judge
+    path = fn_file({"kind": "table", "values": [1, "1/2"]})
+    assert main(["check", "--cond", "DD7", "--f", path, "--cut", "2"]) == 0
+    assert capsys.readouterr().out == "cut 2: 2\nverdict = undetermined\n"
+
+
 def test_conjecture1_command(capsys):
     assert main(["conjecture1", "--family", "free", "--Q", "2", "--D", "8"]) == 0
     assert "no-counterexample" in capsys.readouterr().out

@@ -14,9 +14,9 @@ from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
                              evaluate_partial, invert_pure_coefficients,
                              lucht_evaluate, standard_finite_expansion,
                              wintner_delange_reconstruct, zero_cloud_partial)
-from rlab.finite import FiniteExpansion, TruncatedDivisorSum
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
 from rlab.ramanujan import csum
-from rlab.transforms import eratosthenes, wintner_table
+from rlab.transforms import eratosthenes
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -233,7 +233,7 @@ def exact_functions(draw):
 def test_standard_fre_is_the_wintner_table_at_n(f, n):
     s = standard_finite_expansion(f, n)
     assert s.n == n
-    assert s.coefficients == wintner_table(eratosthenes(f, n), n)
+    assert s.coefficients == tds_to_fre(TruncatedDivisorSum(n, eratosthenes(f, n))).fhat
     assert s.reconstruction == Fraction(f(n))
 
 

@@ -13,7 +13,7 @@ from rlab.finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                          tds_to_fre, truncate)
 from rlab.ramanujan import csum_divisor_form
 from rlab.rational import ExactList, scale
-from rlab.transforms import wintner_table
+from rlab.transforms import wintner_coefficient
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -281,9 +281,8 @@ def test_lazy_roundtrip_is_the_identity(fprime):
 def test_high_coefficient_check_output_unchanged(name, q_range):
     f = ArithmeticFunction.builtin(name)
     t = truncate(f, q_range)
-    table = wintner_table(t.fprime, q_range)
-    want = [(q, table[q - 1], Fraction(t.fprime[q - 1], q))
-            for q in range(q_range // 2 + 1, q_range + 1)]
+    want = [(q, wintner_coefficient(t.fprime, q, q_range)[0],
+             Fraction(t.fprime[q - 1], q)) for q in range(q_range // 2 + 1, q_range + 1)]
     rep = high_coefficient_check(f, q_range)
     assert rep.checked == want and rep.violations == []
     assert all(type(got) is Fraction for _, got, _ in rep.checked)

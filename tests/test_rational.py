@@ -309,8 +309,8 @@ def test_table_callable_and_spec_agree_on_the_kind(vals, past):
     got = f.eval_range(n)
     assert_shape(got, kind)
     assert got.tolist() == [f(m) for m in range(1, n + 1)]
-    tr_table = eratosthenes(f, len(vals)).values
-    tr_callable = eratosthenes(lambda m: vals[m - 1], len(vals)).values
+    tr_table = eratosthenes(f, len(vals))
+    tr_callable = eratosthenes(lambda m: vals[m - 1], len(vals))
     assert_shape(tr_table, kind)
     assert_shape(tr_callable, kind)
     assert tr_table.tolist() == tr_callable.tolist()
@@ -322,7 +322,7 @@ def test_table_callable_and_spec_agree_on_the_kind(vals, past):
     assert_shape(again.values, kind)
     assert again.values.tolist() == f.values.tolist()
     tds = function_from_spec({"kind": "tds", "range": len(vals), "fprime": spec})
-    assert_shape(eratosthenes(tds, len(vals)).values, kind)
+    assert_shape(eratosthenes(tds, len(vals)), kind)
     assert tds.is_integer == (kind == "int")
 
 
@@ -343,6 +343,6 @@ def test_table_values_are_frozen():
 def test_zero_float_table_transforms_as_its_callable():
     vals = [0.0, Fraction(1, 2)]
     for source in (ArithmeticFunction.table(vals), lambda n: vals[n - 1]):
-        got = eratosthenes(source, 2).values
+        got = eratosthenes(source, 2)
         assert isinstance(got, ExactList) and got == [0, Fraction(1, 2)]
         assert [type(v) for v in got] == [int, Fraction]

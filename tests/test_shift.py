@@ -10,7 +10,7 @@ from rlab import kernels
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, truncate
 from rlab.ramanujan import csum
-from rlab.shift import (FairnessError, cc_coefficients, carmichael_vs_cc,
+from rlab.shift import (cc_coefficients, carmichael_vs_cc,
                         correlate, cut_correlation, divisor_tail, is_tail_free,
                         l_estimate, qrc, shift_expansion_check, short_average,
                         weak_reef_check)
@@ -170,6 +170,16 @@ def test_split_identity_property(f, g, n_len, a):
 
 
 @PROPERTY
+@given(f=st.lists(RATIONALS, min_size=1, max_size=8),
+       g=st.lists(RATIONALS, min_size=1, max_size=8),
+       n_len=st.integers(1, 12), amax=st.integers(1, 12))
+def test_cut_correlation_cuts_g_by_truncate(f, g, n_len, amax):
+    g = ArithmeticFunction.table(g)
+    cut = cut_correlation(ArithmeticFunction.table(f), g, n_len, amax)
+    assert cut.g_truncated == truncate(g, n_len)
+
+
+@PROPERTY
 @given(f=st.lists(RATIONALS, min_size=1, max_size=6),
        g=st.lists(RATIONALS, min_size=1, max_size=6),
        n_len=st.integers(1, 12), data=st.data())
@@ -193,15 +203,6 @@ def test_cc_even_indicator_hand_value():
     # ghat(2) = 1/2, phi(2) = 1, sum over even n <= 10 of c_2(n) = 5
     assert table[1] == Fraction(5, 2)
     assert table[2] == 0 and table[3] == 0
-
-
-def test_cc_requires_fair_flag():
-    f = even_indicator()
-    cut = cut_correlation(f, f, 10, 10, fair=False)
-    with pytest.raises(FairnessError):
-        cc_coefficients(cut, 2)
-    with pytest.raises(FairnessError):
-        carmichael_vs_cc(cut, 2, [100, 1000])
 
 
 def test_cc_vanishes_past_length():

@@ -10,23 +10,23 @@ from hypothesis import example, given, strategies as st
 from rlab import transforms
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.cli import main
-from rlab.finite import FiniteExpansion, TruncatedDivisorSum
-from rlab.rational import ExactList, canonical, scale
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
+from rlab.rational import ExactList, canonical, scale, value_kind
 from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
 from rlab.transforms import (_csum_weighted_sums, carmichael_estimate, condition_check,
                              cw_formula_check, eratosthenes,
                              is_completely_multiplicative,
                              nonneg_carmichael_bound, vanishing_tail_search,
                              wintner_cm_shortcut, wintner_coefficient, wintner_inverse,
-                             wintner_scaled_table, wintner_table)
+                             wintner_scaled_table)
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
 def int_values(tr) -> list:
     """The values of an integer transform, whose shape is a read-only integer array."""
-    assert isinstance(tr.values, np.ndarray) and tr.values.dtype.kind in "iO"
-    assert not tr.values.flags.writeable
-    return tr.values.tolist()
+    assert isinstance(tr, np.ndarray) and tr.dtype.kind in "iO"
+    assert not tr.flags.writeable
+    return tr.tolist()
 
 
 def test_eratosthenes_examples():
@@ -44,9 +44,9 @@ def test_eratosthenes_roundtrip(rng):
     tr = eratosthenes(f, n)
     # integral values come back as ints, the rest as Fractions
     assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
-               for v in tr.values)
+               for v in tr)
     for m in range(1, n + 1):
-        assert sum(tr.values[d - 1] for d in divisors(m)) == f(m)
+        assert sum(tr[d - 1] for d in divisors(m)) == f(m)
 
 
 def test_eratosthenes_past_int64():
@@ -71,7 +71,7 @@ def eratosthenes_by_definition(values) -> list:
 def test_eratosthenes_scaled_matches_definition(vals):
     want = eratosthenes_by_definition([Fraction(v) for v in vals])
     for source in (ArithmeticFunction.table(vals), lambda n: vals[n - 1]):
-        got = eratosthenes(source, len(vals)).values
+        got = eratosthenes(source, len(vals))
         # an integer array when every value is integral, else an ExactList
         assert isinstance(got, np.ndarray if all(v.denominator == 1 for v in want)
                           else ExactList)
@@ -82,18 +82,32 @@ def test_eratosthenes_scaled_matches_definition(vals):
             int if v.denominator == 1 else Fraction for v in want]
 
 
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=60))
+def test_eratosthenes_shape_follows_the_values(vals):
+    # a table, a callable and a t.d.s. with the values vals give one table
+    n = len(vals)
+    fprime = eratosthenes_by_definition([Fraction(v) for v in vals])
+    tds = ArithmeticFunction.from_tds(TruncatedDivisorSum(n, fprime))
+    got = [eratosthenes(source, n)
+           for source in (ArithmeticFunction.table(vals), lambda m: vals[m - 1], tds)]
+    assert len({type(tr) for tr in got}) == 1
+    assert len({value_kind(tr) for tr in got}) == 1
+    assert all(tr.tolist() == fprime for tr in got)
+
+
 def test_eratosthenes_zero_floats_stay_exact():
-    got = eratosthenes(lambda n: [0.0, Fraction(1, 2), 3][n - 1], 3).values
+    got = eratosthenes(lambda n: [0.0, Fraction(1, 2), 3][n - 1], 3)
     assert got == [0, Fraction(1, 2), 3]
     assert [type(v) for v in got] == [int, Fraction, int]
 
 
 def test_eratosthenes_float_tables_stay_float():
-    got = eratosthenes(lambda n: 1.0 / n, 60).values
+    got = eratosthenes(lambda n: 1.0 / n, 60)
     want = eratosthenes_by_definition([1.0 / n for n in range(1, 61)])
     assert got.dtype == np.float64
     assert np.allclose(got, want, rtol=0, atol=1e-12)
-    lam = eratosthenes(ArithmeticFunction.builtin("vonMangoldt"), 60).values
+    lam = eratosthenes(ArithmeticFunction.builtin("vonMangoldt"), 60)
     assert lam.dtype == np.float64
     assert np.allclose([float(v) for v in lam], eratosthenes_by_definition(
         [float(v) for v in ArithmeticFunction.builtin("vonMangoldt").eval_range(60)]),
@@ -102,8 +116,8 @@ def test_eratosthenes_float_tables_stay_float():
 
 def test_float_table_transform_and_wintner_partial_are_floats():
     ft = eratosthenes(ArithmeticFunction.table([0.5, 0.1, 0.3], after="zero"), 3)
-    assert ft.values.tolist() == [0.5, 0.1 - 0.5, 0.3 - 0.5]
-    assert ft.values.dtype == np.float64 and type(ft(2)) is float
+    assert ft.tolist() == [0.5, 0.1 - 0.5, 0.3 - 0.5]
+    assert ft.dtype == np.float64 and type(ft.item(1)) is float
     partial, tail = wintner_coefficient(ft, 1, 3)
     assert type(partial) is float and tail is None
     assert partial == float(np.sum([0.5, (0.1 - 0.5) / 2, (0.3 - 0.5) / 3]))
@@ -139,7 +153,7 @@ def test_wintner_inverse_square_reference():
 
 def test_wintner_table_matches_single():
     fp = [Fraction(1, d) for d in range(1, 201)]
-    tab = wintner_table(fp, 200)
+    tab = tds_to_fre(TruncatedDivisorSum(200, fp)).fhat
     for q in (1, 2, 3, 50, 199):
         partial, _ = wintner_coefficient(fp, q, 200)
         assert tab[q - 1] == partial
@@ -152,7 +166,7 @@ def test_wintner_coefficient_is_the_exact_sum(fp, q):
     q = min(q, cut)
     partial, _ = wintner_coefficient(fp, q, cut)
     assert partial == sum((Fraction(fp[d - 1]) / d for d in range(q, cut + 1, q)), Fraction(0))
-    assert partial == wintner_table(fp, cut)[q - 1]
+    assert partial == tds_to_fre(TruncatedDivisorSum(cut, fp)).fhat[q - 1]
 
 
 def test_cm_check():
