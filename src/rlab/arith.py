@@ -4,14 +4,17 @@ Factorization is trial division against a sieved prime list (complete for
 n <= 1e12, since the cofactor left after dividing out primes <= 1e6 is
 prime), with Pollard rho above that; a larger part is proven prime by
 Miller-Rabin to the bases 2..41, deterministic below psi_13 ~ 3.3e24, and a
-part at or above psi_13 that passes raises ValueError.  `factor` is memoised: one bounded
-`lru_cache` keeps the 4096 most recently factored values, so callers such as
-`mu`, `phi` and the closed form of c_q(n) factor each modulus once; the
-shared `FactoredInteger` results are frozen.  Arithmetic functions are
-modeled by a closed builtin registry plus user tables and truncated divisor
-sums.  A table's values and every `eval_range` are `rational.freeze` shapes;
-floats come only from the von Mangoldt builtin and from tables holding a
-nonzero float, and are excluded from exact-identity work.
+part at or above psi_13 that passes raises ValueError.  Once trial division
+passes 2**10, a cofactor below psi_13 is tested once, and a prime one ends
+the loop, so a prime such as 2**61 - 1 is not divided by every sieved prime.
+`factor` is memoised: one bounded `lru_cache` keeps the 4096 most recently
+factored values, so callers such as `mu`, `phi` and the closed form of
+c_q(n) factor each modulus once; the shared `FactoredInteger` results are
+frozen.  Arithmetic functions are modeled by a closed builtin registry plus
+user tables and truncated divisor sums.  A table's values and every
+`eval_range` are `rational.freeze` shapes; floats come only from the von
+Mangoldt builtin and from tables holding a nonzero float, and are excluded
+from exact-identity work.
 """
 
 from dataclasses import dataclass
@@ -92,15 +95,22 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 def factor(n: int) -> FactoredInteger:
     """Factorization of n >= 1 (memoised), exact wherever it returns: a part
     at or above psi_13 ~ 3.3e24 that Miller-Rabin cannot prove prime raises
-    ValueError."""
+    ValueError.  The first time trial division passes p = 2**10 with a
+    cofactor m > p**2 below psi_13, m is tested once; a prime m ends the
+    loop, and a composite one goes on through it."""
     if n < 1:
         raise ValueError(f"factor requires n >= 1, got {n}")
     m = n
     out = []
+    prime = None          # the one early test of the cofactor
     for p in _small_primes():
         p = int(p)
         if p * p > m:
             break
+        if prime is None and p > 1 << 10 and m < _PSI_13:
+            prime = _is_probable_prime(m)
+            if prime:
+                break
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -110,7 +120,7 @@ def factor(n: int) -> FactoredInteger:
         if m == 1:
             break
     if m > 1:
-        if m <= _SIEVE_LIMIT * _SIEVE_LIMIT or _is_probable_prime(m):
+        if prime or m <= _SIEVE_LIMIT * _SIEVE_LIMIT or _is_probable_prime(m):
             out.append((m, 1))
         else:
             # beyond trial-division reach; split with Pollard rho (seeded)

@@ -1,11 +1,12 @@
 """Numeric kernels: sieves, Ramanujan-sum tables and the exact integer kernels.
 
 Each kernel is one numpy function.  The five integer kernels (Moebius
-transforms over divisors and over multiples, divisor scatter, weighted
-periodic sum, shifted correlation) first bound their result; while the bound
-stays below 2**63 they run in int64, and otherwise the same body runs on an
-object array of Python ints, so no result ever wraps.  The three transforms
-also take object arrays as they stand.
+transforms over divisors and over multiples, divisor scatter, periodic sums,
+shifted correlation) first bound their result; while the bound stays below
+2**63 they run in int64, and otherwise the same body runs on an object array
+of Python ints, so no result ever wraps.  The three transforms also take
+object arrays as they stand.  `periodic_sums` takes every table and the
+whole grid of one weight array in one call, so it bounds that array once.
 
 The sieves and the three transforms apply one slice operation per prime
 p <= isqrt(n), and every larger prime in one indexed update over the pairs
@@ -39,7 +40,7 @@ raises TypeError rather than be truncated to int64.
 
 from collections import namedtuple
 from functools import wraps
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -235,7 +236,9 @@ def csum_block(qmax: int, nmax: int) -> np.ndarray:
 # max|c_q| = c_q(0) = phi(q), its entry 0 (`ramanujan.cross_sum`), and
 # sum_{m<=x/d} c_q(dm) is at most sigma(q) x (`ramanujan.csum_multiple_sums`).
 # Such a caller still takes the guard on every call; only its bound comes
-# from the closed form.
+# from the closed form.  `periodic_sums` takes two guards per call, whatever
+# the number of tables and grid points: max|w| * xs[-1] on the weights, then
+# m * max|fold| * max|tab| on its m-wide fold and tiled tables.
 # ---------------------------------------------------------------------------
 
 def _amax(a: np.ndarray) -> int:
@@ -278,33 +281,51 @@ def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# weighted periodic sums: sum_{n<=x} w(n) * c_tab[n mod q]
+# periodic sums: sum_{n<=x} w(n) * tab[n mod len(tab)] for tables and a grid
 # ---------------------------------------------------------------------------
 
-def weighted_periodic_int(w: np.ndarray, tab: np.ndarray, x: int) -> int:
-    """Exact sum_{n<=x} w[n-1] * tab[n mod len(tab)].
+def periodic_sums(w: np.ndarray, tabs, xs) -> list:
+    """Exact sum_{n<=x} w[n-1] * tab[n mod len(tab)] for each table in tabs
+    and each x in the increasing grid xs: one list of Python ints per table.
 
-    w[:x] is folded into its residue classes mod q = len(tab) in two steps,
-    then dotted with tab once.  Rows of blk = q * max(1, 1024 // q) entries
-    are summed first, and the tail of fewer than blk entries is added to the
-    first columns; since q divides blk, column j still holds class j mod q,
-    and the blk columns fold into q.  numpy sums a (rows, width) array one
-    row at a time, so wide rows make that loop about 1024 / q times shorter
-    than folding straight into q-wide rows.  Python ints take over when
-    max|w| * max|tab| * x reaches 2**63; every partial sum stays below that
-    bound.
+    w[:xs[-1]] is read once and folded into its residue classes mod m, the
+    lcm of the table lengths, or kept as it stands (m = xs[-1]) when that lcm
+    is larger.  The fold goes through rows of blk = m * max(1, 1024 // m)
+    entries: each segment of whole rows between grid points is one row sum,
+    a cumulative sum over the grid follows, and each point adds its partial
+    row of fewer than blk entries to the first columns; since m divides blk,
+    column j still holds class j mod m, and the blk columns fold into m.
+    numpy sums a (rows, width) array one row at a time, so wide rows make
+    that loop about 1024 / m times shorter than folding straight into m-wide
+    rows.  With each table tiled to m entries, one integer matrix product
+    gives every (table, x).  Python ints take over when max|w| * xs[-1]
+    reaches 2**63 for the fold, or m * max|fold| * max|tab| for the product;
+    every partial sum stays below its bound.
     """
-    q = tab.shape[0]
+    if not tabs:
+        return []
+    x = xs[-1]
     w = w[:x]
-    if not _int64_fits(x, w, tab):
-        w, tab = w.astype(object), tab.astype(object)
-    blk = q * max(1, 1024 // q)
-    full = x - x % blk
-    fold = w[:full].reshape(-1, blk).sum(axis=0)
-    fold[: x - full] += w[full:]
-    fold = fold.reshape(-1, q).sum(axis=0)
-    # w[i] is the term n = i + 1, so class i mod q meets tab[(i + 1) mod q]
-    return int(np.dot(fold, np.roll(tab, -1)))
+    w = w.astype(np.int64 if _int64_fits(x, w) else object, copy=False)
+    m = min(lcm(*(t.shape[0] for t in tabs)), x) or 1
+    blk = m * max(1, 1024 // m)
+    body = w[: x - x % blk].reshape(-1, blk)
+    cuts = [xi // blk for xi in xs]
+    rows = np.empty((len(xs), blk), dtype=w.dtype)
+    lo = 0
+    for i, hi in enumerate(cuts):
+        rows[i] = body[lo:hi].sum(axis=0)
+        lo = hi
+    rows = rows.cumsum(axis=0)
+    for row, cut, xi in zip(rows, cuts, xs):
+        tail = w[cut * blk: xi]
+        row[: tail.shape[0]] += tail
+    fold = rows.reshape(len(xs), -1, m).sum(axis=1)
+    # w[i] is the term n = i + 1, so class i mod m meets tab[(i + 1) mod len(tab)]
+    n = np.arange(1, m + 1)
+    tab = np.array([t[n % t.shape[0]] for t in tabs])
+    dtype = np.int64 if _int64_fits(m, fold, tab) else object
+    return (tab.astype(dtype, copy=False) @ fold.T.astype(dtype, copy=False)).tolist()
 
 
 def weighted_periodic_float(w: np.ndarray, tab: np.ndarray, x: int) -> float:

@@ -14,7 +14,7 @@ verdict is "at-cut", tied to the evaluation grid that produced it.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 import random
 
@@ -187,10 +187,18 @@ def wintner_cm_shortcut(fprime, q: int, cut: int):
 def carmichael_sums(w, den: int, qs, xs: list) -> list:
     """Exact S_q(x) = sum_{n<=x} w[n-1] c_q(n) / den: one list of Fractions
     over the grid xs for each modulus q in qs.  w holds integer numerators
-    over the one denominator den (at least xs[-1] of them)."""
+    over the one denominator den (at least xs[-1] of them).
+
+    `kernels.periodic_sums` folds w once per call into len(xs) rows of
+    lcm(qs) residue classes.  Every q shares one call while those rows hold
+    no more than xs[-1] entries, and each q takes its own call past that, so
+    the moduli 1..10 (lcm 2520) over a grid to 10**6 read their weights once.
+    """
     w = kernels.int_array(w)
-    return [[Fraction(kernels.weighted_periodic_int(w, tab, x), den) for x in xs]
-            for tab in map(csum_period, qs)]
+    tabs = list(map(csum_period, qs))
+    groups = [tabs] if len(xs) * lcm(*map(len, tabs)) <= xs[-1] else [[t] for t in tabs]
+    return [[Fraction(s, den) for s in row]
+            for group in groups for row in kernels.periodic_sums(w, group, xs)]
 
 
 def carmichael_average(sums, q: int, xs: list, tol: float, target=None,

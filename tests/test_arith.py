@@ -106,6 +106,20 @@ def test_factor_splits_the_twelve_base_pseudoprime():
     assert mu(PSI_12) == 1 and csum(PSI_12, 1) == 1
 
 
+@pytest.mark.parametrize("n, factors", [
+    (10 ** 12 + 39, ((10 ** 12 + 39, 1),)),
+    (2 ** 61 - 1, ((2 ** 61 - 1, 1),)),
+    ((2 ** 31 - 1) * (2 ** 61 - 1), ((2 ** 31 - 1, 1), (2 ** 61 - 1, 1))),
+    (2 ** 20 * 3 ** 5 * (2 ** 61 - 1), ((2, 20), (3, 5), (2 ** 61 - 1, 1))),
+    (1031 * 1033 * (2 ** 61 - 1), ((1031, 1), (1033, 1), (2 ** 61 - 1, 1)))],
+    ids=["prime past 1e12", "2^61 - 1", "two large primes", "smooth part and a prime",
+         "composite at the early test"])
+def test_factor_large_prime_cofactor(n, factors):
+    # the one early test ends trial division at a prime cofactor below psi_13;
+    # a product past psi_13, or a cofactor still composite, goes on as before
+    assert factor(n).factors == factors
+
+
 def test_factor_refuses_a_prime_it_cannot_prove():
     # 2^89 - 1 is prime but lies above psi_13, where the bases 2..41 prove nothing
     with pytest.raises(ValueError, match=str(2 ** 89 - 1)):

@@ -4,6 +4,7 @@ exact integer kernels, the last as property tests over their definitions."""
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -291,17 +292,25 @@ def test_correlate_matches_double_sum(kind, data):
         assert out.dtype == np.int64
 
 
+def _direct_sums(w, tab, xs):
+    """sum_{n<=x} w[n-1] * tab[n mod len(tab)] for each x in xs, term by term."""
+    q = len(tab)
+    partial = [0, *accumulate(w[n - 1] * tab[n % q] for n in range(1, xs[-1] + 1))]
+    return [partial[x] for x in xs]
+
+
 @pytest.mark.parametrize("kind", INT_KINDS)
 @KERNEL_SETTINGS
 @given(data=st.data())
-def test_weighted_periodic_matches_direct_sum(kind, data):
+def test_periodic_sums_match_direct_sum(kind, data):
+    # lcm of up to four lengths <= 12 often passes len(w): the unfolded case
+    tabs = data.draw(st.lists(st.lists(VALUES[kind], min_size=1, max_size=12),
+                              min_size=1, max_size=4))
     w = data.draw(st.lists(VALUES[kind], max_size=80))
-    tab = data.draw(st.lists(VALUES[kind], min_size=1, max_size=12))
-    x = data.draw(st.integers(0, len(w)))
-    q = len(tab)
-    got = kernels.weighted_periodic_int(np.array(w, dtype=np.int64),
-                                        np.array(tab, dtype=np.int64), x)
-    assert got == sum(w[n - 1] * tab[n % q] for n in range(1, x + 1))
+    xs = sorted(data.draw(st.sets(st.integers(0, len(w)), min_size=1, max_size=4)))
+    got = kernels.periodic_sums(np.array(w, dtype=np.int64),
+                                [np.array(t, dtype=np.int64) for t in tabs], xs)
+    assert got == [_direct_sums(w, t, xs) for t in tabs]
 
 
 def _weights(kind, rng, n):
@@ -312,21 +321,30 @@ def _weights(kind, rng, n):
 
 @pytest.mark.parametrize("kind", INT_KINDS)
 @settings(max_examples=30, deadline=None)
-@given(q=st.integers(1, 1100), x=st.integers(0, 4000), seed=st.integers(0, 2 ** 32))
-@example(q=3, x=100, seed=0)           # x below one row of blk = 1023
-@example(q=3, x=2046, seed=1)          # x an exact multiple of blk
-@example(q=1024, x=3072, seed=2)       # blk == q == 1024
-@example(q=1100, x=3300, seed=3)       # blk == q past 1024, a multiple
-@example(q=1100, x=1099, seed=4)       # blk == q past 1024, below one row
-def test_weighted_periodic_wide_rows(kind, q, x, seed):
-    """The fold through rows of blk = q * max(1, 1024 // q) columns, at
-    lengths of a few thousand; "near 2**62" runs on the object fallback."""
+@given(qs=st.lists(st.integers(1, 1100), min_size=1, max_size=3),
+       xs=st.sets(st.integers(0, 4000), min_size=1, max_size=4), seed=st.integers(0, 2 ** 32))
+@example(qs=[3], xs={100}, seed=0)                  # x below one row of blk = 1023
+@example(qs=[3], xs={1023, 2046}, seed=1)           # x on exact multiples of blk
+@example(qs=[1024], xs={1000, 3072}, seed=2)        # blk == m == 1024
+@example(qs=[1100], xs={3300}, seed=3)              # blk == m past 1024, a multiple
+@example(qs=[1100], xs={5, 1099}, seed=4)           # m >= xs[-1]: w as it stands
+@example(qs=[4, 6, 10], xs={1019, 1020, 1021, 2040}, seed=5)  # m = 60, blk = 1020
+@example(qs=[7, 11, 13], xs={1000, 4000}, seed=6)   # m = 1001 < 4000 < 2 * 1024
+def test_periodic_sums_wide_rows(kind, qs, xs, seed):
+    """The fold through rows of blk = m * max(1, 1024 // m) columns, with m
+    the lcm of the table lengths, at lengths of a few thousand and grid points
+    on and off the row boundaries; "near 2**62" runs on Python ints."""
     rng = random.Random(seed)
-    w = _weights(kind, rng, x + rng.randint(0, 3))
-    tab = _weights(kind, rng, q)
-    got = kernels.weighted_periodic_int(np.array(w, dtype=np.int64),
-                                        np.array(tab, dtype=np.int64), x)
-    assert got == sum(w[n - 1] * tab[n % q] for n in range(1, x + 1))
+    xs = sorted(xs)
+    w = _weights(kind, rng, xs[-1] + rng.randint(0, 3))
+    tabs = [_weights(kind, rng, q) for q in qs]
+    got = kernels.periodic_sums(np.array(w, dtype=np.int64),
+                                [np.array(t, dtype=np.int64) for t in tabs], xs)
+    assert got == [_direct_sums(w, t, xs) for t in tabs]
+
+
+def test_periodic_sums_without_tables():
+    assert kernels.periodic_sums(np.arange(5), [], [3, 5]) == []
 
 
 def test_transform_scatter_roundtrip():
@@ -423,10 +441,10 @@ FLOATS = np.array([0.0, 0.5, 0.25, 0.75])
     lambda: kernels.mobius_transform_int(FLOATS),
     lambda: kernels.mobius_multiples(FLOATS),
     lambda: kernels.divisor_scatter_int(FLOATS),
-    lambda: kernels.weighted_periodic_int(FLOATS[1:], np.array([1, -1]), 3),
+    lambda: kernels.periodic_sums(FLOATS[1:], [np.array([1, -1])], [3]),
     lambda: kernels.correlate_int(FLOATS[:2], np.arange(4), 2)],
     ids=["mobius_transform_int", "mobius_multiples", "divisor_scatter_int",
-         "weighted_periodic_int", "correlate_int"])
+         "periodic_sums", "correlate_int"])
 def test_integer_kernels_refuse_float_arrays(call):
     # a cast to int64 would truncate every value to 0 and answer silently
     with pytest.raises(TypeError, match="float64"):

@@ -1,6 +1,7 @@
 """Shifted convolution sums, the exact split identity, and the Reef machinery."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -242,11 +243,14 @@ def test_cc_coefficients_match_definition(f, g, n_len, extra, data):
     lambda: cut_correlation(ArithmeticFunction.builtin("d_2"),
                             _rational_tds([0, 0, 1, 0, -2]), 12, 12),
     lambda: cut_correlation(_rational_tds([Fraction(1, 2), 0, 3, Fraction(-2, 7)]),
-                            _rational_tds([0, Fraction(1, 3), 0, 0, 1, 0]), 9, 9)],
-    ids=["integer", "rational tds"])
+                            _rational_tds([0, Fraction(1, 3), 0, 0, 1, 0]), 9, 9),
+    lambda: cut_correlation(even_indicator(), even_indicator(), 10, 10)],
+    ids=["integer", "rational tds", "shared fold"])
 def test_cc_coefficients_call_the_kernel_once_per_nonzero_ghat(make, monkeypatch):
     # the period tables c_q(0..q-1) are cached across calls; with them built,
-    # cc_coefficients evaluates no Ramanujan sum of its own
+    # cc_coefficients evaluates no Ramanujan sum of its own.  The tables of
+    # the l with ghat_N(l) != 0 share one kernel call when lcm(l) <= N, and
+    # take one call each otherwise (ls 1, 3, 5 at N = 12 and 1, 2, 5 at N = 9)
     from rlab import ramanujan
     cut = make()
     n = cut.length
@@ -254,22 +258,23 @@ def test_cc_coefficients_call_the_kernel_once_per_nonzero_ghat(make, monkeypatch
     for l in range(1, n + 1):
         ramanujan.csum_period(l)
     csums, kernel_calls = [], []
-    real_csum, real_kernel = ramanujan.csum, kernels.weighted_periodic_int
+    real_csum, real_kernel = ramanujan.csum, kernels.periodic_sums
 
     def counting_csum(*args):
         csums.append(args)
         return real_csum(*args)
 
-    def counting_kernel(w, tab, x):
-        kernel_calls.append((tab.shape[0], x))
-        return real_kernel(w, tab, x)
+    def counting_kernel(w, tabs, xs):
+        kernel_calls.append(([t.shape[0] for t in tabs], xs))
+        return real_kernel(w, tabs, xs)
 
     monkeypatch.setattr(ramanujan, "csum", counting_csum)
-    monkeypatch.setattr(kernels, "weighted_periodic_int", counting_kernel)
+    monkeypatch.setattr(kernels, "periodic_sums", counting_kernel)
     table = cc_coefficients(cut, n + 2)
+    ls = [l for l in range(1, n + 1) if ghat[l - 1]]
     assert csums == []
-    assert kernel_calls == [(l, n) for l in range(1, n + 1) if ghat[l - 1]]
-    assert 0 < len(kernel_calls) < n      # some ghat_N(l) vanish
+    assert kernel_calls == ([(ls, [n])] if lcm(*ls) <= n else [([l], [n]) for l in ls])
+    assert 0 < len(ls) < n      # some ghat_N(l) vanish
     assert table == _brute_cc(cut, n + 2)
 
 

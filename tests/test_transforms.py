@@ -1,13 +1,15 @@
 """Transform and coefficient machinery against direct-summation oracles."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab import transforms
+from rlab import kernels, transforms
 from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.cli import main
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
@@ -388,6 +390,57 @@ def test_nonneg_bound_rows_match_per_q_sums(f, monkeypatch):
         sq = _csum_weighted_sums(f, [q], xs)[0]
         want += [(q, x, abs(s), phi(q) * t) for x, s, t in zip(xs, sq, s1)]
     assert rep.rows == want and rep.ok
+
+
+def test_nonneg_bound_scans_the_weights_once(monkeypatch):
+    # c18's shape: moduli 1..10 (lcm 2520) over a grid to 10**5 share one
+    # kernel call, whose int64 guard reads the weight array once
+    xs = [10 ** 3, 10 ** 4, 10 ** 5]
+    guarded, calls = [], []
+    real_fits, real_kernel = kernels._int64_fits, kernels.periodic_sums
+
+    def counting_fits(length, *arrays):
+        guarded.extend(a.size for a in arrays)
+        return real_fits(length, *arrays)
+
+    def counting_kernel(w, tabs, xs):
+        calls.append(len(tabs))
+        return real_kernel(w, tabs, xs)
+
+    monkeypatch.setattr(kernels, "_int64_fits", counting_fits)
+    monkeypatch.setattr(kernels, "periodic_sums", counting_kernel)
+    rep = nonneg_carmichael_bound(ArithmeticFunction.builtin("indicator-squares"), xs, qmax=10)
+    assert rep.ok and calls == [10]
+    assert [n for n in guarded if n >= xs[-1]] == [xs[-1]]
+
+
+def _c(q, n):
+    """c_q(n) = sum_{d | gcd(q, n)} d mu(q/d), by its divisor form."""
+    return sum(d * mu(q // d) for d in divisors(gcd(q, n)))
+
+
+@pytest.mark.parametrize("qs, xs, calls", [
+    (range(1, 13), [27725], 1),              # lcm 27720 <= xs[-1]: one shared call
+    (range(1, 13), [700, 9000, 27725], 12),  # 3 * 27720 > xs[-1]: one call per q
+    (range(1, 21), [4001, 6000], 20)],       # lcm 232792560: one call per q
+    ids=["1..12 shared", "1..12 per q", "1..20 per q"])
+def test_carmichael_sums_match_brute_force(qs, xs, calls, monkeypatch):
+    rng = random.Random(xs[-1])
+    w = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(xs[-1])]
+    seen = []
+    real = kernels.periodic_sums
+
+    def counting(w, tabs, xs):
+        seen.append(len(tabs))
+        return real(w, tabs, xs)
+
+    monkeypatch.setattr(kernels, "periodic_sums", counting)
+    got = transforms.carmichael_sums(w, 7, qs, xs)
+    assert len(seen) == calls and sum(seen) == len(qs)
+    for q, row in zip(qs, got):
+        cq = {g: _c(q, g) for g in divisors(q)}
+        partial = [0, *accumulate(w[n - 1] * cq[gcd(q, n)] for n in range(1, xs[-1] + 1))]
+        assert row == [Fraction(partial[x], 7) for x in xs]
 
 
 def test_nonneg_bound_rejects_float_function():
