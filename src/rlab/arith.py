@@ -5,8 +5,9 @@ n <= 1e12, since the cofactor left after dividing out primes <= 1e6 is
 prime), with Pollard rho above that; a larger part is proven prime by
 Miller-Rabin to the bases 2..41, deterministic below psi_13 ~ 3.3e24, and a
 part at or above psi_13 that passes raises ValueError.  Once trial division
-passes 2**10, a cofactor below psi_13 is tested once, and a prime one ends
-the loop, so a prime such as 2**61 - 1 is not divided by every sieved prime.
+passes 2**10, a cofactor below psi_13 is tested there and again after each
+new prime factor, and a prime one ends the loop, so a prime such as
+2**61 - 1 is not divided by every sieved prime.
 `factor` is memoised: one bounded `lru_cache` keeps the 4096 most recently
 factored values, so callers such as `mu`, `phi` and the closed form of
 c_q(n) factor each modulus once; the shared `FactoredInteger` results are
@@ -95,19 +96,21 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 def factor(n: int) -> FactoredInteger:
     """Factorization of n >= 1 (memoised), exact wherever it returns: a part
     at or above psi_13 ~ 3.3e24 that Miller-Rabin cannot prove prime raises
-    ValueError.  The first time trial division passes p = 2**10 with a
-    cofactor m > p**2 below psi_13, m is tested once; a prime m ends the
-    loop, and a composite one goes on through it."""
+    ValueError.  Once trial division passes p = 2**10, a cofactor m > p**2
+    below psi_13 is tested: at the first such p, and again after each prime
+    factor past 2**10 is divided out.  A prime m ends the loop, and a
+    composite one goes on through it."""
     if n < 1:
         raise ValueError(f"factor requires n >= 1, got {n}")
     m = n
     out = []
-    prime = None          # the one early test of the cofactor
+    test, prime = True, False   # test m at the next prime past 2**10
     for p in _small_primes():
         p = int(p)
         if p * p > m:
             break
-        if prime is None and p > 1 << 10 and m < _PSI_13:
+        if test and p > 1 << 10 and m < _PSI_13:
+            test = False
             prime = _is_probable_prime(m)
             if prime:
                 break
@@ -117,6 +120,7 @@ def factor(n: int) -> FactoredInteger:
                 m //= p
                 e += 1
             out.append((p, e))
+            test = test or p > 1 << 10
         if m == 1:
             break
     if m > 1:

@@ -13,9 +13,11 @@ roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 Both objects are frozen and hold their sequence as a `rational.ExactList`
 together with its scaled form (nums, den), the `rational.canonical` pair;
 `scaled` reads that pair.  The kernels and dots read its numerators:
-`transforms.wintner_inverse` gives fprime, `kernels.divisor_scatter_int` gives
-the values of a t.d.s., one integer sum over the divisors of n gives one
-value, and one integer dot with the row c_q(n) gives a value of an expansion.
+`transforms.wintner_inverse` gives fprime; the values of a t.d.s. on 1..nmax
+are one slice sum per nonzero fprime(d) while there are few of them, and
+`kernels.divisor_scatter_int` otherwise; one integer sum over the divisors of
+n gives one value, and one integer dot with the row c_q(n) gives a value of
+an expansion.
 The Wintner sums for fhat reduce each term fprime(d)/d as an integer pair.
 
 Each direction of the duality hands its (nums, den) straight to the new
@@ -27,6 +29,7 @@ from values holds the ExactList, which works out the pair on first use.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 
 import numpy as np
@@ -130,11 +133,26 @@ class TruncatedDivisorSum(_Scaled):
         return ratio(sum(nums[d - 1] for d in divisors(n) if d <= self.range), den)
 
     def eval_range(self, nmax: int):
-        """Values on 1..nmax via divisor scatter as a `rational.freeze` shape:
-        an integer array when integral, else an ExactList of Fractions."""
+        """Values on 1..nmax as a `rational.freeze` shape: an integer array
+        when integral, else an ExactList of Fractions.
+
+        F is a sum of arithmetic progressions, one per d <= min(Q, nmax) with
+        fprime(d) != 0, each adding fprime(d) on the multiples of d.  While
+        there are at most 32 + isqrt(nmax) such d, they are added one slice
+        each (in int64 while the sum of their |numerators| stays below 2**63,
+        which bounds every value); past that the divisor scatter over all
+        primes up to nmax costs less."""
         nums, den = self.scaled
-        w = head(kernels.one_based(nums[:nmax]), nmax + 1)
-        out = kernels.divisor_scatter_int(w)[1:]
+        nums = nums[:nmax]
+        if len(nums) - nums.count(0) <= 32 + isqrt(nmax):
+            terms = [(d, v) for d, v in enumerate(nums, 1) if v]
+            big = sum(abs(v) for _, v in terms) >= kernels.INT64_LIMIT
+            out = np.zeros(nmax + 1, dtype=object if big else np.int64)
+            for d, v in terms:
+                out[d::d] += v
+        else:
+            out = kernels.divisor_scatter_int(head(kernels.one_based(nums), nmax + 1))
+        out = kernels.read_only(out[1:])     # fresh, so freeze need not copy it
         return freeze(out) if den == 1 else ExactList.over(out.tolist(), den)
 
 

@@ -4,8 +4,11 @@ Each kernel is one numpy function.  The five integer kernels (Moebius
 transforms over divisors and over multiples, divisor scatter, periodic sums,
 shifted correlation) first bound their result; while the bound stays below
 2**63 they run in int64, and otherwise the same body runs on an object array
-of Python ints, so no result ever wraps.  The three transforms also take
-object arrays as they stand.  `periodic_sums` takes every table and the
+of Python ints, so no result ever wraps.  The shifted correlation has a third
+tier below 2**53, where it runs as float64 dot products: there every product
+and every partial sum is an integer below 2**53 in magnitude, which float64
+holds exactly, so no order of summation can round.  The three transforms also
+take object arrays as they stand.  `periodic_sums` takes every table and the
 whole grid of one weight array in one call, so it bounds that array once.
 
 The sieves and the three transforms apply one slice operation per prime
@@ -40,13 +43,14 @@ raises TypeError rather than be truncated to int64.
 
 from collections import namedtuple
 from functools import wraps
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 
 import numpy as np
 
 BACKEND = "numpy"
 
 INT64_LIMIT = 1 << 63
+FLOAT64_EXACT = 1 << 53     # float64 holds every integer of smaller magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,10 @@ def csum_block(qmax: int, nmax: int) -> np.ndarray:
 # from the closed form.  `periodic_sums` takes two guards per call, whatever
 # the number of tables and grid points: max|w| * xs[-1] on the weights, then
 # m * max|fold| * max|tab| on its m-wide fold and tiled tables.
+# `correlate_int` reads one bound, len(f) * max|f| * max|g|, and below
+# FLOAT64_EXACT = 2**53 runs on float64 copies: each product and each partial
+# sum is then an integer of magnitude at most the bound, exact in float64
+# whatever order or fused multiply-add the BLAS dot uses.
 # ---------------------------------------------------------------------------
 
 def _amax(a: np.ndarray) -> int:
@@ -268,16 +276,22 @@ def one_based(nums) -> np.ndarray:
     return int_array((0, *nums))
 
 
-def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
-    """True when no array is an object array and length * prod(max|a|) < 2**63."""
+def _bound(length: int, *arrays: np.ndarray):
+    """length * prod(max|a|) as a Python int, each array scanned once, or
+    infinity when some array is an object array."""
     if any(a.dtype.kind not in "iuO" for a in arrays):
         raise TypeError(f"integer kernels refuse dtypes {[a.dtype.name for a in arrays]}")
+    if any(a.dtype == object for a in arrays):
+        return inf
     bound = length
     for a in arrays:
-        if a.dtype == object:
-            return False
         bound *= _amax(a)
-    return bound < INT64_LIMIT
+    return bound
+
+
+def _int64_fits(length: int, *arrays: np.ndarray) -> bool:
+    """True when no array is an object array and length * prod(max|a|) < 2**63."""
+    return _bound(length, *arrays) < INT64_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +356,19 @@ def weighted_periodic_float(w: np.ndarray, tab: np.ndarray, x: int) -> float:
 def correlate_int(f: np.ndarray, g: np.ndarray, amax: int) -> np.ndarray:
     """C(a) = sum_i f[i]*g[i+a] for a = 1..amax; f is g-aligned from index 0.
 
-    g needs len(f) + amax entries.  Python ints take over when
-    max|f| * max|g| * len(f) reaches 2**63.
+    g needs len(f) + amax entries.  One bound B = len(f) * max|f| * max|g|
+    picks the tier.  Below 2**53 the correlation runs on float64 copies, as
+    BLAS dot products, and is cast back to int64: every product and partial
+    sum is an integer of magnitude at most B, so each is exact.  Below 2**63
+    it runs in int64, and past that on Python ints.
     """
     n = f.shape[0]
     g = g[1: n + amax]
-    if not _int64_fits(n, f, g):
-        f, g = f.astype(object), g.astype(object)
+    bound = _bound(n, f, g)
+    if bound >= INT64_LIMIT:
+        return np.correlate(g.astype(object), f.astype(object), "valid")
+    if bound < FLOAT64_EXACT:
+        return np.correlate(g.astype(np.float64), f.astype(np.float64), "valid").astype(np.int64)
     return np.correlate(g, f, "valid")
 
 

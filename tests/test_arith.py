@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab import kernels
-from rlab.arith import (ArithmeticFunction, _is_probable_prime, d_k, divisors, factor,
-                        function_from_spec, mu, omega, phi)
+from rlab import arith, kernels
+from rlab.arith import (_PSI_13, ArithmeticFunction, _is_probable_prime, d_k, divisors,
+                        factor, function_from_spec, mu, omega, phi)
 from rlab.ramanujan import csum
 from rlab.rational import ExactList, scale
 from rlab.transforms import eratosthenes
@@ -111,13 +111,57 @@ def test_factor_splits_the_twelve_base_pseudoprime():
     (2 ** 61 - 1, ((2 ** 61 - 1, 1),)),
     ((2 ** 31 - 1) * (2 ** 61 - 1), ((2 ** 31 - 1, 1), (2 ** 61 - 1, 1))),
     (2 ** 20 * 3 ** 5 * (2 ** 61 - 1), ((2, 20), (3, 5), (2 ** 61 - 1, 1))),
-    (1031 * 1033 * (2 ** 61 - 1), ((1031, 1), (1033, 1), (2 ** 61 - 1, 1)))],
+    (1031 * 1033 * (2 ** 61 - 1), ((1031, 1), (1033, 1), (2 ** 61 - 1, 1))),
+    (1031 ** 2 * (2 ** 61 - 1), ((1031, 2), (2 ** 61 - 1, 1)))],
     ids=["prime past 1e12", "2^61 - 1", "two large primes", "smooth part and a prime",
-         "composite at the early test"])
+         "composite at the early test", "square at the early test"])
 def test_factor_large_prime_cofactor(n, factors):
-    # the one early test ends trial division at a prime cofactor below psi_13;
+    # the early tests end trial division at a prime cofactor below psi_13;
     # a product past psi_13, or a cofactor still composite, goes on as before
     assert factor(n).factors == factors
+
+
+def _factor_counting_primes(n: int) -> tuple:
+    """factor(n) computed afresh (past the memo), and how many sieved primes
+    its trial division read."""
+    primes = arith._small_primes()
+    read = []
+
+    def counted():
+        for p in primes:
+            read.append(p)
+            yield p
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_small_primes", counted)
+        fs = factor.__wrapped__(n)
+    return fs, len(read)
+
+
+@pytest.mark.parametrize("n", [2 ** 20 * (2 ** 61 - 1), 2 ** 20 * 1031 * (2 ** 61 - 1),
+                               1031 * 1033 * (2 ** 61 - 1), 1031 ** 2 * (2 ** 61 - 1)],
+                         ids=["smooth part", "smooth part and a prime past 2^10",
+                              "two primes past 2^10", "a square past 2^10"])
+def test_factor_retests_the_cofactor_after_a_large_prime(n):
+    # the cofactor 2^61 - 1 is proven prime once the primes below it are
+    # divided out, so trial division stops near 2^10 instead of running to 1e6
+    fs, read = _factor_counting_primes(n)
+    assert fs == factor(n) and math.prod(p ** e for p, e in fs) == n
+    assert read < 200
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2 ** 10 + 1, 2 ** 13 - 1), max_size=3),
+       st.integers(2 ** 13, _PSI_13 - 10 ** 6))
+def test_factor_ends_at_a_prime_cofactor_below_psi_13(mids, big):
+    # primes in (2^10, 2^13) times one prime below psi_13: every new prime
+    # factor past 2^10 re-arms the cofactor test, so trial division never
+    # passes 2^13, whether or not the product itself lies below psi_13
+    primes = sorted(_next_prime(v) for v in mids if _next_prime(v) < 2 ** 13)
+    p = _next_prime(big)
+    n = math.prod(primes) * p
+    fs, read = _factor_counting_primes(n)
+    assert [q for q, e in fs for _ in range(e)] == sorted(primes + [p])
+    assert read <= len(SMALL_PRIMES[SMALL_PRIMES < 2 ** 13]) + 1
 
 
 def test_factor_refuses_a_prime_it_cannot_prove():

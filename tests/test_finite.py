@@ -2,17 +2,20 @@
 
 import dataclasses
 from fractions import Fraction
+from math import isqrt
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab.arith import ArithmeticFunction, mu
+from rlab import kernels
+from rlab.arith import ArithmeticFunction, divisors, mu
 from rlab.finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                          high_coefficient_check, low_coefficient_report,
                          tds_to_fre, truncate)
 from rlab.ramanujan import csum_divisor_form
-from rlab.rational import ExactList, scale
+from rlab.rational import ExactList, freeze, head, scale, value_kind
 from rlab.transforms import wintner_coefficient
 from conftest import PROPERTY, RATIONALS, rand_table
 
@@ -106,6 +109,78 @@ def test_eval_range_matches_pointwise(rng):
 def test_eval_range_past_int64():
     vals = TruncatedDivisorSum(2, [2 ** 62, 2 ** 62]).eval_range(4)
     assert [int(v) for v in vals] == [2 ** 62, 2 ** 63, 2 ** 62, 2 ** 63]
+
+
+def _scattered(t, nmax):
+    """Values of t on 1..nmax by the divisor scatter over every prime up to
+    nmax, in the shape `eval_range` gives."""
+    nums, den = t.scaled
+    out = kernels.divisor_scatter_int(head(kernels.one_based(nums[:nmax]), nmax + 1))[1:]
+    return freeze(out) if den == 1 else ExactList.over(out.tolist(), den)
+
+
+def _counting_scatter(mp):
+    """Patch `kernels.divisor_scatter_int` to record the length of each call."""
+    calls, scatter = [], kernels.divisor_scatter_int
+    mp.setattr(kernels, "divisor_scatter_int",
+               lambda w: calls.append(w.shape[0]) or scatter(w))
+    return calls
+
+
+NONZERO_FPRIME = {
+    "int": st.integers(-9, 9).filter(bool),
+    "rational": RATIONALS.filter(bool),
+    # two of these sum past 2**63, so the progressions run on Python ints
+    "near 2**62": st.one_of(st.integers(2 ** 62 - 1024, 2 ** 62),
+                            st.integers(-(2 ** 62), -(2 ** 62) + 1024)),
+}
+
+
+@pytest.mark.parametrize("kind", list(NONZERO_FPRIME))
+@PROPERTY
+@given(data=st.data())
+def test_eval_range_progressions_match_the_divisor_scatter(kind, data):
+    # Q and nmax up to 160 put min(Q, nmax) on both sides of each other and
+    # of the cost rule 32 + isqrt(nmax) <= 44; dense supports cross the rule
+    q = data.draw(st.integers(1, 160), "Q")
+    nmax = data.draw(st.integers(1, 160), "nmax")
+    dense = st.just(set(range(1, q + 1)))
+    support = data.draw(st.one_of(st.sets(st.integers(1, q), max_size=8), dense), "support")
+    fprime = [0] * q
+    for d in support:
+        fprime[d - 1] = data.draw(NONZERO_FPRIME[kind])
+    t = TruncatedDivisorSum(q, fprime)
+    want = _scattered(t, nmax)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_scatter(mp)
+        got = t.eval_range(nmax)
+    nonzero = sum(1 for d in support if d <= nmax)
+    assert calls == ([nmax + 1] if nonzero > 32 + isqrt(nmax) else [])
+    assert value_kind(got) == value_kind(want) and got.tolist() == want.tolist()
+    if isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and not got.flags.writeable
+    else:
+        assert got._scaled == want._scaled
+    assert [Fraction(v) for v in got] == [
+        sum((Fraction(fprime[d - 1]) for d in divisors(n) if d <= q), Fraction(0))
+        for n in range(1, nmax + 1)]
+
+
+def test_eval_range_scatters_only_past_the_cost_rule(monkeypatch):
+    calls = _counting_scatter(monkeypatch)
+    nmax = 10 ** 5
+    rule = 32 + isqrt(nmax)
+    want = np.zeros(nmax, dtype=np.int64)
+    for d in range(1, 17):
+        want[d - 1:: d] += d
+    assert TruncatedDivisorSum(16, list(range(1, 17))).eval_range(nmax).tolist() == want.tolist()
+    TruncatedDivisorSum(rule, [1] * rule).eval_range(nmax)
+    assert calls == []
+    TruncatedDivisorSum(rule + 1, [1] * (rule + 1)).eval_range(nmax)
+    assert calls == [nmax + 1]
+    # only d <= nmax count: a long zero-free range cut at a small nmax scatters nothing
+    TruncatedDivisorSum(1000, [1] * 1000).eval_range(4)
+    assert calls == [nmax + 1]
 
 
 def test_range_normalization():

@@ -276,20 +276,52 @@ def test_one_based_empty_and_past_2_63():
     assert got.dtype == object and got.tolist() == [0, 2 ** 63, -3]
 
 
-@pytest.mark.parametrize("kind", INT_KINDS)
-@KERNEL_SETTINGS
-@given(data=st.data())
-def test_correlate_matches_double_sum(kind, data):
-    n = data.draw(st.integers(1, 30))
-    amax = data.draw(st.integers(1, 30))
-    f = data.draw(st.lists(VALUES[kind], min_size=n, max_size=n))
-    g = data.draw(st.lists(VALUES[kind], min_size=n + amax, max_size=n + amax))
+# products near 2**52, so len(f) * max|f| * max|g| falls on either side of the
+# 2**53 bound below which `correlate_int` runs on float64
+NEAR_2_26 = st.one_of(st.integers(2 ** 26 - 1024, 2 ** 26),
+                      st.integers(-(2 ** 26), -(2 ** 26) + 1024))
+CORRELATE_VALUES = {"int64": VALUES["int64"], "near 2**62": NEAR_2_62,
+                    "near 2**26": NEAR_2_26}
+
+
+def _correlation_case(values, nmax=30):
+    """(f, g, amax) with 1 <= len(f) <= nmax, 1 <= amax <= 30 and
+    len(g) == len(f) + amax."""
+    sizes = st.tuples(st.integers(1, nmax), st.integers(1, 30))
+    return sizes.flatmap(lambda s: st.tuples(
+        st.lists(values, min_size=s[0], max_size=s[0]),
+        st.lists(values, min_size=s[0] + s[1], max_size=s[0] + s[1]),
+        st.just(s[1])))
+
+
+def _assert_correlation(f, g, amax):
+    """correlate_int equals the double sum in Python ints, and is int64
+    wherever its bound stays below 2**63."""
+    n = len(f)
     out = kernels.correlate_int(np.array(f, dtype=np.int64), np.array(g, dtype=np.int64), amax)
     assert len(out) == amax
     for a in range(1, amax + 1):
         assert _py(out[a - 1]) == sum(f[i] * g[i + a] for i in range(n))
-    if kind == "int64":
+    if n * max(map(abs, f)) * max(map(abs, g[1:])) < 2 ** 63:
         assert out.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", list(CORRELATE_VALUES))
+@KERNEL_SETTINGS
+@given(data=st.data())
+def test_correlate_matches_double_sum(kind, data):
+    _assert_correlation(*data.draw(_correlation_case(CORRELATE_VALUES[kind])))
+
+
+@KERNEL_SETTINGS
+@given(case=_correlation_case(NEAR_2_26, nmax=3))
+# bound 2**53 + 1, one past the float64 tier: float64 would round C(1) = 2**53 + 1
+@example(case=([3], [0, (2 ** 53 + 1) // 3], 1))
+# bound 2 * (2**26 + 1) * (2**26 + 2) just past 2**53, and each product is exact
+# in float64, but their sum C(1) = 2**53 + 5 * 2**26 + 3 is odd and would round
+@example(case=([2 ** 26 + 1] * 2, [0, 2 ** 26 + 1, 2 ** 26 + 2], 1))
+def test_correlate_is_exact_at_the_float64_guard(case):
+    _assert_correlation(*case)
 
 
 def _direct_sums(w, tab, xs):
