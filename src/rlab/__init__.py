@@ -12,8 +12,7 @@ from .ramanujan import (RamanujanSumTable, csum, csum_divisor_form,
 from .rational import exact_sum, format_rational, parse_rational
 from .transforms import (ConditionReport, carmichael_estimate, condition_check,
                          cw_formula_check, eratosthenes, nonneg_carmichael_bound,
-                         vanishing_tail_search, wintner_cm_shortcut,
-                         wintner_coefficient)
+                         vanishing_tail_search, wintner_coefficient)
 from .expansions import (ZeroCloudElement, carmichael_formula_check,
                          divisor_power_coefficient, evaluate_partial,
                          invert_pure_coefficients, lucht_evaluate,

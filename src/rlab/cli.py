@@ -10,7 +10,7 @@ import json
 import sys
 
 from .arith import ArithmeticFunction, function_from_spec
-from .emit import Table, emit, format_cell
+from .emit import Table, emit, format_cell, write
 from .expansions import (ZeroCloudElement, dk_expansion, evaluate_partial,
                          standard_finite_expansion, wintner_delange_reconstruct)
 from .experiments import (ConfigError, ExperimentConfig,
@@ -79,9 +79,9 @@ def _emit_or_print(table: Table, args) -> None:
         path = emit(table, args.out, args.format)
         print(f"wrote {path}")
     else:
-        print(",".join(table.columns))
-        for row in table.rows:
-            print(",".join(format_cell(v) for v in row))
+        write(table, sys.stdout, args.format)
+        if args.format == "json":
+            print()     # the table's own bytes end without a newline
 
 
 def _correlation_from_args(args):

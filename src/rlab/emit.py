@@ -53,21 +53,26 @@ def json_cell(v):
     return str(v)
 
 
-def emit(table: Table, path, fmt: str = "csv") -> str:
-    """Write the table; returns the path written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write(table: Table, fh, fmt: str = "csv") -> None:
+    """Write the table to the open text file fh: CSV rows end in "\r\n", as
+    the csv module writes them; JSON is one indented object."""
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(table.columns)
-            for row in table.rows:
-                w.writerow([format_cell(v) for v in row])
+        w = csv.writer(fh)
+        w.writerow(table.columns)
+        for row in table.rows:
+            w.writerow([format_cell(v) for v in row])
     elif fmt == "json":
         payload = {"columns": table.columns,
                    "rows": [[json_cell(v) for v in row] for row in table.rows]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def emit(table: Table, path, fmt: str = "csv") -> str:
+    """Write the table to the file at path; returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        write(table, fh, fmt)
     return str(path)

@@ -63,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an int, got {self.seed!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         for key in ("cap_x", "cap_d"):
             cap = getattr(self, key)
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:

@@ -10,21 +10,19 @@ fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
 fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
 roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 
-Both objects are frozen and hold their sequence as a `rational.ExactList`
-together with its scaled form (nums, den), the `rational.canonical` pair;
-`scaled` reads that pair.  The kernels and dots read its numerators:
+Both objects are frozen and hold their canonical pair (nums, den) once, as
+the attribute `scaled`: an object built from values works it out at
+construction (`rational.scale` of its `rational.ExactList`), and each
+direction of the duality hands its pair straight to the new object, whose
+`.fhat`/`.fprime` is built, once, the first time it is read.  So a chain of
+exact reads (`eval`, `fre_to_tds`, `FiniteExpansion.get`, equality) builds
+no Fraction list.  The kernels and dots read the numerators:
 `transforms.wintner_inverse` gives fprime; the values of a t.d.s. on 1..nmax
 are one slice sum per nonzero fprime(d) while there are few of them, and
 `kernels.divisor_scatter_int` otherwise; one integer sum over the divisors of
 n gives one value, and one integer dot with the row c_q(n) gives a value of
 an expansion.
 The Wintner sums for fhat reduce each term fprime(d)/d as an integer pair.
-
-Each direction of the duality hands its (nums, den) straight to the new
-object, which holds only the pair: its `.fhat`/`.fprime` is built, once, the
-first time it is read.  So a chain of exact reads (`eval`, `fre_to_tds`,
-`FiniteExpansion.get`, equality) builds no Fraction list; an object built
-from values holds the ExactList, which works out the pair on first use.
 """
 
 from dataclasses import dataclass, field
@@ -52,57 +50,41 @@ def _trimmed(values) -> list:
 
 class _BuiltOnRead:
     """The sequence field of an object built by `_Scaled._over`, which holds
-    only its canonical (nums, den): the first read builds the ExactList of
-    Fractions nums[i] / den, which keeps the pair as its scaled form, and
-    stores it as the field.  A non-data descriptor, so a field already set
-    (by __init__ or a first read) is read without it; the class itself has
-    no value for the field, so the dataclass field has no default."""
+    only its `scaled` pair: the first read builds the ExactList of Fractions
+    nums[i] / den, which keeps the pair as its scaled form, and stores it as
+    the field.  A non-data descriptor, so a field already set (by __init__ or
+    a first read) is read without it; the class itself has no value for the
+    field, so the dataclass field has no default."""
 
     def __set_name__(self, owner, name):
         self.name = name
 
     def __get__(self, obj, owner=None):
-        held = None if obj is None else obj.__dict__.get("_scaled")
-        if held is None:
+        if obj is None:
             raise AttributeError(self.name)
-        values = obj.__dict__[self.name] = ExactList.over(*held)
+        values = obj.__dict__[self.name] = ExactList.over(*obj.scaled)
         return values
 
 
 class _Scaled:
-    """The exact sequence of a frozen value object (the field named `_seq`)
-    and its scaled form.  An object built by `_over` holds only the
-    canonical pair as `_scaled` until the field is read (`_BuiltOnRead`)."""
-    _seq = ""
+    """A frozen value object that holds its exact sequence's canonical pair
+    once, as the attribute `scaled`: set from the values in __post_init__, or
+    by `_over`, whose object builds its sequence field on first read
+    (`_BuiltOnRead`)."""
 
     @classmethod
     def _over(cls, q: int, nums, den: int):
         obj = object.__new__(cls)
         object.__setattr__(obj, "range", q)
-        object.__setattr__(obj, "_scaled", canonical(nums, den))
+        object.__setattr__(obj, "scaled", canonical(nums, den))
         return obj
 
-    @property
-    def scaled(self) -> tuple:
-        """(nums, den) with nums[i] / den the entry i, never building Fractions."""
-        return self.__dict__.get("_scaled") or scale(getattr(self, self._seq))
-
-    def _held(self):
-        """The scaled pair if it is known without work (held by the object or
-        cached by its ExactList), else None."""
-        return self.__dict__.get("_scaled") or getattr(self, self._seq)._scaled
-
     def __eq__(self, other):
-        # equality follows the values: trailing zeros do not count.  Canonical
-        # pairs are equal exactly when the values are, and a trailing zero
-        # adds no prime to den, so once one side holds its pair the two
-        # compare as pairs and no Fraction list is built.
+        # equality follows the values: canonical pairs are equal exactly when
+        # the values are, and a trailing zero adds no prime to den
         if not isinstance(other, type(self)):
             return NotImplemented
-        a, b = self._held(), other._held()
-        if a is None and b is None:
-            return _trimmed(getattr(self, self._seq)) == _trimmed(getattr(other, other._seq))
-        (a, aden), (b, bden) = a or self.scaled, b or other.scaled
+        (a, aden), (b, bden) = self.scaled, other.scaled
         return aden == bden and _trimmed(a) == _trimmed(b)
 
 
@@ -112,7 +94,6 @@ class TruncatedDivisorSum(_Scaled):
     exact: a nonzero float raises ValueError, a zero float is an exact 0."""
     range: int
     fprime: list = _BuiltOnRead()     # no default: built on first read
-    _seq = "fprime"
 
     def __post_init__(self):
         if self.range < 1:
@@ -125,6 +106,7 @@ class TruncatedDivisorSum(_Scaled):
         if value_kind(fprime) == "float":
             raise ValueError("a t.d.s. needs exact fprime values, not floats")
         object.__setattr__(self, "fprime", ExactList.of(fprime))
+        object.__setattr__(self, "scaled", scale(self.fprime))
 
     def eval(self, n: int):
         if n < 1:
@@ -161,7 +143,6 @@ class FiniteExpansion(_Scaled):
     """F(n) = sum_{q<=Q} fhat(q) c_q(n); fhat is 1-based of length Q."""
     range: int
     fhat: list = _BuiltOnRead()       # no default: built on first read
-    _seq = "fhat"
 
     def __post_init__(self):
         if self.range < 1:
@@ -169,17 +150,16 @@ class FiniteExpansion(_Scaled):
         if len(self.fhat) != self.range:
             raise ValueError("fhat must have exactly Q entries")
         object.__setattr__(self, "fhat", ExactList.of(self.fhat))
+        object.__setattr__(self, "scaled", scale(self.fhat))
 
     def get(self, q: int):
-        """fhat(q), zero past the range Q; read from the scaled pair, as the
-        entry fhat would build, while fhat is not built."""
+        """fhat(q) as a Fraction read from the scaled pair, zero past the
+        range Q."""
         if q < 1:
             raise ValueError("coefficient index q >= 1 required")
         if q > self.range:
             return 0
-        if "fhat" in self.__dict__:
-            return self.fhat[q - 1]
-        nums, den = self._scaled
+        nums, den = self.scaled
         return Fraction(nums[q - 1], den)
 
     def eval(self, n: int):

@@ -342,13 +342,6 @@ def periodic_sums(w: np.ndarray, tabs, xs) -> list:
     return (tab.astype(dtype, copy=False) @ fold.T.astype(dtype, copy=False)).tolist()
 
 
-def weighted_periodic_float(w: np.ndarray, tab: np.ndarray, x: int) -> float:
-    """sum_{n<=x} w[n-1] * tab[n mod len(tab)] as one float64 dot product."""
-    q = tab.shape[0]
-    n = np.arange(1, x + 1, dtype=np.int64)
-    return float(np.dot(w[:x], tab[n % q].astype(np.float64)))
-
-
 # ---------------------------------------------------------------------------
 # shifted convolution C(N, a) = sum_{n<=N} f(n) g(n+a)
 # ---------------------------------------------------------------------------

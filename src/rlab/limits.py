@@ -32,11 +32,7 @@ class LimitEstimate:
 
 def build_estimate(grid, estimates, tol, target=None, exact=None,
                    min_decades: float = 0.0) -> LimitEstimate:
-    grid = list(grid)
-    if not grid:
-        raise ValueError("empty evaluation grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("evaluation grid must be strictly increasing")
+    grid = check_grid(grid)
     estimates = [float(e) for e in estimates]
     deltas = [b - a for a, b in zip(estimates, estimates[1:])]
     ok = True

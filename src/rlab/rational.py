@@ -7,15 +7,16 @@ rest of the package leans on: one shared denominator for a rational sequence
 out, exact summation on top of it, and the "p/q" string serialization used by
 every CSV/JSON surface.
 
-The exact value objects hold their sequences as ExactLists:
-`TruncatedDivisorSum.fprime`, `FiniteExpansion.fhat` (the one object for a
-finite coefficient sequence, the shift coefficients of a cut included) and
-the values and Moebius transform of a rational correlation.  `scale` of such
-a sequence is computed on first use and read from the list afterwards, so the
-kernels and dots of every later call start from the same numerators.  A
-scaled result goes through `canonical` (one common gcd), which makes it the
-pair `scale` would give for its values; the two duality objects hold only
-that pair until their `.fprime`/`.fhat` is first read.
+The values and Moebius transform of a rational correlation are ExactLists:
+`scale` of such a sequence is computed on first use and read from the list
+afterwards, so the kernels and dots of every later call start from the same
+numerators.  The exact value objects `TruncatedDivisorSum` and
+`FiniteExpansion` (the one object for a finite coefficient sequence, the
+shift coefficients of a cut included) hold the pair once, as `scaled`, and
+their `.fprime`/`.fhat` is an ExactList.  A scaled result goes through
+`canonical` (one common gcd), which makes it the pair `scale` would give for
+its values; the two duality objects hold only that pair until their
+`.fprime`/`.fhat` is first read.
 `freeze` decides once whether a value sequence is integer, rational or
 float; table values, `eval_range` and the tables of `transforms.eratosthenes`
 are its shapes.  Fraction lists are built only where a function returns

@@ -52,9 +52,10 @@ class Correlation:
         return isinstance(self.values, np.ndarray)
 
     def value(self, a: int):
-        if not 1 <= a <= self.amax:
-            raise IndexError(f"correlation cached to a={self.amax}, asked for {a}")
-        return self.values.item(a - 1)
+        """C(N, a), deepening the shift cache to a first (`ensure_depth`)."""
+        if a < 1:
+            raise IndexError(f"correlation shifts start at a=1, asked for {a}")
+        return self.ensure_depth(a).values.item(a - 1)
 
     def ensure_depth(self, amax: int):
         """Extend the shift cache; refuses past DEPTH_CAP rather than silently
@@ -154,7 +155,7 @@ def shift_expansion_check(cut: CutCorrelation, a: int):
     The main sum is the value at a of the finite expansion qrc(cut, N).
     """
     main = cut.coefficients().eval(a)
-    tail = divisor_tail(cut, a)     # deepens the cache to a before reading C(N, a)
+    tail = divisor_tail(cut, a)
     lhs = Fraction(cut.base.value(a))
     rhs = main + tail
     return lhs, rhs, lhs == rhs
@@ -309,7 +310,8 @@ def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageRe
         lgrid = [10 ** 3, 10 ** 4]
     x = check_grid(lgrid)[-1]
     cc = cc_coefficients(cut)
-    lhs = exact_sum(Fraction(cut.base.value(a)) for a in range(1, a_cut + 1))
+    base = cut.base.ensure_depth(a_cut)     # one deepening for every a <= A
+    lhs = exact_sum(Fraction(base.value(a)) for a in range(1, a_cut + 1))
     rows = [(q, cc[q - 1], s / (phi(q) * x), csum_prefix_sum(q, a_cut))
             for q, (s,) in enumerate(_tail_sums(cut, range(1, n + 1), [x]), start=1)]
     rhs = sum(((c - lq) * w for _, c, lq, w in rows), Fraction(0))

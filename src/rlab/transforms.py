@@ -4,8 +4,8 @@ coefficients, condition checks, and Conjecture 1 at finite depth.
 Identity-grade computations stay exact: a rational sequence is put over one
 denominator (`rational.scale`) and its integer numerators run through the
 integer kernels, so the Wintner tables and the Carmichael sums divide by that
-denominator once.  The fprime of a t.d.s. is an `ExactList`, so its scaled
-form is computed on the first of these calls and read by every later one;
+denominator once.  A t.d.s. holds the scaled form of its fprime from
+construction (`finite`), and every one of these calls reads it;
 the Wintner sums reduce each term fprime(d)/d as an integer pair instead of
 building a Fraction.  Limit estimates destined for tolerance verdicts may
 accumulate in float64 dot products.  Convergence is never asserted: every
@@ -146,37 +146,6 @@ def wintner_inverse(nums, den: int) -> tuple:
     return [d * inner[d] for d in range(1, len(inner))], den
 
 
-def is_completely_multiplicative(values, bound: int) -> bool:
-    """Check f(ab) = f(a) f(b) for every product ab <= bound (1-based values)."""
-    if not len(values) or values[0] != 1:
-        # f(1) = f(1)^2 forces f(1) in {0,1}; f(1)=0 collapses f to 0
-        if not len(values) or values[0] != 0 or any(values[:bound]):
-            return values[0] == 1 if len(values) else False
-        return True
-    for a in range(2, bound + 1):
-        fa = values[a - 1]
-        for b in range(a, bound // a + 1):
-            if values[a * b - 1] != fa * values[b - 1]:
-                return False
-    return True
-
-
-def wintner_cm_shortcut(fprime, q: int, cut: int):
-    """For completely multiplicative fprime: (fprime(q)/q) * (q=1 partial).
-
-    The multiplicativity precondition is verified on 1..cut before use.
-    """
-    vals = _fprime_values(fprime, cut)
-    if not is_completely_multiplicative(vals, cut):
-        raise ValueError("fprime is not completely multiplicative on 1..cut")
-    if q < 1 or q > cut:
-        raise ValueError("need 1 <= q <= cut")
-    w1 = wintner_coefficient(vals, 1, cut)[0]
-    if isinstance(vals, np.ndarray):
-        return float(vals[q - 1]) / q * w1
-    return Fraction(vals[q - 1], q) * w1
-
-
 # ---------------------------------------------------------------------------
 # Carmichael coefficients (finite-x averages): every exact Carmichael check,
 # here and in `shift` and `expansions`, reads the one exact sum
@@ -221,9 +190,9 @@ def _csum_weighted_sums(f, qs, xs: list, values=None):
     is summed on its divisor lattice instead: S(x) = sum_{d<=Q} fprime(d) T(d)
     with T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for
     every d <= Q in one array operation per divisor of q.  Only the Q values
-    of fprime are scaled, never x values of f, and fprime caches them on its
-    first scaling: they meet T in one C-level Python-int dot, and the shared
-    denominator divides once.  None for float f.
+    of fprime are scaled, never x values of f, and the t.d.s. holds them
+    from construction: they meet T in one C-level Python-int dot, and the
+    shared denominator divides once.  None for float f.
     """
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         return None   # float path handled by caller
@@ -248,8 +217,8 @@ def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
         return carmichael_average(sums[0], q, xs, tol, min_decades=2.0)
     fq = phi(q)
     w = np.asarray(f.eval_range(xs[-1]), dtype=np.float64)
-    tab = csum_period(q).astype(np.float64)
-    ests = [kernels.weighted_periodic_float(w, tab, x) / (fq * x) for x in xs]
+    c = csum_period(q).astype(np.float64)[np.arange(1, xs[-1] + 1) % q]
+    ests = [float(np.dot(w[:x], c[:x])) / (fq * x) for x in xs]
     return build_estimate(xs, ests, tol, min_decades=2.0)
 
 

@@ -241,6 +241,51 @@ def test_shift_reef_command(fn_file, capsys):
     assert "exact = True" in capsys.readouterr().out
 
 
+def test_shift_reads_past_the_cached_depth(fn_file, capsys):
+    # --a and --A past --amax deepen the shift cache instead of failing
+    f = fn_file({"kind": "table", "values": [0, 1], "after": "zero"}, "f.json")
+    g = fn_file({"kind": "tds", "range": 3,
+                 "fprime": {"kind": "table", "values": [0, 0, 1], "after": "zero"}},
+                "g.json")
+    even = fn_file({"kind": "tds", "range": 2,
+                    "fprime": {"kind": "table", "values": [0, 1], "after": "zero"}},
+                   "even.json")
+    assert main(["shift", "reef", "--f", f, "--g", g, "--N", "4", "--a", "100",
+                 "--lgrid", "100,1000"]) == 0
+    assert capsys.readouterr().out.startswith("lhs = 1;")
+    assert main(["shift", "avg", "--f", even, "--g", even, "--N", "10",
+                 "--amax", "4", "--A", "8", "--lgrid", "100,1000"]) == 0
+    assert "residual = 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_table_follows_format(fn_file, tmp_path, capsys, fmt):
+    # stdout carries the bytes --out writes, JSON with a closing newline
+    mu = fn_file({"kind": "builtin", "name": "mu"})
+    assert main(["--format", fmt, "transform", "--f", mu, "--bound", "4"]) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / f"mu.{fmt}"
+    assert main(["--format", fmt, "--out", str(path), "transform", "--f", mu,
+                 "--bound", "4"]) == 0
+    capsys.readouterr()
+    text = path.read_bytes().decode()
+    if fmt == "json":
+        assert out == text + "\n"
+        assert json.loads(out) == {"columns": ["d", "fprime"],
+                                   "rows": [[1, 1], [2, -2], [3, -2], [4, 1]]}
+    else:
+        assert out == text == "d,fprime\r\n1,1\r\n2,-2\r\n3,-2\r\n4,1\r\n"
+
+
+def test_experiment_config_rejects_an_unknown_format(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "lemma1-grid", "format": "xml",
+                               "out": str(tmp_path / "out")}))
+    assert main(["experiment", "run", "--config", str(cfg)]) == 2
+    assert "format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_run_by_name(capsys):
     assert main(["--seed", "3", "experiment", "run", "--name",
                  "theorem4-roundtrip"]) == 0

@@ -290,7 +290,7 @@ def test_constructor_validation():
 
 def built(obj) -> bool:
     """Whether obj's Fraction list (fhat or fprime) has been built."""
-    return obj._seq in vars(obj)
+    return "fhat" in vars(obj) or "fprime" in vars(obj)
 
 
 def lazy_pairs():
@@ -341,6 +341,22 @@ def test_exact_readers_build_no_fraction_list():
     gets = [e.get(q) for q in range(1, 8)]
     assert not built(e) and not built(back)
     assert gets == list(e.fhat) + [0] and all(type(v) is Fraction for v in gets[:6])
+
+
+@pytest.mark.parametrize("cls", [TruncatedDivisorSum, FiniteExpansion])
+@PROPERTY
+@given(values=st.lists(RATIONALS, min_size=1, max_size=12), zeros=st.integers(0, 4))
+def test_value_object_holds_the_scaled_pair_of_its_values(cls, values, zeros):
+    padded = values + [0] * zeros
+    obj = cls(len(padded), padded)
+    assert obj.scaled == scale(padded)
+    held = cls._over(len(padded), *scale(padded))
+    assert obj == held and held == obj and not built(held)
+    # trailing zeros count on neither side
+    short = cls(len(values), values)
+    assert obj == short and short == obj and held == short and short == held
+    bumped = cls(len(padded), padded[:-1] + [padded[-1] + 1])
+    assert obj != bumped and bumped != held
 
 
 @PROPERTY

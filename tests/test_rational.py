@@ -227,16 +227,17 @@ def test_canonical_is_the_scaled_form_of_the_values():
 
 
 def test_carmichael_estimates_scale_fprime_once(monkeypatch):
-    f = ArithmeticFunction.from_tds(
-        TruncatedDivisorSum(200, [Fraction(1, d * d) for d in range(1, 201)]))
+    fprime = ExactList(Fraction(1, d * d) for d in range(1, 201))
     calls = []
     real = rational._scale
 
     def counting(values):
-        calls.append(values is f.tds.fprime)
+        calls.append(values is fprime)
         return real(values)
 
     monkeypatch.setattr(rational, "_scale", counting)
+    f = ArithmeticFunction.from_tds(TruncatedDivisorSum(200, fprime))
+    assert f.tds.fprime is fprime
     for q in range(1, 11):
         carmichael_estimate(f, q, [500, 1000, 2000])
     assert calls.count(True) == 1

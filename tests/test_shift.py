@@ -531,8 +531,25 @@ def test_short_average_matches_pointwise_residuals():
     assert rep.residual == summed
 
 
+def test_value_past_the_cache_deepens_it():
+    # C(N, a) read past amax deepens the shift cache, as every other reader does
+    f = ArithmeticFunction.from_tds(TruncatedDivisorSum(2, [0, 1]))
+    g = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, 1]))
+    cut = cut_correlation(f, g, 4, 64)
+    rep = weak_reef_check(cut, 100, [1000, 10000])
+    assert cut.base.amax >= 100 and rep.lhs == brute_correlation(f, g, 4, 100) == 1
+    even = even_indicator()
+    rep = short_average(cut_correlation(even, even, 10, 4), 8, [100, 1000])
+    assert rep.lhs == sum(brute_correlation(even, even, 10, a) for a in range(1, 9))
+    assert rep.residual == 0
+    with pytest.raises(IndexError):
+        cut.base.value(0)
+
+
 def test_depth_cap():
     one = ArithmeticFunction.builtin("one")
     cut = cut_correlation(one, one, 4, 4)
     with pytest.raises(ValueError):
         cut.base.ensure_depth(10 ** 7)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        cut.base.value(10 ** 7)

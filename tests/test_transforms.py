@@ -17,10 +17,8 @@ from rlab.rational import ExactList, canonical, scale, value_kind
 from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
 from rlab.transforms import (_csum_weighted_sums, carmichael_estimate, condition_check,
                              cw_formula_check, eratosthenes,
-                             is_completely_multiplicative,
                              nonneg_carmichael_bound, vanishing_tail_search,
-                             wintner_cm_shortcut, wintner_coefficient, wintner_inverse,
-                             wintner_scaled_table)
+                             wintner_coefficient, wintner_inverse, wintner_scaled_table)
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -169,43 +167,6 @@ def test_wintner_coefficient_is_the_exact_sum(fp, q):
     partial, _ = wintner_coefficient(fp, q, cut)
     assert partial == sum((Fraction(fp[d - 1]) / d for d in range(q, cut + 1, q)), Fraction(0))
     assert partial == tds_to_fre(TruncatedDivisorSum(cut, fp)).fhat[q - 1]
-
-
-def test_cm_check():
-    assert is_completely_multiplicative([1, 2, 3, 4, 6, 6, 7, 8][:4], 4)
-    lam = ArithmeticFunction.builtin("lambda").eval_range(200).tolist()
-    assert is_completely_multiplicative(lam, 200)
-    d2 = ArithmeticFunction.builtin("d_2").eval_range(50).tolist()
-    assert not is_completely_multiplicative(d2, 50)   # d_2(4) = 3 != d_2(2)^2
-
-
-def test_cm_shortcut_exact_on_inverse():
-    cut = 200
-    fp = [Fraction(1, d) for d in range(1, cut + 1)]
-    got = wintner_cm_shortcut(fp, 3, cut)
-    want = Fraction(1, 9) * sum(Fraction(1, m * m) for m in range(1, cut + 1))
-    assert got == want
-
-
-def test_cm_shortcut_vs_deep_partial():
-    # for completely multiplicative fprime the q-partial at cut q*D equals
-    # (fprime(q)/q) times the 1-partial at cut D, exactly
-    d = 60
-    q = 4
-    lam = ArithmeticFunction.builtin("lambda").eval_range(q * d).tolist()
-    shortcut = wintner_cm_shortcut(lam[:d], q, d)
-    # oracle: direct summation on both sides
-    direct = sum(Fraction(lam[q * m - 1], q * m) for m in range(1, d + 1))
-    assert shortcut == Fraction(lam[q - 1], q) * \
-        sum(Fraction(lam[m - 1], m) for m in range(1, d + 1))
-    partial, _ = wintner_coefficient(lam, q, q * d)
-    assert partial == direct
-    assert shortcut == partial
-
-
-def test_cm_shortcut_rejects_non_cm():
-    with pytest.raises(ValueError):
-        wintner_cm_shortcut([1, 1, 1, 3], 2, 4)
 
 
 def test_carmichael_constant_function():
