@@ -9,6 +9,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+import io
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +71,10 @@ def write(table: Table, fh, fmt: str = "csv") -> None:
 
 
 def emit(table: Table, path, fmt: str = "csv") -> str:
-    """Write the table to the file at path; returns the path written."""
+    """Write the table to the file at path (untouched on a bad format); returns the path."""
+    text = io.StringIO()
+    write(table, text, fmt)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        write(table, fh, fmt)
+    path.write_text(text.getvalue(), newline="")
     return str(path)

@@ -5,6 +5,7 @@ zero-expansion family alpha/q + beta/phi(q), Wintner-Delange reconstruction,
 Lucht's resummation identity, inversion of pure coefficients back to the
 transform, Carmichael's formula for pure finite expansions, the standard
 n-dependent finite expansion, and the K-divisor coefficient formula.
+Its Carmichael sums are those of its t.d.s., `transforms._csum_weighted_sums`.
 
 A finite coefficient sequence is a `finite.FiniteExpansion` (a plain list of
 fhat(1..Q) counts as one), and the exact paths run on its scaled numerators;
@@ -23,9 +24,10 @@ from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, check_grid
 from .rational import scale, scale_pairs, value_kind
-from .ramanujan import csum, cross_sum
-from .transforms import (carmichael_average, eratosthenes, function_values,
-                         reduced_terms, wintner_inverse, wintner_scaled_table)
+from .ramanujan import csum
+from .transforms import (_csum_weighted_sums, carmichael_average, eratosthenes,
+                         function_values, reduced_terms, wintner_inverse,
+                         wintner_scaled_table)
 from . import kernels
 
 
@@ -185,17 +187,13 @@ def carmichael_formula_check(expansion, l: int, xgrid,
     """Estimate (1/(phi(l) x)) sum_{h<=x} F(h) c_l(h) against the stored
     coefficient of a pure finite expansion (uniform convergence is trivial).
 
-    Per-x sums are exact: F(h) is expanded through its coefficients and each
-    cross sum of Ramanujan sums is an exact integer.
+    Per-x sums are exact: those of the t.d.s. `fre_to_tds` of the expansion
+    (`transforms._csum_weighted_sums`, on its divisor lattice when rational).
     """
     e = _finite(expansion)
     xs = check_grid(xgrid)
-    target = float(e.get(l))
-    nums, den = e.scaled
-    # inner[q - 1][i] = sum_{h <= xs[i]} c_q(h) c_l(h), one grid call per q
-    inner = [cross_sum(q, l, 0, xs) for q in range(1, e.range + 1)]
-    sums = [Fraction(sum(map(mul, nums, col)), den) for col in zip(*inner)]
-    return carmichael_average(sums, l, xs, tol, target=target)
+    sums = _csum_weighted_sums(ArithmeticFunction.from_tds(fre_to_tds(e)), [l], xs)[0]
+    return carmichael_average(sums, l, xs, tol, target=float(e.get(l)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .shift import (carmichael_vs_cc, cut_correlation, divisor_tail,
                     weak_reef_check)
 from .transforms import (carmichael_estimate, condition_check, cw_formula_check,
                          nonneg_carmichael_bound, vanishing_tail_search,
-                         wintner_coefficient)
+                         wintner_coefficient, wintner_partials)
 
 
 class UnknownExperimentError(KeyError):
@@ -673,9 +673,8 @@ def _thm8(cfg, cut=10 ** 4, grid=[10 ** 6 // 4, 10 ** 6 // 2, 10 ** 6],
         vals[d - 1:: d] += fp[d - 1]
     f_tab = ArithmeticFunction.table(vals, after="zero")
     gaps = []
-    for x in log_grid:
+    for x, win in zip(log_grid, wintner_partials(fp, 2, log_grid)):
         est = carmichael_estimate(f_tab, 2, [max(2, x // 2), x])
-        win = float((fp[1: x: 2] / np.arange(2, x + 1, 2)).sum())
         gaps.append(abs(est.final - win))
         t.add("inv-log", 2, est.final, win, gaps[-1])
     out.append(_ok("concordance-log-trend", gaps[-1] < gaps[0],
@@ -695,14 +694,12 @@ def _thm9(cfg, x=10 ** 6, cut=10 ** 5):
     # the transform of the square indicator is the Liouville function; its
     # Wintner partials vanish only PNT-slowly, so report them in float
     lam = ArithmeticFunction.builtin("lambda").eval_range(cut).astype(np.float64)
-    d = np.arange(1, cut + 1, dtype=np.float64)
-    for q in range(1, 6):
+    wins = [wintner_coefficient(lam, q, cut)[0] for q in range(1, 6)]
+    for q, win in enumerate(wins, start=1):
         est = carmichael_estimate(f, q, [x // 100, x // 10, x])
-        win = float((lam[q - 1:: q] / d[q - 1:: q]).sum())
         t.add(q, est.final, win)
         worst = max(worst, abs(est.final))
     out.append(_ok("carmichael-vanishes", worst < 1e-2, f"max |est| {worst:.3g}"))
-    w1 = float((lam / d).sum())
-    out.append(_ok("wintner-partial-small", abs(w1) < 0.3,
-                   f"partial at {cut}: {w1:.4g} (slow vanishing)"))
+    out.append(_ok("wintner-partial-small", abs(wins[0]) < 0.3,
+                   f"partial at {cut}: {wins[0]:.4g} (slow vanishing)"))
     return out, {"values": t}

@@ -11,9 +11,9 @@ fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
 roundtrip exactly; evaluation of either side agrees pointwise everywhere.
 
 Both objects are frozen and hold their canonical pair (nums, den) once, as
-the attribute `scaled`: an object built from values works it out at
-construction (`rational.scale` of its `rational.ExactList`), and each
-direction of the duality hands its pair straight to the new object, whose
+the attribute `scaled`: an object built from values works it out on first
+read (`rational.scale` of its `rational.ExactList`), and each direction of
+the duality hands its pair straight to the new object, whose
 `.fhat`/`.fprime` is built, once, the first time it is read.  So a chain of
 exact reads (`eval`, `fre_to_tds`, `FiniteExpansion.get`, equality) builds
 no Fraction list.  The kernels and dots read the numerators:
@@ -27,6 +27,7 @@ The Wintner sums for fhat reduce each term fprime(d)/d as an integer pair.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from operator import mul
 
@@ -34,8 +35,8 @@ import numpy as np
 
 from .arith import divisors
 from .rational import ExactList, canonical, freeze, head, ratio, scale, value_kind
-from .transforms import (decay_tail_bound, eratosthenes, wintner_inverse,
-                         wintner_scaled_table)
+from .transforms import (decay_tail_bound, eratosthenes, wintner_coefficient,
+                         wintner_inverse, wintner_scaled_table)
 from . import kernels
 
 
@@ -68,9 +69,13 @@ class _BuiltOnRead:
 
 class _Scaled:
     """A frozen value object that holds its exact sequence's canonical pair
-    once, as the attribute `scaled`: set from the values in __post_init__, or
-    by `_over`, whose object builds its sequence field on first read
-    (`_BuiltOnRead`)."""
+    once, as the attribute `scaled`: `scale` of its values field `_values` on
+    first read (a non-data descriptor, like `_BuiltOnRead`), or set by `_over`,
+    whose object builds its values field on first read."""
+
+    @cached_property
+    def scaled(self) -> tuple:
+        return scale(getattr(self, self._values))
 
     @classmethod
     def _over(cls, q: int, nums, den: int):
@@ -94,6 +99,7 @@ class TruncatedDivisorSum(_Scaled):
     exact: a nonzero float raises ValueError, a zero float is an exact 0."""
     range: int
     fprime: list = _BuiltOnRead()     # no default: built on first read
+    _values = "fprime"
 
     def __post_init__(self):
         if self.range < 1:
@@ -106,7 +112,6 @@ class TruncatedDivisorSum(_Scaled):
         if value_kind(fprime) == "float":
             raise ValueError("a t.d.s. needs exact fprime values, not floats")
         object.__setattr__(self, "fprime", ExactList.of(fprime))
-        object.__setattr__(self, "scaled", scale(self.fprime))
 
     def eval(self, n: int):
         if n < 1:
@@ -143,6 +148,7 @@ class FiniteExpansion(_Scaled):
     """F(n) = sum_{q<=Q} fhat(q) c_q(n); fhat is 1-based of length Q."""
     range: int
     fhat: list = _BuiltOnRead()       # no default: built on first read
+    _values = "fhat"
 
     def __post_init__(self):
         if self.range < 1:
@@ -150,7 +156,6 @@ class FiniteExpansion(_Scaled):
         if len(self.fhat) != self.range:
             raise ValueError("fhat must have exactly Q entries")
         object.__setattr__(self, "fhat", ExactList.of(self.fhat))
-        object.__setattr__(self, "scaled", scale(self.fhat))
 
     def get(self, q: int):
         """fhat(q) as a Fraction read from the scaled pair, zero past the
@@ -230,16 +235,15 @@ def low_coefficient_report(f, q_range: int, q0: int,
     sits inside that bound.  Without a hint only raw rows are reported.
     """
     deep_cut = 4 * q_range
-    nums, den = tds_to_fre(truncate(f, q_range)).scaled
+    low = truncate(f, q_range).fprime
     deep = np.array([float(v) for v in eratosthenes(f, deep_cut)])
-    d = np.arange(1, deep_cut + 1, dtype=np.float64)
     rows = []
     consistent = True
     for q in range(1, q0 + 1):
         # deep reference partial in float: the property is heuristic, only the
         # at-cut coefficient needs exactness
-        partial = float((deep[q - 1:: q] / d[q - 1:: q]).sum())
-        at_cut = Fraction(nums[q - 1], den)
+        partial = float(wintner_coefficient(deep, q, deep_cut)[0])
+        at_cut = wintner_coefficient(low, q, q_range)[0]
         gap = abs(float(at_cut) - float(partial))
         # the gap between the Q-cut and deep-cut partials is a tail beyond Q
         bound = decay_tail_bound(decay_hint, q, q_range)

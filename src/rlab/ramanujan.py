@@ -12,10 +12,12 @@ sum_{d|q, d|n} d mu(q/d) and the defining cosine sum exist as independent
 cross-checking routes; a row of cosine sums takes one correctly rounded sum
 per class gcd(n, q).  c_q(0) = phi(q) and c_q(-n) = c_q(n).
 
-The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality and
-Carmichael averages answer a whole grid of x at once: the integrand has
-period lcm(q, l) in a, so one period's products and their prefix sums give
-every x.
+The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality
+averages answer a whole grid of x at once: the integrand has period
+lcm(q, l) in a, so one period's products and their prefix sums give every x.
+The sums of c_q over the multiples of each d, T[d] = sum_{m<=x/d} c_q(dm),
+are `csum_multiple_sums`, the one route to them: T[1] is the prefix sum
+sum_{a<=x} c_q(a), and the t.d.s. lattice of `transforms` reads every T[d].
 """
 
 from dataclasses import dataclass
@@ -216,16 +218,6 @@ def csum_multiple_sums(q: int, dmax: int, x: int) -> np.ndarray:
     for e, c in terms:
         out[1:] += c * (k // (e // np.gcd(e, d)))
     return out
-
-
-def csum_prefix_sum(q: int, a_max: int) -> int:
-    """Exact sum_{a<=A} c_q(a) = sum_{d|q} d mu(q/d) floor(A/d) (divisor form);
-    0 for A = 0, the empty sum."""
-    if q < 1:
-        raise ValueError(f"modulus q >= 1 required, got {q}")
-    if a_max < 0:
-        raise ValueError(f"A >= 0 required, got {a_max}")
-    return sum(d * mu(q // d) * (a_max // d) for d in divisors(q))
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,11 @@ def freeze(values):
     whether a finite value sequence is integer, rational or float.  Some
     nonzero float gives a read-only float64 array ("float"); else all values
     integral give a read-only `kernels.int_array` ("int"); else an ExactList
-    ("rational").  A zero float is an exact 0.  A read-only integer array and
-    a non-integral ExactList are returned as they stand (the latter keeps its
-    scaled form), and everything else is copied."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+    ("rational").  A zero float is an exact 0.  A read-only integer array or
+    nonzero float64 array and a non-integral ExactList are returned as they
+    stand (the latter keeps its scaled form), and everything else is copied."""
+    if isinstance(values, np.ndarray) and (values.dtype.kind in "iu" or
+                                           values.dtype == np.float64 and values.any()):
         return kernels.read_only(values.copy() if values.flags.writeable else values)
     if not isinstance(values, ExactList):
         vals = values.tolist() if isinstance(values, np.ndarray) else list(values)

@@ -19,6 +19,7 @@ the one exact sum S_q(x) = sum_{n<=x} w(n) c_q(n) of
 `transforms.carmichael_average`: w is f for the CC formula (at x = N), the
 correlation for the average over shifts, and the divisor tail T(m) behind
 L(q), which a Weak-Reef or short-average check scatters once for every q.
+A short average reads sum_{a<=A} c_q(a) as T[1] of `ramanujan.csum_multiple_sums`.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .arith import ArithmeticFunction, divisors, phi
 from .finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre, truncate
 from .limits import LimitEstimate, check_grid
 from .rational import ExactList, exact_sum, scale
-from .ramanujan import csum, csum_prefix_sum
+from .ramanujan import csum, csum_multiple_sums
 from .transforms import carmichael_average, carmichael_sums
 from . import kernels
 
@@ -312,7 +313,7 @@ def short_average(cut: CutCorrelation, a_cut: int, lgrid=None) -> ShortAverageRe
     cc = cc_coefficients(cut)
     base = cut.base.ensure_depth(a_cut)     # one deepening for every a <= A
     lhs = exact_sum(Fraction(base.value(a)) for a in range(1, a_cut + 1))
-    rows = [(q, cc[q - 1], s / (phi(q) * x), csum_prefix_sum(q, a_cut))
+    rows = [(q, cc[q - 1], s / (phi(q) * x), int(csum_multiple_sums(q, 1, a_cut)[1]))
             for q, (s,) in enumerate(_tail_sums(cut, range(1, n + 1), [x]), start=1)]
     rhs = sum(((c - lq) * w for _, c, lq, w in rows), Fraction(0))
     return ShortAverageReport(a_cut, lhs, rhs, lhs - rhs, rows)

@@ -4,16 +4,19 @@ coefficients, condition checks, and Conjecture 1 at finite depth.
 Identity-grade computations stay exact: a rational sequence is put over one
 denominator (`rational.scale`) and its integer numerators run through the
 integer kernels, so the Wintner tables and the Carmichael sums divide by that
-denominator once.  A t.d.s. holds the scaled form of its fprime from
-construction (`finite`), and every one of these calls reads it;
+denominator once.  A t.d.s. holds the scaled form of its fprime once it is
+first read (`finite`), and every one of these calls reads it;
 the Wintner sums reduce each term fprime(d)/d as an integer pair instead of
 building a Fraction.  Limit estimates destined for tolerance verdicts may
 accumulate in float64 dot products.  Convergence is never asserted: every
-verdict is "at-cut", tied to the evaluation grid that produced it.
+verdict is "at-cut", tied to the evaluation grid that produced it.  Each sum
+has one route: W_q(x) = sum_{d<=x, q|d} fprime(d)/d is `wintner_partials`,
+and S_q(x) = sum_{n<=x} F(n) c_q(n) is `_csum_weighted_sums`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 import random
@@ -109,18 +112,29 @@ def reduced_terms(vals, ds, den: int = 1) -> list:
     return pairs
 
 
+def wintner_partials(fprime, q: int, xs) -> list:
+    """W_q(x) = sum_{d<=x, q|d} fprime(d)/d at every x of the grid xs (0 below
+    q), the one place a Wintner partial is summed: exact Fractions, one
+    `sum_pairs` of `reduced_terms` per stretch between grid points, for exact
+    fprime; float64 prefix sums over the multiples of q for float fprime."""
+    if q < 1:
+        raise ValueError(f"modulus q >= 1 required, got {q}")
+    xs = check_grid(xs)
+    vals = _fprime_values(fprime, xs[-1])
+    if isinstance(vals, np.ndarray):
+        cum = np.cumsum(vals[q - 1:: q] / np.arange(q, xs[-1] + 1, q, dtype=np.float64))
+        return [float(cum[x // q - 1]) if x >= q else 0.0 for x in xs]
+    stretches = (range(a // q * q + q, b + 1, q) for a, b in zip([0] + xs, xs))
+    return list(accumulate(Fraction(*sum_pairs(reduced_terms(vals, ds))) for ds in stretches))
+
+
 def wintner_coefficient(fprime, q: int, cut: int, decay_hint=None):
-    """(partial, tail_bound): partial = sum_{d<=cut, q|d} fprime(d)/d, exact
-    when fprime is exact; tail_bound requires a polynomial decay hint and is
-    None otherwise (silent truncation would fabricate convergence)."""
+    """(partial, tail_bound): partial = `wintner_partials` at the one point
+    cut, exact when fprime is exact; tail_bound requires a polynomial decay
+    hint and is None otherwise (silent truncation would fabricate convergence)."""
     if q < 1 or cut < q:
         raise ValueError("need q >= 1 and cut >= q")
-    vals = _fprime_values(fprime, cut)
-    if not isinstance(vals, np.ndarray):
-        partial = Fraction(*sum_pairs(reduced_terms(vals, range(q, cut + 1, q))))
-    else:
-        partial = float(np.sum([float(vals[d - 1]) / d for d in range(q, cut + 1, q)]))
-    return partial, decay_tail_bound(decay_hint, q, cut)
+    return wintner_partials(fprime, q, [cut])[0], decay_tail_bound(decay_hint, q, cut)
 
 
 def wintner_scaled_table(fprime, cut: int):
@@ -191,7 +205,7 @@ def _csum_weighted_sums(f, qs, xs: list, values=None):
     with T(d) = sum_{m<=x/d} c_q(dm), and `csum_multiple_sums` gives T for
     every d <= Q in one array operation per divisor of q.  Only the Q values
     of fprime are scaled, never x values of f, and the t.d.s. holds them
-    from construction: they meet T in one C-level Python-int dot, and the
+    once read: they meet T in one C-level Python-int dot, and the
     shared denominator divides once.  None for float f.
     """
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
@@ -351,31 +365,21 @@ def cw_formula_check(f, q: int, xgrid) -> CwReport:
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         raise ValueError("exact arithmetic function required")
     xs = check_grid(xgrid)
-    xmax = xs[-1]
     # ft lives to the end of the call: freed before the arrays below are
     # built, it moves them in the heap, and they cost more page faults
-    ft = eratosthenes(f, xmax)
-    fpv = np.array(ft, dtype=np.float64)
-    d = np.arange(1, xmax + 1, dtype=np.float64)
+    ft = eratosthenes(f, xs[-1])
+    fpv = kernels.read_only(np.array(ft, dtype=np.float64))
     abs_cum = np.cumsum(np.abs(fpv))
-    win_terms = np.zeros(xmax + 1)
-    win_terms[q::q] = fpv[q - 1:: q] / d[q - 1:: q]
-    win_cum = np.cumsum(win_terms[1:])
+    win = wintner_partials(fpv, q, xs)
     sums = _csum_weighted_sums(f, [q], xs)[0]
     fq = phi(q)
     rows = []
-    max_ratio = 0.0
-    for i, x in enumerate(xs):
-        lhs = float(sums[i]) / (fq * x)
-        rhs = float(win_cum[x - 1])
+    for x, s, rhs in zip(xs, sums, win):
+        lhs = float(s) / (fq * x)
         normalizer = float(abs_cum[x - 1])
-        if normalizer == 0:
-            rows.append(CwRow(x, lhs, rhs, normalizer, None))
-            continue
-        ratio = x * abs(lhs - rhs) / normalizer
-        max_ratio = max(max_ratio, ratio)
+        ratio = x * abs(lhs - rhs) / normalizer if normalizer else None
         rows.append(CwRow(x, lhs, rhs, normalizer, ratio))
-    return CwReport(q, rows, max_ratio)
+    return CwReport(q, rows, max([0.0] + [r.ratio for r in rows if r.ratio is not None]))
 
 
 # ---------------------------------------------------------------------------

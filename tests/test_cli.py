@@ -2,10 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
+import re
+import shlex
 
 import pytest
 
-from rlab.cli import main
+from rlab.cli import build_parser, main
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 
 
 @pytest.fixture
@@ -400,3 +405,27 @@ def test_experiment_config_misspelt_top_level_key_names_it(tmp_path, capsys):
     cfg.write_text(json.dumps({"name": "lemma1-grid", "parms": {"qmax": 3}}))
     assert main(["experiment", "run", "--config", str(cfg)]) == 2
     assert "'parms'" in capsys.readouterr().err
+
+
+def rlab_invocations(script: str) -> list:
+    """The argument lists of the rlab commands in a workflow file: each `rlab`
+    word that starts a command (at a line start, after a blank or inside
+    `$(`), up to the next pipe, redirect, `;` or `)`, split as the shell
+    splits words.  Comment lines and step names are skipped."""
+    out = []
+    for line in script.splitlines():
+        if line.lstrip().startswith("#") or "name:" in line:
+            continue
+        out += [shlex.split(m) for m in re.findall(r"(?:^|[\s(])rlab\s+([^|;>)]*)", line)]
+    return out
+
+
+def test_every_ci_rlab_invocation_parses():
+    # the console-script step runs these; a renamed or dropped option fails
+    # here, offline, instead of in CI
+    invocations = rlab_invocations(WORKFLOW.read_text())
+    assert len(invocations) >= 40
+    assert ["wintner", "--fprime", "$RUNNER_TEMP/vonmangoldt.json", "--q", "2",
+            "--cut", "1000"] in invocations
+    for argv in invocations:
+        build_parser().parse_args(argv)      # a usage error raises SystemExit

@@ -1,21 +1,22 @@
 """Expansion evaluation, reconstruction, and coefficient formulas."""
 
 import math
+from operator import mul
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rlab import kernels
-from rlab.arith import ArithmeticFunction, divisors, mu
+from rlab.arith import ArithmeticFunction, divisors, mu, phi
 from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
                              divisor_power_coefficient, dk_local_series,
                              evaluate_partial, invert_pure_coefficients,
                              lucht_evaluate, standard_finite_expansion,
                              wintner_delange_reconstruct, zero_cloud_partial)
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
-from rlab.ramanujan import csum
+from rlab.ramanujan import cross_sum, csum
 from rlab.transforms import eratosthenes
 from conftest import PROPERTY, RATIONALS, rand_table
 
@@ -175,6 +176,27 @@ def test_invert_pure_roundtrip(rng):
 def test_invert_pure_needs_finite_support():
     with pytest.raises(ValueError):
         invert_pure_coefficients(lambda q: Fraction(1, q))
+
+
+def cross_sum_route(e: FiniteExpansion, l: int, xs: list) -> list:
+    """S_l(x) = sum_{h<=x} F(h) c_l(h) of a pure finite expansion through its
+    coefficients: sum_q fhat(q) sum_{h<=x} c_q(h) c_l(h), one exact cross sum
+    per q, a route independent of the t.d.s. the library sums."""
+    nums, den = e.scaled
+    inner = [cross_sum(q, l, 0, xs) for q in range(1, e.range + 1)]
+    return [Fraction(sum(map(mul, nums, col)), den) for col in zip(*inner)]
+
+
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=12), st.integers(1, 14),
+       st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True))
+@example(fhat=[1, -2, 0, 3], l=2, xs=[10, 37, 400])     # an integer t.d.s.
+@example(fhat=[0, 0], l=1, xs=[5])
+def test_carmichael_formula_check_is_the_cross_sum_route(fhat, l, xs):
+    xs = sorted(xs)
+    e = FiniteExpansion(len(fhat), fhat)
+    est = carmichael_formula_check(e, l, xs)
+    assert est.exact == [s / (phi(l) * x) for s, x in zip(cross_sum_route(e, l, xs), xs)]
 
 
 def test_carmichael_formula_constant():

@@ -291,6 +291,18 @@ def test_emit_formats(tmp_path):
     assert payload["rows"][0] == [1, "3/2", 0.25]
 
 
+def test_emit_unknown_format_writes_no_file(tmp_path):
+    t = Table(["q"], [(1,)])
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit(t, tmp_path / "sub" / "x.xml", "xml")
+    assert not (tmp_path / "sub").exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old")
+    with pytest.raises(ValueError, match="unknown format"):
+        emit(t, kept, "xml")
+    assert kept.read_text() == "old"             # not truncated
+
+
 def test_emit_ints_past_str_digit_limit(tmp_path):
     import json
     big = 10 ** 5000 + 7

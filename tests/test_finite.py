@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab import kernels
+from rlab import kernels, rational
 from rlab.arith import ArithmeticFunction, divisors, mu
 from rlab.finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                          high_coefficient_check, low_coefficient_report,
@@ -255,6 +255,16 @@ def test_low_report_finite_support_exact():
         assert abs(float(at_cut) - partial) < 1e-12
 
 
+def test_low_report_at_cut_is_the_truncations_coefficient(rng):
+    for f in (ArithmeticFunction.builtin("d_2"), ArithmeticFunction.builtin("id"),
+              ArithmeticFunction.table(rand_table(rng, 40), after="zero")):
+        rep = low_coefficient_report(f, 30, 8)
+        assert [r[1] for r in rep.rows] == tds_to_fre(truncate(f, 30)).fhat[:8]
+        assert all(type(r[1]) is Fraction for r in rep.rows)
+    with pytest.raises(ValueError, match="not floats"):
+        low_coefficient_report(ArithmeticFunction.builtin("vonMangoldt"), 30, 8)
+
+
 def test_low_report_no_hint():
     rep = low_coefficient_report(ArithmeticFunction.builtin("one"), 40, 5)
     assert rep.verdict == "no-hint"
@@ -377,3 +387,22 @@ def test_high_coefficient_check_output_unchanged(name, q_range):
     rep = high_coefficient_check(f, q_range)
     assert rep.checked == want and rep.violations == []
     assert all(type(got) is Fraction for _, got, _ in rep.checked)
+
+
+def test_value_objects_scale_their_values_only_when_read(monkeypatch):
+    calls = []
+    real = rational._scale
+    monkeypatch.setattr(rational, "_scale", lambda values: (calls.append(1), real(values))[1])
+    t = TruncatedDivisorSum(3, [1, Fraction(1, 2), 0])
+    e = FiniteExpansion(2, [Fraction(1, 3), 2])
+    assert calls == []                          # built from values: no pair yet
+    for obj, pair in ((t, ((2, 1, 0), 2)), (e, ((1, 6), 3))):
+        before = len(calls)
+        assert obj.scaled == pair               # the first read scales once
+        assert len(calls) == before + 1
+        assert obj.scaled is obj.scaled         # later reads find the held pair
+        assert len(calls) == before + 1
+    calls.clear()                               # t and e hold their pairs now
+    over = [FiniteExpansion._over(3, [2, 4, 6], 4), tds_to_fre(t), fre_to_tds(e)]
+    assert [o.scaled for o in over] == [((1, 2, 3), 2), ((5, 1, 0), 4), ((-5, 12), 3)]
+    assert calls == []                          # an `_over` object holds its pair

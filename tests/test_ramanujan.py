@@ -13,7 +13,7 @@ from rlab.arith import divisors, mu, omega, phi
 from rlab.experiments import ExperimentConfig, run_experiment
 from rlab.ramanujan import (RamanujanSumTable, abs_csum_over_q_partial,
                             cross_sum, csum, csum_divisor_form,
-                            csum_period, csum_prefix_sum,
+                            csum_multiple_sums, csum_period,
                             csum_trig_form, csum_trig_row,
                             orthogonality_estimate)
 from conftest import PROPERTY
@@ -302,9 +302,10 @@ def test_cross_sum_guard_boundary(monkeypatch, q, l, n, xs, extra):
 
 
 def test_csum_prefix_sum_brute():
+    # the prefix sum sum_{a<=A} c_q(a) is the entry T[1] of the multiple sums
     for q in (1, 2, 6, 12, 30):
-        for a_max in (1, 7, 50, 101):
-            assert csum_prefix_sum(q, a_max) == \
+        for a_max in (0, 1, 7, 50, 101):
+            assert csum_multiple_sums(q, 1, a_max)[1] == \
                 sum(csum(q, a) for a in range(1, a_max + 1))
 
 
@@ -461,15 +462,6 @@ def test_csum_period_is_the_csum_row(q):
     assert tab.tolist() == [csum(q, r) for r in range(q)]
     with pytest.raises(ValueError):
         tab[0] = 0
-
-
-def test_csum_prefix_sum_rejects_bad_input():
-    assert csum_prefix_sum(3, 0) == 0   # the empty sum
-    with pytest.raises(ValueError, match="-5"):
-        csum_prefix_sum(3, -5)
-    for q in (0, -2):
-        with pytest.raises(ValueError, match="modulus q >= 1 required"):
-            csum_prefix_sum(q, 5)
 
 
 def test_table_rejects_modulus_outside_its_range():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab import rational
+from rlab import kernels, rational
 from rlab.arith import ArithmeticFunction, divisors, function_from_spec, mu
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, fre_to_tds, tds_to_fre
 from rlab.ramanujan import csum
@@ -347,3 +347,14 @@ def test_zero_float_table_transforms_as_its_callable():
         got = eratosthenes(source, 2)
         assert isinstance(got, ExactList) and got == [0, Fraction(1, 2)]
         assert [type(v) for v in got] == [int, Fraction]
+
+
+def test_freeze_reads_a_float64_array_as_it_is():
+    a = kernels.read_only(np.array([0.5, 0.0, -1.25]))
+    assert rational.freeze(a) is a
+    w = np.array([0.5, 0.0, -1.25])
+    frozen = rational.freeze(w)
+    assert frozen is not w and not frozen.flags.writeable
+    assert frozen.tolist() == w.tolist() and frozen.dtype == np.float64
+    # all-zero floats are exact zeros, as from a list
+    assert rational.value_kind(rational.freeze(np.zeros(3))) == "int"

@@ -18,7 +18,8 @@ from rlab.ramanujan import csum, csum_divisor_form, csum_multiple_sums
 from rlab.transforms import (_csum_weighted_sums, carmichael_estimate, condition_check,
                              cw_formula_check, eratosthenes,
                              nonneg_carmichael_bound, vanishing_tail_search,
-                             wintner_coefficient, wintner_inverse, wintner_scaled_table)
+                             wintner_coefficient, wintner_inverse, wintner_partials,
+                             wintner_scaled_table)
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -167,6 +168,62 @@ def test_wintner_coefficient_is_the_exact_sum(fp, q):
     partial, _ = wintner_coefficient(fp, q, cut)
     assert partial == sum((Fraction(fp[d - 1]) / d for d in range(q, cut + 1, q)), Fraction(0))
     assert partial == tds_to_fre(TruncatedDivisorSum(cut, fp)).fhat[q - 1]
+
+
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=60) |
+       st.lists(st.just(0), min_size=1, max_size=60),
+       st.integers(1, 70), st.data())
+@example(fp=[0] * 9, q=4, data=None)
+@example(fp=[Fraction(1, 2), 3, Fraction(-2, 7)], q=5, data=None)
+def test_wintner_partials_are_the_exact_sums(fp, q, data):
+    # grid points below q give the empty sum; zero and integral F' stay exact
+    xs = (sorted(data.draw(st.lists(st.integers(1, len(fp)), min_size=1, unique=True)))
+          if data is not None else list(range(1, len(fp) + 1)))
+    got = wintner_partials(fp, q, xs)
+    assert got == [sum((Fraction(fp[d - 1]) / d for d in range(q, x + 1, q)), Fraction(0))
+                   for x in xs]
+    assert all(type(w) is Fraction for w in got)
+
+
+def padded_wintner_cumsum(fpv, q: int) -> np.ndarray:
+    """The float Wintner partials W_q(x), x = 1..len(fpv), as one cumsum over
+    a term array that holds zeros off the multiples of q: the reference the
+    float route of `wintner_partials` matches bit for bit."""
+    xmax = len(fpv)
+    d = np.arange(1, xmax + 1, dtype=np.float64)
+    win_terms = np.zeros(xmax + 1)
+    win_terms[q::q] = fpv[q - 1:: q] / d[q - 1:: q]
+    return np.cumsum(win_terms[1:])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_wintner_partials_are_the_padded_cumsum_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    fpv = rng.standard_normal(500) * (rng.random(500) < 0.7)
+    xs = sorted(rng.choice(np.arange(1, 501), size=8, replace=False).tolist())
+    for q in (1, 2, 3, 7, 250, 499):
+        ref = padded_wintner_cumsum(fpv, q)
+        got = wintner_partials(fpv, q, xs)
+        assert [w.hex() for w in got] == [float(ref[x - 1]).hex() for x in xs]
+    # and cw_formula_check's right-hand side at the c17 grid
+    grid = [10 ** 3, 2 * 10 ** 3, 10 ** 4, 2 * 10 ** 4]
+    name = ("one", "d_2", "id", "indicator-squares")[seed]
+    f = ArithmeticFunction.builtin(name)
+    fpv = np.array(eratosthenes(f, grid[-1]), dtype=np.float64)
+    for q in range(1, 6):
+        ref = padded_wintner_cumsum(fpv, q)
+        rows = cw_formula_check(f, q, grid).rows
+        assert [r.rhs.hex() for r in rows] == [float(ref[x - 1]).hex() for x in grid]
+
+
+def test_wintner_partials_reject_bad_input():
+    with pytest.raises(ValueError, match="q >= 1"):
+        wintner_partials([1, 2], 0, [2])
+    with pytest.raises(ValueError, match="increasing"):
+        wintner_partials([1, 2], 1, [2, 1])
+    with pytest.raises(IndexError):
+        wintner_partials([1, 2], 1, [3])
 
 
 def test_carmichael_constant_function():
