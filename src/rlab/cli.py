@@ -70,8 +70,20 @@ def _load_coeffs(arg: str):
     return FiniteExpansion(support, [entries.get(q, 0) for q in range(1, support + 1)])
 
 
+def _grid_value(tok: str) -> int:
+    """One grid value: an integer, written as one or as an integral float
+    such as 1e3; any other value is refused, not truncated."""
+    try:
+        return int(tok)
+    except ValueError:
+        x = float(tok)
+    if not x.is_integer():
+        raise ValueError(f"grid value {tok} is not an integer")
+    return int(x)
+
+
 def _grid(arg: str) -> list:
-    return [int(float(tok)) for tok in arg.split(",")]
+    return [_grid_value(tok) for tok in arg.split(",")]
 
 
 def _emit_or_print(table: Table, args) -> None:

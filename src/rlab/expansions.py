@@ -273,15 +273,16 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
 # ---------------------------------------------------------------------------
 
 def dk_local_series(p: int, l: int, k: int) -> Fraction:
-    """Exact closed form of sum_{lam>=l} C(k+lam-1, k-1) p^(l-lam).
+    """Exact closed form of sum_{lam>=l} C(k+lam-1, k-1) p^(l-lam), k >= 0.
 
     The full series from lam = 0 is (1-1/p)^-k; subtracting the first l terms
     and rescaling by p^l gives the tail.  Absolutely convergent (ratio 1/p).
+    Over the common denominator (p-1)^k it is one integer fraction,
+    [p^(k+l) - (p-1)^k sum_{lam<l} C(k+lam-1, k-1) p^(l-lam)] / (p-1)^k.
     """
-    x = Fraction(1, p)
-    full = (1 - x) ** -k
-    head = sum(comb(k + lam - 1, k - 1) * x ** lam for lam in range(l))
-    return Fraction(p) ** l * (full - head)
+    den = (p - 1) ** k
+    head = sum(comb(k + lam - 1, k - 1) * p ** (l - lam) for lam in range(l))
+    return Fraction(p ** (k + l) - den * head, den)
 
 
 @dataclass

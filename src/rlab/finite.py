@@ -34,7 +34,7 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors
-from .rational import ExactList, canonical, freeze, head, ratio, scale, value_kind
+from .rational import ExactList, canonical, exact_list, freeze, head, ratio, scale
 from .transforms import (decay_tail_bound, eratosthenes, wintner_coefficient,
                          wintner_inverse, wintner_scaled_table)
 from . import kernels
@@ -106,12 +106,11 @@ class TruncatedDivisorSum(_Scaled):
             raise ValueError("range Q >= 1 required")
         if len(self.fprime) != self.range:
             raise ValueError("fprime must have exactly Q entries")
-        # an ExactList holds only ints and Fractions; anything else is frozen
-        # first, so a nonzero float is refused rather than made exact
-        fprime = self.fprime if isinstance(self.fprime, ExactList) else freeze(self.fprime)
-        if value_kind(fprime) == "float":
+        # a nonzero float is refused rather than made exact
+        fprime = exact_list(self.fprime)
+        if fprime is None:
             raise ValueError("a t.d.s. needs exact fprime values, not floats")
-        object.__setattr__(self, "fprime", ExactList.of(fprime))
+        object.__setattr__(self, "fprime", fprime)
 
     def eval(self, n: int):
         if n < 1:

@@ -5,10 +5,17 @@ We never assert the asymptotic statement: a LimitEstimate records the grid,
 the per-point estimates and their successive differences, and declares
 "converged" only when the last delta is below tolerance (optionally also
 requiring a minimum grid span in decades and closeness to a known target).
+
+A grid is checked once per reader, and each check and each estimate takes a
+few C-level passes (`map`, list comparison), since the orthogonality
+averages build thousands of three-point estimates.  A grid value must be an
+integer: an integral float such as 1e3 or a numpy integer is read as the int,
+and a value such as 2.5 is refused rather than truncated.
 """
 
 from dataclasses import dataclass
 import math
+from operator import lt, sub
 
 
 @dataclass
@@ -33,8 +40,8 @@ class LimitEstimate:
 def build_estimate(grid, estimates, tol, target=None, exact=None,
                    min_decades: float = 0.0) -> LimitEstimate:
     grid = check_grid(grid)
-    estimates = [float(e) for e in estimates]
-    deltas = [b - a for a, b in zip(estimates, estimates[1:])]
+    estimates = list(map(float, estimates))
+    deltas = list(map(sub, estimates[1:], estimates))
     ok = True
     if deltas:
         ok = abs(deltas[-1]) < tol
@@ -48,12 +55,20 @@ def build_estimate(grid, estimates, tol, target=None, exact=None,
 
 
 def check_grid(xgrid) -> list:
-    """Grid values as ints: nonempty, strictly increasing, every x >= 1
-    (each average divides by x)."""
-    xs = [int(x) for x in xgrid]
+    """Grid values as ints: nonempty, integral, strictly increasing, every
+    x >= 1 (each average divides by x).  A non-integral value raises
+    ValueError naming it."""
+    vals = list(xgrid)
+    try:
+        xs = list(map(int, vals))
+    except OverflowError as exc:    # an infinite float; int(nan) is a ValueError
+        raise ValueError(f"evaluation grid values must be integers: {exc}") from None
+    if xs != vals:
+        bad = next(v for v, x in zip(vals, xs) if v != x)
+        raise ValueError(f"evaluation grid values must be integers, got {bad}")
     if not xs:
         raise ValueError("empty evaluation grid")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if not all(map(lt, xs, xs[1:])):
         raise ValueError("evaluation grid must be strictly increasing")
     if xs[0] < 1:
         raise ValueError(f"evaluation grid values must be >= 1, got {xs[0]}")

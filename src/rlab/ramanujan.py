@@ -15,6 +15,9 @@ per class gcd(n, q).  c_q(0) = phi(q) and c_q(-n) = c_q(n).
 The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality
 averages answer a whole grid of x at once: the integrand has period
 lcm(q, l) in a, so one period's products and their prefix sums give every x.
+Each period table is read from its offset by `kernels.tiled`, one wrapped
+`take`, which also tiles the cosine row here, the tables of
+`kernels.periodic_sums` and the float Carmichael average of `transforms`.
 The sums of c_q over the multiples of each d, T[d] = sum_{m<=x/d} c_q(dm),
 are `csum_multiple_sums`, the one route to them: T[1] is the prefix sum
 sum_{a<=x} c_q(a), and the t.d.s. lattice of `transforms` reads every T[d].
@@ -23,7 +26,7 @@ sum_{a<=x} c_q(a), and the t.d.s. lattice of `transforms` reads every T[d].
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, gcd, lcm, pi
-from operator import index
+from operator import index, truediv
 
 import numpy as np
 
@@ -110,10 +113,11 @@ def csum_trig_row(q: int, nmax: int) -> np.ndarray:
     depends on r only through g = gcd(r, q): for every such r the terms
     cos(2 pi (j r mod q) / q) over the residues j coprime to q form the same
     multiset as for r = g.  So one `math.fsum` of table[j g mod q] per class
-    g that occurs among r <= nmax gives period[r] = sum[gcd(r, q)], and the
-    period is tiled by n % q.  fsum is correctly rounded, so each entry is
-    the correctly rounded sum of its own defining cosines, whatever their
-    order.  The route uses no factorisation, no mu and no closed form.
+    g that occurs among r <= nmax gives period[r] = sum[gcd(r, q)], and one
+    wrapped read of the period (`kernels.tiled`) gives n = 0..nmax.
+    fsum is correctly rounded, so each entry is the correctly rounded sum of
+    its own defining cosines, whatever their order.  The route uses no
+    factorisation, no mu and no closed form.
     """
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
@@ -124,7 +128,7 @@ def csum_trig_row(q: int, nmax: int) -> np.ndarray:
     classes = np.flatnonzero(np.bincount(g[: nmax + 1]))
     sums = np.zeros(q + 1)
     sums[classes] = [fsum(t) for t in table[np.outer(classes, coprime) % q].tolist()]
-    return sums[g][np.arange(nmax + 1, dtype=np.int64) % q]
+    return kernels.tiled(sums[g], 0, nmax + 1)
 
 
 @lru_cache(maxsize=4096)
@@ -174,28 +178,29 @@ def cross_sum(q: int, l: int, n: int, xs) -> list:
 
     The integrand has period P = lcm(q, l) in a, so each sum is
     (x // P) * (full-period sum) + (sum of the first x % P products).  The
-    first min(P, max xs) products are formed once and their prefix sums
-    answer every x.  The prefix sums are bounded by
-    m * max|c_q| * max|c_l| with m = min(P, max xs); when that bound reaches
-    2**63 they run on Python ints, like the integer kernels.  The bound is
-    known in closed form, max|c_q| = c_q(0) = phi(q), so the guard reads it
-    from entry 0 of each period table instead of scanning the tables, and
-    takes the same path as `kernels._int64_fits(m, c_q, c_l)`.
+    first m = min(P, max xs) products are formed once, each period table read
+    from its own offset by `kernels.tiled`, and one cumulative sum of them
+    gives the full-period sum (its last entry when m = P) and the
+    prefix entry each x reads.  The prefix sums are bounded by
+    m * max|c_q| * max|c_l|; when that bound reaches 2**63 they run on Python
+    ints, like the integer kernels.  The bound is known in closed form,
+    max|c_q| = c_q(0) = phi(q), so the guard reads it from entry 0 of each
+    period table instead of scanning the tables, and takes the same path as
+    `kernels._int64_fits(m, c_q, c_l)`.
     """
     cq, cl = csum_period(q), csum_period(l)   # rejects a modulus below 1
     xs = list(xs)
-    if any(x < 0 for x in xs):
+    if min(xs, default=0) < 0:
         raise ValueError("grid values x >= 0 required")
     p = lcm(q, l)
     m = min(p, max(xs, default=0))
     if m * int(cq[0]) * int(cl[0]) >= kernels.INT64_LIMIT:
         cq, cl = cq.astype(object), cl.astype(object)
-    a = np.arange(1, m + 1, dtype=np.int64)
-    prefix = np.zeros(m + 1, dtype=cq.dtype)
-    np.cumsum(cq[(n + a) % q] * cl[a % l], out=prefix[1:])
-    # block is the full-period sum whenever some x >= P; otherwise every x // P is 0
-    block = int(prefix[-1])
-    return [(x // p) * block + int(prefix[x % p]) for x in xs]
+    # prefix[i] is the sum of the first i + 1 products
+    prefix = (kernels.tiled(cq, n + 1, m) * kernels.tiled(cl, 1, m)).cumsum()
+    # the full-period sum whenever some x >= P; otherwise every x // P is 0
+    block = int(prefix[-1]) if m else 0
+    return [x // p * block + (int(prefix[x % p - 1]) if x % p else 0) for x in xs]
 
 
 def csum_multiple_sums(q: int, dmax: int, x: int) -> np.ndarray:
@@ -237,7 +242,7 @@ def orthogonality_estimate(q: int, l: int, n: int, xgrid, tol: float = 1e-2):
     if xs[0] < lcm(q, l):
         raise ValueError(f"grid values must be >= lcm(q,l) = {lcm(q, l)}")
     target = float(csum(l, n)) if q == l else 0.0
-    estimates = [s / x for s, x in zip(cross_sum(q, l, n, xs), xs)]
+    estimates = list(map(truediv, cross_sum(q, l, n, xs), xs))
     return build_estimate(xs, estimates, tol, target=target)
 
 

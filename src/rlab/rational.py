@@ -105,6 +105,21 @@ def scale(values) -> tuple:
     return _scale(values)
 
 
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _exact(vals: list):
+    """The ExactList of a list of numbers, or None when some value is a
+    nonzero float: a zero float is an exact 0, and every other number goes
+    through `ExactList.of`.  A list of ints and Fractions alone, told by one
+    pass over the types, is taken as it stands."""
+    if _EXACT_TYPES.issuperset(map(type, vals)):
+        return ExactList(vals)
+    if any(isinstance(v, (float, np.floating)) and v for v in vals):
+        return None
+    return ExactList.of(0 if isinstance(v, (float, np.floating)) else v for v in vals)
+
+
 def freeze(values):
     """values as one of three immutable shapes: the one place that decides
     whether a finite value sequence is integer, rational or float.  Some
@@ -118,12 +133,28 @@ def freeze(values):
         return kernels.read_only(values.copy() if values.flags.writeable else values)
     if not isinstance(values, ExactList):
         vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        if any(isinstance(v, (float, np.floating)) and v for v in vals):
+        values = _exact(vals)
+        if values is None:
             return kernels.read_only(np.array(vals, dtype=np.float64))
-        values = ExactList.of(0 if isinstance(v, (float, np.floating)) else v for v in vals)
     if all(v.denominator == 1 for v in values):
         return kernels.read_only(kernels.int_array(values))
     return values
+
+
+def exact_list(values):
+    """values as one ExactList, or None when some value is a nonzero float.
+
+    An ExactList is returned as it stands.  Otherwise the values are those of
+    `freeze`'s exact shapes: Python ints when every value is integral, as its
+    int array holds them, and else the exact values themselves.  Ints and
+    Fractions are read in one pass over their types, and only an integral
+    sequence is converted."""
+    if isinstance(values, ExactList):
+        return values
+    exact = _exact(values.tolist() if isinstance(values, np.ndarray) else list(values))
+    if exact is not None and all(v.denominator == 1 for v in exact):
+        return ExactList(map(int, exact))
+    return exact
 
 
 def value_kind(values) -> str:

@@ -231,7 +231,7 @@ def carmichael_estimate(f, q: int, xgrid, tol: float = 1e-3) -> LimitEstimate:
         return carmichael_average(sums[0], q, xs, tol, min_decades=2.0)
     fq = phi(q)
     w = np.asarray(f.eval_range(xs[-1]), dtype=np.float64)
-    c = csum_period(q).astype(np.float64)[np.arange(1, xs[-1] + 1) % q]
+    c = kernels.tiled(csum_period(q).astype(np.float64), 1, xs[-1])
     ests = [float(np.dot(w[:x], c[:x])) / (fq * x) for x in xs]
     return build_estimate(xs, ests, tol, min_decades=2.0)
 

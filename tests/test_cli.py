@@ -93,6 +93,21 @@ def test_carmichael_bad_grid(fn_file, capsys):
     assert main(["carmichael", "--f", path, "--q", "1", "--grid", "1e3,1e2"]) == 2
 
 
+@pytest.mark.parametrize("grid", ["2.5,1000", "100,1e3,2500.5", "inf,1000", "1e2,x"])
+def test_carmichael_non_integral_grid_is_usage_error(fn_file, capsys, grid):
+    # a grid value is refused, not truncated (2.5 once ran as 2)
+    path = fn_file({"kind": "builtin", "name": "one"})
+    assert main(["carmichael", "--f", path, "--q", "1", "--grid", grid]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_carmichael_integral_float_grid_values_pass(fn_file, capsys):
+    path = fn_file({"kind": "builtin", "name": "one"})
+    assert main(["carmichael", "--f", path, "--q", "1", "--grid", "1e2,1000,1.5e3"]) == 0
+    assert [r.split(",")[0] for r in capsys.readouterr().out.splitlines()[1:4]] == \
+        ["100", "1000", "1500"]
+
+
 def test_csum_bad_modulus_is_usage_error(capsys):
     assert main(["csum", "--q", "0", "--n", "3"]) == 2
     assert "modulus" in capsys.readouterr().err

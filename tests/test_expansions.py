@@ -420,3 +420,30 @@ def test_dk_series_against_partial_sums():
                 partial = sum(math.comb(k + lam - 1, k - 1) * float(p) ** (l - lam)
                               for lam in range(l, l + 1000))
                 assert closed == pytest.approx(partial, rel=1e-10)
+
+
+def parent_dk_local_series(p, l, k):
+    """The Fraction route dk_local_series replaced, kept as the reference:
+    p^l times the full series (1 - 1/p)^-k less its first l terms."""
+    x = Fraction(1, p)
+    full = (1 - x) ** -k
+    head = sum(math.comb(k + lam - 1, k - 1) * x ** lam for lam in range(l))
+    return Fraction(p) ** l * (full - head)
+
+
+@PROPERTY
+@given(p=st.sampled_from([2, 3, 4, 5, 7, 11, 13, 97, 2 ** 31 - 1]),
+       l=st.integers(0, 12), k=st.integers(1, 12))
+@example(p=2, l=0, k=1)
+@example(p=13, l=4, k=4)
+def test_dk_local_series_is_the_fraction_route(p, l, k):
+    got = dk_local_series(p, l, k)
+    assert type(got) is Fraction and got == parent_dk_local_series(p, l, k)
+
+
+def test_dk_local_series_at_k0_and_the_c13_cases():
+    assert dk_local_series(5, 0, 0) == parent_dk_local_series(5, 0, 0) == 1
+    for k in range(1, 5):
+        for p in (2, 3, 5, 7, 11, 13):
+            for l in range(1, 5):
+                assert dk_local_series(p, l, k) == parent_dk_local_series(p, l, k)

@@ -138,6 +138,27 @@ def test_csum_row_against_closed_form():
     assert np.array_equal(row0[1:], ph[1:])
 
 
+def parent_csum_block(qmax, nmax):
+    """The per-multiple loop csum_block replaced, kept as the reference: one
+    strided row add t[q, ::d] per multiple q of d with mu(q/d) != 0."""
+    mu = kernels.mobius_sieve(qmax)
+    t = np.zeros((qmax + 1, nmax + 1), dtype=np.int64)
+    for d in range(1, qmax + 1):
+        contrib = d * mu[1: qmax // d + 1]
+        for i, q in enumerate(range(d, qmax + 1, d)):
+            if contrib[i]:
+                t[q, ::d] += contrib[i]
+    return t
+
+
+@pytest.mark.parametrize("qmax, nmax", [(1, 0), (1, 5), (7, 0), (12, 3), (40, 100),
+                                        (100, 7), (512, 512)])
+def test_csum_block_equals_the_per_multiple_loop(qmax, nmax):
+    # (512, 512) is c01's table
+    got = kernels.csum_block(qmax, nmax)
+    assert got.dtype == np.int64 and np.array_equal(got, parent_csum_block(qmax, nmax))
+
+
 def test_csum_block_periodicity_and_phi_column():
     tab = kernels.csum_block(40, 100)
     ph = kernels.totient_sieve(40)
@@ -486,3 +507,34 @@ def test_integer_kernels_refuse_float_arrays(call):
 def test_integer_kernels_take_object_arrays_of_floats():
     out = kernels.mobius_transform_int(FLOATS.astype(object))
     assert out.dtype == object and out.tolist() == [0.0, 0.5, 0.25 - 0.5, 0.75 - 0.5]
+
+
+@pytest.mark.parametrize("n", [1, 3, 19])
+@pytest.mark.parametrize("start", [0, 1, 5, -7, 10 ** 20 + 3])
+def test_tiled_is_the_period_read(n, start):
+    # m from no entries to past 32 wraps, where the indices are reduced first
+    tab = np.arange(100, 100 + n, dtype=np.int64)
+    for m in (0, 1, n, 32 * n, 32 * n + 1, 100 * n + 7):
+        got = kernels.tiled(tab, start, m)
+        assert got.tolist() == [int(tab[(start + i) % n]) for i in range(m)]
+
+
+def test_tiled_reads_float_and_object_tables():
+    for tab in (np.array([0.5, -1.0, 2.25]), np.array([2 ** 70, -1, 0], dtype=object)):
+        assert kernels.tiled(tab, 2, 200).tolist() == [tab[(2 + i) % 3] for i in range(200)]
+
+
+def test_tiled_never_wraps_past_32():
+    # numpy's wrapped take subtracts the table length once per wrap and entry,
+    # so no read may wrap more than 32 times: an index reaches 33 * len at most
+    wraps = []
+
+    class Spy(np.ndarray):
+        def take(self, idx, *args, **kwargs):
+            wraps.append(int(idx.max(initial=0)) // self.shape[0])
+            return super().take(idx, *args, **kwargs)
+
+    for n in (1, 3, 19):
+        for m in (n, 32 * n - 5, 32 * n, 32 * n + 1, 10 ** 4):
+            kernels.tiled(np.arange(n).view(Spy), n - 1, m)
+    assert len(wraps) == 15 and max(wraps) <= 32

@@ -3,6 +3,7 @@ the classical identities hold exactly on grids."""
 
 import math
 from math import gcd, pi
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,11 +295,91 @@ def test_cross_sum_guard_boundary(monkeypatch, q, l, n, xs, extra):
     fits = kernels._int64_fits(m, csum_period(q), csum_period(l))
     assert fits == bool(extra)
     dtypes = []
-    cumsum = np.cumsum
-    monkeypatch.setattr(np, "cumsum", lambda a, out: (dtypes.append(out.dtype),
-                                                      cumsum(a, out=out))[1])
+
+    class Spy(np.ndarray):
+        # the period tables as a subclass that the wrapped reads and the
+        # products keep: it records the dtype of the array summed, whether
+        # cumsum is called as a method or as np.cumsum, with or without out
+        def cumsum(self, *args, **kwargs):
+            dtypes.append(self.dtype)
+            return super().cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(ramanujan, "csum_period", lambda m: csum_period(m).view(Spy))
     assert cross_sum(q, l, n, xs) == want
     assert dtypes == [np.dtype(np.int64 if fits else object)]
+
+
+@PROPERTY
+@given(q=st.integers(1, 30), l=st.integers(1, 30), n=st.integers(-10 ** 20, 0),
+       data=st.data())
+@example(q=12, l=18, n=0, data=None)
+def test_cross_sum_nonpositive_shift_and_short_grid(q, l, n, data):
+    # n <= 0 (huge |n| included, which reads the table from n mod q) and a
+    # grid whose largest x stays below P = lcm(q, l), so no full period is
+    # ever summed and the block sum is never read
+    p = math.lcm(q, l)
+    xs = [0, p - 1] if data is None else \
+        data.draw(st.lists(st.integers(0, p - 1), max_size=5))
+    assert max(xs, default=0) < p
+    assert cross_sum(q, l, n, xs) == direct_cross_sums(q, l, n, xs)
+
+
+@PROPERTY
+@given(q=st.integers(1, 12), l=st.integers(1, 12), n=st.integers(-30, 30),
+       data=st.data())
+def test_cross_sum_object_tier_equals_direct(q, l, n, data):
+    # with the int64 limit at 1 every grid with m >= 1 runs on Python ints
+    p = math.lcm(q, l)
+    xs = data.draw(st.lists(st.integers(0, 3 * p + 2), max_size=6))
+    want = direct_cross_sums(q, l, n, xs)
+    with mock.patch.object(kernels, "INT64_LIMIT", 1):
+        got = cross_sum(q, l, n, xs)
+    assert got == want and all(type(s) is int for s in got)
+
+
+def parent_cross_sum(q, l, n, xs):
+    """The index-array route cross_sum replaced, kept as the reference: the
+    period tables read at (n + a) % q and a % l, and the prefix sums in a
+    zero-padded array."""
+    cq, cl = csum_period(q), csum_period(l)
+    xs = list(xs)
+    p = math.lcm(q, l)
+    m = min(p, max(xs, default=0))
+    if m * int(cq[0]) * int(cl[0]) >= kernels.INT64_LIMIT:
+        cq, cl = cq.astype(object), cl.astype(object)
+    a = np.arange(1, m + 1, dtype=np.int64)
+    prefix = np.zeros(m + 1, dtype=cq.dtype)
+    np.cumsum(cq[(n + a) % q] * cl[a % l], out=prefix[1:])
+    block = int(prefix[-1])
+    return [(x // p) * block + int(prefix[x % p]) for x in xs]
+
+
+def parent_orthogonality_estimate(q, l, n, xs, tol=1e-2):
+    """orthogonality_estimate on the parent route: the reference cross sum,
+    per-x true divisions and the comprehension-built LimitEstimate."""
+    target = float(csum(l, n)) if q == l else 0.0
+    estimates = [s / x for s, x in zip(parent_cross_sum(q, l, n, xs), xs)]
+    deltas = [b - a for a, b in zip(estimates, estimates[1:])]
+    ok = abs(deltas[-1]) < tol and abs(estimates[-1] - target) < tol
+    return dict(grid=list(xs), estimates=estimates, deltas=deltas,
+                verdict="converged" if ok else "undetermined", tol=tol,
+                target=target, exact=None)
+
+
+def test_c05_estimates_equal_the_parent_route():
+    # every LimitEstimate field of the 4,000 c05 triples (q, l <= 20,
+    # n <= 10 at x = 10^6 / 4, 10^6 / 2, 10^6), floats compared by float.hex
+    def fields(d):
+        return {k: [float.hex(v) for v in d[k]] if k in ("estimates", "deltas")
+                else d[k] for k in d}
+
+    grid = [250_000, 500_000, 1_000_000]
+    for q in range(1, 21):
+        for l in range(1, 21):
+            for n in range(1, 11):
+                est = orthogonality_estimate(q, l, n, grid)
+                assert fields(vars(est)) == \
+                    fields(parent_orthogonality_estimate(q, l, n, grid)), (q, l, n)
 
 
 def test_csum_prefix_sum_brute():

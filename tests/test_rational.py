@@ -358,3 +358,90 @@ def test_freeze_reads_a_float64_array_as_it_is():
     assert frozen.tolist() == w.tolist() and frozen.dtype == np.float64
     # all-zero floats are exact zeros, as from a list
     assert rational.value_kind(rational.freeze(np.zeros(3))) == "int"
+
+
+def parent_freeze(values):
+    """The isinstance route `freeze` replaced, kept as the reference: a
+    nonzero-float scan, then `ExactList.of` on every value."""
+    if isinstance(values, np.ndarray) and (values.dtype.kind in "iu" or
+                                           values.dtype == np.float64 and values.any()):
+        return kernels.read_only(values.copy() if values.flags.writeable else values)
+    if not isinstance(values, ExactList):
+        vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if any(isinstance(v, (float, np.floating)) and v for v in vals):
+            return kernels.read_only(np.array(vals, dtype=np.float64))
+        values = ExactList.of(0 if isinstance(v, (float, np.floating)) else v for v in vals)
+    if all(v.denominator == 1 for v in values):
+        return kernels.read_only(kernels.int_array(values))
+    return values
+
+
+def parent_tds_fprime(values):
+    """A t.d.s.'s fprime on the parent route: `parent_freeze`, then
+    `ExactList.of` once more."""
+    fprime = values if isinstance(values, ExactList) else parent_freeze(values)
+    if rational.value_kind(fprime) == "float":
+        raise ValueError("a t.d.s. needs exact fprime values, not floats")
+    return ExactList.of(fprime)
+
+
+# every kind of value a sequence may hold: Python and numpy ints, bools,
+# Fractions (integral ones included), zero floats of either sign and type
+NUMBERS = st.one_of(st.integers(-2 ** 70, 2 ** 70), RATIONALS,
+                    st.integers(-9, 9).map(Fraction),
+                    st.integers(-2 ** 62, 2 ** 62).map(np.int64), st.booleans(),
+                    st.sampled_from([0.0, -0.0, np.float64(0.0), np.float32(0.0)]))
+
+
+def value_sequences(floats=False):
+    """Lists of NUMBERS (with a nonzero float when floats is set), and their
+    numpy array, or ExactList, forms."""
+    lists = st.lists(NUMBERS, min_size=1, max_size=8)
+    if floats:
+        lists = st.tuples(lists, st.sampled_from([0.5, -3.0, np.float64(2.0)]),
+                          st.integers(0, 8)).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+    return lists | lists.map(lambda v: np.array(v)) | lists.filter(
+        lambda v: all(isinstance(x, (int, Fraction)) for x in v)).map(ExactList)
+
+
+def same_entries(a, b):
+    return list(a) == list(b) and [type(v) for v in a] == [type(v) for v in b]
+
+
+@PROPERTY
+@given(values=value_sequences() | value_sequences(floats=True))
+def test_freeze_is_the_isinstance_route(values):
+    got, want = rational.freeze(values), parent_freeze(values)
+    assert rational.value_kind(got) == rational.value_kind(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and not got.flags.writeable
+        assert got.tolist() == want.tolist()
+    else:
+        assert same_entries(got, want)
+
+
+@PROPERTY
+@given(values=value_sequences())
+@example(values=[Fraction(1, d * d) for d in range(1, 9)])
+@example(values=[Fraction(4, 2), np.int64(3), True, -0.0])
+@example(values=np.array([5, 0.0]))     # a nonzero float64 array: refused
+def test_tds_fprime_is_the_parent_route(values):
+    try:
+        want = parent_tds_fprime(values)
+    except ValueError:
+        with pytest.raises(ValueError, match="not floats"):
+            TruncatedDivisorSum(len(values), values)
+        return
+    t = TruncatedDivisorSum(len(values), values)
+    assert isinstance(t.fprime, ExactList) and same_entries(t.fprime, want)
+    if isinstance(values, ExactList):
+        assert t.fprime is values
+
+
+@PROPERTY
+@given(values=value_sequences(floats=True))
+def test_tds_refuses_a_nonzero_float_as_the_parent_route(values):
+    with pytest.raises(ValueError, match="not floats"):
+        parent_tds_fprime(values)
+    with pytest.raises(ValueError, match="not floats"):
+        TruncatedDivisorSum(len(values), values)
