@@ -11,11 +11,14 @@ new prime factor, and a prime one ends the loop, so a prime such as
 `factor` is memoised: one bounded `lru_cache` keeps the 4096 most recently
 factored values, so callers such as `mu`, `phi` and the closed form of
 c_q(n) factor each modulus once; the shared `FactoredInteger` results are
-frozen.  Arithmetic functions are modeled by a closed builtin registry plus
-user tables and truncated divisor sums.  A table's values and every
-`eval_range` are `rational.freeze` shapes; floats come only from the von
-Mangoldt builtin and from tables holding a nonzero float, and are excluded
-from exact-identity work.
+frozen.  `divisors` is memoised beside it, as a tuple in a second bounded
+`lru_cache` of 4096 values, and returns a fresh sorted list copied from it,
+so a caller that changes its list changes no later call's result.
+Arithmetic functions are modeled by a closed builtin registry plus user
+tables and truncated divisor sums.  A table's values and every `eval_range`
+are `rational.freeze` shapes; floats come only from the von Mangoldt builtin
+and from tables holding a nonzero float, and are excluded from
+exact-identity work.
 """
 
 from dataclasses import dataclass
@@ -144,11 +147,17 @@ def factor(n: int) -> FactoredInteger:
 
 
 def divisors(n: int) -> list:
-    """Sorted list of the positive divisors of n."""
+    """Sorted list of the positive divisors of n, a fresh list on every call
+    (read from the memoised tuple `_divisors`)."""
+    return list(_divisors(n))
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _divisors(n: int) -> tuple:
     divs = [1]
     for p, e in factor(n):
         divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+    return tuple(sorted(divs))
 
 
 def mu(n: int) -> int:

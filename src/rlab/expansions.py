@@ -20,7 +20,7 @@ from operator import mul
 
 import numpy as np
 
-from .arith import ArithmeticFunction, divisors, phi
+from .arith import ArithmeticFunction, divisors, factor, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .limits import LimitEstimate, check_grid
 from .rational import scale, scale_pairs, value_kind
@@ -272,6 +272,13 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
 # K-divisor coefficients
 # ---------------------------------------------------------------------------
 
+def _dk_bracket(p: int, l: int, k: int) -> int:
+    """p^(k+l) - (p-1)^k sum_{lam<l} C(k+lam-1, k-1) p^(l-lam), the numerator
+    of the local tail series over (p-1)^k."""
+    head = sum(comb(k + lam - 1, k - 1) * p ** (l - lam) for lam in range(l))
+    return p ** (k + l) - (p - 1) ** k * head
+
+
 def dk_local_series(p: int, l: int, k: int) -> Fraction:
     """Exact closed form of sum_{lam>=l} C(k+lam-1, k-1) p^(l-lam), k >= 0.
 
@@ -280,9 +287,7 @@ def dk_local_series(p: int, l: int, k: int) -> Fraction:
     Over the common denominator (p-1)^k it is one integer fraction,
     [p^(k+l) - (p-1)^k sum_{lam<l} C(k+lam-1, k-1) p^(l-lam)] / (p-1)^k.
     """
-    den = (p - 1) ** k
-    head = sum(comb(k + lam - 1, k - 1) * p ** (l - lam) for lam in range(l))
-    return Fraction(p ** (k + l) - den * head, den)
+    return Fraction(_dk_bracket(p, l, k), (p - 1) ** k)
 
 
 @dataclass
@@ -303,15 +308,18 @@ class DivisorPowerCoefficient:
 def divisor_power_coefficient(n: int, k: int) -> DivisorPowerCoefficient:
     """Ramanujan coefficient of d_{K+1} at modulus n:
     ((-1)^K / K!) (log^K n / n) prod over p^l || n of
-    ((1 - 1/p)^K * local tail series)^-1, with the series in closed form."""
+    ((1 - 1/p)^K * local tail series)^-1, with the series in closed form.
+
+    The local factor (1 - 1/p)^K times the series is the integer fraction
+    [p^(K+l) - (p-1)^K sum_{lam<l} C(K+lam-1, K-1) p^(l-lam)] / p^K, so the
+    rational part is one integer fraction, reduced once."""
     if n < 1 or k < 1:
         raise ValueError("n >= 1 and k >= 1 required")
-    from .arith import factor
-    rational = Fraction((-1) ** k, factorial(k)) * Fraction(1, n)
+    num, den = (-1) ** k, factorial(k) * n
     for p, e in factor(n):
-        local = (1 - Fraction(1, p)) ** k * dk_local_series(p, e, k)
-        rational /= local
-    return DivisorPowerCoefficient(n, k, rational, k)
+        num *= p ** k
+        den *= _dk_bracket(p, e, k)
+    return DivisorPowerCoefficient(n, k, Fraction(num, den), k)
 
 
 def dk_expansion(k: int):

@@ -254,6 +254,15 @@ def test_divisors_sorted():
     assert divisors(97) == [1, 97]
 
 
+def test_divisors_returns_a_fresh_list():
+    first = divisors(96)
+    first[0] = 0
+    first.append(7)
+    again = divisors(96)
+    assert again == [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 96]
+    assert again is not divisors(96)
+
+
 def test_exact_rational_arithmetic(rng):
     for _ in range(200):
         a = Fraction(rng.randint(-999, 999), rng.randint(1, 999))

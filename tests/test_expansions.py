@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rlab import kernels
-from rlab.arith import ArithmeticFunction, divisors, mu, phi
+from rlab.arith import ArithmeticFunction, divisors, factor, mu, phi
 from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
                              divisor_power_coefficient, dk_local_series,
                              evaluate_partial, invert_pure_coefficients,
@@ -439,6 +439,27 @@ def parent_dk_local_series(p, l, k):
 def test_dk_local_series_is_the_fraction_route(p, l, k):
     got = dk_local_series(p, l, k)
     assert type(got) is Fraction and got == parent_dk_local_series(p, l, k)
+
+
+def parent_divisor_power_rational(n, k):
+    """The three-Fractions-per-prime route divisor_power_coefficient
+    replaced, kept as the reference."""
+    rational = Fraction((-1) ** k, math.factorial(k)) * Fraction(1, n)
+    for p, e in factor(n):
+        rational /= (1 - Fraction(1, p)) ** k * dk_local_series(p, e, k)
+    return rational
+
+
+@PROPERTY
+@given(n=st.one_of(st.integers(1, 5000), st.sampled_from([720720, 2 ** 31 - 1, 2 ** 40])),
+       k=st.integers(1, 8))
+@example(n=1, k=1)
+@example(n=96, k=4)
+def test_divisor_power_coefficient_is_the_fraction_route(n, k):
+    got = divisor_power_coefficient(n, k)
+    assert type(got.rational) is Fraction
+    assert got.rational == parent_divisor_power_rational(n, k)
+    assert (got.n, got.k, got.log_power) == (n, k, k)
 
 
 def test_dk_local_series_at_k0_and_the_c13_cases():

@@ -127,15 +127,35 @@ def test_grown_sieve_counts_hits_and_refuses_negative_bounds():
         assert sieve.cache_info() == after
 
 
-def test_csum_row_against_closed_form():
+HQ = kernels._HOLDER_QMAX
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   st.sampled_from([0, 720720, -720720, 2 ** 63 - 1, -(2 ** 63 - 1),
+                                    2 ** 63, -2 ** 63, 10 ** 30 + 6, -(10 ** 30 + 6)])),
+       qmax=st.one_of(st.integers(0, 2 * HQ),
+                      st.sampled_from([0, 1, HQ - 1, HQ, HQ + 1, 8 * HQ])))
+@example(n=1, qmax=200)
+@example(n=6, qmax=200)
+@example(n=12, qmax=200)
+@example(n=30, qmax=200)
+@example(n=0, qmax=50)
+@example(n=0, qmax=HQ + 1)
+@example(n=10 ** 30 + 6, qmax=HQ)
+def test_csum_row_against_closed_form(n, qmax):
+    """Every row, on whichever side of the rule it falls, and with the other
+    path forced on it (Hoelder only below 2**63, which np.gcd reads), is
+    int64 with entry 0 = 0 and c_q(n) at every q."""
+    from unittest import mock
     from rlab.ramanujan import csum
-    for n in (1, 6, 12, 30):
-        row = kernels.csum_row(n, 200)
-        for q in range(1, 201):
-            assert row[q] == csum(q, n)
-    row0 = kernels.csum_row(0, 50)
-    ph = kernels.totient_sieve(50)
-    assert np.array_equal(row0[1:], ph[1:])
+    want = [0] + [csum(q, n) for q in range(1, qmax + 1)]
+    rows = [kernels.csum_row(n, qmax)]
+    for rule in [-1] + ([10 ** 9] if abs(n) < kernels.INT64_LIMIT else []):
+        with mock.patch.object(kernels, "_HOLDER_QMAX", rule):
+            rows.append(kernels.csum_row(n, qmax))
+    for row in rows:
+        assert row.dtype == np.int64 and row.tolist() == want
 
 
 def parent_csum_block(qmax, nmax):
