@@ -19,7 +19,7 @@ from .experiments import (ConfigError, ExperimentConfig,
 from .finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                      high_coefficient_check, low_coefficient_report, tds_to_fre)
 from .rational import format_rational, parse_rational
-from .ramanujan import csum, csum_divisor_form, csum_trig_form
+from .ramanujan import RamanujanSumTable, csum, csum_divisor_form, csum_trig_form
 from .shift import (cc_coefficients, correlate, cut_correlation, qrc,
                     shift_expansion_check, short_average, weak_reef_check)
 from .transforms import (carmichael_estimate, condition_check, eratosthenes,
@@ -50,13 +50,14 @@ def _load_fre(path: str) -> FiniteExpansion:
 
 def _load_coeffs(arg: str):
     """A FiniteExpansion from a {"support": S, "entries": {q: fhat(q)}} file
-    (missing q <= S are zero), or a builtin family as a callable q -> fhat(q)."""
+    (missing q <= S are zero), a zero family as its ZeroCloudElement, or the
+    K-divisor family as a callable q -> fhat(q)."""
     if arg.startswith("builtin:"):
         name = arg.split(":", 1)[1]
         if name == "zero-ram":
-            return ZeroCloudElement(1, 0).coefficient
+            return ZeroCloudElement(1, 0)
         if name == "zero-har":
-            return ZeroCloudElement(0, 1).coefficient
+            return ZeroCloudElement(0, 1)
         raise ConfigError(f"unknown builtin coefficient family {name!r}")
     if arg.startswith("dK:"):
         return dk_expansion(int(arg.split(":", 1)[1]))
@@ -70,20 +71,26 @@ def _load_coeffs(arg: str):
     return FiniteExpansion(support, [entries.get(q, 0) for q in range(1, support + 1)])
 
 
-def _grid_value(tok: str) -> int:
-    """One grid value: an integer, written as one or as an integral float
-    such as 1e3; any other value is refused, not truncated."""
+def _grid_value(tok: str):
+    """One grid token as a number, an int else a float: `limits.check_grid`,
+    which every grid reader runs, reads 1e3 as 1000 and refuses 2.5."""
     try:
         return int(tok)
     except ValueError:
-        x = float(tok)
-    if not x.is_integer():
-        raise ValueError(f"grid value {tok} is not an integer")
-    return int(x)
+        return float(tok)
 
 
 def _grid(arg: str) -> list:
     return [_grid_value(tok) for tok in arg.split(",")]
+
+
+def _decay(arg: str) -> tuple:
+    """A --decay hint "C,s", for |fprime(d)| <= C d^-s."""
+    try:
+        c, s = map(float, arg.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected C,s, got {arg!r}") from None
+    return c, s
 
 
 def _emit_or_print(table: Table, args) -> None:
@@ -110,7 +117,6 @@ def _cmd_csum(args) -> int:
     if args.mode == "table":
         if args.qmax is None or args.nmax is None:
             raise ConfigError("csum table needs --qmax and --nmax")
-        from .ramanujan import RamanujanSumTable
         tab = RamanujanSumTable.build(args.qmax, args.nmax)
         t = Table(["q", "n", "c_q_n"])
         for q in range(1, args.qmax + 1):
@@ -139,8 +145,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wintner(args) -> int:
     f = _load_function(args.fprime)
-    hint = tuple(float(v) for v in args.decay.split(",")) if args.decay else None
-    partial, tail = wintner_coefficient(f, args.q, args.cut, decay_hint=hint)
+    partial, tail = wintner_coefficient(f, args.q, args.cut, decay_hint=args.decay)
     print(f"partial = {format_cell(partial)}")
     print(f"tail_bound = {format_cell(tail) if tail is not None else 'unknown (no decay hint)'}")
     return 0
@@ -219,8 +224,7 @@ def _cmd_fre(args) -> int:
         return 0 if rep.ok else 1
     else:  # low
         f = _load_function(args.f)
-        hint = tuple(float(v) for v in args.decay.split(",")) if args.decay else None
-        rep = low_coefficient_report(f, args.Q, args.Q0, decay_hint=hint)
+        rep = low_coefficient_report(f, args.Q, args.Q0, decay_hint=args.decay)
         t = Table(["q", "coeff_at_cut", "deep_partial", "tail_bound", "rel_diff"])
         for row in rep.rows:
             t.add(*[v if v is not None else "" for v in row])
@@ -279,30 +283,24 @@ _CONFIG_KEYS = ("name", "params", "seed", "out", "format", "cap_x", "cap_d")
 
 
 def _cmd_experiment(args) -> int:
-    if args.exp_cmd != "run":
-        raise ConfigError("usage: rlab experiment run --config cfg.json | --name NAME")
+    # the global flags and --name are the defaults; a config file overrides them
+    raw = {"name": args.name, "seed": args.seed, "out": args.out,
+           "format": args.format, "cap_x": args.cap_x, "cap_d": args.cap_d}
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or "name" not in raw:
+            spec = json.load(fh)
+        if not isinstance(spec, dict) or "name" not in spec:
             raise ConfigError("experiment config needs a 'name'")
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        unknown = sorted(set(spec) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; accepted: "
                               f"{', '.join(_CONFIG_KEYS)}; experiment knobs "
                               f"go under params (e.g. params.tol)")
-        cfg = ExperimentConfig(name=raw["name"], params=raw.get("params", {}),
-                               seed=raw.get("seed", args.seed),
-                               out=raw.get("out", args.out),
-                               fmt=raw.get("format", args.format),
-                               cap_x=raw.get("cap_x", args.cap_x),
-                               cap_d=raw.get("cap_d", args.cap_d))
-    elif args.name:
-        cfg = ExperimentConfig(name=args.name, seed=args.seed, out=args.out,
-                               fmt=args.format, cap_x=args.cap_x, cap_d=args.cap_d)
-    else:
+        raw.update(spec)
+    elif not args.name:
         raise ConfigError("experiment run needs --config or --name")
-    record = run_experiment(cfg)
+    raw["fmt"] = raw.pop("format")
+    record = run_experiment(ExperimentConfig(**raw))
     print(f"experiment {record.name} [{record.config_hash}] "
           f"({record.elapsed:.2f}s)")
     print("  params: " + " ".join(f"{k}={json.dumps(v, separators=(',', ':'))}"
@@ -356,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     wi.add_argument("--fprime", required=True)
     wi.add_argument("--q", type=int, required=True)
     wi.add_argument("--cut", type=int, required=True)
-    wi.add_argument("--decay", default=None, help="C,s for |fprime(d)| <= C d^-s")
+    wi.add_argument("--decay", type=_decay, default=None,
+                    help="C,s for |fprime(d)| <= C d^-s")
     wi.set_defaults(fn=_cmd_wintner)
 
     ca = sub.add_parser("carmichael", help="Carmichael coefficient estimate")
@@ -413,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     lo.add_argument("--f", required=True)
     lo.add_argument("--Q", type=int, required=True)
     lo.add_argument("--Q0", type=int, required=True)
-    lo.add_argument("--decay", default=None)
+    lo.add_argument("--decay", type=_decay, default=None)
     fr.set_defaults(fn=_cmd_fre)
 
     sh = sub.add_parser("shift", help="shifted convolution sums")

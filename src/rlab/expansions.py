@@ -67,26 +67,28 @@ def evaluate_partial(expansion, n: int, q_cut: int):
     """Partial sum over q <= q_cut of fhat(q) c_q(n).
 
     Exact (a Fraction) for a FiniteExpansion or list, whose coefficients
-    vanish past Q; a callable goes through the vectorized float path.  No
-    limit claim is attached to the value.
+    vanish past Q; a ZeroCloudElement (its `float_weights`) or a callable
+    goes through the vectorized float path.  No limit claim is attached to
+    the value.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    if not callable(expansion):
+    if isinstance(expansion, ZeroCloudElement):
+        weights = expansion.float_weights(q_cut)[1:]
+    elif callable(expansion):
+        weights = np.array([float(expansion(q)) for q in range(1, q_cut + 1)])
+    else:
         e = _finite(expansion)
         nums, den = e.scaled
         row = kernels.csum_row(n, min(q_cut, e.range)).tolist()
         return Fraction(sum(map(mul, nums, row[1:])), den)
     row = kernels.csum_row(n, q_cut).astype(np.float64)
-    weights = np.array([float(expansion(q)) for q in range(1, q_cut + 1)])
     return float(np.dot(row[1:], weights))
 
 
 def zero_cloud_partial(alpha, beta, n: int, q_cut: int) -> float:
     """Partial sum of the zero-expansion with weights alpha/q + beta/phi(q)."""
-    el = ZeroCloudElement(alpha, beta)
-    row = kernels.csum_row(n, q_cut).astype(np.float64)
-    return float(np.dot(row[1:], el.float_weights(q_cut)[1:]))
+    return evaluate_partial(ZeroCloudElement(alpha, beta), n, q_cut)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .finite import (TruncatedDivisorSum, fre_to_tds, high_coefficient_check,
 from .ramanujan import (RamanujanSumTable, abs_csum_over_q_partial, csum,
                         csum_trig_row, orthogonality_estimate)
 from .shift import (carmichael_vs_cc, cut_correlation, divisor_tail,
-                    is_tail_free, qrc, shift_expansion_check, short_average,
+                    is_tail_free, shift_expansion_check, short_average,
                     weak_reef_check)
 from .transforms import (carmichael_estimate, condition_check, cw_formula_check,
                          nonneg_carmichael_bound, vanishing_tail_search,
@@ -586,16 +586,10 @@ def _reef(cfg, lgrid=[10 ** 3, 10 ** 4]):
     # non-tail-free: delta_2 against multiples of 3; transform survives past N
     f2 = ArithmeticFunction.table([0, 1], after="zero")
     g2 = ArithmeticFunction.from_tds(TruncatedDivisorSum(3, [0, 0, 1]))
-    n = 4
-    cut2 = cut_correlation(f2, g2, n, 64)
-    coeffs = qrc(cut2, n)
-    bad = []
-    for a in (5, 7, 10, 20, 25, 50):
-        lhs = Fraction(cut2.base.value(a))
-        main = coeffs.eval(a)
-        tail = divisor_tail(cut2, a)
-        if lhs - main != tail or (a == 5 and tail == 0):
-            bad.append(a)
+    cut2 = cut_correlation(f2, g2, 4, 64)
+    # lhs - main == tail is the split identity at N = 4; a = 5 has a tail
+    bad = [a for a in (5, 7, 10, 20, 25, 50) if not shift_expansion_check(cut2, a)[2]
+           or (a == 5 and divisor_tail(cut2, a) == 0)]
     out.append(_ok("transform-mass-past-N", not is_tail_free(cut2, 64)))
     out.append(_ok("deviation-equals-tail", not bad, f"failing a: {bad}"))
     return out, {}

@@ -5,6 +5,11 @@ fhat(1..Q), zero past Q, in n as in the shift of a cut correlation.  Equality
 on both sides ignores trailing zeros, so it follows the values: expansions
 (or t.d.s.) that differ only in how far their zero tail is stored are equal.
 
+Both objects check their input once, by one rule, in `_Scaled.__post_init__`:
+range Q >= 1, exactly Q values and `rational.exact_list`, so a nonzero float
+is refused, a zero float is an exact 0 and all-integral values are held as
+ints.  The duality's results, built by `_Scaled._over`, are not checked again.
+
 The two representations are dual: coefficients come from the transform via
 fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
 fprime(d) = d * sum_{K<=Q/d} fhat(d*K) mu[K].  Both directions are exact and
@@ -71,7 +76,19 @@ class _Scaled:
     """A frozen value object that holds its exact sequence's canonical pair
     once, as the attribute `scaled`: `scale` of its values field `_values` on
     first read (a non-data descriptor, like `_BuiltOnRead`), or set by `_over`,
-    whose object builds its values field on first read."""
+    whose object builds its values field on first read.  `__post_init__` is
+    the one input check of both value objects; `_over` skips it."""
+
+    def __post_init__(self):
+        name, values = self._values, getattr(self, self._values)
+        if self.range < 1:
+            raise ValueError("range Q >= 1 required")
+        if len(values) != self.range:
+            raise ValueError(f"{name} must have exactly Q entries")
+        values = exact_list(values)
+        if values is None:
+            raise ValueError(f"{name} must hold exact values, not floats")
+        object.__setattr__(self, name, values)
 
     @cached_property
     def scaled(self) -> tuple:
@@ -95,22 +112,10 @@ class _Scaled:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedDivisorSum(_Scaled):
-    """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q and
-    exact: a nonzero float raises ValueError, a zero float is an exact 0."""
+    """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q."""
     range: int
     fprime: list = _BuiltOnRead()     # no default: built on first read
     _values = "fprime"
-
-    def __post_init__(self):
-        if self.range < 1:
-            raise ValueError("range Q >= 1 required")
-        if len(self.fprime) != self.range:
-            raise ValueError("fprime must have exactly Q entries")
-        # a nonzero float is refused rather than made exact
-        fprime = exact_list(self.fprime)
-        if fprime is None:
-            raise ValueError("a t.d.s. needs exact fprime values, not floats")
-        object.__setattr__(self, "fprime", fprime)
 
     def eval(self, n: int):
         if n < 1:
@@ -148,13 +153,6 @@ class FiniteExpansion(_Scaled):
     range: int
     fhat: list = _BuiltOnRead()       # no default: built on first read
     _values = "fhat"
-
-    def __post_init__(self):
-        if self.range < 1:
-            raise ValueError("range Q >= 1 required")
-        if len(self.fhat) != self.range:
-            raise ValueError("fhat must have exactly Q entries")
-        object.__setattr__(self, "fhat", ExactList.of(self.fhat))
 
     def get(self, q: int):
         """fhat(q) as a Fraction read from the scaled pair, zero past the

@@ -6,11 +6,14 @@ the per-point estimates and their successive differences, and declares
 "converged" only when the last delta is below tolerance (optionally also
 requiring a minimum grid span in decades and closeness to a known target).
 
-A grid is checked once per reader, and each check and each estimate takes a
-few C-level passes (`map`, list comparison), since the orthogonality
-averages build thousands of three-point estimates.  A grid value must be an
-integer: an integral float such as 1e3 or a numpy integer is read as the int,
-and a value such as 2.5 is refused rather than truncated.
+A grid is checked by `check_grid` once per public call: each public reader
+(the estimators, and the command line through them) checks it on entry, and
+`build_estimate`, their helper, takes the checked list as it stands.  Each
+check and each estimate takes a few C-level passes (`map`, list comparison),
+since the orthogonality averages build thousands of three-point estimates.
+A grid value must be an integer: an integral float such as 1e3 or a numpy
+integer is read as the int, and a value such as 2.5 is refused rather than
+truncated.
 """
 
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ class LimitEstimate:
 
 def build_estimate(grid, estimates, tol, target=None, exact=None,
                    min_decades: float = 0.0) -> LimitEstimate:
-    grid = check_grid(grid)
+    """The estimate over grid, the caller's list from `check_grid`, as it stands."""
     estimates = list(map(float, estimates))
     deltas = list(map(sub, estimates[1:], estimates))
     ok = True

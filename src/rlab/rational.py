@@ -17,7 +17,8 @@ their `.fprime`/`.fhat` is an ExactList.  A scaled result goes through
 `canonical` (one common gcd), which makes it the pair `scale` would give for
 its values; the two duality objects hold only that pair until their
 `.fprime`/`.fhat` is first read.
-`freeze` decides once whether a value sequence is integer, rational or
+`freeze` decides once, by the rule of `_exact` that the value objects read
+through `exact_list`, whether a value sequence is integer, rational or
 float; table values, `eval_range` and the tables of `transforms.eratosthenes`
 are its shapes.  Fraction lists are built only where a function returns
 Fraction values (`ExactList.over`, as a rational Eratosthenes table does),
@@ -109,10 +110,10 @@ _EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _exact(vals: list):
-    """The ExactList of a list of numbers, or None when some value is a
-    nonzero float: a zero float is an exact 0, and every other number goes
-    through `ExactList.of`.  A list of ints and Fractions alone, told by one
-    pass over the types, is taken as it stands."""
+    """The one exactness rule, which `freeze` and `exact_list` apply: the
+    ExactList of a list of numbers, or None when some value is a nonzero
+    float; a zero float is an exact 0, every other number goes through
+    `ExactList.of`, and ints and Fractions alone are taken as they stand."""
     if _EXACT_TYPES.issuperset(map(type, vals)):
         return ExactList(vals)
     if any(isinstance(v, (float, np.floating)) and v for v in vals):

@@ -6,9 +6,12 @@ from pathlib import Path
 import re
 import shlex
 
+import numpy as np
 import pytest
 
+from rlab import kernels
 from rlab.cli import build_parser, main
+from rlab.expansions import ZeroCloudElement, zero_cloud_partial
 
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 
@@ -108,6 +111,33 @@ def test_carmichael_integral_float_grid_values_pass(fn_file, capsys):
         ["100", "1000", "1500"]
 
 
+def test_carmichael_grid_refusal_names_the_value(fn_file, capsys):
+    path = fn_file({"kind": "builtin", "name": "one"})
+    assert main(["carmichael", "--f", path, "--q", "1", "--grid", "2.5,1000"]) == 2
+    assert "2.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["wintner", "--fprime", "{f}", "--q", "2", "--cut", "10"],
+                                 ["fre", "low", "--f", "{f}", "--Q", "4", "--Q0", "2"]])
+@pytest.mark.parametrize("decay", ["2", "1,x", "1,2,3"])
+def test_malformed_decay_is_usage_error_naming_it(fn_file, capsys, cmd, decay):
+    path = fn_file({"kind": "builtin", "name": "one"})
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(f=path) for a in cmd] + ["--decay", decay])
+    assert exc.value.code == 2
+    assert "--decay" in capsys.readouterr().err
+
+
+def test_decay_hint_is_parsed_once(fn_file, capsys):
+    path = fn_file({"kind": "builtin", "name": "one"})
+    args = build_parser().parse_args(["wintner", "--fprime", path, "--q", "2",
+                                      "--cut", "10", "--decay", "1,2"])
+    assert args.decay == (1.0, 2.0)
+    assert main(["wintner", "--fprime", path, "--q", "2", "--cut", "10",
+                 "--decay", "1,2"]) == 0
+    assert "unknown" not in capsys.readouterr().out
+
+
 def test_csum_bad_modulus_is_usage_error(capsys):
     assert main(["csum", "--q", "0", "--n", "3"]) == 2
     assert "modulus" in capsys.readouterr().err
@@ -180,6 +210,22 @@ def test_expand_commands(fn_file, capsys):
     assert "gap = 0" in out
     assert main(["expand", "sfre", "--f", path, "--n", "4"]) == 0
     assert "reconstruction = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, alpha, beta", [("zero-ram", 1, 0), ("zero-har", 0, 1)])
+def test_expand_eval_zero_family_is_the_callable_route(family, alpha, beta, capsys):
+    # the route the command took before: weights float(fhat(q)) of the
+    # callable q -> alpha/q + beta/phi(q), one Fraction per q; the printed
+    # value stays the same to the last bit
+    cut = 10 ** 4
+    fhat = ZeroCloudElement(alpha, beta).coefficient
+    weights = np.array([float(fhat(q)) for q in range(1, cut + 1)])
+    for n in range(1, 13):
+        want = float(np.dot(kernels.csum_row(n, cut).astype(np.float64)[1:], weights))
+        assert main(["expand", "eval", "--coeffs", f"builtin:{family}",
+                     "--n", str(n), "--cut", str(cut)]) == 0
+        assert capsys.readouterr().out == format(want, ".17g") + "\n"
+        assert zero_cloud_partial(alpha, beta, n, cut) == want
 
 
 def test_expand_sfre_bad_input_is_usage_error(fn_file, capsys):
@@ -380,6 +426,20 @@ def test_experiment_run_prints_resolved_params(capsys):
     assert main(["experiment", "run", "--name", "identity12"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "  params: trials=12"
+
+
+@pytest.mark.parametrize("name", ["identity12", "reef"])
+def test_experiment_name_and_config_file_run_the_same(tmp_path, capsys, name):
+    # --name and a config {"name": ...} build the same config: same hash,
+    # params line and outcomes; only the elapsed time may differ
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": name}))
+    runs = []
+    for argv in (["--name", name], ["--config", str(cfg)]):
+        assert main(["--seed", "5", "experiment", "run"] + argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        runs.append([re.sub(r"\([0-9.]+s\)$", "", lines[0])] + lines[1:])
+    assert runs[0] == runs[1]
 
 
 def test_experiment_config_params_line_quotes_lists(tmp_path, capsys):

@@ -42,6 +42,17 @@ def test_evaluate_partial_is_the_truncated_sum(fhat, n, data):
     assert evaluate_partial(fhat, n, q_cut) == want
 
 
+@pytest.mark.parametrize("call", [
+    lambda fhat: evaluate_partial(fhat, 3, 2),
+    lambda fhat: lucht_evaluate(fhat, 3, 2),
+    invert_pure_coefficients,
+])
+def test_finite_readers_refuse_a_float_list(call):
+    # a float list is not an exact expansion: refused, not made a Fraction
+    with pytest.raises(ValueError, match="not floats"):
+        call([0.5, 0.25])
+
+
 def test_evaluate_partial_mertens_like():
     # coefficients 1/q against n = 1 collapse to sum of mu(q)/q
     val = zero_cloud_partial(1, 0, 1, 10 ** 4)

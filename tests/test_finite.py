@@ -293,6 +293,47 @@ def test_constructor_validation():
         TruncatedDivisorSum(2)
 
 
+# every kind of exact number a value list may hold, zero floats included
+EXACT_NUMBERS = st.one_of(st.integers(-2 ** 70, 2 ** 70), RATIONALS,
+                          st.integers(-9, 9).map(Fraction),
+                          st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+                          st.sampled_from([0.0, -0.0, np.float64(0.0), np.float32(0.0)]))
+NONZERO_FLOATS = (st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+                  | st.sampled_from([np.float64(0.5), np.float32(2.0), 3.0]))
+
+
+@PROPERTY
+@given(values=st.lists(EXACT_NUMBERS, min_size=1, max_size=8),
+       bad=st.none() | st.tuples(NONZERO_FLOATS, st.integers(0, 8)))
+@example(values=[np.int64(1), 0.0, Fraction(1, 2)], bad=None)
+@example(values=[0], bad=(0.1, 0))
+def test_value_objects_share_one_exactness_rule(values, bad):
+    # a nonzero float anywhere is refused by both objects, every other list
+    # is held by both as the same exact values: ints when all are integral
+    if bad is not None:
+        values = values[:bad[1]] + [bad[0]] + values[bad[1]:]
+        for cls in (TruncatedDivisorSum, FiniteExpansion):
+            with pytest.raises(ValueError, match="not floats"):
+                cls(len(values), values)
+        return
+    t = TruncatedDivisorSum(len(values), values)
+    e = FiniteExpansion(len(values), values)
+    want = [Fraction(v.item() if isinstance(v, np.generic) else v) for v in values]
+    assert t.fprime == e.fhat == want
+    assert [type(v) for v in t.fprime] == [type(v) for v in e.fhat]
+    if all(v.denominator == 1 for v in want):
+        assert all(type(v) is int for v in e.fhat)
+    assert t.scaled == e.scaled
+
+
+def test_value_objects_name_their_field_when_refusing():
+    for cls, name in ((TruncatedDivisorSum, "fprime"), (FiniteExpansion, "fhat")):
+        with pytest.raises(ValueError, match=f"{name} must hold exact values, not floats"):
+            cls(2, [0.1, 0])
+        with pytest.raises(ValueError, match=f"{name} must have exactly Q entries"):
+            cls(2, [1])
+
+
 # ---------------------------------------------------------------------------
 # the duality's results hold their scaled pair; the Fraction list is built on
 # first read

@@ -1,5 +1,5 @@
 """limits: every refusal of check_grid and every verdict branch of
-build_estimate, called directly."""
+build_estimate, called directly, and one grid check per estimator call."""
 
 from fractions import Fraction
 import math
@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from rlab import expansions, limits, ramanujan, shift, transforms
+from rlab.arith import ArithmeticFunction
 from rlab.limits import build_estimate, check_grid
 
 
@@ -84,6 +86,29 @@ def test_build_estimate_fields():
     assert (est.tol, est.target, est.exact) == (0.5, 0.0, ["e"])
 
 
-def test_build_estimate_checks_its_grid():
-    with pytest.raises(ValueError, match="must be integers"):
-        build_estimate([10.5, 100], [1.0, 1.0], tol=0.1)
+def estimator_calls():
+    f = ArithmeticFunction.table([1, 0, 2, -1], after="zero")
+    cut = shift.cut_correlation(f, f, 8, 16)
+    grid = [100, 1000]
+    return {
+        "orthogonality_estimate": lambda: ramanujan.orthogonality_estimate(3, 3, 2, grid),
+        "carmichael_estimate": lambda: transforms.carmichael_estimate(f, 3, grid),
+        "carmichael_vs_cc": lambda: shift.carmichael_vs_cc(cut, 2, grid),
+        "l_estimate": lambda: shift.l_estimate(cut, 2, grid),
+        "carmichael_formula_check": lambda: expansions.carmichael_formula_check(
+            [1, Fraction(1, 2), 3], 2, grid),
+    }
+
+
+@pytest.mark.parametrize("name", list(estimator_calls()))
+def test_each_estimator_checks_its_grid_once(monkeypatch, name):
+    # the public call checks its grid; build_estimate takes the checked list
+    calls = []
+
+    def counted(xgrid):
+        calls.append(xgrid)
+        return check_grid(xgrid)
+    for module in (expansions, limits, ramanujan, shift, transforms):
+        monkeypatch.setattr(module, "check_grid", counted)
+    est = estimator_calls()[name]()
+    assert len(calls) == 1 and est.grid == [100, 1000]
