@@ -333,21 +333,6 @@ class ArithmeticFunction:
             return value_kind(self.values) != "float"
         return True     # a t.d.s. holds ints and Fractions only
 
-    @property
-    def is_integer(self) -> bool:
-        if self.kind == "builtin":
-            return self.name != "vonMangoldt"
-        if self.kind == "tds":
-            return self.tds.scaled[1] == 1
-        return value_kind(self.values) == "int"
-
-    @property
-    def bound(self):
-        """Largest index guaranteed evaluable, or None when total on N."""
-        if self.kind == "table" and self.after == "error":
-            return len(self.values)
-        return None
-
     def __repr__(self):
         if self.kind == "builtin":
             return f"ArithmeticFunction(builtin:{self.name})"

@@ -103,12 +103,6 @@ def _emit_or_print(table: Table, args) -> None:
             print()     # the table's own bytes end without a newline
 
 
-def _correlation_from_args(args):
-    f = _load_function(args.f)
-    g = _load_function(args.g)
-    return cut_correlation(f, g, args.N, args.amax)
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each returns the process exit code)
 # ---------------------------------------------------------------------------
@@ -234,16 +228,16 @@ def _cmd_fre(args) -> int:
 
 
 def _cmd_shift(args) -> int:
+    f = _load_function(args.f)
+    g = _load_function(args.g)
     if args.shift_cmd == "corr":
-        f = _load_function(args.f)
-        g = _load_function(args.g)
         corr = correlate(f, g, args.N, args.amax)
         t = Table(["a", "C"])
         for a in range(1, args.amax + 1):
             t.add(a, corr.value(a))
         _emit_or_print(t, args)
         return 0
-    cut = _correlation_from_args(args)
+    cut = cut_correlation(f, g, args.N, args.amax)
     if args.shift_cmd == "qrc":
         t = Table(["q", "coefficient"])
         for q, v in enumerate(qrc(cut, args.Q).fhat, start=1):

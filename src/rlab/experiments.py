@@ -109,16 +109,8 @@ def _at_cut(check: str, verdict: str, detail: str = "") -> dict:
     return {"check": check, "status": f"at-cut:{verdict}", "detail": detail}
 
 
-def _rand_rational(rng: random.Random, allow_zero=True) -> Fraction:
-    num = rng.randint(-9, 9)
-    if not allow_zero:
-        while num == 0:
-            num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 8))
-
-
 def _rand_table(rng: random.Random, length: int) -> list:
-    return [_rand_rational(rng) for _ in range(length)]
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(length)]
 
 
 _REGISTRY = {}

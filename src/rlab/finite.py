@@ -6,9 +6,10 @@ on both sides ignores trailing zeros, so it follows the values: expansions
 (or t.d.s.) that differ only in how far their zero tail is stored are equal.
 
 Both objects check their input once, by one rule, in `_Scaled.__post_init__`:
-range Q >= 1, exactly Q values and `rational.exact_list`, so a nonzero float
-is refused, a zero float is an exact 0 and all-integral values are held as
-ints.  The duality's results, built by `_Scaled._over`, are not checked again.
+range Q >= 1, exactly Q values and `rational.freeze`, so a nonzero float is
+refused, a zero float is an exact 0 and all-integral values are held as an
+ExactList of ints; an ExactList is held as it stands.  The duality's
+results, built by `_Scaled._over`, are not checked again.
 
 The two representations are dual: coefficients come from the transform via
 fhat(q) = sum_{d<=Q, q|d} fprime(d)/d, and the transform comes back via
@@ -39,7 +40,7 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors
-from .rational import ExactList, canonical, exact_list, freeze, head, ratio, scale
+from .rational import ExactList, canonical, freeze, head, ratio, scale, value_kind
 from .transforms import (decay_tail_bound, eratosthenes, wintner_coefficient,
                          wintner_inverse, wintner_scaled_table)
 from . import kernels
@@ -85,9 +86,13 @@ class _Scaled:
             raise ValueError("range Q >= 1 required")
         if len(values) != self.range:
             raise ValueError(f"{name} must have exactly Q entries")
-        values = exact_list(values)
-        if values is None:
-            raise ValueError(f"{name} must hold exact values, not floats")
+        if not isinstance(values, ExactList):
+            values = freeze(values)
+            kind = value_kind(values)
+            if kind == "float":
+                raise ValueError(f"{name} must hold exact values, not floats")
+            if kind == "int":
+                values = ExactList(values.tolist())
         object.__setattr__(self, name, values)
 
     @cached_property

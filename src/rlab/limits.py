@@ -8,9 +8,10 @@ requiring a minimum grid span in decades and closeness to a known target).
 
 A grid is checked by `check_grid` once per public call: each public reader
 (the estimators, and the command line through them) checks it on entry, and
-`build_estimate`, their helper, takes the checked list as it stands.  Each
-check and each estimate takes a few C-level passes (`map`, list comparison),
-since the orthogonality averages build thousands of three-point estimates.
+their helpers, `build_estimate` and `transforms._wintner_partials`, take the
+checked list as it stands.  Each check and each estimate takes a few C-level
+passes (`map`, list comparison), since the orthogonality averages build
+thousands of three-point estimates.
 A grid value must be an integer: an integral float such as 1e3 or a numpy
 integer is read as the int, and a value such as 2.5 is refused rather than
 truncated.

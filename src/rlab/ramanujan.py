@@ -9,8 +9,9 @@ classes seen so far, and a call costs one gcd and two dict reads once its
 class is known.  The one-period tables `csum_period` are built by class as
 well, with tau(q) closed forms per table.  The divisor form
 sum_{d|q, d|n} d mu(q/d) and the defining cosine sum exist as independent
-cross-checking routes; a row of cosine sums takes one correctly rounded sum
-per class gcd(n, q).  c_q(0) = phi(q) and c_q(-n) = c_q(n).
+cross-checking routes.  The cosine sum has one route, a row that takes one
+correctly rounded sum per class gcd(n, q); a single value is its entry.
+c_q(0) = phi(q) and c_q(-n) = c_q(n).
 
 The cross sums sum_{a<=x} c_q(n+a) c_l(a) behind the orthogonality
 averages answer a whole grid of x at once: the integrand has period
@@ -96,13 +97,14 @@ def csum_divisor_form(q: int, n: int) -> int:
 
 
 def csum_trig_form(q: int, n: int) -> float:
-    """Defining cosine sum over residues coprime to q, correctly rounded
-    (`math.fsum`), so it equals the entry of `csum_trig_row` at n."""
+    """The defining cosine sum over residues coprime to q, correctly rounded:
+    the entry at r of `csum_trig_row(q, r)`, r = gcd(n, q) mod q.  The sum
+    depends on n only through gcd(n, q), and r is the least residue with
+    that gcd, so the row sums only the classes of 0..r."""
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
-    j = np.arange(1, q + 1, dtype=np.int64)
-    coprime = j[np.gcd(j, q) == 1]
-    return fsum(np.cos(2.0 * pi * ((coprime * (abs(n) % q)) % q) / q).tolist())
+    r = gcd(n, q) % q
+    return float(csum_trig_row(q, r)[r])
 
 
 def csum_trig_row(q: int, nmax: int) -> np.ndarray:

@@ -17,9 +17,9 @@ their `.fprime`/`.fhat` is an ExactList.  A scaled result goes through
 `canonical` (one common gcd), which makes it the pair `scale` would give for
 its values; the two duality objects hold only that pair until their
 `.fprime`/`.fhat` is first read.
-`freeze` decides once, by the rule of `_exact` that the value objects read
-through `exact_list`, whether a value sequence is integer, rational or
-float; table values, `eval_range` and the tables of `transforms.eratosthenes`
+`freeze` is the one place that decides whether a value sequence is
+integer, rational or float, and the value objects read their input through
+it; table values, `eval_range` and the tables of `transforms.eratosthenes`
 are its shapes.  Fraction lists are built only where a function returns
 Fraction values (`ExactList.over`, as a rational Eratosthenes table does),
 where such a field is read, and at the CSV/JSON boundary.
@@ -109,53 +109,31 @@ def scale(values) -> tuple:
 _EXACT_TYPES = frozenset((int, Fraction))
 
 
-def _exact(vals: list):
-    """The one exactness rule, which `freeze` and `exact_list` apply: the
-    ExactList of a list of numbers, or None when some value is a nonzero
-    float; a zero float is an exact 0, every other number goes through
-    `ExactList.of`, and ints and Fractions alone are taken as they stand."""
-    if _EXACT_TYPES.issuperset(map(type, vals)):
-        return ExactList(vals)
-    if any(isinstance(v, (float, np.floating)) and v for v in vals):
-        return None
-    return ExactList.of(0 if isinstance(v, (float, np.floating)) else v for v in vals)
-
-
 def freeze(values):
     """values as one of three immutable shapes: the one place that decides
     whether a finite value sequence is integer, rational or float.  Some
     nonzero float gives a read-only float64 array ("float"); else all values
     integral give a read-only `kernels.int_array` ("int"); else an ExactList
-    ("rational").  A zero float is an exact 0.  A read-only integer array or
-    nonzero float64 array and a non-integral ExactList are returned as they
-    stand (the latter keeps its scaled form), and everything else is copied."""
+    ("rational").  A zero float is an exact 0, ints and Fractions are taken
+    as they stand, and every other number goes through `ExactList.of`.  A
+    read-only integer array or nonzero float64 array and a non-integral
+    ExactList are returned as they stand (the latter keeps its scaled form),
+    and everything else is copied."""
     if isinstance(values, np.ndarray) and (values.dtype.kind in "iu" or
                                            values.dtype == np.float64 and values.any()):
         return kernels.read_only(values.copy() if values.flags.writeable else values)
     if not isinstance(values, ExactList):
         vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        values = _exact(vals)
-        if values is None:
+        if _EXACT_TYPES.issuperset(map(type, vals)):
+            values = ExactList(vals)
+        elif any(isinstance(v, (float, np.floating)) and v for v in vals):
             return kernels.read_only(np.array(vals, dtype=np.float64))
+        else:
+            values = ExactList.of(0 if isinstance(v, (float, np.floating)) else v
+                                  for v in vals)
     if all(v.denominator == 1 for v in values):
         return kernels.read_only(kernels.int_array(values))
     return values
-
-
-def exact_list(values):
-    """values as one ExactList, or None when some value is a nonzero float.
-
-    An ExactList is returned as it stands.  Otherwise the values are those of
-    `freeze`'s exact shapes: Python ints when every value is integral, as its
-    int array holds them, and else the exact values themselves.  Ints and
-    Fractions are read in one pass over their types, and only an integral
-    sequence is converted."""
-    if isinstance(values, ExactList):
-        return values
-    exact = _exact(values.tolist() if isinstance(values, np.ndarray) else list(values))
-    if exact is not None and all(v.denominator == 1 for v in exact):
-        return ExactList(map(int, exact))
-    return exact
 
 
 def value_kind(values) -> str:

@@ -83,12 +83,17 @@ def _fprime_values(fprime, cut: int):
 
 def decay_tail_bound(decay_hint, q: int, cut: int) -> float | None:
     """Closed-form majorant of sum_{d>cut, q|d} |fprime(d)|/d under
-    |fprime(d)| <= C d^-s: integral bound C q^-(s+1) (cut//q)^-s / s."""
+    |fprime(d)| <= C d^-s: integral bound C q^-(s+1) (cut//q)^-s / s.  None
+    without a hint or for q > cut; a hint with s <= 0 or C < 0 bounds
+    nothing and raises ValueError."""
     if decay_hint is None:
         return None
     c, s = decay_hint
+    if not (s > 0 and c >= 0):
+        raise ValueError(f"decay hint C,s = {c},{s} bounds nothing: "
+                         "s > 0 and C >= 0 required")
     m = cut // q
-    if m < 1 or s <= 0:
+    if m < 1:
         return None
     return float(c) * q ** -(s + 1.0) * m ** (-float(s)) / float(s)
 
@@ -117,9 +122,13 @@ def wintner_partials(fprime, q: int, xs) -> list:
     q), the one place a Wintner partial is summed: exact Fractions, one
     `sum_pairs` of `reduced_terms` per stretch between grid points, for exact
     fprime; float64 prefix sums over the multiples of q for float fprime."""
+    return _wintner_partials(fprime, q, check_grid(xs))
+
+
+def _wintner_partials(fprime, q: int, xs: list) -> list:
+    """`wintner_partials` over a grid already checked by `check_grid`."""
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
-    xs = check_grid(xs)
     vals = _fprime_values(fprime, xs[-1])
     if isinstance(vals, np.ndarray):
         cum = np.cumsum(vals[q - 1:: q] / np.arange(q, xs[-1] + 1, q, dtype=np.float64))
@@ -143,9 +152,13 @@ def wintner_scaled_table(fprime, cut: int):
 
     Sharing a denominator keeps the bignum work linear instead of re-reducing
     per coefficient; callers doing further exact dot products can stay in
-    integers until a single final reduction.
+    integers until a single final reduction.  A float fprime raises
+    ValueError.
     """
     vals = _fprime_values(fprime, cut)
+    if isinstance(vals, np.ndarray):
+        raise ValueError("Wintner table needs an exact function "
+                         "(int or Fraction values)")
     terms, den = scale_pairs(reduced_terms(vals, range(1, cut + 1)))
     return [sum(terms[q - 1:: q]) for q in range(1, cut + 1)], den
 
@@ -210,7 +223,7 @@ def _csum_weighted_sums(f, qs, xs: list, values=None):
     """
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         return None   # float path handled by caller
-    if f.kind == "tds" and not f.is_integer:
+    if f.kind == "tds" and f.tds.scaled[1] != 1:
         nums, den = f.tds.scaled
         return [[Fraction(sum(map(mul, nums, csum_multiple_sums(q, len(nums), x).tolist()[1:])),
                           den) for x in xs] for q in qs]
@@ -370,7 +383,7 @@ def cw_formula_check(f, q: int, xgrid) -> CwReport:
     ft = eratosthenes(f, xs[-1])
     fpv = kernels.read_only(np.array(ft, dtype=np.float64))
     abs_cum = np.cumsum(np.abs(fpv))
-    win = wintner_partials(fpv, q, xs)
+    win = _wintner_partials(fpv, q, xs)
     sums = _csum_weighted_sums(f, [q], xs)[0]
     fq = phi(q)
     rows = []

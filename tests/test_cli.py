@@ -138,6 +138,25 @@ def test_decay_hint_is_parsed_once(fn_file, capsys):
     assert "unknown" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cmd", [["wintner", "--fprime", "{f}", "--q", "2", "--cut", "100"],
+                                 ["fre", "low", "--f", "{f}", "--Q", "20", "--Q0", "3"]])
+@pytest.mark.parametrize("decay", ["1,0", "1,-1", "-1,2"])
+def test_decay_hint_that_bounds_nothing_is_usage_error(fn_file, capsys, cmd, decay):
+    # d_2's transform never decays; a hint with s <= 0 or C < 0 bounds no tail
+    path = fn_file({"kind": "builtin", "name": "d_2"})
+    assert main([a.format(f=path) for a in cmd] + [f"--decay={decay}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: decay hint") and captured.err.count("\n") == 1
+
+
+def test_expand_wd_of_a_float_function_is_usage_error(fn_file, capsys):
+    path = fn_file({"kind": "builtin", "name": "vonMangoldt"})
+    assert main(["expand", "wd", "--f", path, "--n", "6", "--cut", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exact function" in err and err.count("\n") == 1
+
+
 def test_csum_bad_modulus_is_usage_error(capsys):
     assert main(["csum", "--q", "0", "--n", "3"]) == 2
     assert "modulus" in capsys.readouterr().err

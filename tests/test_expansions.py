@@ -14,7 +14,8 @@ from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
                              divisor_power_coefficient, dk_local_series,
                              evaluate_partial, invert_pure_coefficients,
                              lucht_evaluate, standard_finite_expansion,
-                             wintner_delange_reconstruct, zero_cloud_partial)
+                             wintner_delange_reconstruct, wintner_delange_table,
+                             zero_cloud_partial)
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
 from rlab.ramanujan import cross_sum, csum
 from rlab.transforms import eratosthenes
@@ -280,6 +281,15 @@ def test_standard_fre_refuses_bad_input():
     for n in (0, -3):
         with pytest.raises(ValueError, match="n >= 1"):
             standard_finite_expansion(ArithmeticFunction.builtin("one"), n)
+
+
+def test_wintner_delange_refuses_a_float_function():
+    vm = ArithmeticFunction.builtin("vonMangoldt")
+    for call in (lambda: wintner_delange_table(vm, 100),
+                 lambda: wintner_delange_reconstruct(vm, 6, 100),
+                 lambda: wintner_delange_table(ArithmeticFunction.table([1, 0.5]), 2)):
+        with pytest.raises(ValueError, match="Wintner table needs an exact function"):
+            call()
 
 
 @st.composite

@@ -265,6 +265,12 @@ def test_low_report_at_cut_is_the_truncations_coefficient(rng):
         low_coefficient_report(ArithmeticFunction.builtin("vonMangoldt"), 30, 8)
 
 
+def test_low_report_refuses_a_hint_that_bounds_nothing():
+    # s <= 0 gives no tail bound, so no row would be compared
+    with pytest.raises(ValueError, match="decay hint"):
+        low_coefficient_report(ArithmeticFunction.builtin("d_2"), 20, 3, decay_hint=(1.0, 0.0))
+
+
 def test_low_report_no_hint():
     rep = low_coefficient_report(ArithmeticFunction.builtin("one"), 40, 5)
     assert rep.verdict == "no-hint"

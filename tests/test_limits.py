@@ -3,6 +3,7 @@ build_estimate, called directly, and one grid check per estimator call."""
 
 from fractions import Fraction
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,6 +98,9 @@ def estimator_calls():
         "l_estimate": lambda: shift.l_estimate(cut, 2, grid),
         "carmichael_formula_check": lambda: expansions.carmichael_formula_check(
             [1, Fraction(1, 2), 3], 2, grid),
+        # a report, not an estimate: its grid is the x of its rows
+        "cw_formula_check": lambda: SimpleNamespace(
+            grid=[r.x for r in transforms.cw_formula_check(f, 3, grid).rows]),
     }
 
 

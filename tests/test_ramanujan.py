@@ -99,6 +99,28 @@ def trig_row_by_definition(q, nmax):
                      for n in range(nmax + 1)])
 
 
+def trig_form_pointwise(q, n):
+    """The cosine sum at one n on its own route: one cosine per residue j
+    coprime to q of (j |n| mod q), summed by math.fsum."""
+    j = np.arange(1, q + 1, dtype=np.int64)
+    coprime = j[np.gcd(j, q) == 1]
+    return math.fsum(np.cos(2.0 * pi * ((coprime * (abs(n) % q)) % q) / q).tolist())
+
+
+@PROPERTY
+@given(st.integers(1, 2048).flatmap(lambda q: st.tuples(
+    st.just(q), st.integers(-10 ** 12, 10 ** 12) | st.sampled_from([0, q, -q]))))
+@example((1, 0))
+@example((2048, -2048))
+@example((420, 10 ** 12 + 1))
+def test_trig_form_equals_the_pointwise_cosine_sum(qn):
+    # the row's entry is the pointwise sum, bit for bit
+    q, n = qn
+    got = csum_trig_form(q, n)
+    assert type(got) is float
+    assert got.hex() == trig_form_pointwise(q, n).hex()
+
+
 @PROPERTY
 @given(st.integers(1, 256).flatmap(
     lambda q: st.tuples(st.just(q), st.integers(0, 3 * q))))

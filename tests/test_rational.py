@@ -305,7 +305,8 @@ def test_table_callable_and_spec_agree_on_the_kind(vals, past):
     kind = kind_by_definition(vals)
     f = ArithmeticFunction.table(vals)
     assert_shape(f.values, kind)
-    assert (f.is_exact, f.is_integer) == (kind != "float", kind == "int")
+    assert (f.is_exact, rational.value_kind(f.values) == "int") == \
+        (kind != "float", kind == "int")
     n = len(vals) + past
     got = f.eval_range(n)
     assert_shape(got, kind)
@@ -324,7 +325,7 @@ def test_table_callable_and_spec_agree_on_the_kind(vals, past):
     assert again.values.tolist() == f.values.tolist()
     tds = function_from_spec({"kind": "tds", "range": len(vals), "fprime": spec})
     assert_shape(eratosthenes(tds, len(vals)), kind)
-    assert tds.is_integer == (kind == "int")
+    assert (tds.tds.scaled[1] == 1) == (kind == "int")
 
 
 def test_table_values_are_frozen():

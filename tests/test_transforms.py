@@ -152,6 +152,21 @@ def test_wintner_inverse_square_reference():
     assert actual_tail <= tail
 
 
+@pytest.mark.parametrize("hint", [(1.0, 0.0), (1.0, -1.0), (-1.0, 2.0), (1.0, float("nan"))])
+def test_decay_hint_that_bounds_nothing_is_refused(hint):
+    fp = [Fraction(1, d * d) for d in range(1, 101)]
+    with pytest.raises(ValueError, match="decay hint"):
+        transforms.decay_tail_bound(hint, 2, 100)
+    with pytest.raises(ValueError, match="decay hint"):
+        wintner_coefficient(fp, 2, 100, decay_hint=hint)
+
+
+def test_decay_tail_bound_is_none_without_a_hint_or_past_the_cut():
+    assert transforms.decay_tail_bound(None, 2, 100) is None
+    assert transforms.decay_tail_bound((1.0, 2.0), 101, 100) is None
+    assert transforms.decay_tail_bound((0.0, 2.0), 2, 100) == 0.0
+
+
 def test_wintner_table_matches_single():
     fp = [Fraction(1, d) for d in range(1, 201)]
     tab = tds_to_fre(TruncatedDivisorSum(200, fp)).fhat
