@@ -13,11 +13,10 @@ from .rational import exact_sum, format_rational, parse_rational
 from .transforms import (ConditionReport, carmichael_estimate, condition_check,
                          cw_formula_check, eratosthenes, nonneg_carmichael_bound,
                          vanishing_tail_search, wintner_coefficient)
-from .expansions import (ZeroCloudElement, carmichael_formula_check,
-                         divisor_power_coefficient, evaluate_partial,
-                         invert_pure_coefficients, lucht_evaluate,
-                         standard_finite_expansion, wintner_delange_reconstruct,
-                         zero_cloud_partial)
+from .expansions import (ZeroCloudElement, divisor_power_coefficient,
+                         evaluate_partial, invert_pure_coefficients,
+                         lucht_evaluate, standard_finite_expansion,
+                         wintner_delange_reconstruct, zero_cloud_partial)
 from .shift import (Correlation, CutCorrelation, cc_coefficients, carmichael_vs_cc,
                     correlate, cut_correlation, l_estimate, qrc,
                     shift_expansion_check, short_average, weak_reef_check)

@@ -375,7 +375,24 @@ class ArithmeticFunction:
 # function-registry JSON (rationals travel as "p/q" strings)
 # ---------------------------------------------------------------------------
 
+class ConfigError(ValueError):
+    """Input that breaks its documented schema: an experiment config, a
+    function spec or a data file.  The command line reads it as a usage
+    error (exit 2)."""
+
+
+class Spec(dict):
+    """A JSON object given as input: reading a key it lacks raises a
+    ConfigError naming the key."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing key {key!r}")
+
+
 def function_from_spec(spec: dict) -> ArithmeticFunction:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"bad function spec: {spec!r}")
+    spec = Spec(spec)
     kind = spec.get("kind")
     if kind == "builtin":
         return ArithmeticFunction.builtin(spec["name"])
@@ -388,4 +405,4 @@ def function_from_spec(spec: dict) -> ArithmeticFunction:
         q = int(spec["range"])
         inner = function_from_spec(spec["fprime"])
         return ArithmeticFunction.from_tds(TruncatedDivisorSum(q, inner.eval_range(q)))
-    raise ValueError(f"bad function spec: {spec!r}")
+    raise ConfigError(f"bad function spec: {spec!r}")

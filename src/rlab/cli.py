@@ -9,13 +9,12 @@ import argparse
 import json
 import sys
 
-from .arith import ArithmeticFunction, function_from_spec
+from .arith import ArithmeticFunction, ConfigError, Spec, function_from_spec
 from .emit import Table, emit, format_cell, write
 from .expansions import (ZeroCloudElement, dk_expansion, evaluate_partial,
                          standard_finite_expansion, wintner_delange_reconstruct)
-from .experiments import (ConfigError, ExperimentConfig,
-                          UnknownExperimentError, experiment_names,
-                          run_experiment)
+from .experiments import (ExperimentConfig, UnknownExperimentError,
+                          experiment_names, run_experiment)
 from .finite import (FiniteExpansion, TruncatedDivisorSum, fre_to_tds,
                      high_coefficient_check, low_coefficient_report, tds_to_fre)
 from .rational import format_rational, parse_rational
@@ -26,14 +25,23 @@ from .transforms import (carmichael_estimate, condition_check, eratosthenes,
                          vanishing_tail_search, wintner_coefficient)
 
 
-def _load_function(path: str) -> ArithmeticFunction:
+def _read_object(path: str) -> Spec:
+    """The JSON object in the file at `path`; any other JSON value, and a
+    missing key read from it, is a ConfigError."""
     with open(path) as fh:
-        return function_from_spec(json.load(fh))
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a JSON object, "
+                          f"got {type(spec).__name__}")
+    return Spec(spec)
+
+
+def _load_function(path: str) -> ArithmeticFunction:
+    return function_from_spec(_read_object(path))
 
 
 def _load_tds(path: str) -> TruncatedDivisorSum:
-    with open(path) as fh:
-        spec = json.load(fh)
+    spec = _read_object(path)
     q = int(spec["range"])
     fp = spec["fprime"]
     if isinstance(fp, dict):
@@ -42,8 +50,7 @@ def _load_tds(path: str) -> TruncatedDivisorSum:
 
 
 def _load_fre(path: str) -> FiniteExpansion:
-    with open(path) as fh:
-        spec = json.load(fh)
+    spec = _read_object(path)
     return FiniteExpansion(int(spec["range"]),
                            [parse_rational(v) for v in spec["fhat"]])
 
@@ -61,8 +68,7 @@ def _load_coeffs(arg: str):
         raise ConfigError(f"unknown builtin coefficient family {name!r}")
     if arg.startswith("dK:"):
         return dk_expansion(int(arg.split(":", 1)[1]))
-    with open(arg) as fh:
-        spec = json.load(fh)
+    spec = _read_object(arg)
     support = int(spec["support"])
     entries = {int(q): parse_rational(v) for q, v in spec["entries"].items()}
     outside = sorted(q for q in entries if not 1 <= q <= support)
@@ -281,9 +287,8 @@ def _cmd_experiment(args) -> int:
     raw = {"name": args.name, "seed": args.seed, "out": args.out,
            "format": args.format, "cap_x": args.cap_x, "cap_d": args.cap_d}
     if args.config:
-        with open(args.config) as fh:
-            spec = json.load(fh)
-        if not isinstance(spec, dict) or "name" not in spec:
+        spec = _read_object(args.config)
+        if "name" not in spec:
             raise ConfigError("experiment config needs a 'name'")
         unknown = sorted(set(spec) - set(_CONFIG_KEYS))
         if unknown:
@@ -447,8 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, IndexError, UnknownExperimentError,
-            FileNotFoundError) as exc:
+    except (ValueError, IndexError, UnknownExperimentError, OSError) as exc:
         # bad input is a usage error (2); a failed check is the handler's 1
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,8 @@
 Covers partial sums of coefficient sequences against c_q(n), the two-parameter
 zero-expansion family alpha/q + beta/phi(q), Wintner-Delange reconstruction,
 Lucht's resummation identity, inversion of pure coefficients back to the
-transform, Carmichael's formula for pure finite expansions, the standard
-n-dependent finite expansion, and the K-divisor coefficient formula.
-Its Carmichael sums are those of its t.d.s., `transforms._csum_weighted_sums`.
+transform, the standard n-dependent finite expansion, and the K-divisor
+coefficient formula.
 
 A finite coefficient sequence is a `finite.FiniteExpansion` (a plain list of
 fhat(1..Q) counts as one), and the exact paths run on its scaled numerators;
@@ -22,12 +21,10 @@ import numpy as np
 
 from .arith import ArithmeticFunction, divisors, factor, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
-from .limits import LimitEstimate, check_grid
 from .rational import scale, scale_pairs, value_kind
 from .ramanujan import csum
-from .transforms import (_csum_weighted_sums, carmichael_average, eratosthenes,
-                         function_values, reduced_terms, wintner_inverse,
-                         wintner_scaled_table)
+from .transforms import (eratosthenes, function_values, reduced_terms,
+                         wintner_inverse, wintner_scaled_table)
 from . import kernels
 
 
@@ -178,24 +175,6 @@ def invert_pure_coefficients(fhat) -> PureInversion:
     t = fre_to_tds(e)
     ok = tds_to_fre(t) == e
     return PureInversion(list(t.fprime), ok)
-
-
-# ---------------------------------------------------------------------------
-# Carmichael's formula for pure finite expansions
-# ---------------------------------------------------------------------------
-
-def carmichael_formula_check(expansion, l: int, xgrid,
-                             tol: float = 1e-2) -> LimitEstimate:
-    """Estimate (1/(phi(l) x)) sum_{h<=x} F(h) c_l(h) against the stored
-    coefficient of a pure finite expansion (uniform convergence is trivial).
-
-    Per-x sums are exact: those of the t.d.s. `fre_to_tds` of the expansion
-    (`transforms._csum_weighted_sums`, on its divisor lattice when rational).
-    """
-    e = _finite(expansion)
-    xs = check_grid(xgrid)
-    sums = _csum_weighted_sums(ArithmeticFunction.from_tds(fre_to_tds(e)), [l], xs)[0]
-    return carmichael_average(sums, l, xs, tol, target=float(e.get(l)))
 
 
 # ---------------------------------------------------------------------------

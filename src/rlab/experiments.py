@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import kernels
-from .arith import ArithmeticFunction, divisors, omega
+from .arith import ArithmeticFunction, ConfigError, divisors, omega
 from .emit import Table, emit
 from .expansions import (divisor_power_coefficient, dk_local_series,
                          invert_pure_coefficients, lucht_evaluate,
@@ -40,10 +40,6 @@ from .transforms import (carmichael_estimate, condition_check, cw_formula_check,
 
 class UnknownExperimentError(KeyError):
     """Experiment name not in the registry."""
-
-
-class ConfigError(ValueError):
-    """Config violates the experiment schema."""
 
 
 class ResourceCapError(ValueError):

@@ -175,7 +175,7 @@ def wintner_inverse(nums, den: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Carmichael coefficients (finite-x averages): every exact Carmichael check,
-# here and in `shift` and `expansions`, reads the one exact sum
+# here and in `shift`, reads the one exact sum
 # S_q(x) = sum_{n<=x} w(n) c_q(n) (`carmichael_sums`) and the one estimate of
 # its averages S_q(x) / (phi(q) x) (`carmichael_average`)
 # ---------------------------------------------------------------------------

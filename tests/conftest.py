@@ -10,12 +10,8 @@ def rng():
     return random.Random(20170919)
 
 
-def rand_rational(rng, allow_zero=True) -> Fraction:
-    num = rng.randint(-9, 9)
-    if not allow_zero:
-        while num == 0:
-            num = rng.randint(-9, 9)
-    return Fraction(num, rng.randint(1, 8))
+def rand_rational(rng) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
 
 
 def rand_table(rng, length: int) -> list:

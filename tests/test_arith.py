@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlab import arith, kernels
-from rlab.arith import (_PSI_13, ArithmeticFunction, _is_probable_prime, d_k, divisors,
-                        factor, function_from_spec, mu, omega, phi)
+from rlab.arith import (_PSI_13, ArithmeticFunction, ConfigError, _is_probable_prime, d_k,
+                        divisors, factor, function_from_spec, mu, omega, phi)
 from rlab.ramanujan import csum
 from rlab.rational import ExactList, scale
 from rlab.transforms import eratosthenes
@@ -332,6 +332,17 @@ def test_registry_roundtrip():
         f = function_from_spec(spec)
         for n in range(1, 20):
             assert f(n) == want(n)
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "builtin"}, "'name'"),
+    ({"kind": "tds", "fprime": {"kind": "one"}}, "'range'"),
+    ({"kind": "tds", "range": 2, "fprime": {"kind": "table"}}, "'values'"),
+    ({"kind": "tds", "range": 2, "fprime": [1, 2]}, "bad function spec"),
+])
+def test_malformed_spec_is_a_config_error_naming_what_is_wrong(spec, named):
+    with pytest.raises(ConfigError, match=named):
+        function_from_spec(spec)
 
 
 def test_float_fprime_tds_is_refused():

@@ -10,15 +10,14 @@ from hypothesis import example, given, strategies as st
 
 from rlab import kernels
 from rlab.arith import ArithmeticFunction, divisors, factor, mu, phi
-from rlab.expansions import (ZeroCloudElement, carmichael_formula_check,
-                             divisor_power_coefficient, dk_local_series,
-                             evaluate_partial, invert_pure_coefficients,
+from rlab.expansions import (ZeroCloudElement, divisor_power_coefficient,
+                             dk_local_series, evaluate_partial, invert_pure_coefficients,
                              lucht_evaluate, standard_finite_expansion,
                              wintner_delange_reconstruct, wintner_delange_table,
                              zero_cloud_partial)
-from rlab.finite import FiniteExpansion, TruncatedDivisorSum, tds_to_fre
+from rlab.finite import FiniteExpansion, TruncatedDivisorSum, fre_to_tds, tds_to_fre
 from rlab.ramanujan import cross_sum, csum
-from rlab.transforms import eratosthenes
+from rlab.transforms import carmichael_estimate, eratosthenes
 from conftest import PROPERTY, RATIONALS, rand_table
 
 
@@ -206,22 +205,24 @@ def cross_sum_route(e: FiniteExpansion, l: int, xs: list) -> list:
 @example(fhat=[0, 0], l=1, xs=[5])
 def test_carmichael_formula_check_is_the_cross_sum_route(fhat, l, xs):
     xs = sorted(xs)
+    # Carmichael's formula for e reads the t.d.s. dual to it
     e = FiniteExpansion(len(fhat), fhat)
-    est = carmichael_formula_check(e, l, xs)
+    est = carmichael_estimate(ArithmeticFunction.from_tds(fre_to_tds(e)), l, xs)
     assert est.exact == [s / (phi(l) * x) for s, x in zip(cross_sum_route(e, l, xs), xs)]
 
 
 def test_carmichael_formula_constant():
-    e = FiniteExpansion(1, [1])
-    est = carmichael_formula_check(e, 1, [10, 100, 1000])
+    f = ArithmeticFunction.from_tds(fre_to_tds(FiniteExpansion(1, [1])))
+    est = carmichael_estimate(f, 1, [10, 100, 1000])
     assert est.exact == [Fraction(1)] * 3
 
 
 def test_carmichael_formula_finite():
     e = FiniteExpansion(2, [Fraction(3, 2), Fraction(1, 2)])
-    est = carmichael_formula_check(e, 2, [25000, 50000, 100000])
+    f = ArithmeticFunction.from_tds(fre_to_tds(e))
+    est = carmichael_estimate(f, 2, [25000, 50000, 100000])
     assert abs(est.final - 0.5) < 1e-2
-    est3 = carmichael_formula_check(e, 3, [25000, 50000, 100000])
+    est3 = carmichael_estimate(f, 3, [25000, 50000, 100000])
     assert abs(est3.final) < 1e-2       # past the support the estimate dies
 
 

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rlab import expansions, limits, ramanujan, shift, transforms
+from rlab import limits, ramanujan, shift, transforms
 from rlab.arith import ArithmeticFunction
+from rlab.finite import FiniteExpansion, fre_to_tds
 from rlab.limits import build_estimate, check_grid
 
 
@@ -96,8 +97,10 @@ def estimator_calls():
         "carmichael_estimate": lambda: transforms.carmichael_estimate(f, 3, grid),
         "carmichael_vs_cc": lambda: shift.carmichael_vs_cc(cut, 2, grid),
         "l_estimate": lambda: shift.l_estimate(cut, 2, grid),
-        "carmichael_formula_check": lambda: expansions.carmichael_formula_check(
-            [1, Fraction(1, 2), 3], 2, grid),
+        # Carmichael's formula for a finite expansion, on its dual t.d.s.
+        "carmichael_formula_check": lambda: transforms.carmichael_estimate(
+            ArithmeticFunction.from_tds(fre_to_tds(FiniteExpansion(3, [1, Fraction(1, 2), 3]))),
+            2, grid),
         # a report, not an estimate: its grid is the x of its rows
         "cw_formula_check": lambda: SimpleNamespace(
             grid=[r.x for r in transforms.cw_formula_check(f, 3, grid).rows]),
@@ -112,7 +115,7 @@ def test_each_estimator_checks_its_grid_once(monkeypatch, name):
     def counted(xgrid):
         calls.append(xgrid)
         return check_grid(xgrid)
-    for module in (expansions, limits, ramanujan, shift, transforms):
+    for module in (limits, ramanujan, shift, transforms):
         monkeypatch.setattr(module, "check_grid", counted)
     est = estimator_calls()[name]()
     assert len(calls) == 1 and est.grid == [100, 1000]

@@ -158,13 +158,6 @@ def test_triple_agreement_grid():
         assert np.max(np.abs(trig - exact)) < 1e-6
 
 
-def test_trig_form_equals_trig_row():
-    # both cosine routes are correctly rounded sums of the same table entries
-    for q in range(1, 200):
-        row = csum_trig_row(q, q)
-        assert [csum_trig_form(q, n) for n in range(q)] == row[:q].tolist()
-
-
 def test_periodicity_and_multiplicativity():
     for q in range(1, 50):
         for n in range(0, 2 * q):
