@@ -382,11 +382,21 @@ class ConfigError(ValueError):
 
 
 class Spec(dict):
-    """A JSON object given as input: reading a key it lacks raises a
-    ConfigError naming the key."""
+    """A JSON object given as input: reading a key it lacks, or reading a
+    value of the wrong type through `typed`, raises a ConfigError naming the
+    key."""
 
     def __missing__(self, key):
         raise ConfigError(f"missing key {key!r}")
+
+    def typed(self, key, *types):
+        """self[key], refused unless it is an instance of one of types."""
+        value = self[key]
+        if not isinstance(value, types):
+            want = " or ".join(t.__name__ for t in types)
+            raise ConfigError(f"key {key!r} must be a {want}, "
+                              f"got {type(value).__name__}")
+        return value
 
 
 def function_from_spec(spec: dict) -> ArithmeticFunction:
@@ -398,7 +408,7 @@ def function_from_spec(spec: dict) -> ArithmeticFunction:
         return ArithmeticFunction.builtin(spec["name"])
     if kind == "table":
         vals = [v if isinstance(v, int) else parse_rational(v)
-                for v in spec["values"]]
+                for v in spec.typed("values", list)]
         return ArithmeticFunction.table(vals, after=spec.get("after", "zero"))
     if kind == "tds":
         from .finite import TruncatedDivisorSum

@@ -43,7 +43,7 @@ def _load_function(path: str) -> ArithmeticFunction:
 def _load_tds(path: str) -> TruncatedDivisorSum:
     spec = _read_object(path)
     q = int(spec["range"])
-    fp = spec["fprime"]
+    fp = spec.typed("fprime", list, dict)
     if isinstance(fp, dict):
         return function_from_spec({"kind": "tds", "range": q, "fprime": fp}).tds
     return TruncatedDivisorSum(q, [parse_rational(v) for v in fp])
@@ -52,7 +52,7 @@ def _load_tds(path: str) -> TruncatedDivisorSum:
 def _load_fre(path: str) -> FiniteExpansion:
     spec = _read_object(path)
     return FiniteExpansion(int(spec["range"]),
-                           [parse_rational(v) for v in spec["fhat"]])
+                           [parse_rational(v) for v in spec.typed("fhat", list)])
 
 
 def _load_coeffs(arg: str):
@@ -70,7 +70,7 @@ def _load_coeffs(arg: str):
         return dk_expansion(int(arg.split(":", 1)[1]))
     spec = _read_object(arg)
     support = int(spec["support"])
-    entries = {int(q): parse_rational(v) for q, v in spec["entries"].items()}
+    entries = {int(q): parse_rational(v) for q, v in spec.typed("entries", dict).items()}
     outside = sorted(q for q in entries if not 1 <= q <= support)
     if outside:
         raise ConfigError(f"coefficient index q={outside[0]} outside 1..{support}")

@@ -12,7 +12,7 @@ an unbounded one is a plain callable q -> fhat(q), which `evaluate_partial`
 sums in float64 and the routines needing finite support refuse.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, log
 from operator import mul
@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction, divisors, factor, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
-from .rational import scale, scale_pairs, value_kind
+from .rational import BuiltOnRead, canonical, scale, scale_pairs, value_kind
 from .ramanujan import csum
 from .transforms import (eratosthenes, function_values, reduced_terms,
                          wintner_inverse, wintner_scaled_table)
@@ -183,8 +183,13 @@ def invert_pure_coefficients(fhat) -> PureInversion:
 
 @dataclass
 class StandardFiniteExpansion:
+    """The expansion at the point n.  It holds the canonical pair `scaled`
+    (nums, den) of its coefficients fhat(l, n) = nums[l - 1] / den, l = 1..n,
+    and builds their list, `coefficients`, the first time it is read; equality
+    compares the pair."""
     n: int
-    coefficients: list        # fhat(l, n) for l = 1..n
+    coefficients: list = field(init=False, compare=False, default=BuiltOnRead())
+    scaled: tuple = field(repr=False)
     reconstruction: Fraction  # sum_l fhat(l, n) c_l(n); equals F(n) exactly
 
 
@@ -218,10 +223,10 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
     in increasing order thus rebuild O(log n) times, and no sequence of calls
     builds past twice its largest point: the shared denominator is near
     lcm(1..bound), so the held terms cost about bound^2 digits.  A plain
-    callable rebuilds them on every call.  The path stays in integers until
-    the output: Fractions are built only for the returned coefficients and
-    the reconstruction, and each is reduced, so it does not depend on how far
-    the held terms reach.
+    callable rebuilds them on every call.  The path stays in integers: the
+    result holds the prefix sums as a canonical pair, so neither it nor the
+    reconstruction, the one Fraction built, depends on how far the held terms
+    reach, and the coefficients become Fractions only when they are read.
     n < 1 and a function that is not exact raise ValueError, and n past an
     `after="error"` table raises IndexError, on every call.
     """
@@ -245,8 +250,7 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
     partials = [sum(terms[l - 1:n:l]) for l in range(1, h + 1)] + list(terms[h:n])
     row = kernels.csum_row(n, n).tolist()
     total = sum(map(mul, partials, row[1:]))
-    coeffs = [Fraction(v, den) for v in partials]
-    return StandardFiniteExpansion(n, coeffs, Fraction(total, den))
+    return StandardFiniteExpansion(n, canonical(partials, den), Fraction(total, den))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from operator import mul
 import numpy as np
 
 from .arith import divisors
-from .rational import ExactList, canonical, freeze, head, ratio, scale, value_kind
+from .rational import (BuiltOnRead, ExactList, canonical, freeze, head, ratio, scale,
+                       value_kind)
 from .transforms import (decay_tail_bound, eratosthenes, wintner_coefficient,
                          wintner_inverse, wintner_scaled_table)
 from . import kernels
@@ -55,29 +56,11 @@ def _trimmed(values) -> list:
     return values[:r]
 
 
-class _BuiltOnRead:
-    """The sequence field of an object built by `_Scaled._over`, which holds
-    only its `scaled` pair: the first read builds the ExactList of Fractions
-    nums[i] / den, which keeps the pair as its scaled form, and stores it as
-    the field.  A non-data descriptor, so a field already set (by __init__ or
-    a first read) is read without it; the class itself has no value for the
-    field, so the dataclass field has no default."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.name)
-        values = obj.__dict__[self.name] = ExactList.over(*obj.scaled)
-        return values
-
-
 class _Scaled:
     """A frozen value object that holds its exact sequence's canonical pair
     once, as the attribute `scaled`: `scale` of its values field `_values` on
-    first read (a non-data descriptor, like `_BuiltOnRead`), or set by `_over`,
-    whose object builds its values field on first read.  `__post_init__` is
+    first read (a non-data descriptor, like `rational.BuiltOnRead`), or set
+    by `_over`, whose object builds its values field on first read.  `__post_init__` is
     the one input check of both value objects; `_over` skips it."""
 
     def __post_init__(self):
@@ -119,7 +102,7 @@ class _Scaled:
 class TruncatedDivisorSum(_Scaled):
     """F(n) = sum_{d|n, d<=Q} fprime(d); fprime is 1-based of length Q."""
     range: int
-    fprime: list = _BuiltOnRead()     # no default: built on first read
+    fprime: list = BuiltOnRead()      # no default: built on first read
     _values = "fprime"
 
     def eval(self, n: int):
@@ -156,7 +139,7 @@ class TruncatedDivisorSum(_Scaled):
 class FiniteExpansion(_Scaled):
     """F(n) = sum_{q<=Q} fhat(q) c_q(n); fhat is 1-based of length Q."""
     range: int
-    fhat: list = _BuiltOnRead()       # no default: built on first read
+    fhat: list = BuiltOnRead()        # no default: built on first read
     _values = "fhat"
 
     def get(self, q: int):

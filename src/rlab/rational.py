@@ -16,7 +16,8 @@ shift coefficients of a cut included) hold the pair once, as `scaled`, and
 their `.fprime`/`.fhat` is an ExactList.  A scaled result goes through
 `canonical` (one common gcd), which makes it the pair `scale` would give for
 its values; the two duality objects hold only that pair until their
-`.fprime`/`.fhat` is first read.
+`.fprime`/`.fhat` is first read, and a standard finite expansion until its
+`.coefficients` is: `BuiltOnRead` builds each such field.
 `freeze` is the one place that decides whether a value sequence is
 integer, rational or float, and the value objects read their input through
 it; table values, `eval_range` and the tables of `transforms.eratosthenes`
@@ -85,6 +86,24 @@ class ExactList(list):
 
     def __reduce__(self):
         return type(self), (list(self),)
+
+
+class BuiltOnRead:
+    """The sequence field of an object that holds only its canonical pair, as
+    the attribute `scaled`: the first read builds the ExactList of Fractions
+    nums[i] / den, which keeps the pair as its scaled form, and stores it as
+    the field.  A non-data descriptor, so a field already set (by __init__ or
+    a first read) is read without it; the class itself has no value for the
+    field, so a dataclass field holding it has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        values = obj.__dict__[self.name] = ExactList.over(*obj.scaled)
+        return values
 
 
 def scale(values) -> tuple:

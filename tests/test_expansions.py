@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab import kernels
+from rlab import experiments, kernels
 from rlab.arith import ArithmeticFunction, divisors, factor, mu, phi
 from rlab.expansions import (ZeroCloudElement, divisor_power_coefficient,
                              dk_local_series, evaluate_partial, invert_pure_coefficients,
@@ -16,6 +16,7 @@ from rlab.expansions import (ZeroCloudElement, divisor_power_coefficient,
                              wintner_delange_reconstruct, wintner_delange_table,
                              zero_cloud_partial)
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, fre_to_tds, tds_to_fre
+from rlab.rational import ExactList, scale
 from rlab.ramanujan import cross_sum, csum
 from rlab.transforms import carmichael_estimate, eratosthenes
 from conftest import PROPERTY, RATIONALS, rand_table
@@ -272,6 +273,38 @@ def test_standard_fre_is_the_wintner_table_at_n(f, n):
     assert s.reconstruction == Fraction(f(n))
 
 
+# point sequences that grow and shrink, so later calls rebuild the held terms
+POINTS = st.lists(st.integers(1, 90), min_size=2, max_size=8)
+
+
+@PROPERTY
+@given(f=exact_functions(), ns=POINTS)
+def test_standard_fre_reconstruction_builds_no_coefficient_list(f, ns):
+    for n in ns:
+        s = standard_finite_expansion(f, n)
+        assert s.reconstruction == Fraction(f(n))
+        assert "coefficients" not in vars(s)
+
+
+@PROPERTY
+@given(f=exact_functions(), ns=POINTS)
+def test_standard_fre_coefficients_read_late_are_the_wintner_table(f, ns):
+    # every list is read only after the last call has rebuilt the held terms
+    held = [standard_finite_expansion(f, n) for n in ns]
+    for n, s in zip(ns, held):
+        assert s.coefficients == tds_to_fre(TruncatedDivisorSum(n, eratosthenes(f, n))).fhat
+
+
+@PROPERTY
+@given(f=exact_functions(), ns=POINTS)
+def test_standard_fre_holds_the_canonical_pair_of_its_coefficients(f, ns):
+    # a plain callable builds its terms to n alone; f's may reach past n
+    for n in ns:
+        s, plain = standard_finite_expansion(f, n), standard_finite_expansion(lambda k: f(k), n)
+        assert s == plain and repr(s) == repr(plain)
+        assert s.scaled == scale(s.coefficients) == plain.scaled
+
+
 def test_standard_fre_refuses_bad_input():
     with pytest.raises(ValueError, match="exact function"):
         standard_finite_expansion(ArithmeticFunction.builtin("vonMangoldt"), 6)
@@ -344,6 +377,26 @@ def _count_builds(monkeypatch):
         return transform(c)
     monkeypatch.setattr(kernels, "mobius_transform_int", counted)
     return calls
+
+
+def test_standard_fre_experiment_builds_no_coefficient_list(monkeypatch):
+    # work gate: c08 compares reconstructions only, so no run of it builds a
+    # coefficient list, by ExactList.over or otherwise
+    over, built, made = ExactList.over, [], []
+
+    def counted(cls, nums, den):
+        built.append(len(nums))
+        return over(nums, den)
+
+    def recorded(f, n):
+        made.append(standard_finite_expansion(f, n))
+        return made[-1]
+    monkeypatch.setattr(ExactList, "over", classmethod(counted))
+    monkeypatch.setattr(experiments, "standard_finite_expansion", recorded)
+    result = experiments.run_experiment(experiments.ExperimentConfig(name="standard-fre"))
+    assert [o["status"] for o in result.outcomes] == ["pass"]
+    assert made and built == []
+    assert not any("coefficients" in vars(s) for s in made)
 
 
 def test_standard_fre_builds_at_n_then_doubles_within_a_table(monkeypatch):
