@@ -96,7 +96,7 @@ COMMANDS = [
     ("experiment run --config lemma2-q20.json", 0, None),
     ("experiment run --name cc", 0, None),
     ("experiment run --name weak-reef", 0, None),
-    ("experiment run --name identity12", 0, "\n  params: trials=12\n"),
+    ("experiment run --name identity12", 0, None),
     ("experiment run --config lucht-trials-5.json", 0, None),
     ("experiment run --config reef-lgrid.json", 0, "\n  params: lgrid=[100,1000]\n"),
     ("experiment run --name short-average", 0, None),
@@ -479,6 +479,12 @@ def test_grid_experiments_check_their_table_against_cap_x(name, capsys):
     assert main(["--cap-x", "10", "--cap-d", "10", "experiment", "run",
                  "--name", name]) == 2
     assert "exceeds cap 10" in capsys.readouterr().err
+
+
+def test_experiment_run_prints_resolved_params(capsys):
+    assert main(["experiment", "run", "--name", "identity12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  params: trials=12"
 
 
 @pytest.mark.parametrize("name", ["identity12", "reef"])
