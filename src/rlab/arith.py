@@ -398,6 +398,15 @@ class Spec(dict):
                               f"got {type(value).__name__}")
         return value
 
+    def integer(self, key) -> int:
+        """self[key] as an int: an int, or a float of integral value, as
+        `limits.check_grid` reads a grid value (2.0 is 2).  A bool, any other
+        type and a non-integral number raise a ConfigError naming the key."""
+        value = self.typed(key, int, float)
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+        return int(value)
+
 
 def function_from_spec(spec: dict) -> ArithmeticFunction:
     if not isinstance(spec, dict):
@@ -412,7 +421,7 @@ def function_from_spec(spec: dict) -> ArithmeticFunction:
         return ArithmeticFunction.table(vals, after=spec.get("after", "zero"))
     if kind == "tds":
         from .finite import TruncatedDivisorSum
-        q = int(spec["range"])
+        q = spec.integer("range")
         inner = function_from_spec(spec["fprime"])
         return ArithmeticFunction.from_tds(TruncatedDivisorSum(q, inner.eval_range(q)))
     raise ConfigError(f"bad function spec: {spec!r}")

@@ -42,7 +42,7 @@ def _load_function(path: str) -> ArithmeticFunction:
 
 def _load_tds(path: str) -> TruncatedDivisorSum:
     spec = _read_object(path)
-    q = int(spec["range"])
+    q = spec.integer("range")
     fp = spec.typed("fprime", list, dict)
     if isinstance(fp, dict):
         return function_from_spec({"kind": "tds", "range": q, "fprime": fp}).tds
@@ -51,7 +51,7 @@ def _load_tds(path: str) -> TruncatedDivisorSum:
 
 def _load_fre(path: str) -> FiniteExpansion:
     spec = _read_object(path)
-    return FiniteExpansion(int(spec["range"]),
+    return FiniteExpansion(spec.integer("range"),
                            [parse_rational(v) for v in spec.typed("fhat", list)])
 
 
@@ -69,7 +69,7 @@ def _load_coeffs(arg: str):
     if arg.startswith("dK:"):
         return dk_expansion(int(arg.split(":", 1)[1]))
     spec = _read_object(arg)
-    support = int(spec["support"])
+    support = spec.integer("support")
     entries = {int(q): parse_rational(v) for q, v in spec.typed("entries", dict).items()}
     outside = sorted(q for q in entries if not 1 <= q <= support)
     if outside:

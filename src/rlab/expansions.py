@@ -24,7 +24,7 @@ from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
 from .rational import BuiltOnRead, canonical, scale, scale_pairs, value_kind
 from .ramanujan import csum
 from .transforms import (eratosthenes, function_values, reduced_terms,
-                         wintner_inverse, wintner_scaled_table)
+                         wintner_inverse, wintner_scaled_table, wintner_sums)
 from . import kernels
 
 
@@ -37,27 +37,35 @@ def _finite(fhat) -> FiniteExpansion:
     return FiniteExpansion(len(fhat), fhat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroCloudElement:
-    """Coefficients q -> alpha/q + beta/phi(q); expansions of the zero function."""
+    """Coefficients q -> alpha/q + beta/phi(q); expansions of the zero function.
+
+    The element holds its float weights, read-only, built at the largest qmax
+    asked for so far: each weight depends on q alone, so a smaller qmax reads
+    a prefix view equal to a fresh build bit for bit."""
     alpha: Fraction
     beta: Fraction
+    _weights: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.alpha = Fraction(self.alpha)
-        self.beta = Fraction(self.beta)
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        object.__setattr__(self, "beta", Fraction(self.beta))
 
     def coefficient(self, q: int) -> Fraction:
         return self.alpha / q + Fraction(self.beta, phi(q))
 
     def float_weights(self, qmax: int) -> np.ndarray:
-        q = np.arange(qmax + 1, dtype=np.float64)
-        q[0] = 1.0
-        ph = kernels.totient_sieve(qmax).astype(np.float64)
-        ph[0] = 1.0
-        w = float(self.alpha) / q + float(self.beta) / ph
-        w[0] = 0.0
-        return w
+        """alpha/q + beta/phi(q) for q = 0..qmax as float64 (entry 0 set to 0)."""
+        if self._weights is None or len(self._weights) <= qmax:
+            q = np.arange(qmax + 1, dtype=np.float64)
+            q[0] = 1.0
+            ph = kernels.totient_sieve(qmax).astype(np.float64)
+            ph[0] = 1.0
+            w = float(self.alpha) / q + float(self.beta) / ph
+            w[0] = 0.0
+            object.__setattr__(self, "_weights", kernels.read_only(w))
+        return self._weights[: qmax + 1]
 
 
 def evaluate_partial(expansion, n: int, q_cut: int):
@@ -245,9 +253,7 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
                 bound = max(n, grown)
             f.wintner_terms = _wintner_terms(f, bound)
         _, terms, den = f.wintner_terms
-    # an l past n/2 has no multiple up to n but itself
-    h = n // 2
-    partials = [sum(terms[l - 1:n:l]) for l in range(1, h + 1)] + list(terms[h:n])
+    partials = wintner_sums(list(terms[:n]))
     row = kernels.csum_row(n, n).tolist()
     total = sum(map(mul, partials, row[1:]))
     return StandardFiniteExpansion(n, canonical(partials, den), Fraction(total, den))

@@ -21,11 +21,10 @@ import numpy as np
 from . import kernels
 from .arith import ArithmeticFunction, ConfigError, divisors, omega
 from .emit import Table, emit
-from .expansions import (divisor_power_coefficient, dk_local_series,
-                         invert_pure_coefficients, lucht_evaluate,
+from .expansions import (ZeroCloudElement, divisor_power_coefficient, dk_local_series,
+                         evaluate_partial, invert_pure_coefficients, lucht_evaluate,
                          standard_finite_expansion,
-                         wintner_delange_reconstruct, wintner_delange_table,
-                         zero_cloud_partial)
+                         wintner_delange_reconstruct, wintner_delange_table)
 from .finite import (TruncatedDivisorSum, fre_to_tds, high_coefficient_check,
                      low_coefficient_report, tds_to_fre)
 from .ramanujan import (RamanujanSumTable, abs_csum_over_q_partial, csum,
@@ -332,7 +331,9 @@ def _prop2(cfg, trials=500, qmax=64, nmax=512):
     rng = random.Random(cfg.seed)
     # pointwise oracle on scaled numerators, independent of t.eval / e.eval:
     # tds(n) = sum_{d|n} fprime(d) and fre(n) = sum_q fhat(q) c_q(n), each one
-    # matrix product, compared by cross-multiplying the two denominators
+    # matrix product, compared by cross-multiplying the two denominators.  The
+    # t.d.s. numerators are small (|fprime| <= 9 over lcm(1..8) = 840), so
+    # their product runs in int64 under the kernels' guard; fhat's are bignums
     n = np.arange(1, nmax + 1)
     divides = (n[None, :] % np.arange(1, qmax + 1)[:, None] == 0).astype(np.int64)
     ctab = kernels.csum_block(qmax, nmax)[1:, 1:]
@@ -345,7 +346,10 @@ def _prop2(cfg, trials=500, qmax=64, nmax=512):
             bad_round += 1
         tn, tden = t.scaled
         en, eden = e.scaled
-        tds_vals = np.array(tn, dtype=object) @ divides[:q]
+        tn, rows = kernels.int_array(tn), divides[:q]
+        if not kernels._int64_fits(q, tn, rows):
+            tn, rows = tn.astype(object), rows.astype(object)
+        tds_vals = (tn @ rows).astype(object)
         fre_vals = np.array(en, dtype=object) @ ctab[:q]
         if np.any(tds_vals * eden != fre_vals * tden):
             bad_point += 1
@@ -436,9 +440,10 @@ def _zero_cloud(cfg, nmax=10, x_lo=10 ** 2, x_hi=10 ** 6):
     bad = []
     t = Table(["alpha", "beta", "n", "partial_lo", "partial_hi"])
     for alpha, beta in ((1, 0), (0, 1), (1, 1)):
+        element = ZeroCloudElement(alpha, beta)     # builds its weights once
         for n in range(1, nmax + 1):
-            lo = zero_cloud_partial(alpha, beta, n, x_lo)
-            hi = zero_cloud_partial(alpha, beta, n, x_hi)
+            lo = evaluate_partial(element, n, x_lo)
+            hi = evaluate_partial(element, n, x_hi)
             t.add(alpha, beta, n, lo, hi)
             if not abs(hi) < abs(lo):
                 bad.append((alpha, beta, n))

@@ -160,7 +160,20 @@ def wintner_scaled_table(fprime, cut: int):
         raise ValueError("Wintner table needs an exact function "
                          "(int or Fraction values)")
     terms, den = scale_pairs(reduced_terms(vals, range(1, cut + 1)))
-    return [sum(terms[q - 1:: q]) for q in range(1, cut + 1)], den
+    terms = list(terms)     # drops the tuple, which would keep each replaced term
+    return wintner_sums(terms), den
+
+
+def wintner_sums(terms: list) -> list:
+    """The list terms of t_d, d = 1..n, turned in place into the Wintner sums
+    fhat(q) = sum_{q|d<=n} t_d, q = 1..n, and returned: the one place these
+    sums over multiples are taken.  In ascending q, fhat(q) reads t_q and the
+    entries at its multiples above q, none of them replaced yet; a q past n/2
+    has no multiple up to n but itself and keeps its term.  The caller hands
+    over a list it owns."""
+    for q in range(1, len(terms) // 2 + 1):
+        terms[q - 1] = sum(terms[q - 1:: q])
+    return terms
 
 
 def wintner_inverse(nums, den: int) -> tuple:

@@ -327,6 +327,10 @@ def test_registry_roundtrip():
         ({"kind": "tds", "range": 4,
           "fprime": {"kind": "table", "values": [1, 0, "1/3", 2], "after": "zero"}},
          lambda n: sum(fprime[d - 1] for d in divisors(n) if d <= 4)),
+        # an integral float reads as its int, as a grid value does
+        ({"kind": "tds", "range": 4.0,
+          "fprime": {"kind": "table", "values": [1, 0, "1/3", 2], "after": "zero"}},
+         lambda n: sum(fprime[d - 1] for d in divisors(n) if d <= 4)),
     ]
     for spec, want in cases:
         f = function_from_spec(spec)
@@ -339,6 +343,10 @@ def test_registry_roundtrip():
     ({"kind": "tds", "fprime": {"kind": "one"}}, "'range'"),
     ({"kind": "tds", "range": 2, "fprime": {"kind": "table"}}, "'values'"),
     ({"kind": "tds", "range": 2, "fprime": [1, 2]}, "bad function spec"),
+    ({"kind": "tds", "range": 2.5, "fprime": {"kind": "builtin", "name": "one"}},
+     "'range' must be an integer, got 2.5"),
+    ({"kind": "tds", "range": "2", "fprime": {"kind": "builtin", "name": "one"}}, "'range'"),
+    ({"kind": "tds", "range": False, "fprime": {"kind": "builtin", "name": "one"}}, "'range'"),
 ])
 def test_malformed_spec_is_a_config_error_naming_what_is_wrong(spec, named):
     with pytest.raises(ConfigError, match=named):

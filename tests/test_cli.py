@@ -35,6 +35,11 @@ INPUTS = {
     "int-fprime": {"range": 2, "fprime": 5},
     "int-fhat": {"range": 2, "fhat": 5},
     "list-entries": {"support": 2, "entries": ["1"]},
+    "half-range": {"range": 2.5, "fprime": ["1", "2"]},
+    "list-range": {"range": [2], "fprime": ["1"]},
+    "bool-range": {"range": True, "fprime": ["1"]},
+    "float-range": {"range": 2.0, "fprime": ["1", "2"]},
+    "half-support": {"support": 1.5, "entries": {"1": "1"}},
     "one": {"kind": "builtin", "name": "one"},
     "seq": {"support": 2, "entries": {"1": "3/2", "2": "1/2"}},
     "even-tds": {"kind": "tds", "range": 2,
@@ -115,6 +120,12 @@ COMMANDS = [
     ("fre to-fre --tds int-fprime.json", 2, "'fprime'"),
     ("fre to-tds --fre int-fhat.json", 2, "'fhat'"),
     ("expand eval --coeffs list-entries.json --n 1 --cut 2", 2, "'entries'"),
+    # a range or support is an int or an integral float, as a grid value is
+    ("fre to-fre --tds half-range.json", 2, "'range' must be an integer, got 2.5"),
+    ("fre to-fre --tds list-range.json", 2, "'range'"),
+    ("fre to-fre --tds bool-range.json", 2, "'range' must be an integer, got True"),
+    ("fre to-fre --tds float-range.json", 0, '\n{"range": 2, "fhat": ["2", "1"]}\n'),
+    ("expand eval --coeffs half-support.json --n 1 --cut 2", 2, "'support'"),
     ("transform --f . --bound 6", 2, "Is a directory"),
 ]
 

@@ -71,6 +71,21 @@ def test_zero_cloud_trend():
             assert abs(hi) < abs(lo), (alpha, beta, n)
 
 
+def test_zero_cloud_weights_are_built_once_and_read_as_prefixes():
+    # cuts that grow and shrink: every read is a read-only view of the one
+    # held vector, bit-identical to a fresh element's, and so is each partial
+    el = ZeroCloudElement(Fraction(1, 3), -2)
+    for cut in (100, 10 ** 4, 7, 10 ** 4, 100, 1):
+        w = el.float_weights(cut)
+        assert w.base is el._weights and not w.flags.writeable
+        fresh = ZeroCloudElement(Fraction(1, 3), -2).float_weights(cut)
+        assert w.shape == (cut + 1,) and w.tobytes() == fresh.tobytes()
+        for n in (1, 6, 12):
+            assert evaluate_partial(el, n, cut) == zero_cloud_partial(Fraction(1, 3), -2, n, cut)
+    assert len(el._weights) == 10 ** 4 + 1
+    assert el == ZeroCloudElement(Fraction(1, 3), -2)
+
+
 def test_blend_linearity():
     e1 = [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(2)]
     e2 = [Fraction(-1), Fraction(1, 3), Fraction(5), Fraction(0)]

@@ -127,6 +127,51 @@ def test_grown_sieve_counts_hits_and_refuses_negative_bounds():
         assert sieve.cache_info() == after
 
 
+SPLIT_MAX = kernels._SPLIT_HELD_MAX
+
+
+def _split_brute(n):
+    """(small, k, p) of `kernels._split_primes` by its definition."""
+    primes = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    small = tuple(p for p in primes if p <= math.isqrt(n))
+    pairs = [(k, p) for k in range(1, n + 1) for p in primes
+             if p > math.isqrt(n) and k * p <= n]
+    return small, [k for k, _ in pairs], [p for _, p in pairs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2 * SPLIT_MAX), min_size=1, max_size=10))
+@example([8, SPLIT_MAX, SPLIT_MAX + 1, 8, 2 * SPLIT_MAX, 0, 1, SPLIT_MAX, 97])
+def test_held_split_equals_a_fresh_build(bounds):
+    # bounds interleaved across the memo's limit: a held split is read-only,
+    # and held or not, it equals a fresh build and the definition
+    for n in bounds:
+        small, k, p = kernels._split_primes(n)
+        fresh = kernels._build_split(n)
+        assert small == fresh[0] and isinstance(small, tuple)
+        assert np.array_equal(k, fresh[1]) and np.array_equal(p, fresh[2])
+        if n <= SPLIT_MAX:
+            assert not k.flags.writeable and not p.flags.writeable
+        if n <= 200:
+            assert (small, k.tolist(), p.tolist()) == _split_brute(n)
+
+
+def test_split_builds_each_small_bound_once(monkeypatch):
+    builds = []
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+    build = kernels._build_split
+    monkeypatch.setattr(kernels, "_build_split", counted)
+    kernels._held_split.cache_clear()
+    for n in (8, 64, 8, SPLIT_MAX, 64, SPLIT_MAX + 1, 8, SPLIT_MAX + 1):
+        kernels.mobius_transform_int(np.arange(n + 1, dtype=np.int64))
+    # a bound past the limit is not held: it builds on every call
+    assert builds == [8, 64, SPLIT_MAX, SPLIT_MAX + 1, SPLIT_MAX + 1]
+    assert kernels._held_split.cache_info().currsize == 3
+
+
 HQ = kernels._HOLDER_QMAX
 
 

@@ -167,12 +167,19 @@ def test_decay_tail_bound_is_none_without_a_hint_or_past_the_cut():
     assert transforms.decay_tail_bound((0.0, 2.0), 2, 100) == 0.0
 
 
-def test_wintner_table_matches_single():
-    fp = [Fraction(1, d) for d in range(1, 201)]
-    tab = tds_to_fre(TruncatedDivisorSum(200, fp)).fhat
-    for q in (1, 2, 3, 50, 199):
-        partial, _ = wintner_coefficient(fp, q, 200)
-        assert tab[q - 1] == partial
+@PROPERTY
+@given(st.lists(RATIONALS, min_size=1, max_size=60))
+@example([Fraction(1, d) for d in range(1, 201)])
+def test_wintner_table_matches_single(fp):
+    # every q, among them cut//2, the last with a multiple besides itself, and
+    # cut//2 + 1, the first that keeps its one term
+    cut = len(fp)
+    nums, den = wintner_scaled_table(fp, cut)
+    want = [sum((Fraction(fp[d - 1]) / d for d in range(q, cut + 1, q)), Fraction(0))
+            for q in range(1, cut + 1)]
+    assert [Fraction(n, den) for n in nums] == want
+    assert gcd(den, *nums) == 1      # the pair is canonical as it stands
+    assert list(tds_to_fre(TruncatedDivisorSum(cut, fp)).fhat) == want
 
 
 @PROPERTY
