@@ -286,8 +286,12 @@ class ArithmeticFunction:
     von Mangoldt builtin and a table holding a nonzero float) reads a shape.
 
     `wintner_terms` is None until `expansions.standard_finite_expansion`
-    stores there (bound, terms, den), terms[d - 1] / den == fprime(d) / d for
-    d <= bound.  The values never change, so the held terms cannot go stale.
+    stores there an `expansions.WintnerTerms` (bound, terms, den, values,
+    values_den): terms[d - 1] / den == fprime(d) / d and
+    values[d - 1] / values_den == F(d) for d <= bound, each a list of Python
+    ints over the lcm of its reduced denominators.  A later point past the
+    bound grows both lists in place of a rebuild.  The values never change,
+    so the held state cannot go stale.
     """
 
     def __init__(self, kind, name=None, values=None, after="zero", tds=None):

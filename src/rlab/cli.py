@@ -55,6 +55,14 @@ def _load_fre(path: str) -> FiniteExpansion:
                            [parse_rational(v) for v in spec.typed("fhat", list)])
 
 
+def _whole(text: str, what: str) -> int:
+    """text read as an integer; anything else is a ConfigError naming `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _load_coeffs(arg: str):
     """A FiniteExpansion from a {"support": S, "entries": {q: fhat(q)}} file
     (missing q <= S are zero), a zero family as its ZeroCloudElement, or the
@@ -67,10 +75,11 @@ def _load_coeffs(arg: str):
             return ZeroCloudElement(0, 1)
         raise ConfigError(f"unknown builtin coefficient family {name!r}")
     if arg.startswith("dK:"):
-        return dk_expansion(int(arg.split(":", 1)[1]))
+        return dk_expansion(_whole(arg.split(":", 1)[1], f"--coeffs {arg}: K"))
     spec = _read_object(arg)
     support = spec.integer("support")
-    entries = {int(q): parse_rational(v) for q, v in spec.typed("entries", dict).items()}
+    entries = {_whole(q, f"{arg}: entries key"): parse_rational(v)
+               for q, v in spec.typed("entries", dict).items()}
     outside = sorted(q for q in entries if not 1 <= q <= support)
     if outside:
         raise ConfigError(f"coefficient index q={outside[0]} outside 1..{support}")

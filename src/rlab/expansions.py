@@ -12,8 +12,10 @@ an unbounded one is a plain callable q -> fhat(q), which `evaluate_partial`
 sums in float64 and the routines needing finite support refuse.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, log
 from operator import mul
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .arith import ArithmeticFunction, divisors, factor, phi
 from .finite import FiniteExpansion, fre_to_tds, tds_to_fre
-from .rational import BuiltOnRead, canonical, scale, scale_pairs, value_kind
+from .rational import BuiltOnRead, canonical, scale_pairs, value_kind
 from .ramanujan import csum
 from .transforms import (eratosthenes, function_values, reduced_terms,
                          wintner_inverse, wintner_scaled_table, wintner_sums)
@@ -191,31 +193,52 @@ def invert_pure_coefficients(fhat) -> PureInversion:
 
 @dataclass
 class StandardFiniteExpansion:
-    """The expansion at the point n.  It holds the canonical pair `scaled`
-    (nums, den) of its coefficients fhat(l, n) = nums[l - 1] / den, l = 1..n,
-    and builds their list, `coefficients`, the first time it is read; equality
-    compares the pair."""
+    """The expansion at the point n.  It holds `raw`, the pair (nums, den) of
+    its coefficients fhat(l, n) = nums[l - 1] / den, l = 1..n, over the held
+    Wintner terms' denominator.  The first read of `scaled` reduces it to the
+    canonical pair (`rational.canonical`), and the first read of
+    `coefficients` builds their list; equality compares n, the canonical
+    pair and the reconstruction."""
     n: int
     coefficients: list = field(init=False, compare=False, default=BuiltOnRead())
-    scaled: tuple = field(repr=False)
+    raw: tuple = field(repr=False, compare=False)
+    scaled: tuple = field(init=False, repr=False,
+                          default=cached_property(lambda s: canonical(*s.raw)))
     reconstruction: Fraction  # sum_l fhat(l, n) c_l(n); equals F(n) exactly
 
 
-def _wintner_terms(f, bound: int) -> tuple:
-    """(bound, terms, den) with terms[d - 1] / den == fprime(d) / d for d <= bound.
+# the held state of `standard_finite_expansion`, `ArithmeticFunction.wintner_terms`
+WintnerTerms = namedtuple("WintnerTerms", "bound terms den values values_den")
+_NOTHING_HELD = WintnerTerms(0, (), 1, (), 1)
 
-    The values f(1..bound) go over one denominator once, the Moebius
-    transform runs on their numerators, `transforms.reduced_terms` reduces
-    each term fprime(d)/d = t[d] / (den d), and the terms share one
-    denominator.
+
+def _lifted(nums, k: int):
+    """nums over a denominator k times larger: one multiply each."""
+    return nums if k == 1 else [v * k for v in nums]
+
+
+def _wintner_terms(f, bound: int, held: WintnerTerms = _NOTHING_HELD) -> WintnerTerms:
+    """held grown to `bound`, equal to a build from nothing at `bound`.
+
+    Only the new values F(d), held.bound < d <= bound, are scaled, and only
+    their terms fprime(d) / d = t[d] / (values_den d) are reduced
+    (`transforms.reduced_terms`); each held numerator reaches the new
+    denominator by one multiply.  The Moebius transform reads every value
+    numerator, since a new d has held divisors; they share the values' small
+    denominator, so it is integer work, not bignum work.
     """
     vals = function_values(f, bound)
     if value_kind(vals) == "float":
         raise ValueError("standard finite expansion needs an exact function "
                          "(int or Fraction values)")
-    nums, den = scale(vals)
-    t = kernels.mobius_transform_int(kernels.one_based(nums)).tolist()[1:]
-    return (bound, *scale_pairs(reduced_terms(t, range(1, bound + 1), den)))
+    new, vden = scale_pairs([(int(v.numerator), int(v.denominator))
+                             for v in vals[held.bound:]], held.values_den)
+    values = [*_lifted(held.values, vden // held.values_den), *new]
+    t = kernels.mobius_transform_int(kernels.one_based(values)).tolist()[1:]
+    terms, den = scale_pairs(reduced_terms(t, range(held.bound + 1, bound + 1), vden),
+                             held.den)
+    return WintnerTerms(bound, [*_lifted(held.terms, den // held.den), *terms], den,
+                        values, vden)
 
 
 def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
@@ -225,38 +248,39 @@ def standard_finite_expansion(f, n: int) -> StandardFiniteExpansion:
 
     Every point n reads the same terms fprime(d)/d, d <= n, so an
     ArithmeticFunction holds them (`wintner_terms`, over one shared
-    denominator) and each call sums prefixes of them.  The first call builds
-    them up to n only; a point past the held bound rebuilds them up to
-    max(n, twice the held bound), for a table not past its end.  Points asked
-    in increasing order thus rebuild O(log n) times, and no sequence of calls
-    builds past twice its largest point: the shared denominator is near
-    lcm(1..bound), so the held terms cost about bound^2 digits.  A plain
-    callable rebuilds them on every call.  The path stays in integers: the
-    result holds the prefix sums as a canonical pair, so neither it nor the
-    reconstruction, the one Fraction built, depends on how far the held terms
-    reach, and the coefficients become Fractions only when they are read.
-    n < 1 and a function that is not exact raise ValueError, and n past an
-    `after="error"` table raises IndexError, on every call.
+    denominator, beside the numerators of its values) and each call sums
+    prefixes of them.  The first call builds them up to n only; a point past
+    the held bound grows them to max(n, twice the held bound), for a table
+    not past its end.  Growing scales only the new values and reduces only
+    the new terms, so over any sequence of points each term is reduced once.
+    No sequence of calls builds past twice its largest point: the shared
+    denominator is near lcm(1..bound), so the held terms cost about bound^2
+    digits.  A plain callable builds them on every call.  The path stays in
+    integers: the result holds the prefix sums over the held denominator
+    (`raw`), reduced to the canonical pair `scaled` only when that is read,
+    so neither the pair nor the reconstruction, the one Fraction built,
+    depends on how far the held terms reach, and the coefficients become
+    Fractions only when they are read.  n < 1 and a function that is not
+    exact raise ValueError, and n past an `after="error"` table raises
+    IndexError, on every call.
     """
     if n < 1:
         raise ValueError(f"n >= 1 required, got {n}")
     if not isinstance(f, ArithmeticFunction):
-        _, terms, den = _wintner_terms(f, n)
+        held = _wintner_terms(f, n)
     else:
         held = f.wintner_terms
-        if held is None or held[0] < n:
-            bound = n
-            if held is not None:   # double, but not past a table's end
-                grown = 2 * held[0]
-                if f.kind == "table":
-                    grown = min(grown, len(f.values))
-                bound = max(n, grown)
-            f.wintner_terms = _wintner_terms(f, bound)
-        _, terms, den = f.wintner_terms
-    partials = wintner_sums(list(terms[:n]))
+        if held is None:
+            held = f.wintner_terms = _wintner_terms(f, n)
+        elif held.bound < n:   # double, but not past a table's end
+            grown = 2 * held.bound
+            if f.kind == "table":
+                grown = min(grown, len(f.values))
+            held = f.wintner_terms = _wintner_terms(f, max(n, grown), held)
+    partials = wintner_sums(held.terms[:n])
     row = kernels.csum_row(n, n).tolist()
     total = sum(map(mul, partials, row[1:]))
-    return StandardFiniteExpansion(n, canonical(partials, den), Fraction(total, den))
+    return StandardFiniteExpansion(n, (partials, held.den), Fraction(total, held.den))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import kernels
 from .arith import ArithmeticFunction, ConfigError, divisors, omega
 from .emit import Table, emit
 from .expansions import (ZeroCloudElement, divisor_power_coefficient, dk_local_series,
-                         evaluate_partial, invert_pure_coefficients, lucht_evaluate,
+                         invert_pure_coefficients, lucht_evaluate,
                          standard_finite_expansion,
                          wintner_delange_reconstruct, wintner_delange_table)
 from .finite import (TruncatedDivisorSum, fre_to_tds, high_coefficient_check,
@@ -437,13 +437,21 @@ def _zero_cloud(cfg, nmax=10, x_lo=10 ** 2, x_hi=10 ** 6):
     if x_lo >= x_hi:
         raise ValueError(f"x_lo={x_lo} must be below x_hi={x_hi}")
     cfg.check_caps(d=x_hi)
+    # each element builds its weights once, and each row c_q(n), q <= cut, is
+    # built once for all three; a partial is `evaluate_partial`'s float64 dot
+    pairs = ((1, 0), (0, 1), (1, 1))
+    elements = [ZeroCloudElement(alpha, beta) for alpha, beta in pairs]
+    partial = {}
+    for n in range(1, nmax + 1):
+        for cut in (x_lo, x_hi):
+            row = kernels.csum_row(n, cut).astype(np.float64)[1:]
+            for e in elements:
+                partial[e, n, cut] = float(np.dot(row, e.float_weights(cut)[1:]))
     bad = []
     t = Table(["alpha", "beta", "n", "partial_lo", "partial_hi"])
-    for alpha, beta in ((1, 0), (0, 1), (1, 1)):
-        element = ZeroCloudElement(alpha, beta)     # builds its weights once
+    for (alpha, beta), e in zip(pairs, elements):
         for n in range(1, nmax + 1):
-            lo = evaluate_partial(element, n, x_lo)
-            hi = evaluate_partial(element, n, x_hi)
+            lo, hi = partial[e, n, x_lo], partial[e, n, x_hi]
             t.add(alpha, beta, n, lo, hi)
             if not abs(hi) < abs(lo):
                 bad.append((alpha, beta, n))

@@ -107,29 +107,48 @@ def csum_trig_form(q: int, n: int) -> float:
     return float(csum_trig_row(q, r)[r])
 
 
+# Veltkamp's constant 2**27 + 1 splits a float64 into two halves of at most
+# 26 significant bits each, so a half times an integer below 2**26 is exact
+_VELTKAMP = 134217729.0
+_TRIG_QMAX = 1 << 26
+
+
 def csum_trig_row(q: int, nmax: int) -> np.ndarray:
     """Cosine-sum values c_q(n) for n = 0..nmax.
 
     The sum has period q in n, so it evaluates one period r < q only, with
     the cosines cos(2 pi k / q), k < q, in a table.  Within a period it
-    depends on r only through g = gcd(r, q): for every such r the terms
-    cos(2 pi (j r mod q) / q) over the residues j coprime to q form the same
-    multiset as for r = g.  So one `math.fsum` of table[j g mod q] per class
-    g that occurs among r <= nmax gives period[r] = sum[gcd(r, q)], and one
-    wrapped read of the period (`kernels.tiled`) gives n = 0..nmax.
+    depends on r only through g = gcd(r, q): as j runs over the residues
+    coprime to q, j r mod q runs over the residues of class g (gcd = g),
+    each phi(q) / #class times.  So the sum for class g is its own cosines,
+    each times that multiplicity, and both counts come from the gcd array.
+    Each cosine is split exactly into two halves (Veltkamp), a half times a
+    multiplicity below 2**26 is exact, and one `math.fsum` of the products
+    per class g that occurs among r <= nmax gives period[r] = sum[gcd(r, q)];
+    one wrapped read of the period (`kernels.tiled`) gives n = 0..nmax.
     fsum is correctly rounded, so each entry is the correctly rounded sum of
-    its own defining cosines, whatever their order.  The route uses no
-    factorisation, no mu and no closed form.
+    its own defining cosines, whatever their order.  The multiplicity is at
+    most phi(q) < q, so q past 2**26 is refused with ValueError.  The route
+    uses no factorisation, no mu and no closed form.
     """
     if q < 1:
         raise ValueError(f"modulus q >= 1 required, got {q}")
+    if q > _TRIG_QMAX:
+        raise ValueError(f"the cosine row needs q <= 2**26, got {q}")
     r = np.arange(q, dtype=np.int64)
     g = np.gcd(r, q)   # gcd(0, q) = q
-    coprime = np.flatnonzero(g == 1)
-    table = np.cos(2.0 * pi * r / q)
-    classes = np.flatnonzero(np.bincount(g[: nmax + 1]))
+    order = np.argsort(g, kind="stable")
+    count = np.bincount(g)      # class sizes; count[1] = phi(q)
+    ends = np.cumsum(count)     # class c holds the entries ends[c - 1]:ends[c]
+    cosines = np.cos(2.0 * pi * r / q)[order]
+    split = cosines * _VELTKAMP
+    high = split - (split - cosines)
+    # both halves of each cosine times its class's multiplicity: exact
+    hi, lo = (np.stack((high, cosines - high)) * (count[1] // count[g[order]])).tolist()
     sums = np.zeros(q + 1)
-    sums[classes] = [fsum(t) for t in table[np.outer(classes, coprime) % q].tolist()]
+    for c in np.flatnonzero(np.bincount(g[: nmax + 1])).tolist():   # classes of r <= nmax
+        a, b = ends[c - 1], ends[c]
+        sums[c] = fsum(hi[a:b] + lo[a:b])
     return kernels.tiled(sums[g], 0, nmax + 1)
 
 

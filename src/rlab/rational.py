@@ -181,10 +181,12 @@ def _scale(values) -> tuple:
 _LCM_CHUNK = 32
 
 
-def scale_pairs(pairs) -> tuple:
+def scale_pairs(pairs, den: int = 1) -> tuple:
     """(nums, den) for the rationals n / d given as reduced integer pairs
-    (n, d), d > 0: den is the lcm of the d (1 for no pairs), and
-    nums[i] = n_i * (den // d_i).
+    (n, d), d > 0: den is the lcm of the d and of the given den (1 for no
+    pairs and the default), and nums[i] = n_i * (den // d_i).  A caller that
+    holds numerators over some den passes it, so that they reach the new den
+    by one multiply each.
 
     `math.lcm` folds left, so each step of one call over many denominators
     works on the grown bignum.  Past _LCM_CHUNK distinct denominators the lcm
@@ -192,7 +194,7 @@ def scale_pairs(pairs) -> tuple:
     the chunk results, until one value is left (10^4 denominators d^3: about
     0.04 s against 0.5 s).  Up to _LCM_CHUNK it is the one call it was.
     """
-    dens = {d for _, d in pairs}
+    dens = {den, *(d for _, d in pairs)}
     while len(dens) > _LCM_CHUNK:
         dens = list(dens)
         dens = [lcm(*dens[i:i + _LCM_CHUNK]) for i in range(0, len(dens), _LCM_CHUNK)]

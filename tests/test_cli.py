@@ -40,6 +40,7 @@ INPUTS = {
     "bool-range": {"range": True, "fprime": ["1"]},
     "float-range": {"range": 2.0, "fprime": ["1", "2"]},
     "half-support": {"support": 1.5, "entries": {"1": "1"}},
+    "half-key": {"support": 2, "entries": {"1.5": "1"}},
     "one": {"kind": "builtin", "name": "one"},
     "seq": {"support": 2, "entries": {"1": "3/2", "2": "1/2"}},
     "even-tds": {"kind": "tds", "range": 2,
@@ -126,6 +127,12 @@ COMMANDS = [
     ("fre to-fre --tds bool-range.json", 2, "'range' must be an integer, got True"),
     ("fre to-fre --tds float-range.json", 0, '\n{"range": 2, "fhat": ["2", "1"]}\n'),
     ("expand eval --coeffs half-support.json --n 1 --cut 2", 2, "'support'"),
+    # a coefficient index that is not an integer names its key and file, or its option
+    ("expand eval --coeffs half-key.json --n 1 --cut 2", 2,
+     "half-key.json: entries key must be an integer, got '1.5'"),
+    ("expand eval --coeffs dK:x --n 1 --cut 2", 2, "--coeffs dK:x: K must be an integer"),
+    # a class multiplicity of the cosine row could reach 2**26 past this q
+    ("csum --form trig --q 67108865 --n 1", 2, "q <= 2**26"),
     ("transform --f . --bound 6", 2, "Is a directory"),
 ]
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rlab import experiments, kernels
+from rlab import expansions, experiments, kernels
 from rlab.arith import ArithmeticFunction, divisors, factor, mu, phi
 from rlab.expansions import (ZeroCloudElement, divisor_power_coefficient,
                              dk_local_series, evaluate_partial, invert_pure_coefficients,
@@ -362,7 +362,9 @@ def function_makers(draw):
 @PROPERTY
 @given(make=function_makers(), data=st.data())
 def test_standard_fre_held_terms_equal_a_fresh_build(make, data):
-    # points interleave growing and shrinking on both sides of a table's end
+    # points interleave growing and shrinking on both sides of a table's end;
+    # the held state grows in place, so in whatever order the points come,
+    # each result and the held state itself equal a fresh function's
     f = make()
     size = len(f.values) if f.kind == "table" else 24
     inside, past = st.integers(1, max(size, 1)), st.integers(size + 1, size + 40)
@@ -376,11 +378,45 @@ def test_standard_fre_held_terms_equal_a_fresh_build(make, data):
                 standard_finite_expansion(f, n)
             continue
         got = standard_finite_expansion(f, n)
+        assert got == want and got.scaled == want.scaled
         assert got.coefficients == want.coefficients
         assert got.reconstruction == want.reconstruction == Fraction(f(n))
         plain = standard_finite_expansion(lambda k: fresh(k), n)
         assert got.coefficients == plain.coefficients
-        assert f.wintner_terms[0] >= n
+        assert f.wintner_terms.bound >= n
+    if f.wintner_terms is not None:
+        fresh = make()
+        standard_finite_expansion(fresh, f.wintner_terms.bound)
+        assert fresh.wintner_terms == f.wintner_terms
+
+
+def test_standard_fre_reduces_each_term_once_and_its_pair_on_first_read(monkeypatch):
+    # work gate: over points that rise, then fall, on one table, each term
+    # fprime(d)/d is reduced once, and no call divides its pair by the
+    # common gcd; the first read of `scaled` does, once
+    reduced, reductions = [], []
+    reduce_terms, reduce_pair = expansions.reduced_terms, expansions.canonical
+
+    def counted_terms(vals, ds, den=1):
+        reduced.extend(ds)
+        return reduce_terms(vals, ds, den)
+
+    def counted_pair(nums, den):
+        reductions.append(len(nums))
+        return reduce_pair(nums, den)
+    monkeypatch.setattr(expansions, "reduced_terms", counted_terms)
+    monkeypatch.setattr(expansions, "canonical", counted_pair)
+    f = ArithmeticFunction.table(rand_table(random.Random(7), 200), after="zero")
+    made = [standard_finite_expansion(f, n)
+            for n in (1, 3, 9, 20, 57, 130, 200, 150, 64, 5, 1)]
+    assert sorted(reduced) == list(range(1, 201))
+    assert reductions == []
+    s = made[4]
+    pair = s.scaled
+    assert reductions == [57]
+    assert s.scaled is pair and s.coefficients == tds_to_fre(
+        TruncatedDivisorSum(57, eratosthenes(f, 57))).fhat
+    assert reductions == [57] and pair == scale(s.coefficients)
 
 
 def _count_builds(monkeypatch):

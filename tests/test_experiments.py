@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from rlab import experiments, kernels, shift
 from rlab.emit import Table, emit, format_cell
+from rlab.expansions import ZeroCloudElement, evaluate_partial
 from rlab.experiments import (ConfigError, ExperimentConfig, ResourceCapError,
                               UnknownExperimentError, criteria, experiment_names,
                               resolve_params, run_experiment)
@@ -354,3 +355,16 @@ def test_dk_coefficients_needs_a_point_to_check():
     rec = run_experiment(ExperimentConfig(name="dK-coefficients",
                                           params={"nmax": 2, "kmax": 1}))
     assert rec.passed
+
+
+def test_zero_cloud_trend_partials_are_evaluate_partial():
+    # each row c_q(n) is built once for the three elements, and every
+    # partial in the trend table is `evaluate_partial`'s value bit for bit
+    cfg = ExperimentConfig(name="zero-cloud-trend")
+    outcomes, tables = experiments._REGISTRY["zero-cloud-trend"](cfg, nmax=6, x_lo=10,
+                                                                  x_hi=5000)
+    rows = tables["trend"].rows
+    assert len(rows) == 18 and [o["status"] for o in outcomes] == ["pass"]
+    for alpha, beta, n, lo, hi in rows:
+        e = ZeroCloudElement(alpha, beta)
+        assert (lo, hi) == (evaluate_partial(e, n, 10), evaluate_partial(e, n, 5000))

@@ -87,6 +87,12 @@ def test_rejects_bad_modulus():
         csum_trig_row(0, 5)
     with pytest.raises(ValueError):
         csum_trig_form(0, 5)
+    # a class multiplicity reaches phi(q), and a half of a split cosine times
+    # it is exact below 2**26; the refusal comes before any array is built
+    with pytest.raises(ValueError, match=r"q <= 2\*\*26"):
+        csum_trig_row(2 ** 26 + 1, 0)
+    with pytest.raises(ValueError, match=r"q <= 2\*\*26"):
+        csum_trig_form(2 ** 40, 3)
 
 
 def trig_row_by_definition(q, nmax):
@@ -127,6 +133,17 @@ def test_trig_form_equals_the_pointwise_cosine_sum(qn):
 def test_trig_row_equals_definition(qn):
     q, nmax = qn
     assert np.array_equal(csum_trig_row(q, nmax), trig_row_by_definition(q, nmax))
+
+
+def test_trig_row_is_the_direct_sum_for_every_q_to_300():
+    # oracle: one math.fsum over the coprime j for each residue n, with no
+    # classes and no multiplicities; the row matches it byte for byte
+    for q in range(1, 301):
+        j = np.arange(1, q + 1)
+        coprime = j[np.gcd(j, q) == 1]
+        table = np.cos(2.0 * pi * np.arange(q) / q)
+        want = np.array([math.fsum(table[(coprime * n) % q].tolist()) for n in range(q)])
+        assert csum_trig_row(q, q - 1).tobytes() == want.tobytes(), q
 
 
 @PROPERTY
@@ -403,6 +420,16 @@ def test_csum_prefix_sum_brute():
         for a_max in (0, 1, 7, 50, 101):
             assert csum_multiple_sums(q, 1, a_max)[1] == \
                 sum(csum(q, a) for a in range(1, a_max + 1))
+
+
+def test_csum_multiple_sums_past_int64():
+    # sigma(q) x past 2**63 takes the Python-int path: at q = 1 every T[d] is
+    # x // d, and at q = 2, where c_2(m) = (-1)^m, T[d] is x // d for even d
+    # and -(x // d mod 2) for odd d
+    x = 2 ** 63 + 5
+    assert csum_multiple_sums(1, 8, x).tolist() == [0] + [x // d for d in range(1, 9)]
+    assert csum_multiple_sums(2, 8, x).tolist() == \
+        [0] + [x // d if d % 2 == 0 else -(x // d % 2) for d in range(1, 9)]
 
 
 def test_orthogonality_trivial_case():
