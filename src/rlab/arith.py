@@ -290,7 +290,12 @@ class ArithmeticFunction:
     values_den): terms[d - 1] / den == fprime(d) / d and
     values[d - 1] / values_den == F(d) for d <= bound, each a list of Python
     ints over the lcm of its reduced denominators.  A later point past the
-    bound grows both lists in place of a rebuild.  The values never change,
+    bound grows both lists in place of a rebuild.
+
+    `transform` is None until `transforms.eratosthenes` stores there
+    (bound, table), the Eratosthenes transform on 1..bound of a builtin or
+    table function; a smaller bound reads a prefix of it and a larger one
+    replaces it.  No `eval_range` values are held.  The values never change,
     so the held state cannot go stale.
     """
 
@@ -302,6 +307,7 @@ class ArithmeticFunction:
         self.after = after
         self.tds = tds
         self.wintner_terms = None
+        self.transform = None
         if kind == "builtin":
             if not _is_builtin(name):
                 raise ValueError(f"unknown builtin {name!r} (registry is closed)")
@@ -364,7 +370,10 @@ class ArithmeticFunction:
     def eval_range(self, nmax: int):
         """Values on 1..nmax as a frozen shape (`rational.freeze`): a
         read-only integer array (int64, or Python ints past 2**63), an
-        ExactList of non-integral rationals, or a read-only float64 array."""
+        ExactList of non-integral rationals, or a read-only float64 array.
+        A negative nmax raises ValueError."""
+        if nmax < 0:
+            raise ValueError(f"range bound nmax >= 0 required, got {nmax}")
         if self.kind == "builtin":
             return kernels.read_only(_builtin_range(self.name, nmax)[1:])
         if self.kind == "table":

@@ -47,11 +47,33 @@ def eratosthenes(f, bound: int):
     """The table fprime(d) = sum_{t|d} F(t) mu(d/t) on 1..bound of an
     ArithmeticFunction or a callable, as a `rational.freeze` shape in the kind
     of f's values: ints where integral, else Fractions, for exact f; floats
-    never pass through Fraction."""
-    if isinstance(f, ArithmeticFunction) and f.kind == "tds":
+    never pass through Fraction.  A negative bound raises ValueError.
+
+    A builtin or table function holds its transform as `f.transform`
+    (bound, table), since no entry depends on the bound: a bound at or below
+    the held one reads a prefix of the table (a read-only view of an array),
+    and a larger one computes the table at that bound and replaces it, as
+    the sieves do (`kernels._grown`)."""
+    if bound < 0:
+        raise ValueError(f"transform bound >= 0 required, got {bound}")
+    if not isinstance(f, ArithmeticFunction):
+        return _eratosthenes(function_values(f, bound))
+    if f.kind == "tds":
         # the transform of a divisor sum is its own fprime, zero past the range
         return head(freeze(f.tds.fprime), bound)
-    fv = function_values(f, bound)
+    if f.transform is not None and bound <= f.transform[0]:
+        # the prefix goes through freeze again, so it has the shape a fresh
+        # transform gives: an all-zero float prefix is exact, and an object
+        # prefix within int64 is int64
+        return freeze(head(f.transform[1], bound))
+    table = _eratosthenes(f.eval_range(bound))
+    f.transform = (bound, table)
+    return table
+
+
+def _eratosthenes(fv):
+    """The Eratosthenes transform of the values fv, a `rational.freeze`
+    shape."""
     if value_kind(fv) == "float":
         # the integer kernel runs on Python floats in an object array
         c = np.array([0.0, *fv.tolist()], dtype=object)
@@ -391,10 +413,9 @@ def cw_formula_check(f, q: int, xgrid) -> CwReport:
     if not (isinstance(f, ArithmeticFunction) and f.is_exact):
         raise ValueError("exact arithmetic function required")
     xs = check_grid(xgrid)
-    # ft lives to the end of the call: freed before the arrays below are
-    # built, it moves them in the heap, and they cost more page faults
-    ft = eratosthenes(f, xs[-1])
-    fpv = kernels.read_only(np.array(ft, dtype=np.float64))
+    # fprime does not depend on q: f holds it, so a call for another q at the
+    # same or a smaller grid reads it without evaluating f for it
+    fpv = kernels.read_only(np.array(eratosthenes(f, xs[-1]), dtype=np.float64))
     abs_cum = np.cumsum(np.abs(fpv))
     win = _wintner_partials(fpv, q, xs)
     sums = _csum_weighted_sums(f, [q], xs)[0]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rlab import arith, kernels
 from rlab.arith import (_PSI_13, ArithmeticFunction, ConfigError, _is_probable_prime, d_k,
                         divisors, factor, function_from_spec, mu, omega, phi)
+from rlab.finite import TruncatedDivisorSum
 from rlab.ramanujan import csum
 from rlab.rational import ExactList, scale
 from rlab.transforms import eratosthenes
@@ -303,6 +304,15 @@ def test_table_after_policies():
         t_err(4)
     with pytest.raises(ValueError):
         t_err(0)
+
+
+def test_eval_range_refuses_a_negative_bound():
+    # a negative bound would slice from the end of a table
+    for f in (ArithmeticFunction.table([Fraction(1, 2), 2, 3]),
+              ArithmeticFunction.builtin("d_2"),
+              ArithmeticFunction.from_tds(TruncatedDivisorSum(2, [1, 1]))):
+        with pytest.raises(ValueError, match="got -1"):
+            f.eval_range(-1)
 
 
 def test_von_mangoldt_is_float_only():

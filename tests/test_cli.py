@@ -42,6 +42,7 @@ INPUTS = {
     "half-support": {"support": 1.5, "entries": {"1": "1"}},
     "half-key": {"support": 2, "entries": {"1.5": "1"}},
     "one": {"kind": "builtin", "name": "one"},
+    "half-table": {"kind": "table", "values": ["1/2", 2, 3]},
     "seq": {"support": 2, "entries": {"1": "3/2", "2": "1/2"}},
     "even-tds": {"kind": "tds", "range": 2,
                  "fprime": {"kind": "table", "values": [0, 1], "after": "zero"}},
@@ -134,6 +135,9 @@ COMMANDS = [
     # a class multiplicity of the cosine row could reach 2**26 past this q
     ("csum --form trig --q 67108865 --n 1", 2, "q <= 2**26"),
     ("transform --f . --bound 6", 2, "Is a directory"),
+    # a negative bound would read a table from its end
+    ("transform --f half-table.json --bound -2", 2, "bound >= 0 required, got -2"),
+    ("transform --f d2.json --bound -1", 2, "bound >= 0 required, got -1"),
 ]
 
 

@@ -125,9 +125,87 @@ def test_float_table_transform_and_wintner_partial_are_floats():
 
 
 def test_eratosthenes_domain_error():
+    # nothing is held from a table that has no values to transform
     f = ArithmeticFunction.table([1, 2, 3], after="error")
     with pytest.raises(IndexError):
         eratosthenes(f, 10)
+    assert f.transform is None
+
+
+# d_2, the float vonMangoldt, an int table (integers on both sides of 2**63,
+# so a held object array can have an int64 prefix) and a rational table
+HELD_SOURCES = st.one_of(
+    st.sampled_from([("builtin", "d_2"), ("builtin", "vonMangoldt")]),
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-2 ** 65, 2 ** 65)),
+             min_size=1, max_size=40).map(lambda v: ("table", v)),
+    st.lists(RATIONALS, min_size=1, max_size=40).map(lambda v: ("table", v)))
+
+
+def _function(source) -> ArithmeticFunction:
+    kind, arg = source
+    return ArithmeticFunction.builtin(arg) if kind == "builtin" else \
+        ArithmeticFunction.table(arg)
+
+
+def _shape(table) -> tuple:
+    """Everything a caller can tell of a transform table: its type, kind,
+    dtype, values (floats by their bytes) and element types."""
+    vals = table.tolist()
+    return (type(table), value_kind(table), getattr(table, "dtype", None),
+            table.tobytes() if value_kind(table) == "float" else vals,
+            [type(v) for v in vals])
+
+
+@PROPERTY
+@given(source=HELD_SOURCES,
+       bounds=st.lists(st.integers(0, 60), min_size=1, max_size=8))
+# a float prefix of zeros is exact, and so is an empty one
+@example(source=("builtin", "vonMangoldt"), bounds=[3, 1, 0])
+# an object array whose prefix fits int64
+@example(source=("table", [1, 2 ** 64]), bounds=[2, 1])
+def test_held_transform_equals_a_fresh_one(source, bounds):
+    # over bounds that grow and shrink, every table equals a fresh function's
+    # in values, shape kind and element types; the held bound is the largest
+    # asked for, and every array handed out is read-only
+    f = _function(source)
+    for i, bound in enumerate(bounds):
+        got = eratosthenes(f, bound)
+        assert _shape(got) == _shape(eratosthenes(_function(source), bound))
+        assert f.transform[0] == max(bounds[: i + 1])
+        assert not isinstance(got, np.ndarray) or not got.flags.writeable
+        assert not isinstance(f.transform[1], np.ndarray) or \
+            not f.transform[1].flags.writeable
+
+
+def test_functions_never_share_a_held_transform():
+    for source in (("builtin", "d_2"), ("table", [1, Fraction(1, 2), 3, 2 ** 70])):
+        f, g = _function(source), _function(source)
+        eratosthenes(f, 4)
+        assert g.transform is None
+        eratosthenes(g, 4)
+        ft, gt = f.transform[1], g.transform[1]
+        assert ft is not gt and ft.tolist() == gt.tolist()
+        assert not isinstance(ft, np.ndarray) or not np.shares_memory(ft, gt)
+
+
+def test_cw_formula_transforms_each_function_once(monkeypatch):
+    # work gate: c17's 15 calls at the benchmark's grid compute one transform
+    # per function, and each report equals a fresh function's, row for row
+    grid = [10 ** 3, 2 * 10 ** 3, 10 ** 4, 2 * 10 ** 4]
+    names = ("one", "d_2", "id")
+    fresh = {(name, q): cw_formula_check(ArithmeticFunction.builtin(name), q, grid)
+             for name in names for q in range(1, 6)}
+    calls, transform = [], kernels.mobius_transform_int
+
+    def counted(c):
+        calls.append(len(c) - 1)
+        return transform(c)
+    monkeypatch.setattr(kernels, "mobius_transform_int", counted)
+    for name in names:
+        f = ArithmeticFunction.builtin(name)
+        for q in range(1, 6):
+            assert cw_formula_check(f, q, grid) == fresh[name, q]
+    assert calls == [grid[-1]] * 3
 
 
 def test_wintner_delta():
