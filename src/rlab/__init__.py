@@ -16,7 +16,7 @@ from .transforms import (ConditionReport, carmichael_estimate, condition_check,
 from .expansions import (ZeroCloudElement, divisor_power_coefficient,
                          evaluate_partial, invert_pure_coefficients,
                          lucht_evaluate, standard_finite_expansion,
-                         wintner_delange_reconstruct, zero_cloud_partial)
+                         wintner_delange_reconstruct)
 from .shift import (Correlation, CutCorrelation, cc_coefficients, carmichael_vs_cc,
                     correlate, cut_correlation, l_estimate, qrc,
                     shift_expansion_check, short_average, weak_reef_check)

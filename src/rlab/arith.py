@@ -1,7 +1,7 @@
 """Integer and multiplicative-function primitives.
 
-Factorization is trial division against a sieved prime list (complete for
-n <= 1e12, since the cofactor left after dividing out primes <= 1e6 is
+Factorization is trial division by the primes <= 1e6 of `kernels.prime_sieve`
+(complete for n <= 1e12, since the cofactor left after dividing them out is
 prime), with Pollard rho above that; a larger part is proven prime by
 Miller-Rabin to the bases 2..41, deterministic below psi_13 ~ 3.3e24, and a
 part at or above psi_13 that passes raises ValueError.  Once trial division
@@ -38,7 +38,6 @@ _PSI_13 = 3317044064679887385961981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-@lru_cache(maxsize=1)
 def _small_primes() -> np.ndarray:
     return kernels.prime_sieve(_SIEVE_LIMIT)
 
@@ -292,11 +291,11 @@ class ArithmeticFunction:
     ints over the lcm of its reduced denominators.  A later point past the
     bound grows both lists in place of a rebuild.
 
-    `transform` is None until `transforms.eratosthenes` stores there
-    (bound, table), the Eratosthenes transform on 1..bound of a builtin or
-    table function; a smaller bound reads a prefix of it and a larger one
-    replaces it.  No `eval_range` values are held.  The values never change,
-    so the held state cannot go stale.
+    `transform` is None until `transforms.eratosthenes` stores there the
+    Eratosthenes transform of a builtin or table function, grown to the
+    largest bound asked for (`kernels.grown`); a smaller bound reads a prefix
+    of it and a larger one replaces it.  No `eval_range` values are held.
+    The values never change, so the held state cannot go stale.
     """
 
     def __init__(self, kind, name=None, values=None, after="zero", tds=None):

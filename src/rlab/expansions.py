@@ -93,11 +93,6 @@ def evaluate_partial(expansion, n: int, q_cut: int):
     return float(np.dot(row[1:], weights))
 
 
-def zero_cloud_partial(alpha, beta, n: int, q_cut: int) -> float:
-    """Partial sum of the zero-expansion with weights alpha/q + beta/phi(q)."""
-    return evaluate_partial(ZeroCloudElement(alpha, beta), n, q_cut)
-
-
 # ---------------------------------------------------------------------------
 # Wintner-Delange reconstruction
 # ---------------------------------------------------------------------------
@@ -191,19 +186,23 @@ def invert_pure_coefficients(fhat) -> PureInversion:
 # standard finite expansion (coefficients depend on the evaluation point)
 # ---------------------------------------------------------------------------
 
+def _canonical_raw(s) -> tuple:
+    s.raw = canonical(*s.raw)
+    return s.raw
+
+
 @dataclass
 class StandardFiniteExpansion:
     """The expansion at the point n.  It holds `raw`, the pair (nums, den) of
     its coefficients fhat(l, n) = nums[l - 1] / den, l = 1..n, over the held
     Wintner terms' denominator.  The first read of `scaled` reduces it to the
-    canonical pair (`rational.canonical`), and the first read of
-    `coefficients` builds their list; equality compares n, the canonical
-    pair and the reconstruction."""
+    canonical pair (`rational.canonical`), which replaces `raw`, so one pair
+    is held; the first read of `coefficients` builds their list.  Equality
+    compares n, the canonical pair and the reconstruction."""
     n: int
     coefficients: list = field(init=False, compare=False, default=BuiltOnRead())
     raw: tuple = field(repr=False, compare=False)
-    scaled: tuple = field(init=False, repr=False,
-                          default=cached_property(lambda s: canonical(*s.raw)))
+    scaled: tuple = field(init=False, repr=False, default=cached_property(_canonical_raw))
     reconstruction: Fraction  # sum_l fhat(l, n) c_l(n); equals F(n) exactly
 
 

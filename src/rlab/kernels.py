@@ -27,9 +27,10 @@ it, where building them takes about half a transform's time, the last 128
 bounds keep theirs, read-only.
 
 Each sieve holds one read-only table, built at the largest bound asked for
-so far (`_grown`).  A smaller bound gets a read-only prefix view of it, and
-since no entry depends on the bound, the view equals a fresh build bit for
-bit; a larger bound rebuilds the table there and drops the old one.
+so far (`grown`, which also holds each function's Eratosthenes transform).
+A smaller bound gets a read-only prefix view of it, and since no entry
+depends on the bound, the view equals a fresh build bit for bit; a larger
+bound rebuilds the table there and drops the old one.
 
 A Ramanujan-sum row c_q(n), q <= qmax (`csum_row`), is Hoelder's formula
 c_q(n) = mu(q/g) phi(q) / phi(q/g), g = gcd(q, n), while qmax <= 256: one
@@ -67,10 +68,10 @@ FLOAT64_EXACT = 1 << 53     # float64 holds every integer of smaller magnitude
 # sieves (plain numpy: slice arithmetic is already the fast path)
 #
 # Each sieve keeps one read-only table, built at the largest bound asked for
-# so far; callers needing a mutable copy must .copy().
+# so far (`grown`); callers needing a mutable copy must .copy().
 # ---------------------------------------------------------------------------
 
-GrowthInfo = namedtuple("GrowthInfo", "hits misses")
+GrowthInfo = namedtuple("GrowthInfo", "hits misses bound")
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -78,34 +79,36 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _grown(prefix):
-    """Serve a sieve from one table grown to the largest bound asked for.
+def grown(prefix):
+    """Serve build(n) from one table grown to the largest bound asked for.
 
-    build(n) gives the read-only table for the bound n, and its entries for
-    k <= n do not depend on n.  A bound at or below the held one gets
-    prefix(table, n), a read-only view of the held table; a larger bound
-    builds the table at n and replaces the old one.  cache_info() counts
-    the hits and misses, as `lru_cache` does.
+    build(n) gives the table for the bound n, and its entries for k <= n do
+    not depend on n.  The held bound gets the table and a smaller one
+    prefix(table, n), for a read-only table a read-only view of it; a larger
+    bound builds the table at n and replaces the old one, and a build that
+    raises leaves the held table as it was.  cache_info() counts the hits
+    and misses, as `lru_cache` does, and gives the held bound (-1 while
+    nothing is held).
     """
     def decorate(build):
         held = (-1, None)   # (bound, table), replaced as one tuple
         hits = misses = 0
 
         @wraps(build)
-        def sieve(n):
+        def read(n):
             nonlocal held, hits, misses
             if n < 0:
-                raise ValueError(f"sieve bound n >= 0 required, got {n}")
+                raise ValueError(f"bound n >= 0 required, got {n}")
             bound, table = held
             if n <= bound:
                 hits += 1
-                return prefix(table, n)
+                return table if n == bound else prefix(table, n)
             misses += 1
             held = (n, build(n))
             return held[1]
 
-        sieve.cache_info = lambda: GrowthInfo(hits, misses)
-        return sieve
+        read.cache_info = lambda: GrowthInfo(hits, misses, held[0])
+        return read
     return decorate
 
 
@@ -117,7 +120,7 @@ def _primes_upto(primes: np.ndarray, n: int) -> np.ndarray:
     return primes[: int(np.searchsorted(primes, n, side="right"))]
 
 
-@_grown(_primes_upto)
+@grown(_primes_upto)
 def prime_sieve(n: int) -> np.ndarray:
     """Primes <= n as an int64 array."""
     if n < 2:
@@ -170,7 +173,7 @@ def _build_split(n: int) -> tuple:
     return small, k, p
 
 
-@_grown(_upto)
+@grown(_upto)
 def mobius_sieve(n: int) -> np.ndarray:
     """mu(k) for k = 0..n (index 0 unused, set to 0)."""
     mu = np.ones(n + 1, dtype=np.int64)
@@ -183,7 +186,7 @@ def mobius_sieve(n: int) -> np.ndarray:
     return read_only(mu)
 
 
-@_grown(_upto)
+@grown(_upto)
 def totient_sieve(n: int) -> np.ndarray:
     """phi(k) for k = 0..n (index 0 unused, set to 0)."""
     phi = np.arange(n + 1, dtype=np.int64)
@@ -196,7 +199,7 @@ def totient_sieve(n: int) -> np.ndarray:
     return read_only(phi)
 
 
-@_grown(_upto)
+@grown(_upto)
 def omega_sieve(n: int) -> np.ndarray:
     """Number of distinct prime factors of k, k = 0..n."""
     om = np.zeros(n + 1, dtype=np.int64)
@@ -207,7 +210,7 @@ def omega_sieve(n: int) -> np.ndarray:
     return read_only(om)
 
 
-@_grown(_upto)
+@grown(_upto)
 def liouville_sieve(n: int) -> np.ndarray:
     """Liouville lambda(k) = (-1)^Omega(k) for k = 0..n (index 0 set to 0)."""
     big_omega = np.zeros(n + 1, dtype=np.int64)

@@ -163,14 +163,16 @@ def value_kind(values) -> str:
 
 
 def head(values, n: int):
-    """The first n entries of a shape of `freeze`, zero past its end."""
+    """`freeze` of the first n entries of a shape of `freeze`, zero past its
+    end; an array prefix that keeps its kind is a read-only view."""
     if len(values) == n:
         return values
     if isinstance(values, ExactList):
         return freeze(ExactList(values[:n] + [0] * (n - len(values))))
-    if n < len(values):
-        return values[:n]
-    return kernels.read_only(np.concatenate([values, np.zeros(n - len(values), values.dtype)]))
+    if n > len(values):
+        values = kernels.read_only(
+            np.concatenate([values, np.zeros(n - len(values), values.dtype)]))
+    return freeze(values[:n])
 
 
 def _scale(values) -> tuple:

@@ -22,7 +22,8 @@ L(q), which a Weak-Reef or short-average check scatters once for every q.
 A short average reads sum_{a<=A} c_q(a) as T[1] of `ramanujan.csum_multiple_sums`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -38,15 +39,15 @@ from . import kernels
 DEPTH_CAP = 10 ** 6     # deepest shift cache a correlation builds; nothing lifts it
 
 
-@dataclass
+@dataclass(eq=False)
 class Correlation:
-    """Cached values of C(N, a) with a lazily deepened Moebius transform."""
+    """Cached values of C(N, a) with a lazily deepened Moebius transform;
+    equal only to itself, so held state never decides equality."""
     f: ArithmeticFunction
     g: ArithmeticFunction
     length: int                      # N
     amax: int
     values: object                   # int64 array or ExactList of Fractions, index a-1
-    _transform: object = field(default=None, repr=False)
 
     @property
     def is_integer(self) -> bool:
@@ -69,7 +70,7 @@ class Correlation:
         deeper = correlate(self.f, self.g, self.length, amax)
         self.amax = amax
         self.values = deeper.values
-        self._transform = None
+        self.__dict__.pop("_transform", None)
         return self
 
     def transform(self, depth: int):
@@ -78,13 +79,13 @@ class Correlation:
         array, or an ExactList of Fractions for a rational correlation.  Built
         once over the whole cached depth from the values' scaled numerators
         and kept until ensure_depth deepens it."""
-        self.ensure_depth(depth)
-        if self._transform is not None:
-            return self._transform
+        return self.ensure_depth(depth)._transform
+
+    @cached_property
+    def _transform(self):
         nums, den = scale(self.values)
         tr = kernels.mobius_transform_int(kernels.one_based(nums))
-        self._transform = tr if self.is_integer else ExactList.over(tr.tolist(), den)
-        return self._transform
+        return tr if self.is_integer else ExactList.over(tr.tolist(), den)
 
 
 def correlate(f, g, length: int, amax: int) -> Correlation:
@@ -101,31 +102,27 @@ def correlate(f, g, length: int, amax: int) -> Correlation:
     return Correlation(f, g, length, amax, vals)
 
 
-@dataclass
+@dataclass(eq=False)
 class CutCorrelation:
     """Correlation of f against the N-truncated g, plus the exact remainder."""
     base: Correlation                 # C_{f, g_N}
     g_truncated: TruncatedDivisorSum  # g_N
     remainder: list                   # C_{f,g}(N,a) - C_{f,g_N}(N,a), per a
-    _ghat: list = field(default=None, repr=False)
-    _coeffs: FiniteExpansion = field(default=None, repr=False)
 
     @property
     def length(self) -> int:
         return self.base.length
 
+    @cached_property
     def ghat(self) -> list:
         """Finite Ramanujan coefficients of g_N (1-based, length N)."""
-        if self._ghat is None:
-            self._ghat = tds_to_fre(self.g_truncated).fhat
-        return self._ghat
+        return tds_to_fre(self.g_truncated).fhat
 
+    @cached_property
     def coefficients(self) -> FiniteExpansion:
         """qrc(self, N), computed once: entries q <= N read C'(N, d) for
         d <= N only, which a deeper shift cache leaves unchanged."""
-        if self._coeffs is None:
-            self._coeffs = qrc(self, self.length)
-        return self._coeffs
+        return qrc(self, self.length)
 
 
 def cut_correlation(f, g, length: int, amax: int) -> CutCorrelation:
@@ -155,7 +152,7 @@ def shift_expansion_check(cut: CutCorrelation, a: int):
     A finite Moebius-inversion identity: equal must hold for every exact input.
     The main sum is the value at a of the finite expansion qrc(cut, N).
     """
-    main = cut.coefficients().eval(a)
+    main = cut.coefficients.eval(a)
     tail = divisor_tail(cut, a)
     lhs = Fraction(cut.base.value(a))
     rhs = main + tail
@@ -187,7 +184,7 @@ def cc_coefficients(cut: CutCorrelation, lmax: int | None = None) -> list:
         lmax = n
     if lmax < 1:
         raise ValueError(f"need lmax >= 1, got lmax={lmax}")
-    ghat = cut.ghat()
+    ghat = cut.ghat
     ls = [l for l in range(1, min(lmax, n) + 1) if ghat[l - 1]]
     sums = dict(zip(ls, carmichael_sums(*scale(cut.base.f.eval_range(n)), ls, [n])))
     return [ghat[l - 1] * sums[l][0] / phi(l) if l in sums else Fraction(0)

@@ -49,11 +49,10 @@ def eratosthenes(f, bound: int):
     of f's values: ints where integral, else Fractions, for exact f; floats
     never pass through Fraction.  A negative bound raises ValueError.
 
-    A builtin or table function holds its transform as `f.transform`
-    (bound, table), since no entry depends on the bound: a bound at or below
-    the held one reads a prefix of the table (a read-only view of an array),
-    and a larger one computes the table at that bound and replaces it, as
-    the sieves do (`kernels._grown`)."""
+    A builtin or table function holds its transform as `f.transform`, grown
+    to the largest bound asked for (`kernels.grown`), since no entry depends
+    on the bound: a smaller bound reads a prefix (`rational.head`, shaped as
+    a fresh table), and a larger one computes the table and replaces it."""
     if bound < 0:
         raise ValueError(f"transform bound >= 0 required, got {bound}")
     if not isinstance(f, ArithmeticFunction):
@@ -61,14 +60,9 @@ def eratosthenes(f, bound: int):
     if f.kind == "tds":
         # the transform of a divisor sum is its own fprime, zero past the range
         return head(freeze(f.tds.fprime), bound)
-    if f.transform is not None and bound <= f.transform[0]:
-        # the prefix goes through freeze again, so it has the shape a fresh
-        # transform gives: an all-zero float prefix is exact, and an object
-        # prefix within int64 is int64
-        return freeze(head(f.transform[1], bound))
-    table = _eratosthenes(f.eval_range(bound))
-    f.transform = (bound, table)
-    return table
+    if f.transform is None:
+        f.transform = kernels.grown(head)(lambda n: _eratosthenes(f.eval_range(n)))
+    return f.transform(bound)
 
 
 def _eratosthenes(fv):

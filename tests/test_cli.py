@@ -14,7 +14,7 @@ import pytest
 
 from rlab import kernels
 from rlab.cli import build_parser, main
-from rlab.expansions import ZeroCloudElement, zero_cloud_partial
+from rlab.expansions import ZeroCloudElement, evaluate_partial
 
 # the files the commands below read, written once into the directory they run in
 INPUTS = {
@@ -355,7 +355,7 @@ def test_expand_eval_zero_family_is_the_callable_route(family, alpha, beta, caps
         assert main(["expand", "eval", "--coeffs", f"builtin:{family}",
                      "--n", str(n), "--cut", str(cut)]) == 0
         assert capsys.readouterr().out == format(want, ".17g") + "\n"
-        assert zero_cloud_partial(alpha, beta, n, cut) == want
+        assert evaluate_partial(ZeroCloudElement(alpha, beta), n, cut) == want
 
 
 def test_expand_sfre_bad_input_is_usage_error(fn_file, capsys):

@@ -13,8 +13,7 @@ from rlab.arith import ArithmeticFunction, divisors, factor, mu, phi
 from rlab.expansions import (ZeroCloudElement, divisor_power_coefficient,
                              dk_local_series, evaluate_partial, invert_pure_coefficients,
                              lucht_evaluate, standard_finite_expansion,
-                             wintner_delange_reconstruct, wintner_delange_table,
-                             zero_cloud_partial)
+                             wintner_delange_reconstruct, wintner_delange_table)
 from rlab.finite import FiniteExpansion, TruncatedDivisorSum, fre_to_tds, tds_to_fre
 from rlab.rational import ExactList, scale
 from rlab.ramanujan import cross_sum, csum
@@ -56,9 +55,9 @@ def test_finite_readers_refuse_a_float_list(call):
 
 def test_evaluate_partial_mertens_like():
     # coefficients 1/q against n = 1 collapse to sum of mu(q)/q
-    val = zero_cloud_partial(1, 0, 1, 10 ** 4)
+    val = evaluate_partial(ZeroCloudElement(1, 0), 1, 10 ** 4)
     direct = float(sum(Fraction(mu(q), q) for q in range(1, 2001)))
-    small = zero_cloud_partial(1, 0, 1, 2000)
+    small = evaluate_partial(ZeroCloudElement(1, 0), 1, 2000)
     assert small == pytest.approx(direct, abs=1e-9)
     assert abs(val) < 0.01
 
@@ -83,7 +82,8 @@ def test_zero_cloud_weights_are_built_once_and_read_as_prefixes():
         fresh = ZeroCloudElement(Fraction(1, 3), -2).float_weights(cut)
         assert w.shape == (cut + 1,) and w.tobytes() == fresh.tobytes()
         for n in (1, 6, 12):
-            assert evaluate_partial(el, n, cut) == zero_cloud_partial(Fraction(1, 3), -2, n, cut)
+            assert evaluate_partial(el, n, cut) == \
+                evaluate_partial(ZeroCloudElement(Fraction(1, 3), -2), n, cut)
     assert len(el._weights) == 10 ** 4 + 1
     assert el == ZeroCloudElement(Fraction(1, 3), -2)
 
@@ -320,6 +320,19 @@ def test_standard_fre_holds_the_canonical_pair_of_its_coefficients(f, ns):
         s, plain = standard_finite_expansion(f, n), standard_finite_expansion(lambda k: f(k), n)
         assert s == plain and repr(s) == repr(plain)
         assert s.scaled == scale(s.coefficients) == plain.scaled
+
+
+def test_standard_fre_holds_one_pair_once_scaled_is_read():
+    # the read that reduces the pair replaces `raw` by it, so one pair of
+    # numerators is held; repr, equality and the reconstruction stay
+    s = standard_finite_expansion(ArithmeticFunction.builtin("phi"), 12)
+    fresh = standard_finite_expansion(ArithmeticFunction.builtin("phi"), 12)
+    pair = s.scaled
+    assert vars(s)["raw"] is vars(s)["scaled"] is pair
+    assert sorted(vars(s)) == ["n", "raw", "reconstruction", "scaled"]
+    assert repr(s) == repr(fresh) and s == fresh
+    assert s.reconstruction == fresh.reconstruction == phi(12)
+    assert s.scaled is pair and pair == scale(s.coefficients)
 
 
 def test_standard_fre_refuses_bad_input():

@@ -58,7 +58,7 @@ def test_shift_objects_cache_canonical_scaled_form(fv, gv, n_len):
     f = ArithmeticFunction.from_tds(TruncatedDivisorSum(len(fv), fv))
     g = ArithmeticFunction.from_tds(TruncatedDivisorSum(len(gv), gv))
     cut = cut_correlation(f, g, n_len, 2 * n_len)
-    coeffs = cut.coefficients()
+    coeffs = cut.coefficients
     assert coeffs.fhat == qrc(cut, n_len).fhat
     seqs = [coeffs.fhat]
     if not cut.base.is_integer:
@@ -419,6 +419,27 @@ def test_freeze_is_the_isinstance_route(values):
         assert got.tolist() == want.tolist()
     else:
         assert same_entries(got, want)
+
+
+def shape_of(values) -> tuple:
+    """Everything a caller can tell of a shape of `freeze`: its type, kind,
+    dtype, element types and values (floats by their bytes)."""
+    vals = values.tolist()
+    kind = rational.value_kind(values)
+    return (type(values), kind, getattr(values, "dtype", None), [type(v) for v in vals],
+            values.tobytes() if kind == "float" else vals)
+
+
+@PROPERTY
+@given(values=value_sequences() | value_sequences(floats=True), n=st.integers(0, 12))
+# a float prefix of zeros is exact, and an object prefix within int64 is int64
+@example(values=[0.0, 0.5], n=1)
+@example(values=[1, 2 ** 64], n=1)
+def test_head_is_freeze_of_the_cut_list(values, n):
+    frozen = rational.freeze(values)
+    got = rational.head(frozen, n)
+    assert shape_of(got) == shape_of(rational.freeze((frozen.tolist() + [0] * n)[:n]))
+    assert not isinstance(got, np.ndarray) or not got.flags.writeable
 
 
 @PROPERTY

@@ -32,6 +32,22 @@ def test_constant_correlation():
     assert all(c.value(a) == 25 for a in range(1, 41))
 
 
+def test_correlation_equality_is_identity_whatever_is_held():
+    # == is identity, so it never compares value arrays, and no held read changes it
+    one = ArithmeticFunction.builtin("one")
+    table = ArithmeticFunction.table([Fraction(1, 2), 3, Fraction(-2, 3)])
+    for f in (ArithmeticFunction.builtin("mu"), table):
+        a, b = correlate(f, one, 50, 10), correlate(f, one, 50, 10)
+        for read in (lambda c: c, lambda c: c.transform(3), lambda c: c.ensure_depth(20)):
+            read(a)
+            assert a == a and not a == b and a != b
+    cut, other = cut_correlation(table, one, 6, 8), cut_correlation(table, one, 6, 8)
+    for read in (lambda c: c, lambda c: c.ghat, lambda c: c.coefficients,
+                 lambda c: c.base.transform(12)):
+        read(cut)
+        assert cut == cut and not cut == other and cut != other
+
+
 def test_even_indicator_correlation():
     f = even_indicator()
     c = correlate(f, f, 20, 30)
@@ -193,8 +209,8 @@ def test_qrc_is_the_truncated_wintner_sum(f, g, n_len, data):
     for q in range(1, q_cut + 3):
         want = sum((Fraction(tr[d]) / d for d in range(q, q_cut + 1, q)), Fraction(0))
         assert coeffs.get(q) == want     # zero past Q
-    assert isinstance(cut.coefficients(), FiniteExpansion)
-    assert cut.coefficients().fhat == qrc(cut, n_len).fhat
+    assert isinstance(cut.coefficients, FiniteExpansion)
+    assert cut.coefficients.fhat == qrc(cut, n_len).fhat
 
 
 def test_cc_even_indicator_hand_value():
@@ -254,7 +270,7 @@ def test_cc_coefficients_call_the_kernel_once_per_nonzero_ghat(make, monkeypatch
     from rlab import ramanujan
     cut = make()
     n = cut.length
-    ghat = cut.ghat()
+    ghat = cut.ghat
     for l in range(1, n + 1):
         ramanujan.csum_period(l)
     csums, kernel_calls = [], []
@@ -383,7 +399,7 @@ def test_weak_reef_rational_residuals_are_exact():
     cut = _rational_tail_instance()
     n, a, grid = cut.length, 7, [30, 60]
     tr = _brute_transform(cut, 60)
-    ghat = cut.ghat()
+    ghat = cut.ghat
     fv = [Fraction(cut.base.f(m)) for m in range(1, n + 1)]
     cc = [ghat[l - 1] / phi(l) * sum(fv[m - 1] * csum(l, m) for m in range(1, n + 1))
           for l in range(1, n + 1)]

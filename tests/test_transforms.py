@@ -125,11 +125,16 @@ def test_float_table_transform_and_wintner_partial_are_floats():
 
 
 def test_eratosthenes_domain_error():
-    # nothing is held from a table that has no values to transform
+    # nothing is held from a table that has no values to transform, and a
+    # held table stays as it was when a larger bound raises
     f = ArithmeticFunction.table([1, 2, 3], after="error")
     with pytest.raises(IndexError):
         eratosthenes(f, 10)
-    assert f.transform is None
+    assert f.transform.cache_info().bound == -1
+    assert int_values(eratosthenes(f, 3)) == [1, 1, 2]
+    with pytest.raises(IndexError):
+        eratosthenes(f, 4)
+    assert f.transform.cache_info().bound == 3
 
 
 # d_2, the float vonMangoldt, an int table (integers on both sides of 2**63,
@@ -171,10 +176,11 @@ def test_held_transform_equals_a_fresh_one(source, bounds):
     for i, bound in enumerate(bounds):
         got = eratosthenes(f, bound)
         assert _shape(got) == _shape(eratosthenes(_function(source), bound))
-        assert f.transform[0] == max(bounds[: i + 1])
+        held = f.transform.cache_info().bound
+        assert held == max(bounds[: i + 1])
         assert not isinstance(got, np.ndarray) or not got.flags.writeable
-        assert not isinstance(f.transform[1], np.ndarray) or \
-            not f.transform[1].flags.writeable
+        table = f.transform(held)       # the held table itself
+        assert not isinstance(table, np.ndarray) or not table.flags.writeable
 
 
 def test_functions_never_share_a_held_transform():
@@ -183,7 +189,8 @@ def test_functions_never_share_a_held_transform():
         eratosthenes(f, 4)
         assert g.transform is None
         eratosthenes(g, 4)
-        ft, gt = f.transform[1], g.transform[1]
+        assert f.transform.cache_info().bound == g.transform.cache_info().bound == 4
+        ft, gt = f.transform(4), g.transform(4)     # the held tables themselves
         assert ft is not gt and ft.tolist() == gt.tolist()
         assert not isinstance(ft, np.ndarray) or not np.shares_memory(ft, gt)
 
